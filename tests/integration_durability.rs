@@ -260,6 +260,52 @@ fn deleted_datasets_stay_deleted_across_reboots() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `1e999` overflows `f64` to infinity. Accepted, it would be logged as
+/// `null`, and replay would skip that record and then every later record
+/// of the tenant as a sequence gap. It is a 400 that never reaches the WAL,
+/// and the appends after it survive a reboot.
+#[test]
+fn out_of_range_numbers_are_rejected_before_the_wal() {
+    let data = dataset();
+    let dir = temp_dir("range");
+    let id = {
+        let mut handle = Server::bind(durable_config(&dir)).unwrap();
+        let mut client = Client::new(handle.local_addr());
+        let id = client
+            .register(&data.schema(), &data.query(), &data.rows_between(0, 30))
+            .unwrap()
+            .dataset_id;
+        let logged = read_counter(&client.metrics().unwrap(), "store", "wal_appends");
+        let body = format!(r#"{{"rows":[[30,"{}",1e999]]}}"#, data.categories[0]);
+        let response = client
+            .raw("POST", &format!("/datasets/{id}/rows"), Some(&body), &[])
+            .unwrap();
+        assert_eq!(response.status, 400);
+        let error: Value =
+            serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).unwrap();
+        assert_eq!(
+            error.get("kind").and_then(Value::as_str),
+            Some("bad_request")
+        );
+        let message = error.get("message").and_then(Value::as_str).unwrap();
+        assert!(message.contains("number out of range"), "{message}");
+        let metrics = client.metrics().unwrap();
+        assert_eq!(read_counter(&metrics, "store", "wal_appends"), logged);
+        client.append_rows(id, &data.rows_between(30, 60)).unwrap();
+        drop(client);
+        handle.shutdown();
+        id
+    };
+
+    let mut handle = Server::bind(durable_config(&dir)).unwrap();
+    let mut client = Client::new(handle.local_addr());
+    let answer = client.explain(id, &base_request()).unwrap();
+    assert_eq!(answer.stats.n_points, 60);
+    drop(client);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Boots the real `tsx-server` binary on an ephemeral port with
 /// `--data-dir` and returns the child plus its parsed address.
 fn spawn_server(dir: &std::path::Path) -> (std::process::Child, SocketAddr) {

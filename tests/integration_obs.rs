@@ -48,6 +48,15 @@ fn span_names(spans: &Value, into: &mut Vec<String>) {
     }
 }
 
+/// How many arrays and objects `value` nests.
+fn depth(value: &Value) -> usize {
+    match value {
+        Value::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        Value::Object(map) => 1 + map.values().map(depth).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
 #[test]
 fn request_ids_are_echoed_or_minted() {
     let (mut handle, mut client, id) = boot();
@@ -151,6 +160,14 @@ fn flight_recorder_captures_the_explain_span_tree() {
     let mut names = Vec::new();
     span_names(compare_entry.get("spans").unwrap(), &mut names);
     assert!(names.contains(&"parallel_fanout".to_string()), "{names:?}");
+
+    // The deepest documents the server writes stay far under the JSON
+    // parser's nesting cap of 128, so a client can always read them back.
+    assert!(
+        depth(&flight) <= 16,
+        "flight recorder nests {} deep",
+        depth(&flight)
+    );
 
     // The ring is bounded: entries report monotonically increasing seq.
     let seqs: Vec<f64> = requests

@@ -648,6 +648,29 @@ fn errors_map_to_structured_statuses() {
     handle.shutdown();
 }
 
+/// 100,000 `[` then 100,000 `]` is 200 KB, far under the body cap. The
+/// parser's nesting cap turns it into a 400; without one, the recursion
+/// overflowed the worker's stack and aborted the whole process.
+#[test]
+fn a_deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
+    let mut handle = Server::bind(ServerConfig::default()).unwrap();
+    let mut client = Client::new(handle.local_addr());
+    let body = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    let response = client.raw("POST", "/datasets", Some(&body), &[]).unwrap();
+    assert_eq!(response.status, 400);
+    let error: Value = serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).unwrap();
+    assert_eq!(
+        error.get("kind").and_then(Value::as_str),
+        Some("bad_request")
+    );
+    let message = error.get("message").and_then(Value::as_str).unwrap();
+    assert!(message.contains("recursion limit exceeded"), "{message}");
+    let health = client.raw("GET", "/healthz", None, &[]).unwrap();
+    assert_eq!(health.status, 200);
+    drop(client);
+    handle.shutdown();
+}
+
 #[test]
 fn metrics_count_requests_and_cache_state() {
     let mut handle = Server::bind(ServerConfig {
