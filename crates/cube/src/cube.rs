@@ -135,6 +135,9 @@ pub struct ExplanationCube {
     /// states change; every value read goes through it.
     values: ValueMatrix,
     selectable: Vec<bool>,
+    /// The ids set in `selectable`, ascending: what the top-m scans walk
+    /// instead of testing the bitmap over all ε candidates.
+    selectable_ids: Vec<ExplId>,
     /// Per node (explanations, then root in the last slot): whether the
     /// subtree rooted there contains any selectable explanation. Lets the
     /// CA algorithm prune filtered subtrees, which is where the filter's
@@ -284,6 +287,7 @@ impl ExplanationCube {
             series,
             values,
             selectable: Vec::new(),
+            selectable_ids: Vec::new(),
             subtree_selectable: Vec::new(),
             trie,
             index,
@@ -322,6 +326,7 @@ impl ExplanationCube {
             // re-decoding of the sliced states.
             values: self.values.slice_rows(lo, hi),
             selectable: Vec::new(),
+            selectable_ids: Vec::new(),
             subtree_selectable: Vec::new(),
             trie: self.trie.clone(),
             index: self.index.clone(),
@@ -348,6 +353,9 @@ impl ExplanationCube {
                 })
                 .collect(),
         };
+        self.selectable_ids = (0..n_expl as ExplId)
+            .filter(|&e| self.selectable[e as usize])
+            .collect();
         // Propagate child → parent so CA can prune dead subtrees. Children
         // always have strictly higher order, so scanning orders high→low
         // sees every child before its parents.
@@ -403,6 +411,7 @@ impl ExplanationCube {
             + series
             + self.values.approx_bytes()
             + self.selectable.len()
+            + self.selectable_ids.len() * size_of::<ExplId>()
             + self.subtree_selectable.len()
             + trie_bytes(&self.trie)
             + index
@@ -421,7 +430,7 @@ impl ExplanationCube {
     /// Number of candidates surviving the support filter (Table 6,
     /// column "filtered ε").
     pub fn n_selectable(&self) -> usize {
-        self.selectable.iter().filter(|&&s| s).count()
+        self.selectable_ids.len()
     }
 
     /// The sorted timestamps of the series.
@@ -527,12 +536,6 @@ impl ExplanationCube {
         self.selectable[e as usize]
     }
 
-    /// The support-filter bitmap over all candidates — what batched
-    /// scorers use to mask their scans.
-    pub fn selectable_mask(&self) -> &[bool] {
-        &self.selectable
-    }
-
     /// The id of an explanation given its sorted `(attr, code)` predicate
     /// pairs — the allocation-free twin of [`ExplanationCube::lookup`]
     /// for callers that assemble candidate predicates in a scratch buffer.
@@ -550,11 +553,11 @@ impl ExplanationCube {
         }
     }
 
-    /// Ids of all selectable explanations.
-    pub fn selectable_ids(&self) -> Vec<ExplId> {
-        (0..self.explanations.len() as ExplId)
-            .filter(|&e| self.selectable[e as usize])
-            .collect()
+    /// Ids of all selectable explanations, ascending — built once per
+    /// [`ExplanationCube::apply_filter`], so the top-m scans touch only
+    /// the candidates they may select.
+    pub fn selectable_ids(&self) -> &[ExplId] {
+        &self.selectable_ids
     }
 
     /// Smooths the overall and per-explanation series with a centered
@@ -774,6 +777,12 @@ mod tests {
             .find(|&e| cube.label(e) == "state=CA & pack=12")
             .unwrap();
         assert!(cube.is_selectable(ca12));
+        // The id list is rebuilt with the bitmap: its set entries, ascending.
+        let listed: Vec<ExplId> = (0..cube.n_candidates() as ExplId)
+            .filter(|&e| cube.is_selectable(e))
+            .collect();
+        assert_eq!(cube.selectable_ids(), listed.as_slice());
+        assert!(listed.len() < cube.n_candidates());
         // …then its parents must still be drillable-through.
         let ca = (0..cube.n_candidates() as ExplId)
             .find(|&e| cube.label(e) == "state=CA")

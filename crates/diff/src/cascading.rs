@@ -26,8 +26,8 @@ fn close(a: f64, b: f64) -> bool {
 /// bound. `Best[q]` at the root for every `q ≤ m` falls out as a side
 /// product — which is what the guess-and-verify bound (Eq. 12) consumes.
 ///
-/// The struct owns its DP buffers so repeated segment queries allocate
-/// nothing.
+/// The struct owns its DP buffers and the walk-back scratch, so a
+/// repeated segment query allocates only the list it returns.
 pub struct CascadingAnalysts<'a> {
     ctx: ScoreContext<'a>,
     m: usize,
@@ -38,10 +38,17 @@ pub struct CascadingAnalysts<'a> {
     best: Vec<f64>,
     /// Grouped-knapsack scratch row.
     dp: Vec<f64>,
-    /// Per-segment γ scores over all candidates, filled once per `run` by
-    /// the batched scorer (entries outside the active selectable set are
-    /// 0.0 and never read as take-scores).
+    /// The exact path's γ buffer, filled by [`ScoreContext::gamma_ids`]
+    /// over the selectable ids (other entries are stale and never read).
     gammas: Vec<f64>,
+    /// Walk-back stack: the included kids of each group on the current
+    /// path with the quota assigned to each.
+    kids: Vec<(ExplId, usize)>,
+    /// Walk-back stage table, `(kids + 1) × (q + 1)` for the group being
+    /// matched; free again once its back-walk ends.
+    stages: Vec<f64>,
+    /// The ids the walk-back selected.
+    selected: Vec<ExplId>,
 }
 
 impl<'a> CascadingAnalysts<'a> {
@@ -61,6 +68,9 @@ impl<'a> CascadingAnalysts<'a> {
             best: vec![0.0; (n + 1) * (m + 1)],
             dp: vec![0.0; m + 1],
             gammas: vec![0.0; n],
+            kids: Vec::new(),
+            stages: Vec::new(),
+            selected: Vec::with_capacity(m),
         }
     }
 
@@ -86,26 +96,34 @@ impl<'a> CascadingAnalysts<'a> {
 
     /// Exact top-m non-overlapping explanations for segment `(a, b)`.
     pub fn top_m(&mut self, seg: (usize, usize)) -> TopExplanations {
-        self.top_m_with_best(seg).0
+        // One linear scan over the selectable ids replaces the per-node γ
+        // evaluations of the DP (bit-identical by the batched scorer's
+        // contract).
+        let mut gammas = std::mem::take(&mut self.gammas);
+        self.ctx
+            .gamma_ids(seg, self.cube().selectable_ids(), &mut gammas);
+        let top = self.top_m_exact(seg, &gammas);
+        self.gammas = gammas;
+        top
     }
 
     /// Exact top-m plus the `Best[0..=m]` root scores.
     pub fn top_m_with_best(&mut self, seg: (usize, usize)) -> (TopExplanations, Vec<f64>) {
+        let top = self.top_m(seg);
+        (top, self.best_root().to_vec())
+    }
+
+    /// Exact top-m over every selectable candidate, with `gammas` holding
+    /// γ for at least every selectable candidate (a caller that already
+    /// scored the segment passes its buffer instead of rescoring).
+    pub(crate) fn top_m_exact(&mut self, seg: (usize, usize), gammas: &[f64]) -> TopExplanations {
         let cube = self.ctx.cube();
-        // One linear, masked scan over the columnar rows replaces the
-        // per-node γ evaluations of the DP (bit-identical by the batched
-        // scorer's contract).
-        self.ctx
-            .gamma_all_masked(seg, Some(cube.selectable_mask()), &mut self.gammas);
+        let include = |e| cube.subtree_selectable(e);
+        let selectable = |e| cube.is_selectable(e);
         let order = std::mem::take(&mut self.full_order);
-        let out = self.run(
-            seg,
-            &order,
-            |e| cube.subtree_selectable(e),
-            |e| cube.is_selectable(e),
-        );
+        self.solve(gammas, &order, &include, &selectable);
         self.full_order = order;
-        out
+        self.answer(seg, gammas, &include, &selectable)
     }
 
     /// Top-m over a restricted candidate set (guess-and-verify, §5.3.1).
@@ -115,7 +133,11 @@ impl<'a> CascadingAnalysts<'a> {
     /// (selected candidates *and* their ancestors); `allowed[e]` marks the
     /// candidates that may actually be taken as explanations; `gammas`
     /// holds γ for at least every allowed candidate (the caller's batched
-    /// scores — reused here so a guess round never rescores candidates).
+    /// scores, borrowed so a guess round never rescores or copies them).
+    ///
+    /// `verify` sees the restricted `Best[0..=m]`; the list is walked
+    /// back and returned only when it accepts, so a rejected round
+    /// builds nothing.
     pub(crate) fn top_m_restricted(
         &mut self,
         seg: (usize, usize),
@@ -123,14 +145,23 @@ impl<'a> CascadingAnalysts<'a> {
         structural: &[bool],
         allowed: &[bool],
         gammas: &[f64],
-    ) -> (TopExplanations, Vec<f64>) {
-        self.gammas.copy_from_slice(gammas);
-        self.run(
-            seg,
-            order,
-            |e| structural[e as usize],
-            |e| allowed[e as usize],
-        )
+        verify: impl FnOnce(&[f64]) -> bool,
+    ) -> Option<TopExplanations> {
+        let include = |e: ExplId| structural[e as usize];
+        let selectable = |e: ExplId| allowed[e as usize];
+        self.solve(gammas, order, &include, &selectable);
+        if !verify(self.best_root()) {
+            return None;
+        }
+        Some(self.answer(seg, gammas, &include, &selectable))
+    }
+
+    /// `Best[0..=m]` at the root from the last DP: the best total γ with
+    /// at most `q` explanations, for every quota `q`.
+    fn best_root(&self) -> &[f64] {
+        let stride = self.m + 1;
+        let root = self.slot(ROOT_NODE) * stride;
+        &self.best[root..root + stride]
     }
 
     fn slot(&self, node: NodeId) -> usize {
@@ -141,59 +172,64 @@ impl<'a> CascadingAnalysts<'a> {
         }
     }
 
-    fn run<FI, FS>(
-        &mut self,
-        seg: (usize, usize),
-        order: &[ExplId],
-        include: FI,
-        selectable: FS,
-    ) -> (TopExplanations, Vec<f64>)
+    /// Fills the DP table over `order` and the root.
+    fn solve<FI, FS>(&mut self, gammas: &[f64], order: &[ExplId], include: &FI, selectable: &FS)
     where
         FI: Fn(ExplId) -> bool,
         FS: Fn(ExplId) -> bool,
     {
         let trie = self.ctx.cube().trie();
         for &v in order {
-            self.solve_node(v, trie, &include, &selectable);
+            self.solve_node(v, gammas, trie, include, selectable);
         }
-        self.solve_node_groups(ROOT_NODE, trie, &include, false);
-
-        let stride = self.m + 1;
-        let root = self.slot(ROOT_NODE);
-        let best_root: Vec<f64> = self.best[root * stride..root * stride + stride].to_vec();
-
-        let mut selected: Vec<ExplId> = Vec::with_capacity(self.m);
-        self.reconstruct(
-            ROOT_NODE,
-            self.m,
-            trie,
-            &include,
-            &selectable,
-            &mut selected,
-        );
-
-        let items = selected
-            .into_iter()
-            .map(|id| RankedExplanation {
-                id,
-                gamma: self.gammas[id as usize],
-                effect: self.ctx.effect(id, seg),
-            })
-            .collect();
-        (TopExplanations::new(items), best_root)
+        self.solve_node_groups(ROOT_NODE, trie, include, false);
     }
 
-    /// Fills `best[v][*]` for a concrete explanation node.
-    fn solve_node<FI, FS>(&mut self, v: ExplId, trie: &DrillTrie, include: &FI, selectable: &FS)
+    /// Walks the last DP back into the ranked list.
+    fn answer<FI, FS>(
+        &mut self,
+        seg: (usize, usize),
+        gammas: &[f64],
+        include: &FI,
+        selectable: &FS,
+    ) -> TopExplanations
     where
         FI: Fn(ExplId) -> bool,
         FS: Fn(ExplId) -> bool,
     {
+        let trie = self.ctx.cube().trie();
+        self.selected.clear();
+        self.reconstruct(ROOT_NODE, self.m, gammas, trie, include, selectable);
+        let items = self
+            .selected
+            .iter()
+            .map(|&id| RankedExplanation {
+                id,
+                gamma: gammas[id as usize],
+                effect: self.ctx.effect(id, seg),
+            })
+            .collect();
+        TopExplanations::new(items)
+    }
+
+    /// Fills `best[v][*]` for a concrete explanation node.
+    fn solve_node<FI, FS>(
+        &mut self,
+        v: ExplId,
+        gammas: &[f64],
+        trie: &DrillTrie,
+        include: &FI,
+        selectable: &FS,
+    ) where
+        FI: Fn(ExplId) -> bool,
+        FS: Fn(ExplId) -> bool,
+    {
         // The batched per-segment scores were filled before the DP walk;
-        // `selectable` still gates the take (a restricted run's buffer may
-        // score candidates outside its allowed set).
+        // `selectable` still gates the take (a restricted run's buffer
+        // scores candidates outside its allowed set, and entries outside
+        // the scored list are stale).
         let take_self = if selectable(v) {
-            self.gammas[v as usize]
+            gammas[v as usize]
         } else {
             0.0
         };
@@ -260,15 +296,22 @@ impl<'a> CascadingAnalysts<'a> {
         }
     }
 
-    /// Walks the DP back, emitting selected explanation ids.
+    /// Walks the DP back, pushing the selected explanation ids onto
+    /// `self.selected`.
+    ///
+    /// Each visited group pushes its included kids onto `self.kids` and
+    /// fills `self.stages`; the kids it assigns quota to are recursed into
+    /// only after its back-walk, so the stage table is free again and the
+    /// deeper calls' kids land above this group's entries. The emission
+    /// order is free: [`TopExplanations::new`] sorts.
     fn reconstruct<FI, FS>(
-        &self,
+        &mut self,
         node: NodeId,
         q: usize,
+        gammas: &[f64],
         trie: &DrillTrie,
         include: &FI,
         selectable: &FS,
-        out: &mut Vec<ExplId>,
     ) where
         FI: Fn(ExplId) -> bool,
         FS: Fn(ExplId) -> bool,
@@ -278,25 +321,27 @@ impl<'a> CascadingAnalysts<'a> {
         if target <= 0.0 {
             return;
         }
-        if node != ROOT_NODE && q >= 1 && selectable(node) {
-            let gamma = self.gammas[node as usize];
-            if close(target, gamma) {
-                out.push(node);
-                return;
-            }
+        if node != ROOT_NODE && q >= 1 && selectable(node) && close(target, gammas[node as usize]) {
+            self.selected.push(node);
+            return;
         }
-        for (_attr, kids) in trie.children(node) {
-            let included: Vec<ExplId> = kids.iter().copied().filter(|&k| include(k)).collect();
-            if included.is_empty() {
+        let width = q + 1;
+        let start = self.kids.len();
+        for (_attr, group) in trie.children(node) {
+            self.kids.truncate(start);
+            self.kids
+                .extend(group.iter().filter(|&&k| include(k)).map(|&k| (k, 0)));
+            let n_kids = self.kids.len() - start;
+            if n_kids == 0 {
                 continue;
             }
-            // Stage-by-stage knapsack: stages[i][cap] after the first i kids.
-            let mut stages: Vec<Vec<f64>> = Vec::with_capacity(included.len() + 1);
-            stages.push(vec![0.0; q + 1]);
-            for &kid in &included {
-                let prev = stages.last().expect("stage pushed above");
-                let kbase = (kid as usize) * stride;
-                let mut row = vec![0.0; q + 1];
+            // Stage-by-stage knapsack: stage i, slot cap, after the first
+            // i kids.
+            self.stages.clear();
+            self.stages.resize((n_kids + 1) * width, 0.0);
+            for i in 1..=n_kids {
+                let kbase = (self.kids[start + i - 1].0 as usize) * stride;
+                let (prev, row) = self.stages[(i - 1) * width..(i + 1) * width].split_at_mut(width);
                 for cap in 0..=q {
                     let mut acc = prev[cap];
                     for s in 1..=cap {
@@ -307,32 +352,37 @@ impl<'a> CascadingAnalysts<'a> {
                     }
                     row[cap] = acc;
                 }
-                stages.push(row);
             }
-            if !close(stages[included.len()][q], target) {
+            if !close(self.stages[n_kids * width + q], target) {
                 continue;
             }
             // Back-walk the stages, assigning quota to kids.
             let mut cap = q;
-            for i in (1..=included.len()).rev() {
-                let kid = included[i - 1];
-                let kbase = (kid as usize) * stride;
-                let goal = stages[i][cap];
+            for i in (1..=n_kids).rev() {
+                let kbase = (self.kids[start + i - 1].0 as usize) * stride;
+                let goal = self.stages[i * width + cap];
                 let mut assigned = 0;
                 for s in 0..=cap {
                     let part = if s == 0 { 0.0 } else { self.best[kbase + s] };
-                    if close(stages[i - 1][cap - s] + part, goal) {
+                    if close(self.stages[(i - 1) * width + cap - s] + part, goal) {
                         assigned = s;
                         break;
                     }
                 }
-                if assigned > 0 {
-                    self.reconstruct(kid, assigned, trie, include, selectable, out);
-                }
+                self.kids[start + i - 1].1 = assigned;
                 cap -= assigned;
             }
+            let end = self.kids.len();
+            for i in start..end {
+                let (kid, assigned) = self.kids[i];
+                if assigned > 0 {
+                    self.reconstruct(kid, assigned, gammas, trie, include, selectable);
+                }
+            }
+            self.kids.truncate(start);
             return;
         }
+        self.kids.truncate(start);
         debug_assert!(
             false,
             "reconstruction failed to match best value {target} at node {node}"

@@ -1,7 +1,9 @@
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use tsexplain_cube::{ExplId, ExplanationCube};
 
 use crate::cascading::CascadingAnalysts;
-use crate::score::ScoreContext;
 use crate::top::TopExplanations;
 
 /// Per-derivation statistics of the guess-and-verify loop.
@@ -32,16 +34,23 @@ pub struct GuessVerifyStats {
 /// > restricted `Best[m]` dominates every such bound it is globally optimal;
 /// > otherwise m̄ doubles (paper: m̄₀ = 30 for m = 3).
 ///
-/// Owns its buffers so a warm top-m derivation allocates nothing: the
-/// batched γ scores, the scored ranking, the restriction bitmaps, the
-/// ancestor scratch and the processing order are all reused across calls.
+/// A derivation scores the cube's selectable ids once, keeps only the
+/// best m̄ + m of them in one bounded pass, and runs the restricted CA on
+/// the same scores. Every buffer (scores, ranking heap, restriction
+/// bitmaps, ancestor scratch, processing order) is owned and reused, so a
+/// warm derivation allocates only the list it returns.
 pub struct GuessVerify {
     initial_guess: usize,
-    /// Batched γ over all candidates (masked to the selectable set),
-    /// filled once per segment and shared with the restricted CA runs.
+    /// Batched γ of the selectable candidates (other entries are stale),
+    /// filled once per segment and shared with the restricted CA runs and
+    /// the exact fallback.
     gamma_buf: Vec<f64>,
-    /// Scratch: (γ, id), sorted descending per segment.
-    scored: Vec<(f64, ExplId)>,
+    /// Ranking scratch: the best `need` candidates seen so far, worst on
+    /// top.
+    heap: BinaryHeap<Ranked>,
+    /// The head of χ = [E_r1, E_r2, …]: the best m̄ + m candidates, best
+    /// first.
+    scored: Vec<Ranked>,
     /// Structural-inclusion bitmap over all candidates.
     structural: Vec<bool>,
     /// Selection-permission bitmap over all candidates.
@@ -54,6 +63,68 @@ pub struct GuessVerify {
     subset_buf: Vec<(u16, u32)>,
 }
 
+/// A scored candidate in χ's order: γ descending (`partial_cmp`, NaN
+/// compares equal), then id ascending — so `a < b` means `a` ranks first.
+#[derive(Clone, Copy, Debug)]
+struct Ranked {
+    gamma: f64,
+    id: ExplId,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .gamma
+            .partial_cmp(&self.gamma)
+            .unwrap_or(Ordering::Equal)
+            .then(self.id.cmp(&other.id))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// Writes the best `need` of `ids` (scored by `gammas`) into `out`, best
+/// first, in one pass: `heap` keeps the running best with the worst kept
+/// candidate on top, so each further candidate costs one comparison, or
+/// an O(log need) replacement — never an insertion into a sorted list.
+fn select_top(
+    gammas: &[f64],
+    ids: &[ExplId],
+    need: usize,
+    heap: &mut BinaryHeap<Ranked>,
+    out: &mut Vec<Ranked>,
+) {
+    heap.clear();
+    for &id in ids {
+        let cand = Ranked {
+            gamma: gammas[id as usize],
+            id,
+        };
+        if heap.len() < need {
+            heap.push(cand);
+        } else if let Some(mut worst) = heap.peek_mut() {
+            if cand < *worst {
+                *worst = cand;
+            }
+        }
+    }
+    out.clear();
+    out.extend(heap.drain());
+    out.sort_unstable();
+}
+
 impl GuessVerify {
     /// Creates the optimizer with initial guess m̄₀ (paper default 30).
     pub fn new(cube: &ExplanationCube, initial_guess: usize) -> Self {
@@ -62,6 +133,7 @@ impl GuessVerify {
         GuessVerify {
             initial_guess,
             gamma_buf: vec![0.0; n],
+            heap: BinaryHeap::new(),
             scored: Vec::new(),
             structural: vec![false; n],
             allowed: vec![false; n],
@@ -79,41 +151,19 @@ impl GuessVerify {
     ) -> (TopExplanations, GuessVerifyStats) {
         let cube = ca.cube();
         let m = ca.m();
-        let ctx: ScoreContext<'_> = ca.score_context();
+        let ids = cube.selectable_ids();
 
-        // One linear masked scan over the columnar rows scores every
-        // selectable candidate; the buffer then feeds both the ranking and
-        // every restricted CA round (no rescoring per round).
-        ctx.gamma_all_masked(seg, Some(cube.selectable_mask()), &mut self.gamma_buf);
-        self.scored.clear();
-        for e in 0..cube.n_candidates() as ExplId {
-            if cube.is_selectable(e) {
-                self.scored.push((self.gamma_buf[e as usize], e));
-            }
-        }
-        // Descending γ, ties by id, so χ = [E_r1, E_r2, …] is deterministic.
-        let desc = |a: &(f64, ExplId), b: &(f64, ExplId)| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        };
-
-        let total = self.scored.len();
+        // One scan over the selectable ids scores every candidate the
+        // derivation may select; the buffer then feeds the ranking, every
+        // restricted CA round and the exact fallback (no rescoring).
+        ca.score_context().gamma_ids(seg, ids, &mut self.gamma_buf);
+        let total = ids.len();
         let mut guess = self.initial_guess.min(total);
         let mut rounds = 0u32;
         loop {
-            // Only the head of χ is consulted (the top-m̄ restriction plus
-            // the next m scores for the Eq. 12 bound), so an O(ε) partial
-            // selection replaces a full sort — this is where O1's win over
-            // exact CA comes from when ε is large.
-            let need = (guess + m).min(total);
-            if need < total {
-                self.scored.select_nth_unstable_by(need, desc);
-            }
-            self.scored[..need].sort_by(desc);
             if guess >= total {
                 // Exact fallback (also covers tiny candidate sets).
-                let (top, _) = ca.top_m_with_best(seg);
+                let top = ca.top_m_exact(seg, &self.gamma_buf);
                 return (
                     top,
                     GuessVerifyStats {
@@ -123,16 +173,24 @@ impl GuessVerify {
                     },
                 );
             }
+            // Only the head of χ is consulted (the top-m̄ restriction plus
+            // the next m scores for the Eq. 12 bound), so a bounded pass
+            // replaces ranking all selectable candidates — this is where
+            // O1's win over exact CA comes from when ε is large.
+            let need = (guess + m).min(total);
+            select_top(&self.gamma_buf, ids, need, &mut self.heap, &mut self.scored);
             rounds += 1;
             self.build_restriction(cube, guess);
-            let (top, best) = ca.top_m_restricted(
+            let scored = &self.scored;
+            let top = ca.top_m_restricted(
                 seg,
                 &self.order,
                 &self.structural,
                 &self.allowed,
                 &self.gamma_buf,
+                |best| verified(scored, best, m, guess),
             );
-            if self.verified(&best, m, guess) {
+            if let Some(top) = top {
                 return (
                     top,
                     GuessVerifyStats {
@@ -157,7 +215,7 @@ impl GuessVerify {
         self.order.clear();
 
         for i in 0..guess {
-            let e = self.scored[i].1;
+            let e = self.scored[i].id;
             if !self.allowed[e as usize] {
                 self.allowed[e as usize] = true;
             }
@@ -186,10 +244,11 @@ impl GuessVerify {
                 }
             }
         }
-        // Children-first processing order.
+        // Children-first processing order. Nodes of equal order never read
+        // each other's DP rows, so an unstable (in-place) sort is exact.
         self.order.extend(self.touched.iter().copied());
         self.order
-            .sort_by_key(|&e| std::cmp::Reverse(cube.explanation(e).order()));
+            .sort_unstable_by_key(|&e| std::cmp::Reverse(cube.explanation(e).order()));
     }
 
     fn mark_structural(&mut self, _cube: &ExplanationCube, e: ExplId) {
@@ -198,33 +257,31 @@ impl GuessVerify {
             self.touched.push(e);
         }
     }
+}
 
-    /// The Eq. 12 sufficient condition.
-    fn verified(&self, best: &[f64], m: usize, guess: usize) -> bool {
-        let tail_gamma = |j: usize| -> f64 {
-            self.scored
-                .get(guess + j - 1)
-                .map(|&(g, _)| g)
-                .unwrap_or(0.0)
-        };
-        let tol = 1e-9 * best[m].abs().max(1.0);
-        for m_prime in 0..m {
-            let mut bound = best[m_prime];
-            for j in 1..=(m - m_prime) {
-                bound += tail_gamma(j);
-            }
-            if best[m] + tol < bound {
-                return false;
-            }
+/// The Eq. 12 sufficient condition, over the restricted `best` and the
+/// head `scored` of χ.
+fn verified(scored: &[Ranked], best: &[f64], m: usize, guess: usize) -> bool {
+    let tail_gamma = |j: usize| -> f64 { scored.get(guess + j - 1).map_or(0.0, |r| r.gamma) };
+    let tol = 1e-9 * best[m].abs().max(1.0);
+    for m_prime in 0..m {
+        let mut bound = best[m_prime];
+        for j in 1..=(m - m_prime) {
+            bound += tail_gamma(j);
         }
-        true
+        if best[m] + tol < bound {
+            return false;
+        }
     }
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metric::DiffMetric;
+    use crate::score::ScoreContext;
+    use proptest::prelude::*;
     use tsexplain_cube::CubeConfig;
     use tsexplain_relation::{AggQuery, Datum, Field, Relation, Schema};
 
@@ -326,6 +383,166 @@ mod tests {
         let (t12, _) = gv.top_m(&mut ca, (1, 2));
         assert_eq!(cube.label(t01.items()[0].id), "A=x");
         assert_eq!(cube.label(t12.items()[0].id), "A=y");
+    }
+
+    /// Two attributes whose slices tie in γ (five candidates at 6, two at
+    /// 3) while the optimum stays unique for m ≤ 2: B=x (15) for m = 1,
+    /// B=x + B=y (24, the whole delta) for m = 2.
+    fn tied_cube() -> ExplanationCube {
+        let schema = Schema::new(vec![
+            Field::dimension("t"),
+            Field::dimension("A"),
+            Field::dimension("B"),
+            Field::measure("v"),
+        ])
+        .unwrap();
+        let mut b = Relation::builder(schema);
+        for (a, bb, delta) in [
+            ("a1", "x", 6.0),
+            ("a1", "y", 6.0),
+            ("a2", "x", 6.0),
+            ("a2", "y", 0.0),
+            ("a3", "x", 3.0),
+            ("a3", "y", 3.0),
+        ] {
+            for (t, v) in [("t1", 0.0), ("t2", delta)] {
+                b.push_row(vec![
+                    Datum::from(t),
+                    Datum::from(a),
+                    Datum::from(bb),
+                    Datum::from(v),
+                ])
+                .unwrap();
+            }
+        }
+        ExplanationCube::build(
+            &b.finish(),
+            &AggQuery::sum("t", "v"),
+            &CubeConfig::new(["A", "B"]),
+        )
+        .unwrap()
+    }
+
+    /// How many non-overlapping sets of at most `m` candidates reach the
+    /// best total γ (brute force over subsets).
+    fn optimal_set_count(cube: &ExplanationCube, seg: (usize, usize), m: usize) -> usize {
+        let ctx = ScoreContext::new(cube, DiffMetric::AbsoluteChange);
+        let n = cube.n_candidates();
+        let mut totals = Vec::new();
+        for mask in 0u32..(1 << n) {
+            if mask.count_ones() as usize > m {
+                continue;
+            }
+            let chosen: Vec<ExplId> = (0..n as ExplId).filter(|&e| mask & (1 << e) != 0).collect();
+            let disjoint = chosen.iter().enumerate().all(|(i, &a)| {
+                chosen[i + 1..]
+                    .iter()
+                    .all(|&b| !cube.explanation(a).overlaps(cube.explanation(b)))
+            });
+            if disjoint {
+                totals.push(chosen.iter().map(|&e| ctx.gamma(e, seg)).sum::<f64>());
+            }
+        }
+        let best = totals.iter().copied().fold(0.0, f64::max);
+        totals.iter().filter(|&&t| (t - best).abs() < 1e-9).count()
+    }
+
+    #[test]
+    fn tied_gammas_select_exact_cas_ids() {
+        let cube = tied_cube();
+        let seg = (0, 1);
+        let ctx = ScoreContext::new(&cube, DiffMetric::AbsoluteChange);
+        let mut gammas: Vec<f64> = cube
+            .selectable_ids()
+            .iter()
+            .map(|&e| ctx.gamma(e, seg))
+            .collect();
+        gammas.sort_by(f64::total_cmp);
+        assert!(
+            gammas.windows(2).any(|w| w[0] == w[1]),
+            "no tied γ: {gammas:?}"
+        );
+        let mut doubled = false;
+        for m in 1..=2 {
+            assert_eq!(
+                optimal_set_count(&cube, seg, m),
+                1,
+                "m={m}: optimum not unique"
+            );
+            let mut ca = CascadingAnalysts::new(&cube, DiffMetric::AbsoluteChange, m);
+            let exact = ca.top_m(seg);
+            for initial in 1..=4 {
+                let mut gv = GuessVerify::new(&cube, initial);
+                let (top, stats) = gv.top_m(&mut ca, seg);
+                assert_eq!(top.items(), exact.items(), "m={m} m̄₀={initial} ({stats:?})");
+                assert!(!stats.fell_back_exact, "m={m} m̄₀={initial} ({stats:?})");
+                doubled |= stats.rounds > 1;
+            }
+        }
+        assert!(doubled, "no derivation took a doubling round");
+    }
+
+    /// The ranking the bounded pass replaced: every pair collected, a
+    /// partial selection, then a sort of the head.
+    fn reference_head(gammas: &[f64], ids: &[ExplId], need: usize) -> Vec<(u64, ExplId)> {
+        let desc = |a: &(f64, ExplId), b: &(f64, ExplId)| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        };
+        let mut all: Vec<(f64, ExplId)> = ids.iter().map(|&e| (gammas[e as usize], e)).collect();
+        let need = need.min(all.len());
+        if need < all.len() {
+            all.select_nth_unstable_by(need, desc);
+        }
+        all.truncate(need);
+        all.sort_by(desc);
+        all.into_iter().map(|(g, e)| (g.to_bits(), e)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bounded pass returns exactly the reference head — same ids,
+        /// same order — for every `need` from 0 past the list length,
+        /// grown the way guess-and-verify doubles, with γ drawn from four
+        /// values so exact ties are everywhere and only the id decides.
+        #[test]
+        fn bounded_selection_matches_the_full_ranking(
+            levels in proptest::collection::vec(0u8..4, 0..64),
+            keep in proptest::collection::vec(0u8..4, 64),
+            rotate in 0usize..64,
+            initial in 1usize..8,
+            m in 1usize..4,
+        ) {
+            const GAMMA: [f64; 4] = [0.0, 0.5, 2.0, 7.25];
+            let gammas: Vec<f64> = levels.iter().map(|&l| GAMMA[l as usize]).collect();
+            // A subset in a scrambled order: the result may not depend on
+            // where a tied candidate sits in the list.
+            let mut ids: Vec<ExplId> = (0..gammas.len() as ExplId)
+                .filter(|&e| keep[e as usize] != 0)
+                .collect();
+            if !ids.is_empty() {
+                let k = rotate % ids.len();
+                ids.rotate_left(k);
+            }
+            let mut heap = BinaryHeap::new();
+            let mut out = Vec::new();
+            let mut needs = vec![0];
+            let mut guess = initial;
+            loop {
+                needs.push(guess + m);
+                if guess > ids.len() {
+                    break;
+                }
+                guess *= 2;
+            }
+            for need in needs {
+                select_top(&gammas, &ids, need, &mut heap, &mut out);
+                let got: Vec<(u64, ExplId)> = out.iter().map(|r| (r.gamma.to_bits(), r.id)).collect();
+                prop_assert_eq!(got, reference_head(&gammas, &ids, need), "need {}", need);
+            }
+        }
     }
 
     #[test]

@@ -84,14 +84,19 @@ impl<'a> ScoreContext<'a> {
 
     /// Batched γ: writes `gamma(e, seg)` for **every** candidate into
     /// `out` (which must hold `n_candidates` slots). See
-    /// [`ScoreContext::gamma_all_masked`] for the contract.
+    /// [`ScoreContext::gamma_ids`] for the contract.
     pub fn gamma_all(&self, seg: (usize, usize), out: &mut [f64]) {
-        self.gamma_all_masked(seg, None, out);
+        let n = self.cube.n_candidates();
+        debug_assert_eq!(out.len(), n, "output buffer must cover all candidates");
+        self.scan(seg, 0..n, out);
     }
 
-    /// Batched γ over the cube's columnar storage: `out[e]` is set to
-    /// `gamma(e, seg)` for every candidate with `mask[e]` (every candidate
-    /// when `mask` is `None`) and to `0.0` otherwise.
+    /// Batched γ over a list of candidates: `out[e]` is set to
+    /// `gamma(e, seg)` for every `e` in `ids`; every other slot of `out`
+    /// (which must hold `n_candidates` slots) is left untouched. The
+    /// top-m derivations pass the cube's
+    /// [`selectable_ids`](ExplanationCube::selectable_ids), so a
+    /// filtered cube costs its survivors, not ε.
     ///
     /// **Bit-for-bit contract:** each written score is produced by the
     /// same arithmetic, in the same order, as the scalar
@@ -103,17 +108,25 @@ impl<'a> ScoreContext<'a> {
     /// state arithmetic (`remove` must see counts), so those paths walk
     /// the states with the dispatch hoisted; SUM/COUNT contributions and
     /// all share-based scores run on the contiguous rows.
-    pub fn gamma_all_masked(&self, seg: (usize, usize), mask: Option<&[bool]>, out: &mut [f64]) {
+    pub fn gamma_ids(&self, seg: (usize, usize), ids: &[ExplId], out: &mut [f64]) {
+        debug_assert_eq!(
+            out.len(),
+            self.cube.n_candidates(),
+            "output buffer must cover all candidates"
+        );
+        self.scan(seg, ids.iter().map(|&e| e as usize), out);
+    }
+
+    /// The per-candidate arithmetic behind [`ScoreContext::gamma_all`]
+    /// and [`ScoreContext::gamma_ids`], written once and monomorphized
+    /// for each candidate walk.
+    fn scan(&self, seg: (usize, usize), ids: impl Iterator<Item = usize>, out: &mut [f64]) {
         let (a, b) = seg;
         debug_assert!(a < b, "segment endpoints must be ordered");
         let cube = self.cube;
-        let n = cube.n_candidates();
-        debug_assert_eq!(out.len(), n, "output buffer must cover all candidates");
-        debug_assert!(mask.is_none_or(|m| m.len() == n));
         let agg = cube.agg();
         let row_a = cube.values().row(a);
         let row_b = cube.values().row(b);
-        let keep = |e: usize| mask.is_none_or(|m| m[e]);
 
         match self.metric {
             DiffMetric::AbsoluteChange | DiffMetric::RelativeChange => {
@@ -127,11 +140,7 @@ impl<'a> ScoreContext<'a> {
                         let total_a = cube.total_value(a);
                         let total_b = cube.total_value(b);
                         let delta_with = total_b - total_a;
-                        for e in 0..n {
-                            if !keep(e) {
-                                out[e] = 0.0;
-                                continue;
-                            }
+                        for e in ids {
                             let delta_without = (total_b - row_b[e]) - (total_a - row_a[e]);
                             let contribution = delta_with - delta_without;
                             out[e] = if relative {
@@ -147,11 +156,7 @@ impl<'a> ScoreContext<'a> {
                         let total_a = cube.total_state(a);
                         let total_b = cube.total_state(b);
                         let delta_with = total_b.value(agg) - total_a.value(agg);
-                        for e in 0..n {
-                            if !keep(e) {
-                                out[e] = 0.0;
-                                continue;
-                            }
+                        for e in ids {
                             let id = e as ExplId;
                             let delta_without = total_b.remove(cube.state(id, b)).value(agg)
                                 - total_a.remove(cube.state(id, a)).value(agg);
@@ -169,11 +174,7 @@ impl<'a> ScoreContext<'a> {
             DiffMetric::RiskRatio => {
                 let total_a = cube.total_value(a).abs();
                 let total_b = cube.total_value(b).abs();
-                for e in 0..n {
-                    if !keep(e) {
-                        out[e] = 0.0;
-                        continue;
-                    }
+                for e in ids {
                     let share_a = if total_a <= 0.0 {
                         SHARE_FLOOR
                     } else {

@@ -1,7 +1,7 @@
 use tsexplain_cube::{ExplId, ExplanationCube};
 
 use crate::cascading::CascadingAnalysts;
-use crate::guess_verify::{GuessVerify, GuessVerifyStats};
+use crate::guess_verify::GuessVerify;
 use crate::metric::{DiffMetric, Effect};
 
 /// One explanation of a ranked top-m list: its cube id, difference score
@@ -115,13 +115,11 @@ impl TopExplStrategy {
 
 /// The segment → top-m entry point used by the segmentation layer: a
 /// [`CascadingAnalysts`] instance plus the configured derivation strategy
-/// and instrumentation counters.
+/// and a derivation counter.
 pub struct TopExplEngine<'a> {
     ca: CascadingAnalysts<'a>,
     gv: Option<GuessVerify>,
     calls: u64,
-    gv_rounds: u64,
-    gv_fallbacks: u64,
 }
 
 impl<'a> TopExplEngine<'a> {
@@ -140,13 +138,7 @@ impl<'a> TopExplEngine<'a> {
                 Some(GuessVerify::new(cube, initial_guess))
             }
         };
-        TopExplEngine {
-            ca,
-            gv,
-            calls: 0,
-            gv_rounds: 0,
-            gv_fallbacks: 0,
-        }
+        TopExplEngine { ca, gv, calls: 0 }
     }
 
     /// The cube the engine explains.
@@ -164,34 +156,13 @@ impl<'a> TopExplEngine<'a> {
         self.calls += 1;
         match &mut self.gv {
             None => self.ca.top_m(seg),
-            Some(gv) => {
-                let (top, stats) = gv.top_m(&mut self.ca, seg);
-                self.record(&stats);
-                top
-            }
-        }
-    }
-
-    fn record(&mut self, stats: &GuessVerifyStats) {
-        self.gv_rounds += stats.rounds as u64;
-        if stats.fell_back_exact {
-            self.gv_fallbacks += 1;
+            Some(gv) => gv.top_m(&mut self.ca, seg).0,
         }
     }
 
     /// Number of top-m derivations performed (segments explained).
     pub fn calls(&self) -> u64 {
         self.calls
-    }
-
-    /// Total guess-and-verify rounds (≥ calls when O1 is active).
-    pub fn guess_rounds(&self) -> u64 {
-        self.gv_rounds
-    }
-
-    /// How many derivations fell back to the exact algorithm.
-    pub fn guess_fallbacks(&self) -> u64 {
-        self.gv_fallbacks
     }
 }
 

@@ -161,8 +161,8 @@ proptest! {
     /// scorer across every difference metric × aggregate function ×
     /// random segment — the contract that lets every hot loop switch to
     /// `gamma_all` without moving a single golden byte. Also pins the
-    /// masked variant: masked-out entries are exactly 0.0 and masked-in
-    /// entries match the unmasked scan.
+    /// id-list scan: listed entries match the full scan bit for bit and
+    /// unlisted slots keep whatever the buffer held.
     #[test]
     fn batched_gamma_matches_scalar_bitwise(
         rows in rows_strategy(),
@@ -179,8 +179,9 @@ proptest! {
         let b = (a + 1 + span % (n - 1 - a).max(1)).min(n - 1);
         let seg = (a, b);
         let n_cand = cube.n_candidates();
-        // A nontrivial mask: every third candidate blocked.
-        let mask: Vec<bool> = (0..n_cand).map(|e| e % 3 != 2).collect();
+        // A nontrivial list: every third candidate left out.
+        let ids: Vec<ExplId> = (0..n_cand as ExplId).filter(|e| e % 3 != 2).collect();
+        let untouched = f64::from_bits(0x7ff8_0000_dead_beef);
         for metric in DiffMetric::ALL {
             let ctx = ScoreContext::new(&cube, metric);
             let mut batched = vec![f64::NAN; n_cand];
@@ -194,11 +195,11 @@ proptest! {
                     metric, AggFn::ALL[agg_idx], seg, e, batched[e as usize], scalar
                 );
             }
-            let mut masked = vec![f64::NAN; n_cand];
-            ctx.gamma_all_masked(seg, Some(&mask), &mut masked);
+            let mut listed = vec![untouched; n_cand];
+            ctx.gamma_ids(seg, &ids, &mut listed);
             for e in 0..n_cand {
-                let expected = if mask[e] { batched[e] } else { 0.0 };
-                prop_assert_eq!(masked[e].to_bits(), expected.to_bits());
+                let expected = if e % 3 != 2 { batched[e] } else { untouched };
+                prop_assert_eq!(listed[e].to_bits(), expected.to_bits());
             }
         }
     }

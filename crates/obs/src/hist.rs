@@ -154,8 +154,9 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// The estimated `q`-quantile (`0.0 ..= 1.0`) in nanoseconds: the
     /// upper boundary of the bucket containing the rank-`⌈q·count⌉`
-    /// sample (the observed maximum for the overflow bucket). Returns 0
-    /// on an empty histogram.
+    /// sample, clamped to the observed maximum (which is also the answer
+    /// for the overflow bucket) — so no quantile exceeds the max. Returns
+    /// 0 on an empty histogram.
     pub fn quantile_nanos(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -165,7 +166,7 @@ impl HistogramSnapshot {
         for (i, &n) in self.buckets.iter().enumerate() {
             cumulative += n;
             if cumulative >= rank {
-                return BUCKET_BOUNDS_NANOS[i];
+                return BUCKET_BOUNDS_NANOS[i].min(self.max_nanos);
             }
         }
         self.max_nanos
@@ -282,7 +283,7 @@ mod tests {
             assert!(est >= exact, "q={q}: {est} < {exact}");
             assert_eq!(
                 Some(est),
-                bucket_index(exact).map(|i| BUCKET_BOUNDS_NANOS[i])
+                bucket_index(exact).map(|i| BUCKET_BOUNDS_NANOS[i].min(snap.max_nanos))
             );
         }
     }

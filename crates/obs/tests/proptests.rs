@@ -37,11 +37,13 @@ proptest! {
     }
 
     /// The estimate never under-reports the exact sorted-oracle value,
-    /// and never exceeds the upper bound of the exact value's bucket.
+    /// never exceeds the upper bound of the exact value's bucket or the
+    /// observed max, and does not decrease as `q` grows.
     #[test]
     fn quantile_bounds_the_exact_oracle(
         mut samples in proptest::collection::vec(1u64..80_000_000_000, 1..200),
         q_permille in 1u64..1000,
+        q_step in 0u64..1000,
     ) {
         let q = q_permille as f64 / 1000.0;
         let snap = filled(&samples).snapshot();
@@ -55,6 +57,10 @@ proptest! {
             None => snap.max_nanos,
         };
         prop_assert!(est <= upper, "estimate {est} above bucket bound {upper}");
+        prop_assert!(est <= snap.max_nanos, "estimate {est} above max {}", snap.max_nanos);
+        let q_higher = (q_permille + q_step).min(1000) as f64 / 1000.0;
+        let est_higher = snap.quantile_nanos(q_higher);
+        prop_assert!(est <= est_higher, "q={q}: {est} > q={q_higher}: {est_higher}");
     }
 
     /// Recording the same multiset from one thread or four gives
