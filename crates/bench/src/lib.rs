@@ -1,13 +1,11 @@
 //! # tsexplain-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (see DESIGN.md §6 for the index) plus Criterion micro- and
-//! macro-benchmarks. Each binary prints the same rows/series the paper
-//! reports; EXPERIMENTS.md records paper-vs-measured.
+//! evaluation, plus the `loadgen` HTTP load generator. Each binary prints
+//! the same rows/series the paper reports.
 //!
 //! Run a single experiment with e.g.
-//! `cargo run --release -p tsexplain-bench --bin fig11_covid_total`,
-//! and the statistical benchmarks with `cargo bench --workspace`.
+//! `cargo run --release -p tsexplain-bench --bin fig11_covid_total`.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout)]
@@ -99,9 +97,10 @@ pub fn segment_rows(result: &ExplainResult) -> Vec<SegmentRow> {
 }
 
 /// Prints a Table-3/4/5-style table.
-// Stdout IS this helper's output channel (the experiment binaries pipe it
-// into EXPERIMENTS.md), hence the exemption from the library-wide deny.
-#[allow(clippy::print_stdout)]
+#[expect(
+    clippy::print_stdout,
+    reason = "stdout is this helper's output channel: the experiment binaries print the table"
+)]
 pub fn print_segment_table(title: &str, rows: &[SegmentRow], m: usize) {
     println!("\n{title}");
     print!("{:<26}", "Segment");

@@ -12,6 +12,13 @@
 //! discarded. This module is the *only* place the serving path reads the
 //! clock for deadline purposes; the determinism-scoped compute crates see
 //! nothing but the token.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use std::time::{Duration, Instant};
 

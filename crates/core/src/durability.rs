@@ -15,6 +15,7 @@
 //! at; the session checks that on rehydration and calls
 //! [`CubeSpill::discard`] on stale copies (rows arrived after the
 //! demotion), falling back to a rebuild.
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 use std::fmt;
 use std::sync::Arc;

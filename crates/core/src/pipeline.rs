@@ -7,6 +7,13 @@
 //! passes `forced_positions`). Precompute — the cube — is the session's
 //! job; the pipeline reports its precompute latency as zero and the caller
 //! fills it in.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use tsexplain_cube::ExplanationCube;
 use tsexplain_diff::TopExplStrategy;

@@ -19,7 +19,17 @@
 //!   cubes keep serving correctly — the next request rebuilds them.
 //!
 //! The registry never holds two session locks at once, so tenant
-//! operations cannot deadlock against eviction.
+//! operations cannot deadlock against eviction. Its locks follow the rank
+//! order checkpoint gate → registry map → session → store WAL, which
+//! [`LockRank`] checks in debug builds.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 use std::collections::HashMap;
 use std::fmt;
@@ -27,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use tsexplain_relation::{AggQuery, Datum, Relation};
-use tsexplain_store::{DataStore, Recovery, TenantCheckpoint};
+use tsexplain_store::{DataStore, LockRank, Ranked, Recovery, TenantCheckpoint};
 
 use crate::durability::TenantSpill;
 use crate::error::TsExplainError;
@@ -241,15 +251,17 @@ impl SessionRegistry {
     /// call, so a panic in another holder cannot leave it logically
     /// inconsistent — continuing with the inner value is strictly better
     /// than cascading that panic into every request thread as a 500.
-    fn map_read(&self) -> RwLockReadGuard<'_, SessionMap> {
-        self.sessions.read().unwrap_or_else(PoisonError::into_inner)
+    fn map_read(&self) -> Ranked<RwLockReadGuard<'_, SessionMap>> {
+        LockRank::RegistryMap
+            .read(&self.sessions)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Write access to the tenant map, recovering from poison (see
     /// [`SessionRegistry::map_read`]).
-    fn map_write(&self) -> RwLockWriteGuard<'_, SessionMap> {
-        self.sessions
-            .write()
+    fn map_write(&self) -> Ranked<RwLockWriteGuard<'_, SessionMap>> {
+        LockRank::RegistryMap
+            .write(&self.sessions)
             .unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -285,6 +297,11 @@ impl SessionRegistry {
             // record lands then blocks on this lock during its export and
             // snapshots the tenant itself — the registration can never sit
             // only in a log segment that the same cycle truncates.
+            //
+            // The one unranked lock: taking the map after it is session
+            // before registry map, against the rank order. No other thread
+            // can see this session until the insert below, so it cannot be
+            // part of a deadlock cycle.
             let handle = Arc::new(Mutex::new(session));
             let Ok(guard) = handle.lock() else {
                 // Unreachable in practice (no other thread has seen the
@@ -332,6 +349,10 @@ impl SessionRegistry {
     }
 
     /// Ids of all registered datasets, ascending.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the ids are sorted before they are returned"
+    )]
     pub fn ids(&self) -> Vec<DatasetId> {
         let mut ids: Vec<DatasetId> = self.map_read().keys().map(|&id| DatasetId(id)).collect();
         ids.sort_unstable();
@@ -366,7 +387,9 @@ impl SessionRegistry {
     ) -> Result<ExplainResult, RegistryError> {
         let handle = self.session(id)?;
         let result = {
-            let mut session = handle.lock().map_err(|_| RegistryError::Poisoned(id))?;
+            let mut session = LockRank::Session
+                .lock(&handle)
+                .map_err(|_| RegistryError::Poisoned(id))?;
             session.explain(request)?
         };
         self.enforce_global_budget();
@@ -386,7 +409,9 @@ impl SessionRegistry {
     ) -> Result<PreparedCube, RegistryError> {
         let handle = self.session(id)?;
         let prepared = {
-            let mut session = handle.lock().map_err(|_| RegistryError::Poisoned(id))?;
+            let mut session = LockRank::Session
+                .lock(&handle)
+                .map_err(|_| RegistryError::Poisoned(id))?;
             session.prepare(request)?
         };
         self.enforce_global_budget();
@@ -401,7 +426,9 @@ impl SessionRegistry {
     pub fn append_rows(&self, id: DatasetId, rows: Vec<Vec<Datum>>) -> Result<(), RegistryError> {
         let handle = self.session(id)?;
         {
-            let mut session = handle.lock().map_err(|_| RegistryError::Poisoned(id))?;
+            let mut session = LockRank::Session
+                .lock(&handle)
+                .map_err(|_| RegistryError::Poisoned(id))?;
             match &self.store {
                 Some(store) => {
                     let seq = session.total_rows() as u64;
@@ -429,7 +456,9 @@ impl SessionRegistry {
     /// A snapshot of tenant `id`'s counters.
     pub fn dataset_stats(&self, id: DatasetId) -> Result<DatasetSnapshot, RegistryError> {
         let handle = self.session(id)?;
-        let session = handle.lock().map_err(|_| RegistryError::Poisoned(id))?;
+        let session = LockRank::Session
+            .lock(&handle)
+            .map_err(|_| RegistryError::Poisoned(id))?;
         Ok(DatasetSnapshot {
             stats: session.stats(),
             n_points: session.n_points(),
@@ -448,7 +477,9 @@ impl SessionRegistry {
             ..RegistryStats::default()
         };
         for (_, handle) in handles {
-            let Ok(session) = handle.lock() else { continue };
+            let Ok(session) = LockRank::Session.lock(&handle) else {
+                continue;
+            };
             out.cached_cubes += session.cached_cubes();
             out.cache_bytes += session.cache_bytes();
             let s = session.stats();
@@ -486,7 +517,7 @@ impl SessionRegistry {
             return;
         }
         // One cycle at a time; a trigger while one runs is redundant.
-        let Ok(_gate) = self.checkpoint_gate.try_lock() else {
+        let Ok(_gate) = LockRank::CheckpointGate.try_lock(&self.checkpoint_gate) else {
             return;
         };
         if !store.wants_checkpoint() {
@@ -505,8 +536,9 @@ impl SessionRegistry {
         };
         let mut tenants = Vec::new();
         for (id, handle) in self.handles() {
-            // tsx-lint: allow(lock-order, session lock under the checkpoint gate follows the documented order registry → session → store WAL; the gate is taken before any session lock and is never a session or WAL lock)
-            let Ok(session) = handle.lock() else { continue };
+            let Ok(session) = LockRank::Session.lock(&handle) else {
+                continue;
+            };
             tenants.push(TenantCheckpoint {
                 id,
                 schema: session.schema().clone(),
@@ -528,6 +560,10 @@ impl SessionRegistry {
     }
 
     /// A stable snapshot of `(id, handle)` pairs, map lock released.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "every consumer sums, exports or picks a minimum, none depends on the order"
+    )]
     fn handles(&self) -> Vec<(u64, Arc<Mutex<ExplainSession>>)> {
         self.map_read()
             .iter()
@@ -555,7 +591,7 @@ impl SessionRegistry {
             let mut total_cubes = 0usize;
             let mut oldest: Option<(u64, u64)> = None; // (stamp, tenant id)
             for (id, handle) in &handles {
-                let Ok(session) = handle.try_lock() else {
+                let Ok(session) = LockRank::Session.try_lock(handle) else {
                     continue;
                 };
                 total_bytes += session.cache_bytes();
@@ -573,7 +609,7 @@ impl SessionRegistry {
             let Some((_, handle)) = handles.iter().find(|(id, _)| *id == victim) else {
                 return;
             };
-            let Ok(mut session) = handle.try_lock() else {
+            let Ok(mut session) = LockRank::Session.try_lock(handle) else {
                 return;
             };
             if session.evict_lru_one().is_none() {

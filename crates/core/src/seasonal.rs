@@ -119,7 +119,10 @@ mod tests {
     fn components_reassemble_exactly() {
         let series: Vec<f64> = (0..40).map(|t| (t % 7) as f64 + t as f64 * 0.3).collect();
         let d = classical_decompose(&series, 7).unwrap();
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "t indexes four parallel series at once"
+        )]
         for t in 0..40 {
             let sum = d.trend[t] + d.seasonal[t] + d.residual[t];
             assert!((sum - series[t]).abs() < 1e-9);

@@ -239,7 +239,10 @@ impl ExplanationCube {
     /// by the caller; it is reused when (and only when) pruning kept every
     /// candidate, otherwise the matrix is re-decoded from the pruned
     /// series. Decoding is pure, so both paths yield bit-identical values.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "crate-private constructor fed field by field by the builder and the incremental cube"
+    )]
     pub(crate) fn assemble(
         timestamps: Vec<AttrValue>,
         agg: AggFn,
@@ -389,13 +392,17 @@ impl ExplanationCube {
     ///
     /// Deterministic for identical state and monotone in the data: more
     /// points, candidates or dictionary entries never shrink the estimate.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an integer byte count summed over a hash map's keys is order-insensitive"
+    )]
     pub fn approx_bytes(&self) -> usize {
         use crate::mem::*;
         use std::mem::size_of;
         let series: usize = self.series.iter().map(|s| state_series_bytes(s)).sum();
         let index: usize = self
             .index
-            .keys() // tsx-lint: allow(map-iter, order-insensitive byte-accounting sum; no emission)
+            .keys()
             .map(|e| explanation_bytes(e) + size_of::<ExplId>() + MAP_ENTRY_OVERHEAD)
             .sum();
         size_of::<Self>()

@@ -171,7 +171,11 @@ pub(crate) fn enumerate_with_groups<C: AsRef<[u32]> + Sync>(
     let mut series = Vec::new();
     for mut part in parts {
         let offset = explanations.len() as ExplId;
-        // tsx-lint: allow(map-iter, uniform += rebase of every value; order-insensitive mutation, no emission)
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "the same offset is added to every value, so visiting order cannot matter"
+        )]
         for id in part.group.values_mut() {
             *id += offset;
         }

@@ -221,6 +221,10 @@ impl IncrementalCube {
     /// state in bytes (see [`crate::mem`]'s module docs). Together with
     /// [`crate::ExplanationCube::approx_bytes`] on finalized snapshots this
     /// is what a byte-budgeted cube cache accounts per entry.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "integer byte counts summed over hash maps' keys are order-insensitive"
+    )]
     pub fn approx_bytes(&self) -> usize {
         use crate::mem::*;
         use std::mem::size_of;
@@ -250,7 +254,7 @@ impl IncrementalCube {
             + attr_values_bytes(&self.timestamps)
             + self
                 .time_index
-                .keys() // tsx-lint: allow(map-iter, order-insensitive byte-accounting sum; no emission)
+                .keys()
                 .map(|t| attr_value_bytes(t) + size_of::<u32>() + MAP_ENTRY_OVERHEAD)
                 .sum::<usize>()
             + self.attr_names.iter().map(String::len).sum::<usize>()

@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout)]
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 mod cube;
 mod enumerate;
 mod error;

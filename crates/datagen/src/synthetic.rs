@@ -252,7 +252,10 @@ fn piecewise_linear(rng: &mut StdRng, n: usize, cuts: &[usize]) -> Vec<f64> {
     for w in 0..anchors_pos.len() - 1 {
         let (p0, p1) = (anchors_pos[w], anchors_pos[w + 1]);
         let (v0, v1) = (anchors_val[w], anchors_val[w + 1]);
-        #[allow(clippy::needless_range_loop)] // anchor-relative positions
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "t is also the anchor-relative position in the interpolation"
+        )]
         for t in p0..=p1 {
             let frac = if p1 == p0 {
                 0.0

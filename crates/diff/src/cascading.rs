@@ -607,7 +607,10 @@ mod tests {
         let cube = cube_from(&rows);
         let mut ca3 = CascadingAnalysts::new(&cube, DiffMetric::AbsoluteChange, 3);
         let (_, best3) = ca3.top_m_with_best((0, 1));
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "m is both the index into best3 and the CA's m"
+        )]
         for m in 1..3 {
             let mut ca = CascadingAnalysts::new(&cube, DiffMetric::AbsoluteChange, m);
             let (top, _) = ca.top_m_with_best((0, 1));

@@ -25,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout)]
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 mod cascading;
 mod error;
 mod guess_verify;

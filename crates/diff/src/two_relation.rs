@@ -16,7 +16,10 @@ use crate::metric::{DiffMetric, Effect};
 /// synthetic time dimension and the segment `(0, 1)` is explained.
 ///
 /// Returns `(label, γ, τ)` triples ranked by γ descending.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's two-relation diff inputs one to one"
+)]
 pub fn diff_two_relations(
     test: &Relation,
     control: &Relation,

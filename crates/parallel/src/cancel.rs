@@ -19,6 +19,13 @@
 //! 3. a poll-count fuse ([`CancelToken::after_polls`]), the deterministic
 //!    test hook the cancellation-injection proptests use to trip at an
 //!    arbitrary poll point without involving time at all.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -93,11 +100,12 @@ impl CancelToken {
             }
         }
         if let Some(deadline) = inner.deadline {
-            // The single legitimate clock read in the determinism-scoped
-            // crates: it decides only whether the request errors, never
-            // what a successful answer contains.
-            // tsx-lint: allow(wall-clock, deadline trip check; sticky cancel only errors the request, successful output never observes time)
-            if Instant::now() >= deadline {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the deadline decides only whether the request errors, never what a successful answer contains"
+            )]
+            let now = Instant::now();
+            if now >= deadline {
                 inner.cancelled.store(true, Ordering::Relaxed);
                 return true;
             }
@@ -129,6 +137,10 @@ impl PartialEq for CancelToken {
 impl Eq for CancelToken {}
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests build expired and distant deadlines from the clock"
+)]
 mod tests {
     use super::*;
     use std::time::Duration;

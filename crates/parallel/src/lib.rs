@@ -32,6 +32,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout)]
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 use std::ops::Range;
 use std::sync::OnceLock;
 use std::thread;
@@ -96,6 +97,10 @@ impl ParallelCtx {
     /// first read), the machine default otherwise.
     pub fn from_env() -> Self {
         static ENV_THREADS: OnceLock<usize> = OnceLock::new();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "TSX_THREADS is the documented thread-count knob; answers are identical at any count"
+        )]
         let threads = *ENV_THREADS.get_or_init(|| match std::env::var(THREADS_ENV) {
             Ok(v) => match v.trim().parse::<usize>() {
                 Ok(0) | Err(_) => machine_default(),

@@ -49,6 +49,16 @@ pub struct StageTimers {
     pub par_segmentation: Duration,
 }
 
+/// The stage clock, and the crate's only wall-clock read. Its readings
+/// feed [`StageTimers`] alone, which no answer or golden observes.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "stage timings are reported beside the answer and stripped before goldens compare"
+)]
+pub(crate) fn stage_clock() -> Instant {
+    Instant::now()
+}
+
 /// Orchestrates segment explanation and cost computation: caches the unit
 /// objects' top-explanation lists (§4.1.1 — the atomic units of
 /// K-Segmentation), runs the configured top-m strategy per centroid
@@ -214,7 +224,7 @@ impl<'a> SegmentationContext<'a> {
 
     /// Derives (and times) the top-m explanations of an arbitrary segment.
     pub fn explained(&mut self, seg: (usize, usize)) -> ExplainedSegment {
-        let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
+        let start = stage_clock();
         let top = self.engine.top_m(seg);
         self.timers.cascading += start.elapsed();
         ExplainedSegment::new(seg, top)
@@ -228,7 +238,7 @@ impl<'a> SegmentationContext<'a> {
             return;
         }
         let count = self.n_points().saturating_sub(1);
-        let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
+        let start = stage_clock();
         let tops: Vec<ExplainedSegment> =
             if self.parallel.is_sequential() || count < PAR_MIN_OBJECTS {
                 (0..count)
@@ -315,7 +325,7 @@ impl<'a> SegmentationContext<'a> {
         // Workers read (never write) the memo as it stood when the region
         // opened; cells within one call are distinct, so this sees exactly
         // the hits the sequential loop would.
-        let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
+        let start = stage_clock();
         let cube = self.engine.cube();
         let objects = self.object_tops.as_ref().expect("cached");
         let memo = self.memo_enabled.then_some(&self.memo);
@@ -403,7 +413,7 @@ impl<'a> SegmentationContext<'a> {
             }
         }
         self.ensure_objects();
-        let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
+        let start = stage_clock();
         let cube = self.engine.cube();
         let objects = self.object_tops.as_ref().expect("cached");
         let (cost, centroid_time) = raw_segment_cost(
@@ -472,7 +482,7 @@ impl<'a> SegmentationContext<'a> {
             }
         } else {
             self.ensure_objects();
-            let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
+            let start = stage_clock();
             let cube = self.engine.cube();
             let objects = self.object_tops.as_ref().expect("cached");
             let (diff, metric, m, strategy) = (
@@ -549,7 +559,7 @@ impl<'a> SegmentationContext<'a> {
             return schemes.iter().map(|s| self.objective(s)).collect();
         }
         self.ensure_objects();
-        let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
+        let start = stage_clock();
         let cube = self.engine.cube();
         let objects = self.object_tops.as_ref().expect("cached");
         let (diff, metric, m, strategy) = (
@@ -627,11 +637,14 @@ fn raw_segment_cost(
         let l = len as f64;
         (l * (2.0 * sum / (l * l)), Duration::default())
     } else {
-        let centroid_start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
+        let centroid_start = stage_clock();
         let centroid = ExplainedSegment::new(seg, engine.top_m(seg));
         let centroid_time = centroid_start.elapsed();
         let mut cost = 0.0;
-        #[allow(clippy::needless_range_loop)] // point indices, not iteration
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "x is a point index into the segment, not a walk over the slice"
+        )]
         for x in a..b {
             cost += object_centroid_distance(&ctx, &objects[x], &centroid, metric);
         }

@@ -9,9 +9,9 @@
 //! FLUSS, NNSegment) to the same trait so all four strategies are
 //! interchangeable per request, end-to-end through the serving API.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::context::SegmentationContext;
+use crate::context::{stage_clock, SegmentationContext};
 use crate::dp::k_segmentation_with;
 use crate::elbow::elbow_k;
 use crate::error::SegmentError;
@@ -99,7 +99,7 @@ impl Segmenter for DpSegmenter {
         if ctx.is_cancelled() {
             return Err(SegmentError::Cancelled);
         }
-        let dp_start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
+        let dp_start = stage_clock();
         let k_cap = match k {
             KSelection::Auto { max_k } => max_k.min(positions.len() - 1).max(1),
             KSelection::Fixed(k) => k,
@@ -148,7 +148,7 @@ pub fn shape_segmenter_outcome(
     let n = series.len();
     match k {
         KSelection::Fixed(k) => {
-            let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
+            let start = stage_clock();
             let cuts = propose(series, k);
             let solve_time = start.elapsed();
             let segmentation = Segmentation::new(n, cuts)?;
@@ -173,7 +173,7 @@ pub fn shape_segmenter_outcome(
             // explanation-aware scoring of the proposed schemes is the
             // expensive half and fans out across the parallel context.
             for k in 1..=cap {
-                let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
+                let start = stage_clock();
                 let cuts = propose(series, k);
                 solve_time += start.elapsed();
                 schemes.push(Segmentation::new(n, cuts)?);

@@ -16,6 +16,13 @@
 //! (`Instant`), which is fine here by construction: admission runs
 //! upstream of the engine, so it can never influence *what* an answer
 //! contains, only *whether* one is computed now.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use std::collections::HashMap;
 use std::sync::Mutex;

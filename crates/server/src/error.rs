@@ -1,5 +1,12 @@
 //! Structured error mapping: engine and registry failures become 4xx/5xx
 //! JSON bodies with a stable machine-readable `kind`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use serde::{Deserialize, Error, Serialize, Value};
 use tsexplain::{CubeError, RegistryError, TsExplainError};

@@ -9,6 +9,13 @@
 //! client cannot balloon a worker. No
 //! chunked transfer, no TLS, no pipelining — requests on one connection
 //! are handled strictly in order.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use std::io::{self, BufRead, Write};
 

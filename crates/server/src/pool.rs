@@ -11,6 +11,13 @@
 //! Dropping the [`WorkerPool`] closes the queue, and `join` waits for
 //! workers to finish their in-flight jobs — the shutdown path needs no
 //! signalling beyond the channel's own disconnect semantics.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -44,6 +51,10 @@ impl<J: Send + 'static> WorkerPool<J> {
         let (sender, receiver) = sync_channel::<J>(capacity);
         let receiver = Arc::new(Mutex::new(receiver));
         let work = Arc::new(work);
+        #[expect(
+            clippy::expect_used,
+            reason = "a failed spawn fails the server at boot, before any request is in flight"
+        )]
         let workers = (0..n.max(1))
             .map(|i| {
                 let receiver = Arc::clone(&receiver);
@@ -51,7 +62,6 @@ impl<J: Send + 'static> WorkerPool<J> {
                 std::thread::Builder::new()
                     .name(format!("tsx-worker-{i}"))
                     .spawn(move || worker_loop(&receiver, &*work))
-                    // tsx-lint: allow(no-unwrap, boot-time spawn failure, before any request is in flight)
                     .expect("spawning a worker thread")
             })
             .collect();

@@ -36,6 +36,13 @@
 //! request is handled, never *what* the answer contains — so the
 //! determinism contract (byte-identical results at any thread count) is
 //! untouched by construction.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use std::collections::HashMap;
 use std::io::{Read, Write};

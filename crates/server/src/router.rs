@@ -20,6 +20,13 @@
 //!
 //! Every error — parse failure, unknown id, invalid request, worker panic —
 //! maps through [`ApiError`] to a 4xx/5xx JSON body.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use std::sync::atomic::Ordering;
 

@@ -15,6 +15,13 @@
 //! println!("tsx-server listening on http://{}", handle.local_addr());
 //! handle.join(); // serve until shutdown() is called from another thread
 //! ```
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -12,6 +12,13 @@
 //! measure slots become `f64`s. A fractional number in a dimension slot —
 //! or any value in the wrong slot — is rejected row-by-row with the
 //! offending row index in the message.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use serde::{Deserialize, Error, Serialize, Value};
 use tsexplain::{

@@ -23,13 +23,16 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout)]
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 mod crc32;
 mod error;
 mod frame;
+mod rank;
 mod store;
 mod wal;
 
 pub use error::StoreError;
+pub use rank::{LockRank, Ranked};
 pub use store::{
     DataStore, RecoveredTenant, Recovery, StoreDurations, StoreMetrics, TenantCheckpoint,
 };

@@ -39,7 +39,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use serde::{Serialize, Value};
@@ -48,6 +48,7 @@ use tsexplain_relation::{decode_wire_row, encode_wire_row, AggQuery, Datum, Sche
 
 use crate::error::StoreError;
 use crate::frame::{append_frame, read_all, FrameEnd};
+use crate::rank::LockRank;
 use crate::wal::WalRecord;
 
 /// Rotate the active WAL segment once it exceeds this many bytes.
@@ -169,7 +170,7 @@ impl DataStore {
     /// returns the store plus everything it recovered. Corrupt bytes are
     /// skipped and reported in [`Recovery::notes`], never a panic.
     pub fn open(root: impl Into<PathBuf>) -> Result<(DataStore, Recovery), StoreError> {
-        let started = Instant::now();
+        let started = clock();
         let root = root.into();
         for dir in [
             root.clone(),
@@ -263,6 +264,7 @@ impl DataStore {
         }
 
         recovery.next_id = recovery.next_id.max(max_id_seen + 1).max(1);
+        #[expect(clippy::disallowed_methods, reason = "sorted by id on the next line")]
         let mut recovered: Vec<RecoveredTenant> = tenants.into_values().collect();
         recovered.sort_by_key(|t| t.id);
         recovery.tenants = recovered;
@@ -363,7 +365,9 @@ impl DataStore {
     /// which the truncation spares. Also restarts the checkpoint-interval
     /// counter ([`DataStore::wants_checkpoint`]).
     pub fn rotate_wal(&self) -> Result<u64, StoreError> {
-        let mut wal = self.wal.lock().unwrap_or_else(|e| e.into_inner());
+        let mut wal = LockRank::StoreWal
+            .lock(&self.wal)
+            .unwrap_or_else(PoisonError::into_inner);
         let fresh = rotate_locked(&self.root, &mut wal)?;
         drop(wal);
         self.appends_since_checkpoint.store(0, Ordering::Relaxed);
@@ -383,7 +387,7 @@ impl DataStore {
         tenants: &[TenantCheckpoint],
         rotation: u64,
     ) -> Result<(), StoreError> {
-        let started = Instant::now();
+        let started = clock();
         for t in tenants {
             let payload = serde_json::to_string(&Value::object([
                 ("id", t.id.serialize()),
@@ -507,7 +511,9 @@ impl DataStore {
         let mut framed = Vec::with_capacity(payload.len() + 8);
         append_frame(&mut framed, payload.as_bytes());
 
-        let mut wal = self.wal.lock().unwrap_or_else(|e| e.into_inner());
+        let mut wal = LockRank::StoreWal
+            .lock(&self.wal)
+            .unwrap_or_else(PoisonError::into_inner);
         if wal.seg_bytes >= SEGMENT_BYTES {
             rotate_locked(&self.root, &mut wal)?;
         }
@@ -515,9 +521,12 @@ impl DataStore {
         wal.file
             .write_all(&framed)
             .map_err(|e| StoreError::io("append", &path, e))?;
-        let fsync_started = Instant::now();
+        let fsync_started = clock();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "fsync before the ack is the durability contract; the WAL lock is last in the rank order"
+        )]
         wal.file
-            // tsx-lint: allow(fsync-under-lock, fsync-before-ack IS the durability contract; the WAL guard is last in the documented order registry → session → store WAL)
             .sync_data()
             .map_err(|e| StoreError::io("fsync", &path, e))?;
         self.durations.fsync.record(fsync_started.elapsed());
@@ -732,6 +741,16 @@ fn rotate_locked(root: &Path, wal: &mut WalWriter) -> Result<u64, StoreError> {
     Ok(fresh)
 }
 
+/// The clock behind [`StoreDurations`], and the store's only wall-clock
+/// read: the histograms it feeds are reporting, never stored state.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "durations feed the fsync, checkpoint and recovery histograms only"
+)]
+fn clock() -> Instant {
+    Instant::now()
+}
+
 /// Durably truncates `path` to its first `len` bytes.
 fn truncate_file(path: &Path, len: u64) -> Result<(), StoreError> {
     let f = OpenOptions::new()
@@ -740,6 +759,10 @@ fn truncate_file(path: &Path, len: u64) -> Result<(), StoreError> {
         .map_err(|e| StoreError::io("open", path, e))?;
     f.set_len(len)
         .map_err(|e| StoreError::io("truncate", path, e))?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "recovery runs at open, before any lock exists; the cut must be durable"
+    )]
     f.sync_all().map_err(|e| StoreError::io("fsync", path, e))?;
     Ok(())
 }
@@ -769,6 +792,10 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         let mut f = File::create(&tmp).map_err(|e| StoreError::io("create", &tmp, e))?;
         f.write_all(bytes)
             .map_err(|e| StoreError::io("write", &tmp, e))?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the bytes must be durable before the rename publishes them"
+        )]
         f.sync_all().map_err(|e| StoreError::io("fsync", &tmp, e))?;
     }
     fs::rename(&tmp, path).map_err(|e| StoreError::io("rename", path, e))?;
@@ -782,6 +809,10 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 /// filesystems that need it; harmless where it isn't supported).
 fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "makes renames and creations in the directory durable"
+        )]
         let _ = d.sync_all();
     }
 }
