@@ -8,7 +8,6 @@
 //! answerable after the fact without re-running anything.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -55,8 +54,15 @@ impl FlightEntry {
 pub struct FlightRecorder {
     capacity: usize,
     slow_nanos: u64,
-    seq: AtomicU64,
-    entries: Mutex<VecDeque<FlightEntry>>,
+    ring: Mutex<Ring>,
+}
+
+/// The retained entries and the next `seq`. One lock guards both, so
+/// entries enter the ring in `seq` order and eviction drops the oldest.
+#[derive(Debug, Default)]
+struct Ring {
+    next_seq: u64,
+    entries: VecDeque<FlightEntry>,
 }
 
 impl FlightRecorder {
@@ -66,8 +72,7 @@ impl FlightRecorder {
         FlightRecorder {
             capacity: capacity.max(1),
             slow_nanos: slow.as_nanos().min(u64::MAX as u128) as u64,
-            seq: AtomicU64::new(0),
-            entries: Mutex::new(VecDeque::new()),
+            ring: Mutex::new(Ring::default()),
         }
     }
 
@@ -88,18 +93,19 @@ impl FlightRecorder {
         if entry.duration_nanos < self.slow_nanos {
             return false;
         }
-        entry.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if entries.len() == self.capacity {
-            entries.pop_front();
+        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        entry.seq = ring.next_seq;
+        ring.next_seq += 1;
+        if ring.entries.len() == self.capacity {
+            ring.entries.pop_front();
         }
-        entries.push_back(entry);
+        ring.entries.push_back(entry);
         true
     }
 
     /// The recorder's contents as JSON, newest request last.
     pub fn snapshot_value(&self) -> Value {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         Value::object([
             ("capacity", Value::Number(self.capacity as f64)),
             (
@@ -108,7 +114,7 @@ impl FlightRecorder {
             ),
             (
                 "requests",
-                Value::Array(entries.iter().map(FlightEntry::serialize).collect()),
+                Value::Array(ring.entries.iter().map(FlightEntry::serialize).collect()),
             ),
         ])
     }
@@ -161,6 +167,37 @@ mod tests {
             .filter_map(|e| e.get("request_id").and_then(Value::as_str))
             .collect();
         assert_eq!(ids, ["b", "c"]);
+    }
+
+    #[test]
+    fn concurrent_records_keep_seq_order() {
+        const THREADS: usize = 8;
+        const PER_THREAD: usize = 2_000;
+        let rec = FlightRecorder::new(THREADS * PER_THREAD, Duration::ZERO);
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..PER_THREAD {
+                        rec.record(entry("concurrent", 1));
+                    }
+                });
+            }
+        });
+        let snap = rec.snapshot_value();
+        let seqs: Vec<f64> = snap
+            .get("requests")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .map(|e| e.get("seq").and_then(Value::as_f64).unwrap())
+            .collect();
+        assert_eq!(seqs.len(), THREADS * PER_THREAD);
+        assert!(
+            seqs.windows(2).all(|w| w[0] < w[1]),
+            "the ring holds entries out of seq order"
+        );
     }
 
     #[test]

@@ -82,6 +82,7 @@ mod admission;
 mod client;
 mod error;
 pub mod http;
+mod metrics;
 mod pool;
 mod reactor;
 mod router;

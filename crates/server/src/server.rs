@@ -32,12 +32,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serde::{Serialize, Value};
+use serde::Value;
 use tsexplain::{DataStore, SessionRegistry, DEFAULT_REGISTRY_BUDGET};
 use tsexplain_epoll::Waker;
-use tsexplain_obs::{
-    trace, CounterFamily, Exposition, FlightEntry, FlightRecorder, HistogramFamily,
-};
+use tsexplain_obs::{trace, CounterFamily, FlightEntry, FlightRecorder, HistogramFamily};
 
 use crate::admission::TokenBuckets;
 use crate::error::ApiError;
@@ -126,56 +124,36 @@ impl Default for ServerConfig {
 /// How many slow requests the flight recorder retains.
 const FLIGHT_CAPACITY: usize = 64;
 
-/// Server-level counters (the `/metrics` payload's HTTP half).
+/// Server-level counters (the `/metrics` payload's HTTP half). The metric
+/// catalogue in `metrics.rs` names and documents each one.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    /// Requests answered with a response (including the 400/413 rejections
-    /// of unparsable messages, which also count as `protocol_errors`).
-    requests: AtomicU64,
-    /// Responses by class.
-    responses_2xx: AtomicU64,
-    responses_4xx: AtomicU64,
-    responses_5xx: AtomicU64,
-    /// Connections accepted (including those shed at accept).
+    /// Includes the 400/413 rejections of unparsable messages, which also
+    /// count as `protocol_errors`.
+    pub(crate) requests: AtomicU64,
+    pub(crate) responses_2xx: AtomicU64,
+    pub(crate) responses_4xx: AtomicU64,
+    pub(crate) responses_5xx: AtomicU64,
+    /// Includes connections shed at accept.
     pub(crate) connections: AtomicU64,
-    /// Connections answered 429 by admission control — at accept (over
-    /// `--max-conns`) or at dispatch (pending-request queue full).
     pub(crate) shed: AtomicU64,
-    /// Requests rejected 429 by a per-tenant rate limit.
     pub(crate) throttled: AtomicU64,
-    /// Idle connections closed by the reactor's sweep.
     pub(crate) idle_reaped: AtomicU64,
-    /// Gauge: connections currently open (parked or in a worker).
     pub(crate) open_connections: AtomicU64,
-    /// Gauge: readable connections waiting in the worker queue.
     pub(crate) queue_depth: AtomicU64,
-    /// Gauge: idle keep-alive connections parked in the epoll set.
     pub(crate) parked_connections: AtomicU64,
-    /// Requests that never parsed (protocol garbage, oversized).
-    protocol_errors: AtomicU64,
-    /// Worker panics converted to 500s.
-    panics: AtomicU64,
-    /// Cumulative engine wall-clock of answered explains (nanoseconds),
-    /// summed from each result's `LatencyBreakdown::total`.
-    explain_nanos: AtomicU64,
-    /// Of `explain_nanos`: wall-clock spent inside intra-query parallel
-    /// fan-out regions — the observable share of the parallel layer.
-    parallel_nanos: AtomicU64,
-    /// Explain/compare answers produced by a parallel context (threads
-    /// > 1).
-    parallel_explains: AtomicU64,
-    /// Segment-cost memo hits across all answered explains — repeat
-    /// pricings (and, under centroid metrics, top-m derivations) the
-    /// per-request memo served instead of recomputing.
-    memo_hits: AtomicU64,
-    /// Segment-cost memo misses (costs computed and cached).
-    memo_misses: AtomicU64,
-    /// Requests answered 504 because their deadline tripped (server cap or
-    /// wire `timeout_ms`).
+    pub(crate) protocol_errors: AtomicU64,
+    pub(crate) panics: AtomicU64,
+    pub(crate) explain_nanos: AtomicU64,
+    pub(crate) parallel_nanos: AtomicU64,
+    pub(crate) parallel_explains: AtomicU64,
+    /// Repeat pricings (and, under centroid metrics, top-m derivations)
+    /// the per-request memo served instead of recomputing.
+    pub(crate) memo_hits: AtomicU64,
+    pub(crate) memo_misses: AtomicU64,
     pub(crate) deadline_exceeded: AtomicU64,
-    /// Of `deadline_exceeded`: requests whose cancellation tripped *after*
-    /// engine compute had begun (stage other than "start") — in-flight
-    /// work that was cooperatively abandoned and discarded.
+    /// Tripped at a stage other than "start": in-flight work that was
+    /// cooperatively abandoned and discarded.
     pub(crate) cancelled_inflight: AtomicU64,
 }
 
@@ -258,7 +236,7 @@ pub struct ServerShared {
     pub metrics: ServerMetrics,
     /// Histograms and the flight recorder.
     pub obs: ServerObs,
-    workers: usize,
+    pub(crate) workers: usize,
     /// Open-connection admission limit (`--max-conns`).
     pub(crate) max_conns: usize,
     /// Bound of the pending-request queue (`--queue-depth`).
@@ -274,416 +252,6 @@ pub struct ServerShared {
     /// mints each explain/compare deadline from it plus the request's own
     /// wire `timeout_ms`.
     pub(crate) request_timeout: Option<Duration>,
-}
-
-impl ServerShared {
-    /// The `/metrics` JSON document: HTTP counters + registry counters,
-    /// plus a `store` block when a durable data dir backs the process.
-    pub fn metrics_value(&self) -> Value {
-        let m = &self.metrics;
-        let r = self.registry.stats();
-        let mut doc = Value::object([
-            (
-                "server",
-                Value::object([
-                    ("workers", self.workers.serialize()),
-                    (
-                        "connections",
-                        m.connections.load(Ordering::Relaxed).serialize(),
-                    ),
-                    ("requests", m.requests.load(Ordering::Relaxed).serialize()),
-                    (
-                        "responses",
-                        Value::object([
-                            ("2xx", m.responses_2xx.load(Ordering::Relaxed).serialize()),
-                            ("4xx", m.responses_4xx.load(Ordering::Relaxed).serialize()),
-                            ("5xx", m.responses_5xx.load(Ordering::Relaxed).serialize()),
-                        ]),
-                    ),
-                    (
-                        "protocol_errors",
-                        m.protocol_errors.load(Ordering::Relaxed).serialize(),
-                    ),
-                    ("panics", m.panics.load(Ordering::Relaxed).serialize()),
-                    (
-                        "admission",
-                        Value::object([
-                            ("max_connections", self.max_conns.serialize()),
-                            (
-                                "open_connections",
-                                m.open_connections.load(Ordering::Relaxed).serialize(),
-                            ),
-                            (
-                                "parked_connections",
-                                m.parked_connections.load(Ordering::Relaxed).serialize(),
-                            ),
-                            ("queue_capacity", self.queue_capacity.serialize()),
-                            (
-                                "queue_depth",
-                                m.queue_depth.load(Ordering::Relaxed).serialize(),
-                            ),
-                            ("shed", m.shed.load(Ordering::Relaxed).serialize()),
-                            ("throttled", m.throttled.load(Ordering::Relaxed).serialize()),
-                            (
-                                "idle_reaped",
-                                m.idle_reaped.load(Ordering::Relaxed).serialize(),
-                            ),
-                            ("tenant_rps", Value::Number(self.tenant_rps)),
-                        ]),
-                    ),
-                    (
-                        "parallel",
-                        Value::object([
-                            (
-                                "default_threads",
-                                match self.threads {
-                                    Some(t) => t.serialize(),
-                                    None => {
-                                        tsexplain::ParallelCtx::from_env().threads().serialize()
-                                    }
-                                },
-                            ),
-                            (
-                                "explain_nanos",
-                                m.explain_nanos.load(Ordering::Relaxed).serialize(),
-                            ),
-                            (
-                                "parallel_nanos",
-                                m.parallel_nanos.load(Ordering::Relaxed).serialize(),
-                            ),
-                            (
-                                "parallel_explains",
-                                m.parallel_explains.load(Ordering::Relaxed).serialize(),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "memo",
-                        Value::object([
-                            ("hits", m.memo_hits.load(Ordering::Relaxed).serialize()),
-                            ("misses", m.memo_misses.load(Ordering::Relaxed).serialize()),
-                        ]),
-                    ),
-                    (
-                        "deadlines",
-                        Value::object([
-                            (
-                                "request_timeout_ms",
-                                match self.request_timeout {
-                                    Some(cap) => (cap.as_millis() as u64).serialize(),
-                                    None => Value::Null,
-                                },
-                            ),
-                            (
-                                "deadline_exceeded",
-                                m.deadline_exceeded.load(Ordering::Relaxed).serialize(),
-                            ),
-                            (
-                                "cancelled_inflight",
-                                m.cancelled_inflight.load(Ordering::Relaxed).serialize(),
-                            ),
-                        ]),
-                    ),
-                ]),
-            ),
-            (
-                "registry",
-                Value::object([
-                    ("datasets", r.datasets.serialize()),
-                    ("cached_cubes", r.cached_cubes.serialize()),
-                    ("cache_bytes", r.cache_bytes.serialize()),
-                    ("memory_budget", r.memory_budget.serialize()),
-                    ("totals", crate::wire::session_stats_value(&r.totals)),
-                ]),
-            ),
-        ]);
-        if let Some(store) = self.registry.store() {
-            let s = store.metrics();
-            if let Value::Object(fields) = &mut doc {
-                fields.insert(
-                    "store".into(),
-                    Value::object([
-                        ("wal_appends", s.wal_appends.serialize()),
-                        ("wal_bytes", s.wal_bytes.serialize()),
-                        ("snapshots", s.snapshots.serialize()),
-                        ("recoveries", s.recoveries.serialize()),
-                        ("demotions", s.demotions.serialize()),
-                        ("rehydrations", s.rehydrations.serialize()),
-                    ]),
-                );
-            }
-        }
-        doc
-    }
-
-    /// The `/metrics?format=prometheus` exposition: the same counters as
-    /// the JSON document plus the latency histograms (per-route,
-    /// per-strategy, per-tenant, and the store's fsync/checkpoint/recovery
-    /// durations) that have no JSON equivalent. Metric names, label order
-    /// and bucket boundaries are stable — a scrape target, not an API to
-    /// iterate on.
-    pub fn metrics_prometheus(&self) -> String {
-        let m = &self.metrics;
-        let r = self.registry.stats();
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
-        let mut exp = Exposition::new();
-
-        exp.header(
-            "tsx_requests_total",
-            "counter",
-            "Requests answered with a response.",
-        );
-        exp.sample("tsx_requests_total", &[], load(&m.requests));
-        exp.header(
-            "tsx_responses_total",
-            "counter",
-            "Responses by status class.",
-        );
-        for (class, counter) in [
-            ("2xx", &m.responses_2xx),
-            ("4xx", &m.responses_4xx),
-            ("5xx", &m.responses_5xx),
-        ] {
-            exp.sample("tsx_responses_total", &[("class", class)], load(counter));
-        }
-        exp.header("tsx_connections_total", "counter", "Connections accepted.");
-        exp.sample("tsx_connections_total", &[], load(&m.connections));
-        exp.header(
-            "tsx_shed_total",
-            "counter",
-            "Connections answered 429 by admission control (connection limit or full queue).",
-        );
-        exp.sample("tsx_shed_total", &[], load(&m.shed));
-        exp.header(
-            "tsx_throttled_total",
-            "counter",
-            "Requests rejected 429 by per-tenant rate limits.",
-        );
-        exp.sample("tsx_throttled_total", &[], load(&m.throttled));
-        exp.header(
-            "tsx_idle_reaped_total",
-            "counter",
-            "Idle connections closed by the reactor's sweep.",
-        );
-        exp.sample("tsx_idle_reaped_total", &[], load(&m.idle_reaped));
-        exp.header(
-            "tsx_tenant_throttled_total",
-            "counter",
-            "Per-tenant rate-limit rejections, by tenant (dataset id).",
-        );
-        for (tenant, value) in self.obs.tenant_throttled.snapshot_all() {
-            exp.sample(
-                "tsx_tenant_throttled_total",
-                &[("tenant", &tenant)],
-                value as f64,
-            );
-        }
-        exp.header(
-            "tsx_protocol_errors_total",
-            "counter",
-            "Requests that never parsed (protocol garbage, oversized).",
-        );
-        exp.sample("tsx_protocol_errors_total", &[], load(&m.protocol_errors));
-        exp.header(
-            "tsx_panics_total",
-            "counter",
-            "Worker panics converted to 500s.",
-        );
-        exp.sample("tsx_panics_total", &[], load(&m.panics));
-        exp.header(
-            "tsx_parallel_explains_total",
-            "counter",
-            "Explain answers produced by a parallel context.",
-        );
-        exp.sample(
-            "tsx_parallel_explains_total",
-            &[],
-            load(&m.parallel_explains),
-        );
-        exp.header(
-            "tsx_memo_hits_total",
-            "counter",
-            "Segment-cost memo hits across answered explains.",
-        );
-        exp.sample("tsx_memo_hits_total", &[], load(&m.memo_hits));
-        exp.header(
-            "tsx_memo_misses_total",
-            "counter",
-            "Segment-cost memo misses across answered explains.",
-        );
-        exp.sample("tsx_memo_misses_total", &[], load(&m.memo_misses));
-        exp.header(
-            "tsx_deadline_exceeded_total",
-            "counter",
-            "Requests answered 504 because their deadline tripped.",
-        );
-        exp.sample(
-            "tsx_deadline_exceeded_total",
-            &[],
-            load(&m.deadline_exceeded),
-        );
-        exp.header(
-            "tsx_cancelled_inflight_total",
-            "counter",
-            "Deadline 504s whose cancellation tripped after engine compute began.",
-        );
-        exp.sample(
-            "tsx_cancelled_inflight_total",
-            &[],
-            load(&m.cancelled_inflight),
-        );
-
-        exp.header("tsx_workers", "gauge", "Worker threads handling requests.");
-        exp.sample("tsx_workers", &[], self.workers as f64);
-        exp.header(
-            "tsx_max_connections",
-            "gauge",
-            "Open-connection admission limit (--max-conns).",
-        );
-        exp.sample("tsx_max_connections", &[], self.max_conns as f64);
-        exp.header(
-            "tsx_open_connections",
-            "gauge",
-            "Connections currently open (parked or in a worker).",
-        );
-        exp.sample("tsx_open_connections", &[], load(&m.open_connections));
-        exp.header(
-            "tsx_parked_connections",
-            "gauge",
-            "Idle keep-alive connections parked in the epoll set.",
-        );
-        exp.sample("tsx_parked_connections", &[], load(&m.parked_connections));
-        exp.header(
-            "tsx_queue_capacity",
-            "gauge",
-            "Bound of the pending-request queue (--queue-depth).",
-        );
-        exp.sample("tsx_queue_capacity", &[], self.queue_capacity as f64);
-        exp.header(
-            "tsx_queue_depth",
-            "gauge",
-            "Readable connections waiting in the worker queue.",
-        );
-        exp.sample("tsx_queue_depth", &[], load(&m.queue_depth));
-        exp.header("tsx_registry_datasets", "gauge", "Registered datasets.");
-        exp.sample("tsx_registry_datasets", &[], r.datasets as f64);
-        exp.header(
-            "tsx_registry_cached_cubes",
-            "gauge",
-            "Cubes resident in memory across all tenants.",
-        );
-        exp.sample("tsx_registry_cached_cubes", &[], r.cached_cubes as f64);
-        exp.header(
-            "tsx_registry_cache_bytes",
-            "gauge",
-            "Estimated bytes held by cached cubes.",
-        );
-        exp.sample("tsx_registry_cache_bytes", &[], r.cache_bytes as f64);
-        exp.header(
-            "tsx_registry_memory_budget_bytes",
-            "gauge",
-            "The registry's global cube-memory budget.",
-        );
-        exp.sample(
-            "tsx_registry_memory_budget_bytes",
-            &[],
-            r.memory_budget as f64,
-        );
-
-        exp.header(
-            "tsx_request_duration_seconds",
-            "histogram",
-            "Wall-clock request latency by route.",
-        );
-        for (route, snap) in self.obs.route_hist.snapshot_all() {
-            exp.histogram("tsx_request_duration_seconds", &[("route", &route)], &snap);
-        }
-        exp.header(
-            "tsx_explain_duration_seconds",
-            "histogram",
-            "Engine explain latency by segmentation strategy.",
-        );
-        for (strategy, snap) in self.obs.strategy_hist.snapshot_all() {
-            exp.histogram(
-                "tsx_explain_duration_seconds",
-                &[("strategy", &strategy)],
-                &snap,
-            );
-        }
-        exp.header(
-            "tsx_tenant_request_duration_seconds",
-            "histogram",
-            "Wall-clock request latency by tenant (dataset id).",
-        );
-        for (tenant, snap) in self.obs.tenant_hist.snapshot_all() {
-            exp.histogram(
-                "tsx_tenant_request_duration_seconds",
-                &[("tenant", &tenant)],
-                &snap,
-            );
-        }
-
-        if let Some(store) = self.registry.store() {
-            let s = store.metrics();
-            for (name, help, value) in [
-                (
-                    "tsx_store_wal_appends_total",
-                    "WAL records appended.",
-                    s.wal_appends,
-                ),
-                (
-                    "tsx_store_wal_bytes_total",
-                    "Framed WAL bytes written.",
-                    s.wal_bytes,
-                ),
-                (
-                    "tsx_store_snapshots_total",
-                    "Snapshot files written.",
-                    s.snapshots,
-                ),
-                (
-                    "tsx_store_recoveries_total",
-                    "Tenants reconstructed by recovery-on-boot.",
-                    s.recoveries,
-                ),
-                (
-                    "tsx_store_demotions_total",
-                    "Cubes demoted to disk by the eviction tier.",
-                    s.demotions,
-                ),
-                (
-                    "tsx_store_rehydrations_total",
-                    "Cubes rehydrated from disk on a cache miss.",
-                    s.rehydrations,
-                ),
-            ] {
-                exp.header(name, "counter", help);
-                exp.sample(name, &[], value as f64);
-            }
-            let d = store.durations();
-            for (name, help, hist) in [
-                (
-                    "tsx_store_fsync_duration_seconds",
-                    "Per-append WAL fsync time.",
-                    &d.fsync,
-                ),
-                (
-                    "tsx_store_checkpoint_duration_seconds",
-                    "Full checkpoint cycles.",
-                    &d.checkpoint,
-                ),
-                (
-                    "tsx_store_recovery_duration_seconds",
-                    "Recovery-on-boot, once per open.",
-                    &d.recovery,
-                ),
-            ] {
-                exp.header(name, "histogram", help);
-                exp.histogram(name, &[], &hist.snapshot());
-            }
-        }
-        exp.finish()
-    }
 }
 
 /// The serving subsystem: an epoll reactor draining into a bounded

@@ -21,9 +21,7 @@
 )]
 
 use serde::{Deserialize, Error, Serialize, Value};
-use tsexplain::{
-    AggQuery, DatasetSnapshot, Datum, ExplainRequest, ExplainResult, Schema, SessionStats,
-};
+use tsexplain::{AggQuery, DatasetSnapshot, Datum, ExplainRequest, ExplainResult, Schema};
 use tsexplain_relation::{decode_wire_row, encode_wire_row};
 
 use crate::error::ApiError;
@@ -255,27 +253,13 @@ impl Deserialize for CompareResponse {
 
 /// Serializes one tenant's stats snapshot (`GET /datasets/{id}/stats`).
 pub fn stats_body(snapshot: &DatasetSnapshot) -> Value {
-    Value::object([
+    let mut body = Value::object([
         ("n_points", snapshot.n_points.serialize()),
         ("cached_cubes", snapshot.cached_cubes.serialize()),
         ("cache_bytes", snapshot.cache_bytes.serialize()),
-        ("session", session_stats_value(&snapshot.stats)),
-    ])
-}
-
-/// Serializes session counters (shared by stats and metrics bodies).
-pub fn session_stats_value(stats: &SessionStats) -> Value {
-    Value::object([
-        ("requests", stats.requests.serialize()),
-        ("cubes_built", stats.cubes_built.serialize()),
-        ("cube_cache_hits", stats.cube_cache_hits.serialize()),
-        ("cube_refreshes", stats.cube_refreshes.serialize()),
-        ("rows_appended", stats.rows_appended.serialize()),
-        ("rebuilds", stats.rebuilds.serialize()),
-        ("cube_evictions", stats.cube_evictions.serialize()),
-        ("cube_demotions", stats.cube_demotions.serialize()),
-        ("cube_rehydrations", stats.cube_rehydrations.serialize()),
-    ])
+    ]);
+    crate::metrics::session_stats(&mut body, "session", &snapshot.stats);
+    body
 }
 
 /// Decodes wire rows into raw [`Datum`] rows, schema-aware (module docs).

@@ -4,11 +4,21 @@
 //! serve a valid Prometheus text exposition at
 //! `/metrics?format=prometheus`, and keep the JSON `/metrics` document
 //! byte-identical whether or not a `format` parameter spelled it out.
+//! The metric surface itself — every JSON leaf path and every Prometheus
+//! family — is pinned by `golden_metrics_surface.txt`.
+
+use std::collections::BTreeSet;
 
 use serde::Value;
 use tsexplain::ExplainRequest;
 use tsexplain_datagen::synthetic::{SyntheticConfig, SyntheticDataset};
 use tsexplain_server::{Client, Server, ServerConfig};
+
+/// The `/metrics` surface of a server with a data dir: `json <path>` for
+/// every JSON leaf and the `# TYPE <name> <kind>` line of every
+/// Prometheus family. Scrapers depend on each line, so new metrics only
+/// append to it.
+const GOLDEN_SURFACE: &str = include_str!("golden_metrics_surface.txt");
 
 fn dataset() -> SyntheticDataset {
     SyntheticDataset::generate(SyntheticConfig {
@@ -21,10 +31,15 @@ fn dataset() -> SyntheticDataset {
 /// Boots a server whose flight recorder captures *every* request
 /// (`slow_ms: 0`), registers the corpus dataset, and runs one explain.
 fn boot() -> (tsexplain_server::ServerHandle, Client, u64) {
+    boot_with(ServerConfig::default())
+}
+
+/// [`boot`] over `base` (whose `workers` and `slow_ms` it overrides).
+fn boot_with(base: ServerConfig) -> (tsexplain_server::ServerHandle, Client, u64) {
     let handle = Server::bind(ServerConfig {
         workers: 2,
         slow_ms: 0,
-        ..ServerConfig::default()
+        ..base
     })
     .unwrap();
     let data = dataset();
@@ -55,6 +70,89 @@ fn depth(value: &Value) -> usize {
         Value::Object(map) => 1 + map.values().map(depth).max().unwrap_or(0),
         _ => 0,
     }
+}
+
+/// Every leaf of a JSON document as a dotted path (`server.admission.shed`).
+fn leaf_paths(value: &Value, path: &str, into: &mut Vec<String>) {
+    match value {
+        Value::Object(map) => {
+            for (key, child) in map {
+                let child_path = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                leaf_paths(child, &child_path, into);
+            }
+        }
+        _ => into.push(path.to_string()),
+    }
+}
+
+/// One scrape's metric surface in [`GOLDEN_SURFACE`]'s line format, sorted.
+fn surface(doc: &Value, exposition: &str) -> Vec<String> {
+    let mut paths = Vec::new();
+    leaf_paths(doc, "", &mut paths);
+    let mut lines: Vec<String> = paths.into_iter().map(|p| format!("json {p}")).collect();
+    lines.extend(
+        exposition
+            .lines()
+            .filter(|l| l.starts_with("# TYPE "))
+            .map(str::to_string),
+    );
+    lines.sort();
+    lines
+}
+
+/// The pinned surface, sorted; without a data dir the `store` JSON block
+/// and the `tsx_store_*` families are absent.
+fn golden_surface(with_store: bool) -> Vec<String> {
+    let mut lines: Vec<String> = GOLDEN_SURFACE
+        .lines()
+        .filter(|l| !l.is_empty())
+        .filter(|l| with_store || !(l.starts_with("json store.") || l.contains(" tsx_store_")))
+        .map(str::to_string)
+        .collect();
+    lines.sort();
+    lines
+}
+
+/// Each Prometheus family is exactly one `# HELP` line, then its `# TYPE`
+/// line, then all of its samples in one contiguous block.
+fn assert_family_layout(text: &str) {
+    let mut declared = BTreeSet::new();
+    let mut family: Option<(&str, &str)> = None;
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        if let Some(help) = line.strip_prefix("# HELP ") {
+            let name = help.split(' ').next().unwrap();
+            assert!(declared.insert(name), "family {name} is declared twice");
+            let kind = lines
+                .next()
+                .and_then(|l| l.strip_prefix(&format!("# TYPE {name} ")))
+                .unwrap_or_else(|| panic!("# HELP {name} is not followed by its # TYPE"));
+            family = Some((name, kind));
+            continue;
+        }
+        assert!(!line.starts_with('#'), "stray comment line {line:?}");
+        let series = line.split(['{', ' ']).next().unwrap();
+        let (name, kind) = family.unwrap_or_else(|| panic!("sample {line:?} before any family"));
+        let histogram_part = kind == "histogram"
+            && series
+                .strip_prefix(name)
+                .is_some_and(|rest| ["_bucket", "_sum", "_count"].contains(&rest));
+        assert!(
+            series == name || histogram_part,
+            "sample {line:?} sits outside its family's block (inside {name})"
+        );
+    }
+}
+
+/// A scratch data dir unique to this process and `tag`.
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("tsx-obs-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 #[test]
@@ -188,6 +286,7 @@ fn prometheus_exposition_is_well_formed_and_json_metrics_unchanged() {
     let _ = client.raw("GET", "/nope", None, &[]); // one 404 for the 4xx class
 
     let text = client.metrics_prometheus().unwrap();
+    assert_family_layout(&text);
     assert!(text.contains("tsx_requests_total "), "{text}");
     assert!(
         text.contains("tsx_request_duration_seconds_bucket{route=\"explain\""),
@@ -255,6 +354,8 @@ fn prometheus_exposition_is_well_formed_and_json_metrics_unchanged() {
     let bare: Value = serde_json::from_str(std::str::from_utf8(&bare.body).unwrap()).unwrap();
     let explicit: Value =
         serde_json::from_str(std::str::from_utf8(&explicit.body).unwrap()).unwrap();
+    // Without a data dir: the pinned surface minus the store's metrics.
+    assert_eq!(surface(&bare, &text), golden_surface(false));
     let keys = |v: &Value| -> Vec<String> {
         v.as_object()
             .map(|m| m.keys().cloned().collect())
@@ -296,4 +397,29 @@ fn prometheus_exposition_is_well_formed_and_json_metrics_unchanged() {
     assert_eq!(bad.status, 400);
     drop(client);
     handle.shutdown();
+}
+
+#[test]
+fn metric_surface_matches_the_pinned_list() {
+    let dir = temp_dir("surface");
+    let (mut handle, mut client, id) = boot_with(ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    client
+        .explain_value(id, &ExplainRequest::new(["category"]))
+        .unwrap();
+    let text = client.metrics_prometheus().unwrap();
+    assert_family_layout(&text);
+    let doc = client.metrics().unwrap();
+    let observed = surface(&doc, &text);
+    assert_eq!(
+        observed,
+        golden_surface(true),
+        "observed surface:\n{}",
+        observed.join("\n")
+    );
+    drop(client);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
