@@ -17,7 +17,7 @@
 //! Each returns interior cut positions compatible with
 //! `tsexplain_segment::Segmentation`.
 //!
-//! The [`adapters`] module additionally wraps each baseline into the
+//! The `adapters` module additionally wraps each baseline into the
 //! [`tsexplain_segment::Segmenter`] strategy boundary
 //! ([`BottomUpSegmenter`], [`FlussSegmenter`], [`NnSegmentSegmenter`]), so
 //! all of them are selectable per-request through the serving API next to

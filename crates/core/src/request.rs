@@ -9,6 +9,7 @@
 
 use std::fmt;
 
+use tsexplain_cube::MAX_EXPLAIN_BY;
 use tsexplain_diff::DiffMetric;
 use tsexplain_parallel::{CancelToken, ParallelCtx};
 use tsexplain_relation::{AttrValue, ColumnType, Schema};
@@ -16,6 +17,9 @@ use tsexplain_segment::{KSelection, SketchConfig, VarianceMetric};
 
 use crate::config::Optimizations;
 use crate::segmenter::SegmenterSpec;
+
+/// The largest `top_m` a request may ask for.
+const MAX_TOP_M: usize = 100;
 
 /// A rejected [`ExplainRequest`], detected before any pipeline work runs.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,6 +36,14 @@ pub enum InvalidRequest {
     /// `top_m` was zero — every segment needs at least one explanation
     /// slot.
     ZeroTopM,
+    /// `top_m` exceeded 100. Cascading Analysts allocates (ε + 1)·(m + 1)
+    /// scores, so an unbounded m exhausts memory; the paper uses m = 3.
+    TopMTooLarge(usize),
+    /// Guess-and-verify (O1) was enabled with an initial guess m̄₀ of zero.
+    ZeroGuessAndVerify,
+    /// The explain-by set named more attributes than a cube supports
+    /// ([`tsexplain_cube::MAX_EXPLAIN_BY`]).
+    TooManyAttributes(usize),
     /// `max_order` was zero — candidates have order at least 1.
     ZeroMaxOrder,
     /// A fixed or maximum K of zero, or a fixed K exceeding `n − 1`
@@ -92,6 +104,16 @@ impl fmt::Display for InvalidRequest {
                 write!(f, "explain-by attribute {a:?} listed twice")
             }
             InvalidRequest::ZeroTopM => write!(f, "top-m must be at least 1"),
+            InvalidRequest::TopMTooLarge(m) => {
+                write!(f, "top-m {m} exceeds the maximum of {MAX_TOP_M}")
+            }
+            InvalidRequest::ZeroGuessAndVerify => {
+                write!(f, "guess-and-verify initial guess must be at least 1")
+            }
+            InvalidRequest::TooManyAttributes(n) => write!(
+                f,
+                "explain-by set names {n} attributes; at most {MAX_EXPLAIN_BY} are supported"
+            ),
             InvalidRequest::ZeroMaxOrder => write!(f, "max explanation order must be at least 1"),
             InvalidRequest::InfeasibleK { k, n } => {
                 if *n == 0 {
@@ -295,12 +317,6 @@ impl ExplainRequest {
         self
     }
 
-    /// Clears the client-side time budget.
-    pub fn with_no_timeout(mut self) -> Self {
-        self.timeout_ms = None;
-        self
-    }
-
     /// The client's requested time budget in milliseconds, if any.
     pub fn timeout_ms(&self) -> Option<u64> {
         self.timeout_ms
@@ -384,13 +400,17 @@ impl ExplainRequest {
     }
 
     /// Validates everything checkable without the series length: explain-by
-    /// attributes against the relation's schema, structural knobs, K being
-    /// nonzero, and the segmenter's window being at least 2. `K ≤ n − 1`
-    /// and window-vs-length feasibility are checked by the session once
-    /// the series length is known ([`ExplainRequest::validate_for_series`]).
+    /// attributes against the relation's schema, structural knobs (each
+    /// bounded so that no request can exhaust memory or crash the engine),
+    /// K being nonzero, and the segmenter's window being at least 2.
+    /// `K ≤ n − 1` and window-vs-length feasibility are checked by the
+    /// session once the series length is known.
     pub fn validate(&self, schema: &Schema, time_attr: &str) -> Result<(), InvalidRequest> {
         if self.explain_by.is_empty() {
             return Err(InvalidRequest::EmptyExplainBy);
+        }
+        if self.explain_by.len() > MAX_EXPLAIN_BY {
+            return Err(InvalidRequest::TooManyAttributes(self.explain_by.len()));
         }
         for (i, a) in self.explain_by.iter().enumerate() {
             if a == time_attr {
@@ -408,6 +428,12 @@ impl ExplainRequest {
         }
         if self.top_m == 0 {
             return Err(InvalidRequest::ZeroTopM);
+        }
+        if self.top_m > MAX_TOP_M {
+            return Err(InvalidRequest::TopMTooLarge(self.top_m));
+        }
+        if self.optimizations.guess_and_verify == Some(0) {
+            return Err(InvalidRequest::ZeroGuessAndVerify);
         }
         if self.max_order == 0 {
             return Err(InvalidRequest::ZeroMaxOrder);
@@ -551,6 +577,46 @@ mod tests {
         );
     }
 
+    /// Each bound keeps a request from breaking the engine: top-m sizes an
+    /// (ε+1)·(m+1) allocation, a zero initial guess panics in
+    /// guess-and-verify, and the attribute count sizes a `u32` subset mask.
+    #[test]
+    fn validation_bounds_knobs_that_crash_the_engine() {
+        let s = schema();
+        let r = ExplainRequest::new(["state"]);
+        assert!(r.clone().with_top_m(MAX_TOP_M).validate(&s, "date").is_ok());
+        assert_eq!(
+            r.clone().with_top_m(1 << 40).validate(&s, "date"),
+            Err(InvalidRequest::TopMTooLarge(1 << 40))
+        );
+        let zero_guess = Optimizations {
+            guess_and_verify: Some(0),
+            ..Optimizations::all()
+        };
+        assert_eq!(
+            r.clone()
+                .with_optimizations(zero_guess)
+                .validate(&s, "date"),
+            Err(InvalidRequest::ZeroGuessAndVerify)
+        );
+        assert!(r
+            .with_optimizations(Optimizations::none())
+            .validate(&s, "date")
+            .is_ok());
+
+        let attrs: Vec<String> = (0..=MAX_EXPLAIN_BY).map(|i| format!("a{i}")).collect();
+        let mut fields: Vec<Field> = attrs.iter().map(Field::dimension).collect();
+        fields.push(Field::dimension("date"));
+        let wide = Schema::new(fields).unwrap();
+        assert!(ExplainRequest::new(&attrs[..MAX_EXPLAIN_BY])
+            .validate(&wide, "date")
+            .is_ok());
+        assert_eq!(
+            ExplainRequest::new(&attrs).validate(&wide, "date"),
+            Err(InvalidRequest::TooManyAttributes(MAX_EXPLAIN_BY + 1))
+        );
+    }
+
     #[test]
     fn validation_catches_degenerate_windows() {
         let s = schema();
@@ -622,5 +688,13 @@ mod tests {
         }
         .to_string()
         .contains("too large"));
+        assert_eq!(
+            InvalidRequest::TopMTooLarge(101).to_string(),
+            "top-m 101 exceeds the maximum of 100"
+        );
+        assert_eq!(
+            InvalidRequest::TooManyAttributes(17).to_string(),
+            "explain-by set names 17 attributes; at most 16 are supported"
+        );
     }
 }

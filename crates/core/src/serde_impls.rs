@@ -12,8 +12,9 @@
 //! `{"explain_by": ["state"], "segmenter": {"strategy": "fluss",
 //! "window": 12}}` selects a baseline strategy.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{record, Deserialize, Error, Serialize, Value};
 
+use tsexplain_relation::AttrValue;
 use tsexplain_segment::KSelection;
 
 use crate::config::Optimizations;
@@ -22,207 +23,62 @@ use crate::request::ExplainRequest;
 use crate::result::{ExplainResult, ExplanationItem, PipelineStats, SegmentExplanation};
 use crate::segmenter::SegmenterSpec;
 
-/// Deserializes an optional object member, substituting `default` when the
-/// member is absent or JSON `null` — the request layer's tolerance rule.
-fn field_or<T: Deserialize>(value: &Value, key: &str, default: T) -> Result<T, Error> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(default),
-        Some(member) => T::deserialize(member).map_err(|e| e.contextualize(key)),
-    }
-}
-
-impl Serialize for ParallelTimings {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("threads", self.threads.serialize()),
-            ("cascading", self.cascading.serialize()),
-            ("segmentation", self.segmentation.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for ParallelTimings {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(ParallelTimings {
-            threads: value.field("threads")?,
-            cascading: value.field("cascading")?,
-            segmentation: value.field("segmentation")?,
-        })
-    }
-}
-
-impl Serialize for MemoCounters {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("hits", self.hits.serialize()),
-            ("misses", self.misses.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for MemoCounters {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(MemoCounters {
-            hits: value.field("hits")?,
-            misses: value.field("misses")?,
-        })
-    }
-}
-
-impl Serialize for LatencyBreakdown {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("precompute", self.precompute.serialize()),
-            ("cascading", self.cascading.serialize()),
-            ("segmentation", self.segmentation.serialize()),
-            ("parallel", self.parallel.serialize()),
-            ("memo", self.memo.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for LatencyBreakdown {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(LatencyBreakdown {
-            precompute: value.field("precompute")?,
-            cascading: value.field("cascading")?,
-            segmentation: value.field("segmentation")?,
-            // Results predating the parallel layer / the memo carry no
-            // such blocks; defaults keep old payloads decodable.
-            parallel: field_or(value, "parallel", ParallelTimings::default())?,
-            memo: field_or(value, "memo", MemoCounters::default())?,
-        })
-    }
-}
-
-impl Serialize for PipelineStats {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("epsilon", self.epsilon.serialize()),
-            ("filtered_epsilon", self.filtered_epsilon.serialize()),
-            ("n_points", self.n_points.serialize()),
-            ("ca_calls", self.ca_calls.serialize()),
-            ("candidate_positions", self.candidate_positions.serialize()),
-            ("cube_from_cache", self.cube_from_cache.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for PipelineStats {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(PipelineStats {
-            epsilon: value.field("epsilon")?,
-            filtered_epsilon: value.field("filtered_epsilon")?,
-            n_points: value.field("n_points")?,
-            ca_calls: value.field("ca_calls")?,
-            candidate_positions: value.field("candidate_positions")?,
-            cube_from_cache: value.field("cube_from_cache")?,
-        })
-    }
-}
-
-impl Serialize for ExplanationItem {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("label", self.label.serialize()),
-            ("gamma", self.gamma.serialize()),
-            ("effect", self.effect.serialize()),
-            ("series", self.series.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for ExplanationItem {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(ExplanationItem {
-            label: value.field("label")?,
-            gamma: value.field("gamma")?,
-            effect: value.field("effect")?,
-            series: value.field("series")?,
-        })
-    }
-}
-
-impl Serialize for SegmentExplanation {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("start", self.start.serialize()),
-            ("end", self.end.serialize()),
-            ("start_time", self.start_time.serialize()),
-            ("end_time", self.end_time.serialize()),
-            ("explanations", self.explanations.serialize()),
-            ("variance", self.variance.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for SegmentExplanation {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(SegmentExplanation {
-            start: value.field("start")?,
-            end: value.field("end")?,
-            start_time: value.field("start_time")?,
-            end_time: value.field("end_time")?,
-            explanations: value.field("explanations")?,
-            variance: value.field("variance")?,
-        })
-    }
-}
-
-impl Serialize for ExplainResult {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("strategy", self.strategy.serialize()),
-            ("segmentation", self.segmentation.serialize()),
-            ("chosen_k", self.chosen_k.serialize()),
-            ("k_variance_curve", self.k_variance_curve.serialize()),
-            ("total_variance", self.total_variance.serialize()),
-            ("segments", self.segments.serialize()),
-            ("timestamps", self.timestamps.serialize()),
-            ("aggregate", self.aggregate.serialize()),
-            ("latency", self.latency.serialize()),
-            ("stats", self.stats.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for ExplainResult {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(ExplainResult {
-            // Results predating the strategy field default to the DP.
-            strategy: field_or(value, "strategy", "dp".to_string())?,
-            segmentation: value.field("segmentation")?,
-            chosen_k: value.field("chosen_k")?,
-            k_variance_curve: value.field("k_variance_curve")?,
-            total_variance: value.field("total_variance")?,
-            segments: value.field("segments")?,
-            timestamps: value.field("timestamps")?,
-            aggregate: value.field("aggregate")?,
-            latency: value.field("latency")?,
-            stats: value.field("stats")?,
-        })
-    }
-}
-
-impl Serialize for Optimizations {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("filter_ratio", self.filter_ratio.serialize()),
-            ("guess_and_verify", self.guess_and_verify.serialize()),
-            ("sketching", self.sketching.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for Optimizations {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(Optimizations {
-            filter_ratio: value.field("filter_ratio")?,
-            guess_and_verify: value.field("guess_and_verify")?,
-            sketching: value.field("sketching")?,
-        })
-    }
-}
+// Members decode in the listed order, so the first bad one names the error.
+record!(ParallelTimings {
+    threads,
+    cascading,
+    segmentation,
+});
+record!(MemoCounters { hits, misses });
+// Results predating the parallel layer / the memo carry no such blocks;
+// defaults keep old payloads decodable.
+record!(LatencyBreakdown {
+    precompute,
+    cascading,
+    segmentation,
+    parallel = ParallelTimings::default(),
+    memo = MemoCounters::default(),
+});
+record!(PipelineStats {
+    epsilon,
+    filtered_epsilon,
+    n_points,
+    ca_calls,
+    candidate_positions,
+    cube_from_cache,
+});
+record!(ExplanationItem {
+    label,
+    gamma,
+    effect,
+    series,
+});
+record!(SegmentExplanation {
+    start,
+    end,
+    start_time,
+    end_time,
+    explanations,
+    variance,
+});
+// Results predating the strategy field default to the DP.
+record!(ExplainResult {
+    strategy = "dp".to_string(),
+    segmentation,
+    chosen_k,
+    k_variance_curve,
+    total_variance,
+    segments,
+    timestamps,
+    aggregate,
+    latency,
+    stats,
+});
+record!(Optimizations {
+    filter_ratio,
+    guess_and_verify,
+    sketching,
+});
 
 impl Serialize for SegmenterSpec {
     fn serialize(&self) -> Value {
@@ -281,37 +137,28 @@ impl Deserialize for ExplainRequest {
         let explain_by: Vec<String> = value.field("explain_by")?;
         let defaults = ExplainRequest::new(Vec::<String>::new());
         let mut request = ExplainRequest::new(explain_by)
-            .with_top_m(field_or(value, "top_m", defaults.top_m())?)
-            .with_max_order(field_or(value, "max_order", defaults.max_order())?)
-            .with_diff_metric(field_or(value, "diff_metric", defaults.diff_metric())?)
-            .with_variance_metric(field_or(
-                value,
-                "variance_metric",
-                defaults.variance_metric(),
-            )?)
-            .with_optimizations(field_or(value, "optimizations", defaults.optimizations())?)
-            .with_smoothing(field_or(
-                value,
-                "smoothing_window",
-                defaults.smoothing_window(),
-            )?)
-            .with_segmenter(field_or(value, "segmenter", defaults.segmenter())?);
-        if let Some(threads) = field_or::<Option<usize>>(value, "threads", None)? {
+            .with_top_m(value.field_or("top_m", defaults.top_m())?)
+            .with_max_order(value.field_or("max_order", defaults.max_order())?)
+            .with_diff_metric(value.field_or("diff_metric", defaults.diff_metric())?)
+            .with_variance_metric(value.field_or("variance_metric", defaults.variance_metric())?)
+            .with_optimizations(value.field_or("optimizations", defaults.optimizations())?)
+            .with_smoothing(value.field_or("smoothing_window", defaults.smoothing_window())?)
+            .with_segmenter(value.field_or("segmenter", defaults.segmenter())?);
+        if let Some(threads) = value.field_or::<Option<usize>>("threads", None)? {
             request = request.with_threads(threads);
         }
         // The client's requested time budget; the serving layer clamps it
         // to the server cap when minting the deadline. The runtime cancel
         // token is deliberately NOT a wire member.
-        if let Some(timeout_ms) = field_or::<Option<u64>>(value, "timeout_ms", None)? {
+        if let Some(timeout_ms) = value.field_or::<Option<u64>>("timeout_ms", None)? {
             request = request.with_timeout_ms(timeout_ms);
         }
-        request = match field_or(value, "k", defaults.k_selection())? {
+        request = match value.field_or("k", defaults.k_selection())? {
             KSelection::Auto { max_k } => request.with_max_k(max_k),
             KSelection::Fixed(k) => request.with_fixed_k(k),
         };
-        if let Some((start, end)) = field_or::<
-            Option<(tsexplain_relation::AttrValue, tsexplain_relation::AttrValue)>,
-        >(value, "time_range", None)?
+        if let Some((start, end)) =
+            value.field_or::<Option<(AttrValue, AttrValue)>>("time_range", None)?
         {
             request = request.with_time_range(start, end);
         }
@@ -322,6 +169,7 @@ impl Deserialize for ExplainRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use std::time::Duration;
     use tsexplain_diff::{DiffMetric, Effect};
     use tsexplain_relation::AttrValue;
@@ -396,6 +244,191 @@ mod tests {
         assert_eq!(seg.explanations[0].effect, Effect::Plus);
         assert_eq!(seg.explanations[0].series, vec![0.0, 5.0, 12.5]);
         assert_eq!(seg.variance, 0.125);
+    }
+
+    /// Pins one plain record's codec: `fixture` encodes to exactly `json`,
+    /// which decodes and re-encodes to the same bytes; dropping any member
+    /// not listed in `defaulted` fails with ``missing field `m` ``; each
+    /// `defaulted` member decodes to its listed default (compact JSON) both
+    /// when absent and when `null`; `wrong` sets a member to a wrong-typed
+    /// value and names the full error; and a document that is not an
+    /// object fails with `not_object`.
+    fn pin_record<T: Serialize + Deserialize>(
+        fixture: &T,
+        json: &str,
+        defaulted: &[(&str, &str)],
+        wrong: (&str, Value, &str),
+        not_object: &str,
+    ) {
+        assert_eq!(serde_json::to_string(fixture).unwrap(), json);
+        let members = match serde_json::from_str::<Value>(json).unwrap() {
+            Value::Object(members) => members,
+            other => panic!("fixture is not an object: {other:?}"),
+        };
+        let decode = |doc: BTreeMap<String, Value>| T::deserialize(&Value::Object(doc));
+        let error_of = |decoded: Result<T, Error>| match decoded {
+            Ok(back) => panic!("decoded {}", serde_json::to_string(&back).unwrap()),
+            Err(e) => e.to_string(),
+        };
+        let back = decode(members.clone()).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        for (key, _) in defaulted {
+            assert!(
+                members.contains_key(*key),
+                "{key} is not a member of {json}"
+            );
+        }
+        for key in members.keys() {
+            let mut absent = members.clone();
+            absent.remove(key);
+            let Some((_, default)) = defaulted.iter().find(|(k, _)| k == key) else {
+                assert_eq!(error_of(decode(absent)), format!("missing field `{key}`"));
+                continue;
+            };
+            let mut null = members.clone();
+            null.insert(key.clone(), Value::Null);
+            for doc in [absent, null] {
+                let back = decode(doc)
+                    .unwrap_or_else(|e| panic!("{key}: {e}"))
+                    .serialize();
+                let member = back.get(key).unwrap();
+                assert_eq!(serde_json::to_string(member).unwrap(), *default, "{key}");
+            }
+        }
+        let (key, bad, error) = wrong;
+        let mut doc = members.clone();
+        doc.insert(key.to_string(), bad);
+        assert_eq!(error_of(decode(doc)), error);
+        let not_an_object = T::deserialize(&Value::Array(Vec::new()));
+        assert_eq!(error_of(not_an_object), not_object);
+    }
+
+    #[test]
+    fn plain_record_codecs_are_pinned() {
+        let result = sample_result();
+        let text = |s: &str| Value::String(s.into());
+        pin_record(
+            &result.latency.parallel,
+            r#"{"cascading":{"nanos":200000,"secs":0},"segmentation":{"nanos":10000,"secs":0},"threads":4}"#,
+            &[],
+            (
+                "threads",
+                text("x"),
+                "in field `threads`: expected number, got string",
+            ),
+            "missing field `threads`",
+        );
+        pin_record(
+            &result.latency.memo,
+            r#"{"hits":21,"misses":190}"#,
+            &[],
+            (
+                "hits",
+                text("x"),
+                "in field `hits`: expected number, got string",
+            ),
+            "missing field `hits`",
+        );
+        pin_record(
+            &result.latency,
+            concat!(
+                r#"{"cascading":{"nanos":250000,"secs":0},"memo":{"hits":21,"misses":190},"#,
+                r#""parallel":{"cascading":{"nanos":200000,"secs":0},"segmentation":{"nanos":10000,"secs":0},"threads":4},"#,
+                r#""precompute":{"nanos":1500000,"secs":0},"segmentation":{"nanos":40000,"secs":0}}"#,
+            ),
+            &[
+                (
+                    "parallel",
+                    r#"{"cascading":{"nanos":0,"secs":0},"segmentation":{"nanos":0,"secs":0},"threads":0}"#,
+                ),
+                ("memo", r#"{"hits":0,"misses":0}"#),
+            ],
+            (
+                "memo",
+                Value::Number(1.0),
+                "in field `memo`: missing field `hits`",
+            ),
+            "missing field `precompute`",
+        );
+        pin_record(
+            &result.stats,
+            r#"{"ca_calls":9,"candidate_positions":5,"cube_from_cache":true,"epsilon":3,"filtered_epsilon":2,"n_points":5}"#,
+            &[],
+            (
+                "cube_from_cache",
+                Value::Number(1.0),
+                "in field `cube_from_cache`: expected boolean, got number",
+            ),
+            "missing field `epsilon`",
+        );
+        pin_record(
+            &result.segments[0].explanations[0],
+            r#"{"effect":"+","gamma":12.5,"label":"state=NY","series":[0,5,12.5]}"#,
+            &[],
+            (
+                "series",
+                text("x"),
+                "in field `series`: expected array, got string",
+            ),
+            "missing field `label`",
+        );
+        pin_record(
+            &result.segments[0],
+            concat!(
+                r#"{"end":2,"end_time":"d2","explanations":[{"effect":"+","gamma":12.5,"label":"state=NY","series":[0,5,12.5]}],"#,
+                r#""start":0,"start_time":"d0","variance":0.125}"#,
+            ),
+            &[],
+            (
+                "explanations",
+                Value::Array(vec![Value::Number(1.0)]),
+                "in field `explanations`: missing field `label`",
+            ),
+            "missing field `start`",
+        );
+        pin_record(
+            &result,
+            concat!(
+                r#"{"aggregate":[0,5,12.5,12.5,12.5],"chosen_k":2,"k_variance_curve":[[1,3],[2,1]],"#,
+                r#""latency":{"cascading":{"nanos":250000,"secs":0},"memo":{"hits":21,"misses":190},"#,
+                r#""parallel":{"cascading":{"nanos":200000,"secs":0},"segmentation":{"nanos":10000,"secs":0},"threads":4},"#,
+                r#""precompute":{"nanos":1500000,"secs":0},"segmentation":{"nanos":40000,"secs":0}},"#,
+                r#""segmentation":{"cuts":[2],"n_points":5},"#,
+                r#""segments":[{"end":2,"end_time":"d2","explanations":[{"effect":"+","gamma":12.5,"label":"state=NY","series":[0,5,12.5]}],"#,
+                r#""start":0,"start_time":"d0","variance":0.125}],"#,
+                r#""stats":{"ca_calls":9,"candidate_positions":5,"cube_from_cache":true,"epsilon":3,"filtered_epsilon":2,"n_points":5},"#,
+                r#""strategy":"dp","timestamps":["d0","d1","d2","d3","d4"],"total_variance":1}"#,
+            ),
+            &[("strategy", r#""dp""#)],
+            (
+                "strategy",
+                Value::Number(3.0),
+                "in field `strategy`: expected string, got number",
+            ),
+            "missing field `segmentation`",
+        );
+        pin_record(
+            &Optimizations::all(),
+            r#"{"filter_ratio":0.001,"guess_and_verify":30,"sketching":{"max_len_cap":20,"max_len_fraction":0.05,"size_factor":3}}"#,
+            &[],
+            (
+                "guess_and_verify",
+                text("x"),
+                "in field `guess_and_verify`: expected number, got string",
+            ),
+            "missing field `filter_ratio`",
+        );
+        pin_record(
+            &tsexplain_segment::SketchConfig::default(),
+            r#"{"max_len_cap":20,"max_len_fraction":0.05,"size_factor":3}"#,
+            &[],
+            (
+                "max_len_cap",
+                Value::Number(2.5),
+                "in field `max_len_cap`: expected integer, got 2.5",
+            ),
+            "missing field `max_len_fraction`",
+        );
     }
 
     #[test]

@@ -69,13 +69,6 @@ impl StreamingExplainer {
         &self.request
     }
 
-    /// Replaces the per-refresh request (takes effect on the next
-    /// [`StreamingExplainer::refresh`]).
-    pub fn set_request(&mut self, request: ExplainRequest) {
-        self.request = request;
-        self.last_result = None;
-    }
-
     /// The underlying serving session (cache statistics, schema, …).
     pub fn session(&self) -> &ExplainSession {
         &self.session

@@ -9,6 +9,11 @@ use crate::explanation::{ExplId, Explanation};
 use crate::trie::{DrillTrie, NodeId, ROOT_NODE};
 use crate::values::ValueMatrix;
 
+/// The widest explain-by set a cube supports. Subset enumeration walks
+/// every `u32` bitmask below `1 << |A|` and attribute indices are `u16`s;
+/// requests naming more are rejected, and a snapshot naming more is corrupt.
+pub const MAX_EXPLAIN_BY: usize = 16;
+
 /// Configuration for building an [`ExplanationCube`].
 #[derive(Clone, Debug)]
 pub struct CubeConfig {
@@ -37,6 +42,29 @@ impl CubeConfig {
             filter_ratio: None,
             prune_redundant: true,
         }
+    }
+
+    /// Checks the configuration against `query` before any enumeration:
+    /// every cube builder starts here.
+    pub(crate) fn validate(&self, query: &AggQuery) -> Result<(), CubeError> {
+        if self.explain_by.is_empty() {
+            return Err(CubeError::NoExplainBy);
+        }
+        if self.explain_by.len() > MAX_EXPLAIN_BY {
+            return Err(CubeError::TooManyExplainBy(self.explain_by.len()));
+        }
+        if self.max_order == 0 {
+            return Err(CubeError::ZeroMaxOrder);
+        }
+        for (i, a) in self.explain_by.iter().enumerate() {
+            if a == query.time_attr() {
+                return Err(CubeError::TimeAttrInExplainBy(a.clone()));
+            }
+            if self.explain_by[..i].contains(a) {
+                return Err(CubeError::DuplicateExplainBy(a.clone()));
+            }
+        }
+        Ok(())
     }
 
     /// Sets β̄.
@@ -165,20 +193,7 @@ impl ExplanationCube {
         config: &CubeConfig,
         par: &ParallelCtx,
     ) -> Result<Self, CubeError> {
-        if config.explain_by.is_empty() {
-            return Err(CubeError::NoExplainBy);
-        }
-        if config.max_order == 0 {
-            return Err(CubeError::ZeroMaxOrder);
-        }
-        for (i, a) in config.explain_by.iter().enumerate() {
-            if a == query.time_attr() {
-                return Err(CubeError::TimeAttrInExplainBy(a.clone()));
-            }
-            if config.explain_by[..i].contains(a) {
-                return Err(CubeError::DuplicateExplainBy(a.clone()));
-            }
-        }
+        config.validate(query)?;
         if rel.is_empty() {
             return Err(CubeError::EmptyInput);
         }
@@ -386,8 +401,8 @@ impl ExplanationCube {
         self.subtree_selectable = subtree;
     }
 
-    /// Approximate heap + inline footprint of this cube in bytes (see
-    /// [`crate::mem`]'s module docs) — the unit a byte-budgeted cube cache
+    /// Approximate heap + inline footprint of this cube in bytes (see the
+    /// `mem` module docs) — the unit a byte-budgeted cube cache
     /// accounts and evicts in.
     ///
     /// Deterministic for identical state and monotone in the data: more
@@ -488,14 +503,6 @@ impl ExplanationCube {
     /// bit-identical to `state(e, t).value(agg)`).
     pub fn value_at(&self, e: ExplId, t: usize) -> f64 {
         self.values.get(t, e as usize)
-    }
-
-    /// Explanation `e`'s whole value series, gathered into `out` (cleared
-    /// first) — the reusable-buffer variant of
-    /// [`ExplanationCube::value_series`].
-    pub fn value_series_into(&self, e: ExplId, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..self.n_points()).map(|t| self.value_at(e, t)));
     }
 
     /// Explanation `e`'s whole value series.
@@ -863,6 +870,11 @@ mod tests {
             ExplanationCube::build(&rel, &query, &CubeConfig::new(["state"]).with_max_order(0))
                 .unwrap_err();
         assert_eq!(err, CubeError::ZeroMaxOrder);
+        // Wider sets overflow the u32 subset mask: in a release build, 33
+        // attributes would build a cube with no candidates at all.
+        let wide = CubeConfig::new((0..=MAX_EXPLAIN_BY).map(|i| format!("a{i}")));
+        let err = ExplanationCube::build(&rel, &query, &wide).unwrap_err();
+        assert_eq!(err, CubeError::TooManyExplainBy(MAX_EXPLAIN_BY + 1));
     }
 
     #[test]

@@ -13,6 +13,8 @@ pub enum CubeError {
     TimeAttrInExplainBy(String),
     /// The same attribute was listed twice in explain-by.
     DuplicateExplainBy(String),
+    /// More explain-by attributes than [`crate::MAX_EXPLAIN_BY`].
+    TooManyExplainBy(usize),
     /// The maximum explanation order β̄ must be at least 1.
     ZeroMaxOrder,
     /// The relation has no rows / the series has no points.
@@ -60,6 +62,11 @@ impl fmt::Display for CubeError {
             CubeError::DuplicateExplainBy(a) => {
                 write!(f, "duplicate explain-by attribute {a:?}")
             }
+            CubeError::TooManyExplainBy(n) => write!(
+                f,
+                "{n} explain-by attributes; at most {} are supported",
+                crate::MAX_EXPLAIN_BY
+            ),
             CubeError::ZeroMaxOrder => write!(f, "max explanation order must be >= 1"),
             CubeError::EmptyInput => write!(f, "cannot build a cube from an empty relation"),
             CubeError::InvalidTimeSlice { lo, hi, n } => {

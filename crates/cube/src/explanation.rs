@@ -1,6 +1,6 @@
 use std::fmt;
 
-use tsexplain_relation::{AttrValue, Conjunction, Dictionary, Predicate};
+use tsexplain_relation::Dictionary;
 
 /// Index of an explanation within its [`crate::ExplanationCube`].
 pub type ExplId = u32;
@@ -116,20 +116,6 @@ impl Explanation {
         }
         out
     }
-
-    /// Converts to a relation-level [`Conjunction`] for re-querying the base
-    /// relation.
-    pub fn to_conjunction(&self, attr_names: &[String], dicts: &[Dictionary]) -> Conjunction {
-        let preds = self
-            .preds
-            .iter()
-            .map(|&(attr, code)| {
-                let value: AttrValue = dicts[attr as usize].value(code).clone();
-                Predicate::equals(attr_names[attr as usize].clone(), value)
-            })
-            .collect();
-        Conjunction::of(preds)
-    }
 }
 
 impl std::borrow::Borrow<[(u16, u32)]> for Explanation {
@@ -160,6 +146,7 @@ impl fmt::Display for Explanation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsexplain_relation::AttrValue;
 
     #[test]
     fn preds_are_sorted() {

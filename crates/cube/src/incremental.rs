@@ -38,7 +38,7 @@ pub type AppendRow = (AttrValue, Vec<AttrValue>, f64);
 
 /// An explanation cube that grows at the tail (see module docs).
 ///
-/// Fields are `pub(crate)` so [`crate::persist`] can serialize the logical
+/// Fields are `pub(crate)` so the `persist` module can serialize the logical
 /// state to a block snapshot and reassemble it bit-identically.
 #[derive(Clone, Debug)]
 pub struct IncrementalCube {
@@ -92,7 +92,7 @@ impl IncrementalCube {
         config: &CubeConfig,
         par: &ParallelCtx,
     ) -> Result<Self, CubeError> {
-        validate_config(config, query)?;
+        config.validate(query)?;
         if rel.is_empty() {
             return Err(CubeError::EmptyInput);
         }
@@ -176,7 +176,7 @@ impl IncrementalCube {
     /// An empty incremental cube awaiting its first append — the streaming
     /// cold-start path.
     pub fn empty(query: &AggQuery, config: &CubeConfig) -> Result<Self, CubeError> {
-        validate_config(config, query)?;
+        config.validate(query)?;
         let n_attrs = config.explain_by.len();
         let subsets = enumerate_subsets(n_attrs, config.max_order);
         Ok(IncrementalCube {
@@ -218,7 +218,7 @@ impl IncrementalCube {
     }
 
     /// Approximate heap + inline footprint of the incremental enumeration
-    /// state in bytes (see [`crate::mem`]'s module docs). Together with
+    /// state in bytes (see the `mem` module docs). Together with
     /// [`crate::ExplanationCube::approx_bytes`] on finalized snapshots this
     /// is what a byte-budgeted cube cache accounts per entry.
     #[expect(
@@ -432,24 +432,6 @@ impl IncrementalCube {
             self.config.prune_redundant,
         ))
     }
-}
-
-fn validate_config(config: &CubeConfig, query: &AggQuery) -> Result<(), CubeError> {
-    if config.explain_by.is_empty() {
-        return Err(CubeError::NoExplainBy);
-    }
-    if config.max_order == 0 {
-        return Err(CubeError::ZeroMaxOrder);
-    }
-    for (i, a) in config.explain_by.iter().enumerate() {
-        if a == query.time_attr() {
-            return Err(CubeError::TimeAttrInExplainBy(a.clone()));
-        }
-        if config.explain_by[..i].contains(a) {
-            return Err(CubeError::DuplicateExplainBy(a.clone()));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ mod persist;
 mod trie;
 mod values;
 
-pub use cube::{CubeCacheKey, CubeConfig, ExplanationCube};
+pub use cube::{CubeCacheKey, CubeConfig, ExplanationCube, MAX_EXPLAIN_BY};
 pub use error::CubeError;
 pub use explanation::{ExplId, Explanation};
 pub use incremental::{AppendRow, IncrementalCube};

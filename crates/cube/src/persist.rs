@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 use tsexplain_relation::{AggFn, AggState, AttrValue};
 
-use crate::cube::CubeConfig;
+use crate::cube::{CubeConfig, MAX_EXPLAIN_BY};
 use crate::enumerate::enumerate_subsets;
 use crate::error::CubeError;
 use crate::explanation::{ExplId, Explanation};
@@ -37,10 +37,6 @@ use crate::values::ValueMatrix;
 /// Format magic: "TSXC" + version 1. Bump the trailing byte on layout
 /// changes; old snapshots then fail the magic check and recovery rebuilds.
 const MAGIC: &[u8; 8] = b"TSXCUB\x00\x01";
-
-/// Explain-by attribute indices are `u16`, and the subset enumeration
-/// masks with `1u32 << n_attrs`; anything wider than this is corrupt.
-const MAX_ATTRS: usize = 16;
 
 fn corrupt(what: impl Into<String>) -> CubeError {
     CubeError::CorruptSnapshot(what.into())
@@ -123,7 +119,7 @@ impl IncrementalCube {
 
         // Config.
         let n_attrs = r.u32()? as usize;
-        if n_attrs == 0 || n_attrs > MAX_ATTRS {
+        if n_attrs == 0 || n_attrs > MAX_EXPLAIN_BY {
             return Err(corrupt(format!("{n_attrs} explain-by attributes")));
         }
         let mut explain_by = Vec::with_capacity(n_attrs);

@@ -174,7 +174,7 @@ impl ValueMatrix {
     }
 
     /// Approximate heap + inline footprint in bytes (same contract as
-    /// [`crate::mem`]: deterministic, monotone in rows × columns).
+    /// the `mem` module: deterministic, monotone in rows × columns).
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.data.len() * std::mem::size_of::<f64>()

@@ -308,13 +308,6 @@ impl Sp500Data {
             ],
         )
     }
-
-    /// Index level at day `idx` (for tests).
-    pub fn index_at(&self, idx: usize) -> f64 {
-        let w = self.workload();
-        let ts = w.query.run(&self.relation).expect("valid query");
-        ts.values[idx]
-    }
 }
 
 #[cfg(test)]

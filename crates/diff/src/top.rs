@@ -106,13 +106,6 @@ pub enum TopExplStrategy {
     },
 }
 
-impl TopExplStrategy {
-    /// The paper's guess-and-verify default (m̄₀ = 30).
-    pub fn guess_verify_default() -> Self {
-        TopExplStrategy::GuessVerify { initial_guess: 30 }
-    }
-}
-
 /// The segment → top-m entry point used by the segmentation layer: a
 /// [`CascadingAnalysts`] instance plus the configured derivation strategy
 /// and a derivation counter.

@@ -76,11 +76,6 @@ impl FlightRecorder {
         }
     }
 
-    /// The slow threshold.
-    pub fn slow_threshold(&self) -> Duration {
-        Duration::from_nanos(self.slow_nanos)
-    }
-
     /// Whether a request of `duration` qualifies for recording.
     pub fn qualifies(&self, duration: Duration) -> bool {
         duration.as_nanos() >= self.slow_nanos as u128

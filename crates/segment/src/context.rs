@@ -266,12 +266,6 @@ impl<'a> SegmentationContext<'a> {
         self.object_tops = Some(tops);
     }
 
-    /// The cached top-explanations of unit object `[p_x, p_{x+1}]`.
-    pub fn object_top(&mut self, x: usize) -> ExplainedSegment {
-        self.ensure_objects();
-        self.object_tops.as_ref().expect("cached")[x].clone()
-    }
-
     /// Computes the DP cost matrix over the candidate cut `positions`
     /// (sorted point indices, first = 0, last = n − 1).
     ///

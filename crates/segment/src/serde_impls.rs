@@ -4,7 +4,7 @@
 //! so a scheme arriving over the wire is re-validated (cuts strictly
 //! increasing, inside the interior) before it can be used.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{record, Deserialize, Error, Serialize, Value};
 
 use crate::scheme::Segmentation;
 use crate::segmenter::KSelection;
@@ -75,25 +75,11 @@ impl Deserialize for VarianceMetric {
     }
 }
 
-impl Serialize for SketchConfig {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("max_len_fraction", self.max_len_fraction.serialize()),
-            ("max_len_cap", self.max_len_cap.serialize()),
-            ("size_factor", self.size_factor.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for SketchConfig {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(SketchConfig {
-            max_len_fraction: value.field("max_len_fraction")?,
-            max_len_cap: value.field("max_len_cap")?,
-            size_factor: value.field("size_factor")?,
-        })
-    }
-}
+record!(SketchConfig {
+    max_len_fraction,
+    max_len_cap,
+    size_factor,
+});
 
 #[cfg(test)]
 mod tests {

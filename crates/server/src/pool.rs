@@ -73,7 +73,7 @@ impl<J: Send + 'static> WorkerPool<J> {
     }
 
     /// Offers a job without blocking. A full queue returns the job via
-    /// [`SubmitError::QueueFull`] — the overload signal the caller sheds
+    /// `SubmitError::QueueFull` — the overload signal the caller sheds
     /// on instead of queueing unboundedly.
     pub fn try_submit(&self, job: J) -> Result<(), SubmitError<J>> {
         match &self.sender {

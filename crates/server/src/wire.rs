@@ -20,7 +20,7 @@
     clippy::unimplemented
 )]
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{record, Deserialize, Error, Serialize, Value};
 use tsexplain::{AggQuery, DatasetSnapshot, Datum, ExplainRequest, ExplainResult, Schema};
 use tsexplain_relation::{decode_wire_row, encode_wire_row};
 
@@ -38,6 +38,8 @@ pub struct RegisterDataset {
     pub rows: Vec<Value>,
 }
 
+// Hand-written: an absent `rows` registers no rows but `null` is an error,
+// which `record!`'s absent-or-`null` default cannot express.
 impl Deserialize for RegisterDataset {
     fn deserialize(value: &Value) -> Result<Self, Error> {
         Ok(RegisterDataset {
@@ -72,25 +74,11 @@ pub struct DatasetCreated {
     pub n_points: usize,
 }
 
-impl Serialize for DatasetCreated {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("dataset_id", self.dataset_id.serialize()),
-            ("n_rows", self.n_rows.serialize()),
-            ("n_points", self.n_points.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for DatasetCreated {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(DatasetCreated {
-            dataset_id: value.field("dataset_id")?,
-            n_rows: value.field("n_rows")?,
-            n_points: value.field("n_points")?,
-        })
-    }
-}
+record!(DatasetCreated {
+    dataset_id,
+    n_rows,
+    n_points,
+});
 
 /// `POST /datasets/{id}/rows` request body.
 #[derive(Debug)]
@@ -99,19 +87,7 @@ pub struct AppendRowsBody {
     pub rows: Vec<Value>,
 }
 
-impl Deserialize for AppendRowsBody {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(AppendRowsBody {
-            rows: value.field("rows")?,
-        })
-    }
-}
-
-impl Serialize for AppendRowsBody {
-    fn serialize(&self) -> Value {
-        Value::object([("rows", self.rows.serialize())])
-    }
-}
+record!(AppendRowsBody { rows });
 
 /// `POST /datasets/{id}/rows` response body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,23 +98,7 @@ pub struct AppendAck {
     pub n_points: usize,
 }
 
-impl Serialize for AppendAck {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("appended", self.appended.serialize()),
-            ("n_points", self.n_points.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for AppendAck {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(AppendAck {
-            appended: value.field("appended")?,
-            n_points: value.field("n_points")?,
-        })
-    }
-}
+record!(AppendAck { appended, n_points });
 
 /// `POST /datasets/{id}/compare` request body: the base request to fan
 /// out across every segmentation strategy, plus an optional shared window
@@ -157,26 +117,10 @@ pub struct CompareBody {
     pub window: Option<usize>,
 }
 
-impl Deserialize for CompareBody {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(CompareBody {
-            request: value.field("request")?,
-            window: match value.get("window") {
-                None | Some(Value::Null) => None,
-                Some(w) => Some(usize::deserialize(w).map_err(|e| e.contextualize("window"))?),
-            },
-        })
-    }
-}
-
-impl Serialize for CompareBody {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("request", self.request.serialize()),
-            ("window", self.window.serialize()),
-        ])
-    }
-}
+record!(CompareBody {
+    request,
+    window = None,
+});
 
 /// One strategy's row in a `/compare` response: the full result plus the
 /// cross-strategy evaluation metrics.
@@ -195,30 +139,12 @@ pub struct StrategyComparison {
     pub result: ExplainResult,
 }
 
-impl Serialize for StrategyComparison {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("strategy", self.strategy.serialize()),
-            (
-                "distance_percent_vs_dp",
-                self.distance_percent_vs_dp.serialize(),
-            ),
-            ("objective_rank", self.objective_rank.serialize()),
-            ("result", self.result.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for StrategyComparison {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(StrategyComparison {
-            strategy: value.field("strategy")?,
-            distance_percent_vs_dp: value.field("distance_percent_vs_dp")?,
-            objective_rank: value.field("objective_rank")?,
-            result: value.field("result")?,
-        })
-    }
-}
+record!(StrategyComparison {
+    strategy,
+    distance_percent_vs_dp,
+    objective_rank,
+    result,
+});
 
 /// `POST /datasets/{id}/compare` response body.
 #[derive(Debug)]
@@ -231,25 +157,11 @@ pub struct CompareResponse {
     pub strategies: Vec<StrategyComparison>,
 }
 
-impl Serialize for CompareResponse {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("reference", self.reference.serialize()),
-            ("window", self.window.serialize()),
-            ("strategies", self.strategies.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for CompareResponse {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(CompareResponse {
-            reference: value.field("reference")?,
-            window: value.field("window")?,
-            strategies: value.field("strategies")?,
-        })
-    }
-}
+record!(CompareResponse {
+    reference,
+    window,
+    strategies,
+});
 
 /// Serializes one tenant's stats snapshot (`GET /datasets/{id}/stats`).
 pub fn stats_body(snapshot: &DatasetSnapshot) -> Value {
@@ -282,7 +194,8 @@ pub fn encode_rows(rows: &[Vec<Datum>]) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsexplain::Field;
+    use std::collections::BTreeMap;
+    use tsexplain::{Field, LatencyBreakdown, PipelineStats, Segmentation};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -372,6 +285,18 @@ mod tests {
         ]);
         let back = RegisterDataset::deserialize(&minimal).unwrap();
         assert!(back.rows.is_empty());
+        // ...but not `null`: absent and `null` differ here, unlike the
+        // plain records' defaulted members, so this impl stays hand-written.
+        let mut null_rows = minimal.clone();
+        if let Value::Object(members) = &mut null_rows {
+            members.insert("rows".into(), Value::Null);
+        }
+        assert_eq!(
+            RegisterDataset::deserialize(&null_rows)
+                .unwrap_err()
+                .to_string(),
+            "in field `rows`: expected array, got null"
+        );
     }
 
     #[test]
@@ -398,5 +323,188 @@ mod tests {
         let back: DatasetCreated =
             serde_json::from_str(&serde_json::to_string(&created).unwrap()).unwrap();
         assert_eq!(back, created);
+    }
+
+    /// Pins one plain record's codec: `fixture` encodes to exactly `json`,
+    /// which decodes and re-encodes to the same bytes; dropping any member
+    /// not listed in `defaulted` fails with ``missing field `m` ``; each
+    /// `defaulted` member decodes to its listed default (compact JSON) both
+    /// when absent and when `null`; `wrong` sets a member to a wrong-typed
+    /// value and names the full error; and a document that is not an
+    /// object fails with `not_object`.
+    fn pin_record<T: Serialize + Deserialize>(
+        fixture: &T,
+        json: &str,
+        defaulted: &[(&str, &str)],
+        wrong: (&str, Value, &str),
+        not_object: &str,
+    ) {
+        assert_eq!(serde_json::to_string(fixture).unwrap(), json);
+        let members = match serde_json::from_str::<Value>(json).unwrap() {
+            Value::Object(members) => members,
+            other => panic!("fixture is not an object: {other:?}"),
+        };
+        let decode = |doc: BTreeMap<String, Value>| T::deserialize(&Value::Object(doc));
+        let error_of = |decoded: Result<T, Error>| match decoded {
+            Ok(back) => panic!("decoded {}", serde_json::to_string(&back).unwrap()),
+            Err(e) => e.to_string(),
+        };
+        let back = decode(members.clone()).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        for (key, _) in defaulted {
+            assert!(
+                members.contains_key(*key),
+                "{key} is not a member of {json}"
+            );
+        }
+        for key in members.keys() {
+            let mut absent = members.clone();
+            absent.remove(key);
+            let Some((_, default)) = defaulted.iter().find(|(k, _)| k == key) else {
+                assert_eq!(error_of(decode(absent)), format!("missing field `{key}`"));
+                continue;
+            };
+            let mut null = members.clone();
+            null.insert(key.clone(), Value::Null);
+            for doc in [absent, null] {
+                let back = decode(doc)
+                    .unwrap_or_else(|e| panic!("{key}: {e}"))
+                    .serialize();
+                let member = back.get(key).unwrap();
+                assert_eq!(serde_json::to_string(member).unwrap(), *default, "{key}");
+            }
+        }
+        let (key, bad, error) = wrong;
+        let mut doc = members.clone();
+        doc.insert(key.to_string(), bad);
+        assert_eq!(error_of(decode(doc)), error);
+        let not_an_object = T::deserialize(&Value::Array(Vec::new()));
+        assert_eq!(error_of(not_an_object), not_object);
+    }
+
+    #[test]
+    fn plain_record_codecs_are_pinned() {
+        let text = |s: &str| Value::String(s.into());
+        pin_record(
+            &DatasetCreated {
+                dataset_id: 7,
+                n_rows: 100,
+                n_points: 50,
+            },
+            r#"{"dataset_id":7,"n_points":50,"n_rows":100}"#,
+            &[],
+            (
+                "dataset_id",
+                text("7"),
+                "in field `dataset_id`: expected number, got string",
+            ),
+            "missing field `dataset_id`",
+        );
+        let rows = encode_rows(&[vec![
+            Datum::Attr(0.into()),
+            Datum::Attr("NY".into()),
+            Datum::Num(1.5),
+        ]]);
+        pin_record(
+            &AppendRowsBody { rows: rows.clone() },
+            r#"{"rows":[[0,"NY",1.5]]}"#,
+            &[],
+            (
+                "rows",
+                Value::Null,
+                "in field `rows`: expected array, got null",
+            ),
+            "missing field `rows`",
+        );
+        pin_record(
+            &AppendAck {
+                appended: 42,
+                n_points: 9,
+            },
+            r#"{"appended":42,"n_points":9}"#,
+            &[],
+            (
+                "appended",
+                Value::Number(-1.0),
+                "in field `appended`: integer -1 out of range for usize",
+            ),
+            "missing field `appended`",
+        );
+        pin_record(
+            &CompareBody {
+                request: ExplainRequest::new(["state"]),
+                window: Some(12),
+            },
+            concat!(
+                r#"{"request":{"diff_metric":"absolute-change","explain_by":["state"],"#,
+                r#""k":{"max_k":20,"mode":"auto"},"max_order":3,"#,
+                r#""optimizations":{"filter_ratio":0.001,"guess_and_verify":30,"#,
+                r#""sketching":{"max_len_cap":20,"max_len_fraction":0.05,"size_factor":3}},"#,
+                r#""segmenter":{"strategy":"dp"},"smoothing_window":1,"threads":null,"#,
+                r#""time_range":null,"timeout_ms":null,"top_m":3,"variance_metric":"tse"},"#,
+                r#""window":12}"#,
+            ),
+            &[("window", "null")],
+            (
+                "window",
+                Value::Number(2.5),
+                "in field `window`: expected integer, got 2.5",
+            ),
+            "missing field `request`",
+        );
+        let result = ExplainResult {
+            strategy: "fluss".into(),
+            segmentation: Segmentation::new(3, vec![1]).unwrap(),
+            chosen_k: 2,
+            k_variance_curve: vec![(1, 0.5), (2, 0.25)],
+            total_variance: 0.25,
+            segments: Vec::new(),
+            timestamps: vec![0.into(), 1.into(), 2.into()],
+            aggregate: vec![1.0, 2.0, 1.5],
+            latency: LatencyBreakdown::default(),
+            stats: PipelineStats::default(),
+        };
+        let comparison = StrategyComparison {
+            strategy: "fluss".into(),
+            distance_percent_vs_dp: 12.5,
+            objective_rank: 2.0,
+            result,
+        };
+        let comparison_json = concat!(
+            r#"{"distance_percent_vs_dp":12.5,"objective_rank":2,"#,
+            r#""result":{"aggregate":[1,2,1.5],"chosen_k":2,"k_variance_curve":[[1,0.5],[2,0.25]],"#,
+            r#""latency":{"cascading":{"nanos":0,"secs":0},"memo":{"hits":0,"misses":0},"#,
+            r#""parallel":{"cascading":{"nanos":0,"secs":0},"segmentation":{"nanos":0,"secs":0},"threads":0},"#,
+            r#""precompute":{"nanos":0,"secs":0},"segmentation":{"nanos":0,"secs":0}},"#,
+            r#""segmentation":{"cuts":[1],"n_points":3},"segments":[],"#,
+            r#""stats":{"ca_calls":0,"candidate_positions":0,"cube_from_cache":false,"epsilon":0,"filtered_epsilon":0,"n_points":0},"#,
+            r#""strategy":"fluss","timestamps":[0,1,2],"total_variance":0.25},"strategy":"fluss"}"#,
+        );
+        pin_record(
+            &comparison,
+            comparison_json,
+            &[],
+            (
+                "objective_rank",
+                Value::Bool(true),
+                "in field `objective_rank`: expected number, got boolean",
+            ),
+            "missing field `strategy`",
+        );
+        pin_record(
+            &CompareResponse {
+                reference: "dp".into(),
+                window: 6,
+                strategies: vec![comparison],
+            },
+            &format!(r#"{{"reference":"dp","strategies":[{comparison_json}],"window":6}}"#),
+            &[],
+            (
+                "strategies",
+                Value::object([("strategy", text("dp"))]),
+                "in field `strategies`: expected array, got object",
+            ),
+            "missing field `reference`",
+        );
     }
 }

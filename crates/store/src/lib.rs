@@ -18,8 +18,8 @@
 //! and placement live here.
 //!
 //! Entry point: [`DataStore::open`], which recovers and then serves.
-//! See [`store`]'s module docs for the on-disk layout and the exact
-//! recovery semantics.
+//! The `store` module docs (`src/store.rs`) give the on-disk layout and
+//! the exact recovery semantics.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout)]

@@ -54,9 +54,9 @@ use crate::wal::WalRecord;
 /// Rotate the active WAL segment once it exceeds this many bytes.
 const SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
-/// Default number of WAL appends between checkpoints (see
+/// Number of WAL appends between checkpoints (see
 /// [`DataStore::wants_checkpoint`]).
-const DEFAULT_CHECKPOINT_INTERVAL: u64 = 256;
+const CHECKPOINT_INTERVAL: u64 = 256;
 
 /// A point-in-time copy of the store's monotone counters (the `/metrics`
 /// `store` block).
@@ -147,7 +147,6 @@ pub struct DataStore {
     root: PathBuf,
     wal: Mutex<WalWriter>,
     appends_since_checkpoint: AtomicU64,
-    checkpoint_interval: AtomicU64,
     wal_appends: AtomicU64,
     wal_bytes: AtomicU64,
     snapshots: AtomicU64,
@@ -288,7 +287,6 @@ impl DataStore {
                 seg_bytes: 0,
             }),
             appends_since_checkpoint: AtomicU64::new(0),
-            checkpoint_interval: AtomicU64::new(DEFAULT_CHECKPOINT_INTERVAL),
             wal_appends: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
@@ -306,18 +304,10 @@ impl DataStore {
         &self.root
     }
 
-    /// Sets how many WAL appends accumulate before
-    /// [`DataStore::wants_checkpoint`] turns true.
-    pub fn set_checkpoint_interval(&self, every: u64) {
-        self.checkpoint_interval
-            .store(every.max(1), Ordering::Relaxed);
-    }
-
     /// True once enough WAL has accumulated since the last checkpoint
     /// that the owner should call [`DataStore::checkpoint`].
     pub fn wants_checkpoint(&self) -> bool {
-        self.appends_since_checkpoint.load(Ordering::Relaxed)
-            >= self.checkpoint_interval.load(Ordering::Relaxed)
+        self.appends_since_checkpoint.load(Ordering::Relaxed) >= CHECKPOINT_INTERVAL
     }
 
     /// Durably logs a tenant registration.

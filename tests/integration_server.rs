@@ -671,6 +671,54 @@ fn a_deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
     handle.shutdown();
 }
 
+/// Without request bounds these bodies break the server: a 2^40 `top_m`
+/// sizes an (ε+1)·(m+1) allocation that aborts the process, a zero
+/// guess-and-verify guess panics under the tenant lock (a 500 on every
+/// later request to that tenant), and n explain-by attributes cost 2^n
+/// subset masks (33 overflow the `u32` mask). Each must be a 400 before
+/// any cube work (the attribute count is checked before the names), and
+/// the same tenant must still answer.
+#[test]
+fn requests_that_would_crash_the_engine_are_400s_and_the_tenant_keeps_serving() {
+    let mut handle = Server::bind(ServerConfig::default()).unwrap();
+    let data = dataset();
+    let mut client = Client::new(handle.local_addr());
+    let created = client
+        .register(&data.schema(), &data.query(), &data.rows_between(0, 30))
+        .unwrap();
+    let path = format!("/datasets/{}/explain", created.dataset_id);
+    let attrs: Vec<String> = (0..17).map(|i| format!("\"a{i}\"")).collect();
+    for (body, needle) in [
+        (
+            r#"{"explain_by":["category"],"top_m":1099511627776}"#.to_string(),
+            "top-m 1099511627776 exceeds the maximum of 100",
+        ),
+        (
+            r#"{"explain_by":["category"],"optimizations":{"filter_ratio":null,"guess_and_verify":0,"sketching":null}}"#
+                .to_string(),
+            "guess-and-verify initial guess must be at least 1",
+        ),
+        (
+            format!(r#"{{"explain_by":[{}]}}"#, attrs.join(",")),
+            "explain-by set names 17 attributes; at most 16 are supported",
+        ),
+    ] {
+        let response = client.raw("POST", &path, Some(&body), &[]).unwrap();
+        assert_eq!(response.status, 400, "{body}");
+        let error: Value =
+            serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).unwrap();
+        assert_eq!(
+            error.get("kind").and_then(Value::as_str),
+            Some("invalid_request")
+        );
+        let message = error.get("message").and_then(Value::as_str).unwrap();
+        assert!(message.contains(needle), "{message}");
+    }
+    client.explain(created.dataset_id, &requests()[0]).unwrap();
+    drop(client);
+    handle.shutdown();
+}
+
 #[test]
 fn metrics_count_requests_and_cache_state() {
     let mut handle = Server::bind(ServerConfig {
