@@ -3,9 +3,9 @@ use std::collections::HashMap;
 use tsexplain_parallel::ParallelCtx;
 use tsexplain_relation::{AggFn, AggQuery, AggState, AttrValue, Dictionary, Relation};
 
-use crate::enumerate::enumerate;
 use crate::error::CubeError;
 use crate::explanation::{ExplId, Explanation};
+use crate::incremental::IncrementalCube;
 use crate::trie::{DrillTrie, NodeId, ROOT_NODE};
 use crate::values::ValueMatrix;
 
@@ -183,80 +183,31 @@ impl ExplanationCube {
         ExplanationCube::build_with(rel, query, config, &ParallelCtx::from_env())
     }
 
-    /// Builds the cube with an explicit parallel context: candidate
-    /// enumeration fans the independent attribute subsets across `par`'s
-    /// workers with chunk-ordered reduction, so the cube is byte-identical
-    /// at any thread count.
+    /// Builds the cube with an explicit parallel context: the incremental
+    /// seed ([`IncrementalCube::from_relation_with`]) followed by a
+    /// consuming snapshot, so the cube is byte-identical at any thread
+    /// count and to a snapshot of the same seed.
     pub fn build_with(
         rel: &Relation,
         query: &AggQuery,
         config: &CubeConfig,
         par: &ParallelCtx,
     ) -> Result<Self, CubeError> {
-        config.validate(query)?;
-        if rel.is_empty() {
-            return Err(CubeError::EmptyInput);
-        }
-
-        let time_col = rel.dim_column(query.time_attr())?;
-        let n_times = time_col.dict().len();
-        let measures = query.measure().eval(rel)?;
-
-        let mut attr_codes: Vec<Vec<u32>> = Vec::with_capacity(config.explain_by.len());
-        let mut dicts = Vec::with_capacity(config.explain_by.len());
-        for a in &config.explain_by {
-            let col = rel.dim_column(a)?;
-            attr_codes.push(col.codes().to_vec());
-            dicts.push(col.dict().clone());
-        }
-
-        let mut total = vec![AggState::ZERO; n_times];
-        for (row, &code) in time_col.codes().iter().enumerate() {
-            total[code as usize].observe(measures[row]);
-        }
-
-        let max_order = config.max_order.min(config.explain_by.len());
-        let en = enumerate(
-            time_col.codes(),
-            n_times,
-            &attr_codes,
-            &measures,
-            max_order,
-            par,
-        );
-        // All-or-nothing: a cancelled fan-out joins with truncated subset
-        // blocks — never assemble (or cache) a half-built cube.
-        if par.is_cancelled() {
-            return Err(CubeError::Cancelled);
-        }
-        Ok(ExplanationCube::assemble(
-            time_col.dict().values().to_vec(),
-            query.agg(),
-            total,
-            config.explain_by.clone(),
-            dicts,
-            en.explanations,
-            en.series,
-            None,
-            config.filter_ratio,
-            config.prune_redundant,
-        ))
+        IncrementalCube::from_relation_with(rel, query, config, par)?.into_snapshot()
     }
 
-    /// Finalizes a cube from raw enumeration output: optionally prunes
+    /// Finalizes a cube from an incremental cube's state: optionally prunes
     /// redundant conjunctions, builds the drill-down trie, the lookup
     /// index and the time-major [`ValueMatrix`], and applies the support
-    /// filter. Shared by the batch [`ExplanationCube::build`] path and
-    /// [`crate::IncrementalCube`] snapshots, so both produce structurally
-    /// identical cubes.
+    /// filter. Every cube, batch-built or snapshotted, is finalized here.
     ///
-    /// `values` is an optional pre-decoded matrix maintained incrementally
-    /// by the caller; it is reused when (and only when) pruning kept every
-    /// candidate, otherwise the matrix is re-decoded from the pruned
-    /// series. Decoding is pure, so both paths yield bit-identical values.
+    /// `values` is the pre-decoded matrix the caller maintained; it is
+    /// reused when (and only when) pruning kept every candidate, otherwise
+    /// the matrix is re-decoded from the pruned series. Decoding is pure,
+    /// so both paths yield bit-identical values.
     #[expect(
         clippy::too_many_arguments,
-        reason = "crate-private constructor fed field by field by the builder and the incremental cube"
+        reason = "crate-private constructor fed field by field by the incremental cube's two snapshot paths"
     )]
     pub(crate) fn assemble(
         timestamps: Vec<AttrValue>,
@@ -266,7 +217,7 @@ impl ExplanationCube {
         dicts: Vec<Dictionary>,
         explanations: Vec<Explanation>,
         series: Vec<Vec<AggState>>,
-        values: Option<ValueMatrix>,
+        values: ValueMatrix,
         filter_ratio: Option<f64>,
         prune: bool,
     ) -> Self {
@@ -275,19 +226,19 @@ impl ExplanationCube {
         } else {
             (explanations, series)
         };
-        let values = match values {
-            Some(v) if v.n_cols() == explanations.len() && v.n_rows() == timestamps.len() => {
-                debug_assert!(
-                    {
-                        let fresh = ValueMatrix::build(agg, &total, &series);
-                        (0..v.n_rows()).all(|t| v.row(t) == fresh.row(t))
-                            && v.totals() == fresh.totals()
-                    },
-                    "incrementally maintained ValueMatrix drifted from the states"
-                );
-                v
-            }
-            _ => ValueMatrix::build(agg, &total, &series),
+        let values = if values.n_cols() == explanations.len() && values.n_rows() == timestamps.len()
+        {
+            debug_assert!(
+                {
+                    let fresh = ValueMatrix::build(agg, &total, &series);
+                    (0..values.n_rows()).all(|t| values.row(t) == fresh.row(t))
+                        && values.totals() == fresh.totals()
+                },
+                "incrementally maintained ValueMatrix drifted from the states"
+            );
+            values
+        } else {
+            ValueMatrix::build(agg, &total, &series)
         };
         let trie = DrillTrie::build(&explanations);
         let index = explanations

@@ -1,189 +1,310 @@
+//! Candidate enumeration over one packed integer key per subset and row.
+//!
+//! Every explanation of order `β ≤ β̄` that the data witnesses is one group
+//! of rows with equal codes over an attribute subset `S` (the `ε` of the
+//! paper's complexity analysis, §5.2, and the `ε` column of Table 6). A
+//! subset is its *prefix* `S ∖ {last}` plus its highest attribute `last`;
+//! an order-1 subset's prefix is empty, the trie root. So a row's group on
+//! `S` is named by two integers, the row's explanation id on the prefix and
+//! the row's code of `last`, and [`pack`] folds them into one `u64`. Ids and
+//! codes are both `u32`, so the key cannot overflow, and growing a
+//! dictionary on append changes no existing key.
+//!
+//! The seed ([`enumerate_seed`]) runs one order at a time, because a subset
+//! reads the per-row ids of its prefix. Within an order the subsets are
+//! independent and fan out across workers. Each subset looks its keys up in
+//! a dense slot table (`prefix groups × dictionary size` slots) when that
+//! fits under [`DENSE_SLOTS_PER_ROW`] slots per row, and in a
+//! `HashMap<u64, ExplId>` otherwise. Ids are assigned in first-witness row
+//! order within a subset, and subsets take contiguous id blocks in
+//! ascending bitmask order, so the explanation list is the same at any
+//! thread count.
+//!
+//! An incremental cube keeps one `u64 → ExplId` map per subset between
+//! appends, keyed by global prefix ids. [`derive_groups`] derives those maps
+//! from the explanation list, for the seed and the snapshot decoder alike.
+
 use std::collections::HashMap;
 
 use tsexplain_parallel::ParallelCtx;
 use tsexplain_relation::AggState;
 
+use crate::error::CubeError;
 use crate::explanation::{ExplId, Explanation};
+use crate::trie::ROOT_NODE;
 
-/// The raw result of candidate enumeration: every witnessed explanation of
-/// order `1..=max_order`, with its per-timestamp aggregate-state series.
-pub(crate) struct Enumeration {
-    pub explanations: Vec<Explanation>,
-    pub series: Vec<Vec<AggState>>,
+/// A subset indexes its keys in a dense slot table while the table needs at
+/// most this many slots per relation row; above that it hashes them. The
+/// cap bounds a table by the scan that fills it.
+const DENSE_SLOTS_PER_ROW: usize = 4;
+
+/// An unoccupied dense slot.
+const VACANT: ExplId = ExplId::MAX;
+
+/// Per subset: packed key → explanation id.
+pub(crate) type Groups = Vec<HashMap<u64, ExplId>>;
+
+/// One attribute subset `S` with `|S| ≤ max_order`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Subset {
+    /// Bit `a` is set for each explain-by attribute `a` in the subset.
+    pub mask: u32,
+    /// The subset's highest attribute, whose code the key carries.
+    pub last: u16,
+    /// Index of the prefix `S ∖ {last}` in the subset list; `None` at
+    /// order 1.
+    pub prefix: Option<usize>,
 }
 
-/// One attribute subset's share of an enumeration: the explanations it
-/// witnessed (in first-witness row order) and their series. Subsets are
-/// independent of one another, which is what the parallel builder exploits.
-struct SubsetEnumeration {
-    /// Value-combination → subset-local explanation id.
-    group: HashMap<Vec<u32>, ExplId>,
-    explanations: Vec<Explanation>,
-    series: Vec<Vec<AggState>>,
-}
-
-impl SubsetEnumeration {
-    /// The placeholder a cancelled worker emits; the builder discards the
-    /// whole (truncated) enumeration once it re-checks the token.
-    fn empty() -> Self {
-        SubsetEnumeration {
-            group: HashMap::new(),
-            explanations: Vec::new(),
-            series: Vec::new(),
-        }
+impl Subset {
+    /// The subset's size, the order of its explanations.
+    pub fn order(&self) -> usize {
+        self.mask.count_ones() as usize
     }
 }
 
+/// The key of a group: its prefix's explanation id ([`ROOT_NODE`] at order
+/// 1 in the kept maps) and its code of the subset's last attribute.
+pub(crate) fn pack(prefix: ExplId, code: u32) -> u64 {
+    (u64::from(prefix) << 32) | u64::from(code)
+}
+
 /// All non-empty attribute subsets with `|S| ≤ max_order`, in ascending
-/// bitmask order — the canonical enumeration order every cube builder
-/// (batch and incremental) shares.
-pub(crate) fn enumerate_subsets(n_attrs: usize, max_order: usize) -> Vec<Vec<u16>> {
-    let max_order = max_order.min(n_attrs);
-    let mut subsets = Vec::new();
+/// bitmask order: the canonical enumeration order every cube shares. A
+/// prefix has a lower mask than its subset, so it always comes first.
+pub(crate) fn enumerate_subsets(n_attrs: usize, max_order: usize) -> Vec<Subset> {
+    let mut subsets: Vec<Subset> = Vec::new();
     for mask in 1u32..(1u32 << n_attrs) {
-        let attrs: Vec<u16> = (0..n_attrs as u16)
-            .filter(|&a| mask & (1 << a) != 0)
-            .collect();
-        if attrs.len() <= max_order {
-            subsets.push(attrs);
+        if mask.count_ones() as usize > max_order {
+            continue;
         }
+        let last = 31 - mask.leading_zeros();
+        let rest = mask & !(1 << last);
+        let prefix = (rest != 0)
+            .then(|| subset_index(&subsets, rest).expect("a prefix precedes its subset"));
+        subsets.push(Subset {
+            mask,
+            last: last as u16,
+            prefix,
+        });
     }
     subsets
 }
 
-/// Enumerates the candidates of one attribute subset: rows grouped by
-/// their value combination over `attrs`, ids assigned in first-witness row
-/// order — exactly the order a subset-major sequential scan would assign
-/// within this subset's contiguous id block.
-fn enumerate_subset<C: AsRef<[u32]>>(
-    attrs: &[u16],
-    time_codes: &[u32],
-    n_times: usize,
-    attr_codes: &[C],
-    measures: &[f64],
-) -> SubsetEnumeration {
-    let mut local: HashMap<Vec<u32>, ExplId> = HashMap::new();
-    let mut explanations: Vec<Explanation> = Vec::new();
-    let mut series: Vec<Vec<AggState>> = Vec::new();
-    let mut key = vec![0u32; attrs.len()];
-    for row in 0..time_codes.len() {
-        for (i, &a) in attrs.iter().enumerate() {
-            key[i] = attr_codes[a as usize].as_ref()[row];
-        }
-        let id = match local.get(&key) {
-            Some(&id) => id,
-            None => {
-                let id = explanations.len() as ExplId;
-                local.insert(key.clone(), id);
-                let preds = attrs.iter().copied().zip(key.iter().copied()).collect();
-                explanations.push(Explanation::new(preds));
-                series.push(vec![AggState::ZERO; n_times]);
-                id
-            }
-        };
-        series[id as usize][time_codes[row] as usize].observe(measures[row]);
-    }
-    SubsetEnumeration {
-        group: local,
-        explanations,
-        series,
-    }
+/// The position of the subset with `mask` in an ascending subset list.
+fn subset_index(subsets: &[Subset], mask: u32) -> Option<usize> {
+    subsets.binary_search_by_key(&mask, |s| s.mask).ok()
 }
 
-/// Enumerates all candidate explanations witnessed by the data.
+/// The columnar rows a seed enumerates: per row a time code, a code per
+/// explain-by attribute and the evaluated measure.
+pub(crate) struct SeedInput<'a> {
+    /// `time_codes[row] < n_times`.
+    pub time_codes: &'a [u32],
+    pub n_times: usize,
+    /// `attr_codes[a][row]` is attribute `a`'s dictionary code in `row`.
+    pub attr_codes: Vec<&'a [u32]>,
+    /// Per attribute, the dictionary size (every code is below it).
+    pub dict_lens: Vec<usize>,
+    pub measures: &'a [f64],
+}
+
+/// One subset's share of a seed: its explanations in first-witness row
+/// order, their series, and each row's subset-local id while a next-order
+/// subset still reads them as its prefix ids.
+#[derive(Default)]
+struct Part {
+    explanations: Vec<Explanation>,
+    series: Vec<Vec<AggState>>,
+    row_ids: Vec<ExplId>,
+}
+
+/// Enumerates every witnessed explanation of every subset, in subset
+/// order, with its per-timestamp aggregate-state series (module docs).
 ///
-/// For every non-empty subset `S` of explain-by attributes with
-/// `|S| ≤ max_order`, rows are grouped by their value combination over `S`;
-/// each observed combination is one candidate explanation and its aggregate
-/// state is accumulated per timestamp. This is the `ε` of the paper's
-/// complexity analysis (§5.2) and the `ε` column of Table 6.
-///
-/// Subsets are mutually independent, so `par` fans them out across worker
-/// threads; concatenating the per-subset blocks in subset order reproduces
-/// the sequential scan's explanation ids byte-for-byte (a sequential
-/// subset-major scan assigns each subset a contiguous id block anyway).
-///
-/// `attr_codes[a][row]` is the dictionary code of explain-by attribute `a`
-/// in `row`; `time_codes[row] < n_times` is the row's timestamp index;
-/// `measures[row]` the evaluated measure expression.
-pub(crate) fn enumerate<C: AsRef<[u32]> + Sync>(
-    time_codes: &[u32],
-    n_times: usize,
-    attr_codes: &[C],
-    measures: &[f64],
-    max_order: usize,
+/// A cancelled fan-out returns [`CubeError::Cancelled`]: subsets skipped
+/// after the token tripped leave truncated output, which is never seen.
+pub(crate) fn enumerate_seed(
+    subsets: &[Subset],
+    input: &SeedInput<'_>,
     par: &ParallelCtx,
-) -> Enumeration {
-    let subsets = enumerate_subsets(attr_codes.len(), max_order);
+) -> Result<(Vec<Explanation>, Vec<Vec<AggState>>), CubeError> {
+    let n_attrs = input.attr_codes.len();
+    let max_order = subsets.iter().map(Subset::order).max().unwrap_or(0);
     let cancel = par.cancel_token().cloned();
-    let parts = par.run_chunks(subsets.len(), |range| {
-        range
-            .map(|si| {
-                // Subset-boundary poll: the builder re-checks after the
-                // fan-out and discards any truncated enumeration.
-                if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                    return SubsetEnumeration::empty();
-                }
-                enumerate_subset(&subsets[si], time_codes, n_times, attr_codes, measures)
-            })
-            .collect()
-    });
+    let mut parts: Vec<Part> = Vec::new();
+    parts.resize_with(subsets.len(), Part::default);
+    for order in 1..=max_order {
+        let wave: Vec<usize> = (0..subsets.len())
+            .filter(|&si| subsets[si].order() == order)
+            .collect();
+        let done = par.run_chunks(wave.len(), |range| {
+            range
+                .map(|wi| {
+                    // Subset-boundary poll; the wave's caller re-checks.
+                    if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+                        return Part::default();
+                    }
+                    let subset = &subsets[wave[wi]];
+                    // Only a subset with an attribute above its last one
+                    // is some next-order subset's prefix.
+                    let extended = order < max_order && usize::from(subset.last) + 1 < n_attrs;
+                    enumerate_subset(subset, subset.prefix.map(|p| &parts[p]), extended, input)
+                })
+                .collect()
+        });
+        if par.is_cancelled() {
+            return Err(CubeError::Cancelled);
+        }
+        for (&si, part) in wave.iter().zip(done) {
+            parts[si] = part;
+        }
+        // The previous order's ids have been read by every extension.
+        for (subset, part) in subsets.iter().zip(&mut parts) {
+            if subset.order() + 1 == order {
+                part.row_ids = Vec::new();
+            }
+        }
+    }
     let mut explanations = Vec::new();
     let mut series = Vec::new();
     for part in parts {
         explanations.extend(part.explanations);
         series.extend(part.series);
     }
-    Enumeration {
-        explanations,
-        series,
+    Ok((explanations, series))
+}
+
+/// Groups the rows of one subset by their packed key, with the index the
+/// subset's key space fits (module docs).
+fn enumerate_subset(
+    subset: &Subset,
+    prefix: Option<&Part>,
+    keep_row_ids: bool,
+    input: &SeedInput<'_>,
+) -> Part {
+    let prefix_groups = prefix.map_or(1, |p| p.explanations.len());
+    let width = input.dict_lens[usize::from(subset.last)];
+    let n_rows = input.time_codes.len();
+    if prefix_groups.saturating_mul(width) <= DENSE_SLOTS_PER_ROW.saturating_mul(n_rows) {
+        let mut slots = vec![VACANT; prefix_groups * width];
+        scan(subset, prefix, keep_row_ids, input, |p, code, next| {
+            let slot = &mut slots[p as usize * width + code as usize];
+            if *slot == VACANT {
+                *slot = next;
+            }
+            *slot
+        })
+    } else {
+        let mut index: HashMap<u64, ExplId> = HashMap::new();
+        scan(subset, prefix, keep_row_ids, input, |p, code, next| {
+            *index.entry(pack(p, code)).or_insert(next)
+        })
     }
 }
 
-/// Per-subset group maps (value combination → global explanation id), the
-/// seed state an incremental cube keeps alive between appends.
-pub(crate) type SubsetGroups = Vec<HashMap<Vec<u32>, ExplId>>;
-
-/// Like [`enumerate`], but also returning each subset's group map with ids
-/// rebased onto the global (concatenated) id space — the seed state an
-/// incremental cube keeps alive between appends.
-pub(crate) fn enumerate_with_groups<C: AsRef<[u32]> + Sync>(
-    subsets: &[Vec<u16>],
-    time_codes: &[u32],
-    n_times: usize,
-    attr_codes: &[C],
-    measures: &[f64],
-    par: &ParallelCtx,
-) -> (SubsetGroups, Vec<Explanation>, Vec<Vec<AggState>>) {
-    let cancel = par.cancel_token().cloned();
-    let parts = par.run_chunks(subsets.len(), |range| {
-        range
-            .map(|si| {
-                if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                    return SubsetEnumeration::empty();
-                }
-                enumerate_subset(&subsets[si], time_codes, n_times, attr_codes, measures)
-            })
-            .collect()
-    });
-    let mut groups = Vec::with_capacity(subsets.len());
-    let mut explanations = Vec::new();
-    let mut series = Vec::new();
-    for mut part in parts {
-        let offset = explanations.len() as ExplId;
-        #[expect(
-            clippy::disallowed_methods,
-            clippy::iter_over_hash_type,
-            reason = "the same offset is added to every value, so visiting order cannot matter"
-        )]
-        for id in part.group.values_mut() {
-            *id += offset;
-        }
-        groups.push(part.group);
-        explanations.extend(part.explanations);
-        series.extend(part.series);
+/// The row scan behind [`enumerate_subset`]: `lookup(prefix id, code,
+/// next)` returns the group's id, inserting `next` for a first witness.
+fn scan(
+    subset: &Subset,
+    prefix: Option<&Part>,
+    keep_row_ids: bool,
+    input: &SeedInput<'_>,
+    mut lookup: impl FnMut(ExplId, u32, ExplId) -> ExplId,
+) -> Part {
+    let codes = input.attr_codes[usize::from(subset.last)];
+    let mut part = Part::default();
+    if keep_row_ids {
+        part.row_ids.reserve_exact(codes.len());
     }
-    (groups, explanations, series)
+    for (row, &code) in codes.iter().enumerate() {
+        let p = prefix.map_or(0, |pre| pre.row_ids[row]);
+        let next = part.explanations.len() as ExplId;
+        let id = lookup(p, code, next);
+        if id == next {
+            let parent = prefix.map(|pre| &pre.explanations[p as usize]);
+            part.explanations.push(extend(parent, subset.last, code));
+            part.series.push(vec![AggState::ZERO; input.n_times]);
+        }
+        part.series[id as usize][input.time_codes[row] as usize].observe(input.measures[row]);
+        if keep_row_ids {
+            part.row_ids.push(id);
+        }
+    }
+    part
+}
+
+/// The explanation refining `prefix` (the root when `None`) with
+/// `last = code`.
+pub(crate) fn extend(prefix: Option<&Explanation>, last: u16, code: u32) -> Explanation {
+    match prefix {
+        Some(e) => e.with(last, code),
+        None => Explanation::new(vec![(last, code)]),
+    }
+}
+
+/// Derives the per-subset group maps of an explanation list: each
+/// explanation is filed under its subset by the packed key of its prefix's
+/// id and its last code. Explanations are filed in id order. Every cube
+/// lists an explanation after all of its drill-down parents (subsets are
+/// visited in ascending mask order, and a parent's mask is lower), so a
+/// parent that is not filed yet is missing.
+///
+/// Fails with [`CubeError::CorruptSnapshot`] when an explanation is empty,
+/// names no subset, repeats another, or lacks one of its drill-down parents:
+/// the trie hangs an order-β explanation under each of its β order-(β−1)
+/// parents, so all of them must be present.
+pub(crate) fn derive_groups(
+    subsets: &[Subset],
+    explanations: &[Explanation],
+) -> Result<Groups, CubeError> {
+    let corrupt =
+        |id: usize, what: &str| CubeError::CorruptSnapshot(format!("explanation {id} {what}"));
+    let mut groups: Groups = vec![HashMap::new(); subsets.len()];
+    for (id, explanation) in explanations.iter().enumerate() {
+        let preds = explanation.preds();
+        let Some((&(_, code), prefix)) = preds.split_last() else {
+            return Err(corrupt(id, "is empty"));
+        };
+        let mask = preds.iter().fold(0u32, |m, &(a, _)| m | 1 << a);
+        let si = subset_index(subsets, mask).ok_or_else(|| corrupt(id, "names no subset"))?;
+        let parent = resolve(subsets, &groups, prefix.iter().copied())
+            .ok_or_else(|| corrupt(id, "lacks its prefix parent"))?;
+        // The other parents drop one prefix predicate and keep `last`.
+        for skip in 0..prefix.len() {
+            let others = preds
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != skip)
+                .map(|(_, &p)| p);
+            if resolve(subsets, &groups, others).is_none() {
+                return Err(corrupt(id, "lacks a drill-down parent"));
+            }
+        }
+        if groups[si]
+            .insert(pack(parent, code), id as ExplId)
+            .is_some()
+        {
+            return Err(corrupt(id, "duplicates another"));
+        }
+    }
+    Ok(groups)
+}
+
+/// The id of the filed explanation with the given sorted predicates
+/// ([`ROOT_NODE`] for none), walked up from the root one key at a time.
+fn resolve(
+    subsets: &[Subset],
+    groups: &Groups,
+    preds: impl IntoIterator<Item = (u16, u32)>,
+) -> Option<ExplId> {
+    let mut id = ROOT_NODE;
+    let mut mask = 0u32;
+    for (attr, code) in preds {
+        mask |= 1 << attr;
+        id = *groups[subset_index(subsets, mask)?].get(&pack(id, code))?;
+    }
+    Some(id)
 }
 
 #[cfg(test)]
@@ -192,8 +313,8 @@ mod tests {
     use tsexplain_relation::AggFn;
 
     /// Rows: (time, a0, a1, measure).
-    fn run(rows: &[(u32, u32, u32, f64)], n_times: usize, max_order: usize) -> Enumeration {
-        run_with(rows, n_times, max_order, &ParallelCtx::sequential())
+    fn run(rows: &[(u32, u32, u32, f64)], n_times: usize, max_order: usize) -> Vec<Explanation> {
+        run_with(rows, n_times, max_order, &ParallelCtx::sequential()).0
     }
 
     fn run_with(
@@ -201,12 +322,32 @@ mod tests {
         n_times: usize,
         max_order: usize,
         par: &ParallelCtx,
-    ) -> Enumeration {
+    ) -> (Vec<Explanation>, Vec<Vec<AggState>>) {
         let time_codes: Vec<u32> = rows.iter().map(|r| r.0).collect();
         let a0: Vec<u32> = rows.iter().map(|r| r.1).collect();
         let a1: Vec<u32> = rows.iter().map(|r| r.2).collect();
         let measures: Vec<f64> = rows.iter().map(|r| r.3).collect();
-        enumerate(&time_codes, n_times, &[a0, a1], &measures, max_order, par)
+        let dict_len = |codes: &[u32]| codes.iter().max().map_or(0, |&c| c as usize + 1);
+        let input = SeedInput {
+            time_codes: &time_codes,
+            n_times,
+            dict_lens: vec![dict_len(&a0), dict_len(&a1)],
+            attr_codes: vec![&a0, &a1],
+            measures: &measures,
+        };
+        enumerate_seed(&enumerate_subsets(2, max_order), &input, par).unwrap()
+    }
+
+    #[test]
+    fn subsets_name_their_prefix_and_last_attribute() {
+        let subsets = enumerate_subsets(3, 2);
+        let masks: Vec<u32> = subsets.iter().map(|s| s.mask).collect();
+        assert_eq!(masks, [0b001, 0b010, 0b011, 0b100, 0b101, 0b110]);
+        // {0, 2}: last attribute 2, prefix {0} at index 0.
+        assert_eq!(subsets[4].last, 2);
+        assert_eq!(subsets[4].prefix, Some(0));
+        assert_eq!(subsets[1].prefix, None);
+        assert!(subsets.iter().all(|s| s.order() <= 2));
     }
 
     #[test]
@@ -215,9 +356,8 @@ mod tests {
         let rows = [(0, 0, 0, 1.0), (0, 1, 0, 2.0), (1, 0, 1, 3.0)];
         let e = run(&rows, 2, 2);
         // Order 1: a0=0, a0=1, a1=0, a1=1 → 4. Order 2: (0,0), (1,0), (0,1) → 3.
-        assert_eq!(e.explanations.len(), 7);
+        assert_eq!(e.len(), 7);
         assert!(!e
-            .explanations
             .iter()
             .any(|x| x.order() == 2 && x.code_for(0) == Some(1) && x.code_for(1) == Some(1)));
     }
@@ -226,20 +366,19 @@ mod tests {
     fn max_order_limits_subsets() {
         let rows = [(0, 0, 0, 1.0), (1, 1, 1, 2.0)];
         let e = run(&rows, 2, 1);
-        assert!(e.explanations.iter().all(|x| x.order() == 1));
-        assert_eq!(e.explanations.len(), 4);
+        assert!(e.iter().all(|x| x.order() == 1));
+        assert_eq!(e.len(), 4);
     }
 
     #[test]
     fn series_accumulates_per_time() {
         let rows = [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 5.0)];
-        let e = run(&rows, 2, 2);
+        let (e, series) = run_with(&rows, 2, 2, &ParallelCtx::sequential());
         let idx = e
-            .explanations
             .iter()
             .position(|x| x.order() == 1 && x.code_for(0) == Some(0))
             .unwrap();
-        let s = &e.series[idx];
+        let s = &series[idx];
         assert_eq!(s[0].value(AggFn::Sum), 3.0);
         assert_eq!(s[1].value(AggFn::Sum), 5.0);
         assert_eq!(s[0].value(AggFn::Count), 2.0);
@@ -250,7 +389,7 @@ mod tests {
         let rows = [(0, 0, 0, 1.0), (1, 1, 1, 2.0), (0, 1, 0, 3.0)];
         let a = run(&rows, 2, 2);
         let b = run(&rows, 2, 2);
-        assert_eq!(a.explanations, b.explanations);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -260,17 +399,51 @@ mod tests {
         let rows: Vec<(u32, u32, u32, f64)> = (0..40u32)
             .map(|i| (i % 5, i % 3, (i / 2) % 3, 0.25 * i as f64 - 3.0))
             .collect();
-        let reference = run(&rows, 5, 2);
+        let reference = run_with(&rows, 5, 2, &ParallelCtx::sequential());
         for threads in [2, 3, 8] {
             let par = run_with(&rows, 5, 2, &ParallelCtx::new(threads));
-            assert_eq!(par.explanations, reference.explanations, "t={threads}");
-            assert_eq!(par.series, reference.series, "t={threads}");
+            assert_eq!(par, reference, "t={threads}");
         }
     }
 
     #[test]
     fn empty_input_yields_no_candidates() {
-        let e = run(&[], 0, 3);
-        assert!(e.explanations.is_empty());
+        assert!(run(&[], 0, 3).is_empty());
+    }
+
+    #[test]
+    fn derived_groups_file_each_explanation_under_its_prefix() {
+        let rows = [(0, 0, 1, 1.0), (0, 1, 0, 2.0), (1, 1, 1, 3.0)];
+        let e = run(&rows, 2, 2);
+        let subsets = enumerate_subsets(2, 2);
+        let groups = derive_groups(&subsets, &e).unwrap();
+        assert_eq!(groups.iter().map(HashMap::len).sum::<usize>(), e.len());
+        for (id, x) in e.iter().enumerate() {
+            assert_eq!(
+                resolve(&subsets, &groups, x.preds().iter().copied()),
+                Some(id as ExplId)
+            );
+        }
+    }
+
+    #[test]
+    fn derived_groups_reject_a_missing_parent_or_a_duplicate() {
+        let subsets = enumerate_subsets(2, 2);
+        let a = Explanation::new(vec![(0, 0)]);
+        let b = Explanation::new(vec![(1, 0)]);
+        let ab = Explanation::new(vec![(0, 0), (1, 0)]);
+        assert!(derive_groups(&subsets, &[a.clone(), b.clone(), ab.clone()]).is_ok());
+        for broken in [
+            vec![ab.clone(), a.clone(), b.clone()],
+            vec![b.clone(), ab.clone()],
+            vec![a.clone(), ab.clone()],
+            vec![a.clone(), b.clone(), a.clone()],
+            vec![a, Explanation::new(vec![])],
+        ] {
+            assert!(matches!(
+                derive_groups(&subsets, &broken),
+                Err(CubeError::CorruptSnapshot(_))
+            ));
+        }
     }
 }

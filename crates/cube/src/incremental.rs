@@ -1,13 +1,20 @@
 //! Incrementally grown explanation cubes for streaming / serving sessions.
 //!
-//! [`crate::ExplanationCube::build`] scans every row of a materialized
-//! relation. A live session that appends a handful of rows per refresh
-//! cannot afford that: re-materializing and re-enumerating all history per
-//! refresh is O(total rows × 2^|A|) each time. [`IncrementalCube`] keeps
-//! the enumeration state (per-subset group maps, per-explanation state
-//! series, dictionaries) alive between appends so that new rows cost only
-//! O(new rows × 2^|A|), and produces an [`ExplanationCube`] snapshot on
-//! demand through the same finalization path as the batch builder.
+//! A seed scans every row of a materialized relation. A live session that
+//! appends a handful of rows per refresh cannot afford that:
+//! re-materializing and re-enumerating all history per refresh is
+//! O(total rows × 2^|A|) each time. [`IncrementalCube`] keeps the
+//! enumeration state (one packed-key group map per attribute subset,
+//! per-explanation state series, dictionaries) alive between appends so
+//! that new rows cost only O(new rows × 2^|A|), and produces an
+//! [`ExplanationCube`] snapshot on demand. The batch builder
+//! [`ExplanationCube::build`] is this seed followed by a consuming
+//! snapshot, so one enumeration path serves both.
+//!
+//! An appended row is keyed exactly like a seeded one (see the `enumerate`
+//! module): subsets are visited in ascending mask order, each reading its
+//! prefix's id for the row from a per-row scratch buffer, so one lookup of
+//! one `u64` per subset places the row.
 //!
 //! Time moves forward only: appended rows must be at or after the current
 //! horizon (the last known timestamp). Restating earlier timestamps
@@ -18,7 +25,8 @@
 //! Dictionary codes for attribute values first seen *after* construction
 //! are assigned in order of appearance rather than sorted order. Labels,
 //! drill-down structure and all scores are unaffected (codes are an
-//! internal encoding); only the enumeration order of brand-new candidates
+//! internal encoding, and a key holds a code whole, so no key changes when
+//! a dictionary grows); only the enumeration order of brand-new candidates
 //! differs from a cold rebuild, which no pipeline stage depends on.
 
 use std::collections::HashMap;
@@ -27,9 +35,12 @@ use tsexplain_parallel::ParallelCtx;
 use tsexplain_relation::{AggFn, AggQuery, AggState, AttrValue, Dictionary, Relation};
 
 use crate::cube::{CubeConfig, ExplanationCube};
-use crate::enumerate::{enumerate_subsets, enumerate_with_groups};
+use crate::enumerate::{
+    derive_groups, enumerate_seed, enumerate_subsets, extend, pack, Groups, SeedInput, Subset,
+};
 use crate::error::CubeError;
 use crate::explanation::{ExplId, Explanation};
+use crate::trie::ROOT_NODE;
 use crate::values::ValueMatrix;
 
 /// One raw appended observation: timestamp, explain-by values in the
@@ -52,11 +63,11 @@ pub struct IncrementalCube {
     /// construction, then first-seen order).
     pub(crate) dict_values: Vec<Vec<AttrValue>>,
     pub(crate) dict_index: Vec<HashMap<AttrValue, u32>>,
-    /// Attribute subsets `S` with `|S| <= max_order`, in the batch
-    /// builder's mask order.
-    pub(crate) subsets: Vec<Vec<u16>>,
-    /// Per subset: value-combination -> explanation id.
-    pub(crate) groups: Vec<HashMap<Vec<u32>, ExplId>>,
+    /// Attribute subsets `S` with `|S| <= max_order`, in ascending mask
+    /// order.
+    pub(crate) subsets: Vec<Subset>,
+    /// Per subset: packed (prefix id, last code) key -> explanation id.
+    pub(crate) groups: Groups,
     pub(crate) explanations: Vec<Explanation>,
     pub(crate) series: Vec<Vec<AggState>>,
     pub(crate) total: Vec<AggState>,
@@ -81,11 +92,10 @@ impl IncrementalCube {
         IncrementalCube::from_relation_with(rel, query, config, &ParallelCtx::from_env())
     }
 
-    /// Seeds an incremental cube with an explicit parallel context: the
-    /// per-subset enumeration fans out across `par`'s workers exactly like
-    /// [`ExplanationCube::build_with`], and the resulting state (group
-    /// maps, explanation order, series) is byte-identical at any thread
-    /// count.
+    /// Seeds an incremental cube with an explicit parallel context: each
+    /// order's subsets fan out across `par`'s workers, and the resulting
+    /// state (group maps, explanation order, series) is byte-identical at
+    /// any thread count.
     pub fn from_relation_with(
         rel: &Relation,
         query: &AggQuery,
@@ -101,9 +111,10 @@ impl IncrementalCube {
         let n_times = time_col.dict().len();
         let measures = query.measure().eval(rel)?;
 
-        let mut attr_codes: Vec<&[u32]> = Vec::with_capacity(config.explain_by.len());
-        let mut dict_values = Vec::with_capacity(config.explain_by.len());
-        let mut dict_index = Vec::with_capacity(config.explain_by.len());
+        let n_attrs = config.explain_by.len();
+        let mut attr_codes: Vec<&[u32]> = Vec::with_capacity(n_attrs);
+        let mut dict_values = Vec::with_capacity(n_attrs);
+        let mut dict_index = Vec::with_capacity(n_attrs);
         for a in &config.explain_by {
             let col = rel.dim_column(a)?;
             attr_codes.push(col.codes());
@@ -122,31 +133,18 @@ impl IncrementalCube {
             total[code as usize].observe(measures[row]);
         }
 
-        let subsets = enumerate_subsets(config.explain_by.len(), config.max_order);
-        let n_rows = time_col.codes().len();
-
-        // The shared per-subset enumerator (subset-major, row-minor, each
-        // subset an independent worker task) mirrors the batch builder
-        // exactly, so a snapshot of a freshly seeded incremental cube is
-        // structurally identical to `ExplanationCube::build` — at any
-        // thread count.
-        let (groups, explanations, series) = enumerate_with_groups(
-            &subsets,
-            time_col.codes(),
+        let subsets = enumerate_subsets(n_attrs, config.max_order);
+        let input = SeedInput {
+            time_codes: time_col.codes(),
             n_times,
-            &attr_codes,
-            &measures,
-            par,
-        );
-        // All-or-nothing: a cancelled fan-out joins with truncated subset
-        // blocks — never seed incremental state from a partial enumeration.
-        if par.is_cancelled() {
-            return Err(CubeError::Cancelled);
-        }
-        debug_assert_eq!(
-            explanations.len(),
-            groups.iter().map(HashMap::len).sum::<usize>()
-        );
+            dict_lens: dict_values.iter().map(Vec::len).collect(),
+            attr_codes,
+            measures: &measures,
+        };
+        // All-or-nothing: a cancelled fan-out is an error, never a seed.
+        let (explanations, series) = enumerate_seed(&subsets, &input, par)?;
+        let groups = derive_groups(&subsets, &explanations)
+            .expect("a seed holds every drill-down parent of what it enumerates");
 
         let values = ValueMatrix::build(query.agg(), &total, &series);
         Ok(IncrementalCube {
@@ -169,7 +167,7 @@ impl IncrementalCube {
             series,
             total,
             values,
-            rows_ingested: n_rows,
+            rows_ingested: time_col.codes().len(),
         })
     }
 
@@ -239,17 +237,8 @@ impl IncrementalCube {
                 .flat_map(|index| index.keys())
                 .map(|v| attr_value_bytes(v) + size_of::<u32>() + MAP_ENTRY_OVERHEAD)
                 .sum::<usize>();
-        let groups: usize = self
-            .groups
-            .iter()
-            .flat_map(|g| g.keys())
-            .map(|key| {
-                size_of::<Vec<u32>>()
-                    + key.len() * size_of::<u32>()
-                    + size_of::<ExplId>()
-                    + MAP_ENTRY_OVERHEAD
-            })
-            .sum();
+        let groups: usize = self.groups.iter().map(HashMap::len).sum::<usize>()
+            * (size_of::<u64>() + size_of::<ExplId>() + MAP_ENTRY_OVERHEAD);
         size_of::<Self>()
             + attr_values_bytes(&self.timestamps)
             + self
@@ -259,11 +248,7 @@ impl IncrementalCube {
                 .sum::<usize>()
             + self.attr_names.iter().map(String::len).sum::<usize>()
             + dicts
-            + self
-                .subsets
-                .iter()
-                .map(|s| size_of::<Vec<u16>>() + s.len() * size_of::<u16>())
-                .sum::<usize>()
+            + self.subsets.len() * size_of::<Subset>()
             + groups
             + self
                 .explanations
@@ -329,6 +314,10 @@ impl IncrementalCube {
         // Existing rows whose states this batch changes (appends at the
         // current horizon); re-decoded after ingestion.
         let mut touched_rows: Vec<usize> = Vec::new();
+        // Per-row scratch: the row's codes, and its id on each subset (read
+        // by the subsets that extend it, which come later in mask order).
+        let mut codes = vec![0u32; self.attr_names.len()];
+        let mut ids: Vec<ExplId> = vec![0; self.subsets.len()];
         for (time, attrs, measure) in rows {
             let tcode = match self.time_index.get(time) {
                 Some(&c) => c,
@@ -349,38 +338,36 @@ impl IncrementalCube {
             }
             self.total[t].observe(*measure);
 
-            let codes: Vec<u32> = attrs
-                .iter()
-                .enumerate()
-                .map(|(a, value)| match self.dict_index[a].get(value) {
+            for ((code, value), (values, index)) in codes
+                .iter_mut()
+                .zip(attrs)
+                .zip(self.dict_values.iter_mut().zip(&mut self.dict_index))
+            {
+                *code = match index.get(value) {
                     Some(&c) => c,
                     None => {
-                        let c = self.dict_values[a].len() as u32;
-                        self.dict_values[a].push(value.clone());
-                        self.dict_index[a].insert(value.clone(), c);
+                        let c = values.len() as u32;
+                        values.push(value.clone());
+                        index.insert(value.clone(), c);
                         c
                     }
-                })
-                .collect();
+                };
+            }
 
             let n_now = self.timestamps.len();
-            for (si, attrs_of_subset) in self.subsets.iter().enumerate() {
-                let key: Vec<u32> = attrs_of_subset.iter().map(|&a| codes[a as usize]).collect();
-                let id = match self.groups[si].get(&key) {
-                    Some(&id) => id,
-                    None => {
-                        let id = self.explanations.len() as ExplId;
-                        self.groups[si].insert(key.clone(), id);
-                        let preds = attrs_of_subset
-                            .iter()
-                            .copied()
-                            .zip(key.iter().copied())
-                            .collect();
-                        self.explanations.push(Explanation::new(preds));
-                        self.series.push(vec![AggState::ZERO; n_now]);
-                        id
-                    }
-                };
+            for (si, subset) in self.subsets.iter().enumerate() {
+                let prefix = subset.prefix.map(|p| ids[p]);
+                let code = codes[usize::from(subset.last)];
+                let next = self.explanations.len() as ExplId;
+                let id = *self.groups[si]
+                    .entry(pack(prefix.unwrap_or(ROOT_NODE), code))
+                    .or_insert(next);
+                if id == next {
+                    let parent = prefix.map(|p| &self.explanations[p as usize]);
+                    self.explanations.push(extend(parent, subset.last, code));
+                    self.series.push(vec![AggState::ZERO; n_now]);
+                }
+                ids[si] = id;
                 self.series[id as usize][t].observe(*measure);
             }
             self.rows_ingested += 1;
@@ -409,9 +396,9 @@ impl IncrementalCube {
         Ok(())
     }
 
-    /// Finalizes the current state into an [`ExplanationCube`] through the
-    /// same path as the batch builder (redundancy pruning, trie, index,
-    /// support filter).
+    /// Finalizes the current state into an [`ExplanationCube`]
+    /// (redundancy pruning, trie, index, support filter), copying the
+    /// state so the cube can keep growing.
     pub fn snapshot(&self) -> Result<ExplanationCube, CubeError> {
         if self.timestamps.is_empty() {
             return Err(CubeError::EmptyInput);
@@ -427,7 +414,30 @@ impl IncrementalCube {
                 .collect(),
             self.explanations.clone(),
             self.series.clone(),
-            Some(self.values.clone()),
+            self.values.clone(),
+            self.config.filter_ratio,
+            self.config.prune_redundant,
+        ))
+    }
+
+    /// [`IncrementalCube::snapshot`] for a cube that will not grow again:
+    /// the state moves into the snapshot instead of being copied.
+    pub(crate) fn into_snapshot(self) -> Result<ExplanationCube, CubeError> {
+        if self.timestamps.is_empty() {
+            return Err(CubeError::EmptyInput);
+        }
+        Ok(ExplanationCube::assemble(
+            self.timestamps,
+            self.agg,
+            self.total,
+            self.attr_names,
+            self.dict_values
+                .into_iter()
+                .map(Dictionary::from_ordered_values)
+                .collect(),
+            self.explanations,
+            self.series,
+            self.values,
             self.config.filter_ratio,
             self.config.prune_redundant,
         ))

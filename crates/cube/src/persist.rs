@@ -13,13 +13,18 @@
 //! keeps the format small and makes a round-trip bit-identical by
 //! construction: floats travel as raw IEEE-754 bits, codes and ids as
 //! fixed-width integers, and every rebuilt map reproduces exactly the
-//! entries the live cube held.
+//! entries the live cube held. The group maps are derived by the same
+//! function that derives them for a fresh seed, so a change of their key
+//! leaves the format, and blobs already written, as they are.
 //!
 //! Decoding is defensive end to end: every read is bounds-checked and
 //! every structural invariant (pred sorted-ness, code ranges, series
-//! arity, matrix dimensions) is re-validated, so a torn write or a bit
-//! flip yields [`CubeError::CorruptSnapshot`] — never a panic and never a
-//! cube that violates the invariants the scoring paths rely on. Integrity
+//! arity, matrix dimensions, no duplicate explanation, every drill-down
+//! parent of an explanation present) is re-validated, so a torn write or
+//! a bit flip yields [`CubeError::CorruptSnapshot`] — never a panic and
+//! never a cube that violates the invariants the scoring paths rely on
+//! (the trie, for one, hangs each explanation under all its parents). A
+//! session that gets the error discards the blob and rebuilds. Integrity
 //! of the bytes themselves (CRC) is the storage layer's job; this module
 //! only guarantees that *whatever* bytes arrive cannot crash the decoder.
 
@@ -28,9 +33,9 @@ use std::collections::HashMap;
 use tsexplain_relation::{AggFn, AggState, AttrValue};
 
 use crate::cube::{CubeConfig, MAX_EXPLAIN_BY};
-use crate::enumerate::enumerate_subsets;
+use crate::enumerate::{derive_groups, enumerate_subsets};
 use crate::error::CubeError;
-use crate::explanation::{ExplId, Explanation};
+use crate::explanation::Explanation;
 use crate::incremental::IncrementalCube;
 use crate::values::ValueMatrix;
 
@@ -243,26 +248,11 @@ impl IncrementalCube {
             )));
         }
 
-        // Rebuild the per-subset group maps: each explanation's sorted
-        // attribute set names exactly one subset (both sides use ascending
-        // attribute order), and its codes are the group key.
+        // The group maps are derived, and the derivation rejects an
+        // explanation whose drill-down parents are not all present (the
+        // trie would panic on it at the first snapshot).
         let subsets = enumerate_subsets(n_attrs, max_order);
-        let subset_of: HashMap<&[u16], usize> = subsets
-            .iter()
-            .enumerate()
-            .map(|(si, attrs)| (attrs.as_slice(), si))
-            .collect();
-        let mut groups: Vec<HashMap<Vec<u32>, ExplId>> = vec![HashMap::new(); subsets.len()];
-        for (id, e) in explanations.iter().enumerate() {
-            let attrs: Vec<u16> = e.preds().iter().map(|p| p.0).collect();
-            let codes: Vec<u32> = e.preds().iter().map(|p| p.1).collect();
-            let &si = subset_of
-                .get(attrs.as_slice())
-                .ok_or_else(|| corrupt(format!("explanation {id} names no valid subset")))?;
-            if groups[si].insert(codes, id as ExplId).is_some() {
-                return Err(corrupt(format!("explanation {id} duplicates another")));
-            }
-        }
+        let groups = derive_groups(&subsets, &explanations)?;
 
         Ok(IncrementalCube {
             config: CubeConfig {
@@ -423,6 +413,7 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use crate::cube::ExplanationCube;
+    use crate::explanation::ExplId;
     use tsexplain_relation::{AggQuery, Datum, Field, MeasureExpr, Relation, Schema};
 
     fn sample_cube(filter: Option<f64>) -> IncrementalCube {
@@ -538,6 +529,73 @@ mod tests {
                 "truncation at {cut} must be rejected"
             );
         }
+    }
+
+    /// An explanation whose drill-down parents are not all in the blob is
+    /// rejected at decode time. Decoded, it would panic in the trie at the
+    /// first snapshot, under the tenant lock of the session rehydrating it.
+    #[test]
+    fn explanation_without_its_parents_is_rejected() {
+        let schema = Schema::new(vec![
+            Field::dimension("t"),
+            Field::dimension("a"),
+            Field::dimension("b"),
+            Field::dimension("c"),
+            Field::measure("v"),
+        ])
+        .unwrap();
+        let mut b = Relation::builder(schema);
+        // `a=1 & b=1` and `a=1 & c=1` never occur.
+        for (t, a, bb, c, v) in [
+            (0, 0, 0, 0, 1.0),
+            (0, 1, 0, 0, 2.0),
+            (1, 0, 1, 0, 3.0),
+            (1, 0, 0, 1, 4.0),
+        ] {
+            b.push_row(vec![
+                Datum::Attr(AttrValue::Int(t)),
+                Datum::Attr(AttrValue::Int(a)),
+                Datum::Attr(AttrValue::Int(bb)),
+                Datum::Attr(AttrValue::Int(c)),
+                Datum::from(v),
+            ])
+            .unwrap();
+        }
+        let config = CubeConfig::new(["a", "b", "c"]);
+        let cube =
+            IncrementalCube::from_relation(&b.finish(), &AggQuery::sum("t", "v"), &config).unwrap();
+        let bytes = cube.to_snapshot_bytes();
+        // One order-3 explanation as encoded: pred count, then per pred
+        // the attribute (u16) and the code (u32); codes equal the values.
+        let encoded = |codes: [u32; 3]| {
+            let mut out = 3u16.to_le_bytes().to_vec();
+            for (attr, code) in codes.into_iter().enumerate() {
+                out.extend_from_slice(&(attr as u16).to_le_bytes());
+                out.extend_from_slice(&code.to_le_bytes());
+            }
+            out
+        };
+        // (0,0,0) → (1,1,0) loses the prefix parent `a=1 & b=1`;
+        // (1,0,0) → (1,0,1) keeps it but loses `a=1 & c=1`.
+        for (from, to) in [([0, 0, 0], [1, 1, 0]), ([1, 0, 0], [1, 0, 1])] {
+            let (from, to) = (encoded(from), encoded(to));
+            let at = bytes
+                .windows(from.len())
+                .position(|w| w == from.as_slice())
+                .expect("the explanation is in the blob");
+            let mut patched = bytes.clone();
+            patched[at..at + to.len()].copy_from_slice(&to);
+            assert!(
+                matches!(
+                    IncrementalCube::from_snapshot_bytes(&patched),
+                    Err(CubeError::CorruptSnapshot(_))
+                ),
+                "{to:?} decoded"
+            );
+        }
+        // The unpatched blob still decodes and snapshots.
+        let back = IncrementalCube::from_snapshot_bytes(&bytes).unwrap();
+        assert!(back.snapshot().is_ok());
     }
 
     #[test]

@@ -1,9 +1,144 @@
-//! Property-based tests for the explanation cube: slice/total consistency,
-//! trie structural invariants, filter monotonicity and overlap semantics.
+//! Property-based tests for the explanation cube: enumeration against a
+//! naive group-by oracle, slice/total consistency, trie structural
+//! invariants, filter monotonicity and overlap semantics.
+
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
-use tsexplain_cube::{CubeConfig, ExplId, ExplanationCube, ROOT_NODE};
-use tsexplain_relation::{AggQuery, Datum, Field, Relation, Schema};
+use tsexplain_cube::{
+    AppendRow, CubeConfig, ExplId, Explanation, ExplanationCube, IncrementalCube, ParallelCtx,
+    ROOT_NODE,
+};
+use tsexplain_relation::{AggQuery, AggState, AttrValue, Datum, Field, Relation, Schema};
+
+/// Every enumeration property runs at these thread counts.
+const THREADS: [usize; 3] = [1, 2, 8];
+
+/// A row over up to five explain-by attributes: time, codes, measure.
+type WideRow = (u8, [u8; 5], f64);
+
+fn wide_rows_strategy() -> impl Strategy<Value = Vec<WideRow>> {
+    proptest::collection::vec(
+        (
+            0u8..6,
+            (0u8..4, 0u8..3, 0u8..5, 0u8..2, 0u8..3),
+            -50.0f64..100.0,
+        )
+            .prop_map(|(t, (a, b, c, d, e), v)| (t, [a, b, c, d, e], v)),
+        1..60,
+    )
+}
+
+/// A relation `t, a0..a{n_attrs}, v` over the first `n_attrs` codes of each
+/// row, in row order.
+fn wide_relation(rows: &[WideRow], n_attrs: usize) -> Relation {
+    let mut fields = vec![Field::dimension("t")];
+    fields.extend((0..n_attrs).map(|a| Field::dimension(format!("a{a}"))));
+    fields.push(Field::measure("v"));
+    let mut builder = Relation::builder(Schema::new(fields).unwrap());
+    for (t, attrs, v) in rows {
+        let mut row = vec![Datum::Attr(i64::from(*t).into())];
+        row.extend(
+            attrs[..n_attrs]
+                .iter()
+                .map(|&x| Datum::Attr(i64::from(x).into())),
+        );
+        row.push(Datum::from(*v));
+        builder.push_row(row).unwrap();
+    }
+    builder.finish()
+}
+
+fn attr_names(n_attrs: usize) -> Vec<String> {
+    (0..n_attrs).map(|a| format!("a{a}")).collect()
+}
+
+/// The full enumeration: no pruning, no filter.
+fn full_config(n_attrs: usize, max_order: usize) -> CubeConfig {
+    CubeConfig::new(attr_names(n_attrs))
+        .with_max_order(max_order)
+        .without_redundancy_pruning()
+}
+
+/// The reference enumeration: per attribute subset in ascending bitmask
+/// order, a naive first-witness group-by of the rows keyed by their code
+/// vectors, each group's state accumulated per timestamp in row order.
+fn oracle(
+    rel: &Relation,
+    n_attrs: usize,
+    max_order: usize,
+) -> (Vec<Explanation>, Vec<Vec<AggState>>) {
+    let time = rel.dim_column("t").unwrap();
+    let measures = rel.measure("v").unwrap();
+    let codes: Vec<&[u32]> = attr_names(n_attrs)
+        .iter()
+        .map(|a| rel.dim_column(a).unwrap().codes())
+        .collect();
+    let mut explanations = Vec::new();
+    let mut series: Vec<Vec<AggState>> = Vec::new();
+    for mask in 1u32..1 << n_attrs {
+        if mask.count_ones() as usize > max_order {
+            continue;
+        }
+        let subset: Vec<u16> = (0..n_attrs as u16)
+            .filter(|&a| mask & 1 << a != 0)
+            .collect();
+        let mut groups: BTreeMap<Vec<u32>, usize> = BTreeMap::new();
+        for (row, &t) in time.codes().iter().enumerate() {
+            let key: Vec<u32> = subset.iter().map(|&a| codes[usize::from(a)][row]).collect();
+            let id = *groups.entry(key.clone()).or_insert_with(|| {
+                explanations.push(Explanation::new(subset.iter().copied().zip(key).collect()));
+                series.push(vec![AggState::ZERO; time.dict().len()]);
+                series.len() - 1
+            });
+            series[id][t as usize].observe(measures[row]);
+        }
+    }
+    (explanations, series)
+}
+
+fn state_bits(s: AggState) -> [u64; 3] {
+    [s.count.to_bits(), s.sum.to_bits(), s.sumsq.to_bits()]
+}
+
+/// The cube enumerates exactly the oracle's explanations, in its order,
+/// with bit-identical states, when built at every thread count.
+fn check_against_oracle(
+    rel: &Relation,
+    n_attrs: usize,
+    max_order: usize,
+) -> Result<(), TestCaseError> {
+    let (explanations, series) = oracle(rel, n_attrs, max_order);
+    let query = AggQuery::sum("t", "v");
+    for threads in THREADS {
+        let cube = ExplanationCube::build_with(
+            rel,
+            &query,
+            &full_config(n_attrs, max_order),
+            &ParallelCtx::new(threads),
+        )
+        .unwrap();
+        prop_assert_eq!(
+            cube.explanations(),
+            explanations.as_slice(),
+            "t={}",
+            threads
+        );
+        for (e, states) in series.iter().enumerate() {
+            for (t, &st) in states.iter().enumerate() {
+                prop_assert_eq!(
+                    state_bits(cube.state(e as ExplId, t)),
+                    state_bits(st),
+                    "t={} {} at {}",
+                    threads,
+                    cube.label(e as ExplId),
+                    t
+                );
+            }
+        }
+    }
+    Ok(())
+}
 
 fn rows_strategy() -> impl Strategy<Value = Vec<(u8, u8, u8, f64)>> {
     proptest::collection::vec((0u8..5, 0u8..3, 0u8..3, 0.1f64..100.0), 5..80)
@@ -39,7 +174,129 @@ fn build_cube(
     ExplanationCube::build(&builder.finish(), &AggQuery::sum("t", "v"), &config).unwrap()
 }
 
+#[test]
+fn enumeration_with_large_dictionaries_matches_the_oracle() {
+    // 120 rows over a0 (120 values), a1 (113 values) and a2 (3 values):
+    // the subset {a0, a1} keys 120 prefix groups × 113 codes, past the
+    // dense table's cap, so the hashed index serves it; every other subset
+    // fits a dense table.
+    let schema = Schema::new(vec![
+        Field::dimension("t"),
+        Field::dimension("a0"),
+        Field::dimension("a1"),
+        Field::dimension("a2"),
+        Field::measure("v"),
+    ])
+    .unwrap();
+    let mut builder = Relation::builder(schema);
+    for i in 0..120i64 {
+        builder
+            .push_row(vec![
+                Datum::Attr((i % 4).into()),
+                Datum::Attr(i.into()),
+                Datum::Attr((i * 7 % 113).into()),
+                Datum::Attr((i % 3).into()),
+                Datum::from(i as f64 * 0.5 - 7.0),
+            ])
+            .unwrap();
+    }
+    let rel = builder.finish();
+    for max_order in 1..=3 {
+        check_against_oracle(&rel, 3, max_order).unwrap();
+    }
+}
+
+/// The append form of one wide row.
+fn append_row(t: i64, attrs: &[u8], v: f64) -> AppendRow {
+    (
+        AttrValue::Int(t),
+        attrs
+            .iter()
+            .map(|&x| AttrValue::Int(i64::from(x)))
+            .collect(),
+        v,
+    )
+}
+
 proptest! {
+    /// The seed enumerates exactly the naive group-by's explanations, in
+    /// its first-witness order, with bit-identical states.
+    #[test]
+    fn enumeration_matches_the_oracle(
+        rows in wide_rows_strategy(),
+        n_attrs in 2usize..=5,
+        max_order in 1usize..=5,
+    ) {
+        check_against_oracle(&wide_relation(&rows, n_attrs), n_attrs, max_order)?;
+    }
+
+    /// A seed grown by appends that add timestamps and attribute values
+    /// holds, label by label, the states of a cold build over all rows.
+    /// Candidates first seen in an append may take other ids.
+    #[test]
+    fn appends_match_a_cold_build(
+        seed in wide_rows_strategy(),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u8..3, (0u8..6, 0u8..5, 0u8..7), -50.0f64..100.0), 1..12),
+            1..4,
+        ),
+        max_order in 1usize..=3,
+    ) {
+        let n_attrs = 3;
+        let query = AggQuery::sum("t", "v");
+        let config = full_config(n_attrs, max_order);
+        // Each batch lands at or after the horizon, new timestamps in
+        // ascending order; values beyond the seed's ranges are new codes.
+        let mut all = seed.clone();
+        let mut appends: Vec<Vec<AppendRow>> = Vec::new();
+        let mut horizon = seed.iter().map(|r| r.0).max().unwrap();
+        for mut batch in batches {
+            batch.sort_by_key(|r| r.0);
+            let mut encoded = Vec::new();
+            for (dt, (a, b, c), v) in batch {
+                let row = (horizon + dt, [a, b, c, 0, 0], v);
+                encoded.push(append_row(i64::from(row.0), &row.1[..n_attrs], v));
+                all.push(row);
+            }
+            horizon = all.iter().map(|r| r.0).max().unwrap();
+            appends.push(encoded);
+        }
+        let cold = ExplanationCube::build(&wide_relation(&all, n_attrs), &query, &config).unwrap();
+        for threads in THREADS {
+            let mut inc = IncrementalCube::from_relation_with(
+                &wide_relation(&seed, n_attrs),
+                &query,
+                &config,
+                &ParallelCtx::new(threads),
+            )
+            .unwrap();
+            for batch in &appends {
+                inc.append_batch(batch).unwrap();
+            }
+            let grown = inc.snapshot().unwrap();
+            prop_assert_eq!(grown.n_candidates(), cold.n_candidates(), "t={}", threads);
+            prop_assert_eq!(grown.n_points(), cold.n_points());
+            for t in 0..cold.n_points() {
+                prop_assert_eq!(state_bits(grown.total_state(t)), state_bits(cold.total_state(t)));
+            }
+            let by_label: HashMap<String, ExplId> = (0..grown.n_candidates() as ExplId)
+                .map(|e| (grown.label(e), e))
+                .collect();
+            for e in 0..cold.n_candidates() as ExplId {
+                let label = cold.label(e);
+                let ours = by_label.get(&label).copied();
+                prop_assert!(ours.is_some(), "t={} {} missing", threads, label);
+                for t in 0..cold.n_points() {
+                    prop_assert_eq!(
+                        state_bits(grown.state(ours.unwrap(), t)),
+                        state_bits(cold.state(e, t)),
+                        "t={} {} at {}", threads, label, t
+                    );
+                }
+            }
+        }
+    }
+
     /// Order-1 slices of one attribute sum to the total at every point.
     #[test]
     fn order1_slices_partition_total(rows in rows_strategy()) {
