@@ -88,18 +88,20 @@ struct CacheEntry {
     /// Logical LRU stamp of the last request served from this entry, drawn
     /// from the session's (possibly registry-shared) clock.
     last_used: u64,
-    /// Approximate bytes held: incremental state + finalized snapshots.
+    /// Approximate bytes held: incremental state + finalized snapshots,
+    /// the state store they share counted once. Set by the first
+    /// [`CacheEntry::snapshot`], which every new entry takes before it is
+    /// cached.
     bytes: usize,
 }
 
 impl CacheEntry {
     fn new(inc: IncrementalCube, last_used: u64) -> Self {
-        let bytes = inc.approx_bytes();
         CacheEntry {
             inc,
             snapshots: HashMap::new(),
             last_used,
-            bytes,
+            bytes: 0,
         }
     }
 
@@ -437,6 +439,9 @@ impl ExplainSession {
             let mut all_applied = true;
             for (key, encoded) in encodings {
                 let entry = self.cubes.get_mut(&key).expect("key taken from the map");
+                // Drop the snapshots first: the append would copy a state
+                // store one of them still shares.
+                entry.snapshots.clear();
                 if entry.inc.append_batch(&encoded).is_err() {
                     // The session's ordering check and the cube's should
                     // agree; if they ever diverge, fall back to a rebuild
@@ -445,7 +450,6 @@ impl ExplainSession {
                     all_applied = false;
                     break;
                 }
-                entry.snapshots.clear();
                 entry.recount_bytes();
             }
             if !all_applied {
@@ -1189,6 +1193,76 @@ mod tests {
         assert!(
             s.cache_bytes() > before,
             "appended rows must grow the estimate"
+        );
+    }
+
+    /// The cached entry of a session that caches exactly one cube.
+    fn only_entry(s: &ExplainSession) -> &CacheEntry {
+        assert_eq!(s.cubes.len(), 1);
+        s.cubes.values().next().unwrap()
+    }
+
+    #[test]
+    fn appends_mutate_the_cached_store_in_place() {
+        let mut s = ExplainSession::new(relation(0..12), AggQuery::sum("t", "v")).unwrap();
+        s.explain(&base_request()).unwrap();
+        // The cached snapshot shares the incremental cube's store.
+        let before = only_entry(&s).inc.store_addr();
+        s.append_rows(rows_for(12..21)).unwrap();
+        assert_eq!(
+            only_entry(&s).inc.store_addr(),
+            before,
+            "the append copied the store"
+        );
+    }
+
+    #[test]
+    fn a_prepared_cube_keeps_answering_over_the_rows_it_saw() {
+        let answer = |r: &ExplainResult| {
+            (
+                r.segmentation.clone(),
+                r.aggregate.clone(),
+                r.chosen_k,
+                r.total_variance.to_bits(),
+                format!("{:?}", r.segments),
+            )
+        };
+        let mut s = ExplainSession::new(relation(0..12), AggQuery::sum("t", "v")).unwrap();
+        let prepared = s.prepare(&base_request()).unwrap();
+        s.append_rows(rows_for(12..21)).unwrap();
+        let held = prepared.explain(&base_request()).unwrap();
+        let mut before = ExplainSession::new(relation(0..12), AggQuery::sum("t", "v")).unwrap();
+        assert_eq!(
+            answer(&held),
+            answer(&before.explain(&base_request()).unwrap())
+        );
+        // The session itself answers over every row.
+        let now = s.explain(&base_request()).unwrap();
+        assert_eq!(now.stats.n_points, 21);
+        assert_eq!(held.stats.n_points, 12);
+    }
+
+    #[test]
+    fn cache_bytes_count_a_shared_store_once() {
+        let mut s = session();
+        s.explain(&base_request()).unwrap();
+        s.explain(&base_request().with_smoothing(7)).unwrap();
+        let entry = only_entry(&s);
+        let (inc, plain, smoothed) = (&entry.inc, &entry.snapshots[&1], &entry.snapshots[&7]);
+        // A cube built on its own owns its store and counts it; the
+        // smoothed snapshot owns a store of the same shape.
+        let config = CubeConfig::new(["state"]).with_max_order(base_request().max_order());
+        let owned =
+            ExplanationCube::build(&relation(0..21), &AggQuery::sum("t", "v"), &config).unwrap();
+        assert_eq!(smoothed.approx_bytes(), owned.approx_bytes());
+        // The window-1 snapshot shares the incremental cube's store, which
+        // the incremental cube counts and the snapshot leaves out.
+        let store = owned.approx_bytes() - plain.approx_bytes();
+        assert!(store >= 3 * 8 * 21 * owned.n_candidates(), "{store} bytes");
+        assert!(inc.approx_bytes() > store);
+        assert_eq!(
+            s.cache_bytes(),
+            inc.approx_bytes() + plain.approx_bytes() + smoothed.approx_bytes()
         );
     }
 

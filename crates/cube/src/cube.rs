@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use tsexplain_parallel::ParallelCtx;
 use tsexplain_relation::{AggFn, AggQuery, AggState, AttrValue, Dictionary, Relation};
@@ -7,7 +8,7 @@ use crate::error::CubeError;
 use crate::explanation::{ExplId, Explanation};
 use crate::incremental::IncrementalCube;
 use crate::trie::{DrillTrie, NodeId, ROOT_NODE};
-use crate::values::ValueMatrix;
+use crate::values::{StateStore, ValueMatrix};
 
 /// The widest explain-by set a cube supports. Subset enumeration walks
 /// every `u32` bitmask below `1 << |A|` and attribute indices are `u16`s;
@@ -149,19 +150,29 @@ impl CubeCacheKey {
 /// `ts(σ_E R)` per candidate explanation, the drill-down trie for the
 /// Cascading Analysts algorithm, and the selectability bitmap produced by
 /// the support filter.
+///
+/// The states live in a time-major state store (see the `values` module).
+/// A snapshot of an [`IncrementalCube`] shares the incremental cube's
+/// store; pruning, selectability, the trie and the index are the
+/// snapshot's own. When pruning dropped candidates, explanation `e` reads
+/// its states from store column `cols[e]`, and the snapshot gathers the
+/// value rows of its kept columns once, so the γ scans still read one
+/// contiguous row per timestamp.
 #[derive(Clone, Debug)]
 pub struct ExplanationCube {
     timestamps: Vec<AttrValue>,
-    agg: AggFn,
-    total: Vec<AggState>,
     attr_names: Vec<String>,
     dicts: Vec<Dictionary>,
     explanations: Vec<Explanation>,
-    series: Vec<Vec<AggState>>,
-    /// Time-major pre-decoded values (see [`ValueMatrix`]): the columnar
-    /// dual of `series` the scoring hot loops scan. Rebuilt whenever the
-    /// states change; every value read goes through it.
-    values: ValueMatrix,
+    store: Arc<StateStore>,
+    /// Whether `store` is the incremental cube's, which counts its bytes.
+    shared_store: bool,
+    /// Per explanation id, its column in `store`.
+    cols: Vec<u32>,
+    /// When pruning dropped candidates: the value rows of `cols`,
+    /// time-major (`gathered[t * ε + e]`). Otherwise the store's own value
+    /// plane serves and this is empty.
+    gathered: Vec<f64>,
     selectable: Vec<bool>,
     /// The ids set in `selectable`, ascending: what the top-m scans walk
     /// instead of testing the bitmap over all ε candidates.
@@ -196,49 +207,39 @@ impl ExplanationCube {
         IncrementalCube::from_relation_with(rel, query, config, par)?.into_snapshot()
     }
 
-    /// Finalizes a cube from an incremental cube's state: optionally prunes
-    /// redundant conjunctions, builds the drill-down trie, the lookup
-    /// index and the time-major [`ValueMatrix`], and applies the support
-    /// filter. Every cube, batch-built or snapshotted, is finalized here.
-    ///
-    /// `values` is the pre-decoded matrix the caller maintained; it is
-    /// reused when (and only when) pruning kept every candidate, otherwise
-    /// the matrix is re-decoded from the pruned series. Decoding is pure,
-    /// so both paths yield bit-identical values.
+    /// Finalizes a cube over `store`, whose column `e` holds explanation
+    /// `e`: optionally prunes redundant conjunctions (gathering the kept
+    /// columns' value rows when any were dropped), builds the drill-down
+    /// trie and the lookup index, and applies the support filter. Every
+    /// cube, batch-built or snapshotted, is finalized here. `shared_store`
+    /// says whether the incremental cube the store came from still holds
+    /// (and counts) it.
     #[expect(
         clippy::too_many_arguments,
         reason = "crate-private constructor fed field by field by the incremental cube's two snapshot paths"
     )]
     pub(crate) fn assemble(
         timestamps: Vec<AttrValue>,
-        agg: AggFn,
-        total: Vec<AggState>,
         attr_names: Vec<String>,
         dicts: Vec<Dictionary>,
         explanations: Vec<Explanation>,
-        series: Vec<Vec<AggState>>,
-        values: ValueMatrix,
+        store: Arc<StateStore>,
+        shared_store: bool,
         filter_ratio: Option<f64>,
         prune: bool,
     ) -> Self {
-        let (explanations, series) = if prune {
-            prune_redundant(explanations, series)
+        debug_assert_eq!(store.n_cols(), explanations.len());
+        debug_assert_eq!(store.n_rows(), timestamps.len());
+        let (explanations, cols) = if prune {
+            prune_redundant(explanations, &store)
         } else {
-            (explanations, series)
+            let cols = (0..explanations.len() as u32).collect();
+            (explanations, cols)
         };
-        let values = if values.n_cols() == explanations.len() && values.n_rows() == timestamps.len()
-        {
-            debug_assert!(
-                {
-                    let fresh = ValueMatrix::build(agg, &total, &series);
-                    (0..values.n_rows()).all(|t| values.row(t) == fresh.row(t))
-                        && values.totals() == fresh.totals()
-                },
-                "incrementally maintained ValueMatrix drifted from the states"
-            );
-            values
+        let gathered = if cols.len() == store.n_cols() {
+            Vec::new()
         } else {
-            ValueMatrix::build(agg, &total, &series)
+            store.gather_values(&cols)
         };
         let trie = DrillTrie::build(&explanations);
         let index = explanations
@@ -248,13 +249,13 @@ impl ExplanationCube {
             .collect();
         let mut cube = ExplanationCube {
             timestamps,
-            agg,
-            total,
             attr_names,
             dicts,
             explanations,
-            series,
-            values,
+            store,
+            shared_store,
+            cols,
+            gathered,
             selectable: Vec::new(),
             selectable_ids: Vec::new(),
             subtree_selectable: Vec::new(),
@@ -283,17 +284,18 @@ impl ExplanationCube {
         if lo > hi || hi >= n || hi - lo < 1 {
             return Err(CubeError::InvalidTimeSlice { lo, hi, n });
         }
+        // The window's rows of this cube's columns, values copied rather
+        // than redecoded.
+        let store = self.store.gather(lo..hi + 1, &self.cols);
         let mut cube = ExplanationCube {
             timestamps: self.timestamps[lo..=hi].to_vec(),
-            agg: self.agg,
-            total: self.total[lo..=hi].to_vec(),
             attr_names: self.attr_names.clone(),
             dicts: self.dicts.clone(),
             explanations: self.explanations.clone(),
-            series: self.series.iter().map(|s| s[lo..=hi].to_vec()).collect(),
-            // Rows are contiguous, so the slice is two memcpys — no
-            // re-decoding of the sliced states.
-            values: self.values.slice_rows(lo, hi),
+            cols: (0..store.n_cols() as u32).collect(),
+            store: Arc::new(store),
+            shared_store: false,
+            gathered: Vec::new(),
             selectable: Vec::new(),
             selectable_ids: Vec::new(),
             subtree_selectable: Vec::new(),
@@ -313,14 +315,19 @@ impl ExplanationCube {
         let n_expl = self.explanations.len();
         self.selectable = match filter_ratio {
             None => vec![true; n_expl],
-            Some(ratio) => (0..n_expl)
-                .map(|e| {
-                    (0..self.n_points()).any(|t| {
-                        let v = self.value_at(e as ExplId, t).abs();
-                        v > 0.0 && v >= ratio * self.total_value(t).abs()
-                    })
-                })
-                .collect(),
+            // Row by row: a candidate is kept once any point passes.
+            Some(ratio) => {
+                let values = self.values();
+                let mut keep = vec![false; n_expl];
+                for t in 0..self.n_points() {
+                    let floor = ratio * values.total(t).abs();
+                    for (k, &v) in keep.iter_mut().zip(values.row(t)) {
+                        let v = v.abs();
+                        *k |= v > 0.0 && v >= floor;
+                    }
+                }
+                keep
+            }
         };
         self.selectable_ids = (0..n_expl as ExplId)
             .filter(|&e| self.selectable[e as usize])
@@ -356,6 +363,10 @@ impl ExplanationCube {
     /// `mem` module docs) — the unit a byte-budgeted cube cache
     /// accounts and evicts in.
     ///
+    /// A snapshot's state store is left out while it is the incremental
+    /// cube's (see [`IncrementalCube::snapshot`]), which counts it, so a
+    /// cache entry holding both counts the store once.
+    ///
     /// Deterministic for identical state and monotone in the data: more
     /// points, candidates or dictionary entries never shrink the estimate.
     #[expect(
@@ -365,15 +376,19 @@ impl ExplanationCube {
     pub fn approx_bytes(&self) -> usize {
         use crate::mem::*;
         use std::mem::size_of;
-        let series: usize = self.series.iter().map(|s| state_series_bytes(s)).sum();
         let index: usize = self
             .index
             .keys()
             .map(|e| explanation_bytes(e) + size_of::<ExplId>() + MAP_ENTRY_OVERHEAD)
             .sum();
+        // A shared store is counted once, by the incremental cube.
+        let store = if self.shared_store {
+            0
+        } else {
+            self.store.approx_bytes()
+        };
         size_of::<Self>()
             + attr_values_bytes(&self.timestamps)
-            + state_series_bytes(&self.total)
             + self.attr_names.iter().map(String::len).sum::<usize>()
             + self.dicts.iter().map(dictionary_bytes).sum::<usize>()
             + self
@@ -381,8 +396,9 @@ impl ExplanationCube {
                 .iter()
                 .map(explanation_bytes)
                 .sum::<usize>()
-            + series
-            + self.values.approx_bytes()
+            + store
+            + self.cols.len() * size_of::<u32>()
+            + self.gathered.len() * size_of::<f64>()
             + self.selectable.len()
             + self.selectable_ids.len() * size_of::<ExplId>()
             + self.subtree_selectable.len()
@@ -413,47 +429,55 @@ impl ExplanationCube {
 
     /// The aggregate function of the underlying query.
     pub fn agg(&self) -> AggFn {
-        self.agg
+        self.store.agg()
     }
 
     /// The overall aggregate state at time index `t`.
     pub fn total_state(&self, t: usize) -> AggState {
-        self.total[t]
+        self.store.total_states()[t]
     }
 
     /// The overall aggregate value at time index `t` (pre-decoded).
     pub fn total_value(&self, t: usize) -> f64 {
-        self.values.total(t)
+        self.values().total(t)
     }
 
     /// The whole overall value series as an owned vector. Warm paths that
     /// only need to *read* the series should prefer the allocation-free
     /// [`ExplanationCube::total_values_slice`].
     pub fn total_values(&self) -> Vec<f64> {
-        self.values.totals().to_vec()
+        self.values().totals().to_vec()
     }
 
     /// The whole overall value series, borrowed from the pre-decoded
-    /// matrix — no per-call allocation.
+    /// values — no per-call allocation.
     pub fn total_values_slice(&self) -> &[f64] {
-        self.values.totals()
+        self.values().totals()
     }
 
-    /// The time-major pre-decoded value matrix (see [`ValueMatrix`]) — the
-    /// storage batched scorers scan row-wise.
-    pub fn values(&self) -> &ValueMatrix {
-        &self.values
+    /// The time-major pre-decoded values, one column per explanation id
+    /// (see [`ValueMatrix`]) — the rows batched scorers scan.
+    pub fn values(&self) -> ValueMatrix<'_> {
+        if self.gathered.is_empty() {
+            self.store.values()
+        } else {
+            ValueMatrix::new(
+                self.explanations.len(),
+                &self.gathered,
+                self.store.values().totals(),
+            )
+        }
     }
 
     /// Explanation `e`'s aggregate state at time index `t`.
     pub fn state(&self, e: ExplId, t: usize) -> AggState {
-        self.series[e as usize][t]
+        self.store.state(t, self.cols[e as usize] as usize)
     }
 
     /// Explanation `e`'s aggregate value at time index `t` (pre-decoded;
     /// bit-identical to `state(e, t).value(agg)`).
     pub fn value_at(&self, e: ExplId, t: usize) -> f64 {
-        self.values.get(t, e as usize)
+        self.values().get(t, e as usize)
     }
 
     /// Explanation `e`'s whole value series.
@@ -536,32 +560,12 @@ impl ExplanationCube {
         if window <= 1 {
             return;
         }
-        let half = window / 2;
-        let smooth_series = |s: &[AggState]| -> Vec<AggState> {
-            let n = s.len();
-            (0..n)
-                .map(|t| {
-                    let lo = t.saturating_sub(half);
-                    let hi = (t + half).min(n - 1);
-                    let mut acc = AggState::ZERO;
-                    for x in &s[lo..=hi] {
-                        acc += *x;
-                    }
-                    let k = (hi - lo + 1) as f64;
-                    AggState {
-                        count: acc.count / k,
-                        sum: acc.sum / k,
-                        sumsq: acc.sumsq / k,
-                    }
-                })
-                .collect()
-        };
-        self.total = smooth_series(&self.total);
-        for s in &mut self.series {
-            *s = smooth_series(s);
-        }
-        // The states changed; re-decode the columnar view.
-        self.values = ValueMatrix::build(self.agg, &self.total, &self.series);
+        // A new store over this cube's columns, which it owns.
+        let smoothed = self.store.smoothed(&self.cols, window);
+        self.cols = (0..smoothed.n_cols() as u32).collect();
+        self.store = Arc::new(smoothed);
+        self.shared_store = false;
+        self.gathered = Vec::new();
     }
 }
 
@@ -573,19 +577,26 @@ impl ExplanationCube {
 /// to a redundant conjunction keeps it redundant), so checking immediate
 /// parents is sufficient and the kept set always contains every kept
 /// explanation's drill-down parents.
+///
+/// Returns the kept explanations and, per kept id, its column in `store`.
 fn prune_redundant(
     explanations: Vec<Explanation>,
-    series: Vec<Vec<AggState>>,
-) -> (Vec<Explanation>, Vec<Vec<AggState>>) {
+    store: &StateStore,
+) -> (Vec<Explanation>, Vec<u32>) {
     let index: HashMap<&Explanation, usize> = explanations
         .iter()
         .enumerate()
         .map(|(i, e)| (e, i))
         .collect();
-    let support: Vec<f64> = series
-        .iter()
-        .map(|s| s.iter().map(|st| st.count).sum())
-        .collect();
+    // Each column's row count over the horizon, summed in time order.
+    let mut support = vec![0.0f64; explanations.len()];
+    if !support.is_empty() {
+        for row in store.counts().chunks(support.len()) {
+            for (s, &c) in support.iter_mut().zip(row) {
+                *s += c;
+            }
+        }
+    }
     let keep: Vec<bool> = explanations
         .iter()
         .enumerate()
@@ -601,21 +612,15 @@ fn prune_redundant(
             })
         })
         .collect();
-    if keep.iter().all(|&k| k) {
-        // Nothing pruned: hand the vectors back untouched so callers that
-        // maintain derived structures (the incremental value matrix) can
-        // reuse them.
-        return (explanations, series);
-    }
-    let mut kept_expl = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
-    let mut kept_series = Vec::with_capacity(kept_expl.capacity());
-    for ((e, s), k) in explanations.into_iter().zip(series).zip(keep) {
+    let mut kept = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
+    let mut cols = Vec::with_capacity(kept.capacity());
+    for (col, (e, k)) in explanations.into_iter().zip(keep).enumerate() {
         if k {
-            kept_expl.push(e);
-            kept_series.push(s);
+            kept.push(e);
+            cols.push(col as u32);
         }
     }
-    (kept_expl, kept_series)
+    (kept, cols)
 }
 
 #[cfg(test)]

@@ -10,15 +10,23 @@
 //! codes are both `u32`, so the key cannot overflow, and growing a
 //! dictionary on append changes no existing key.
 //!
-//! The seed ([`enumerate_seed`]) runs one order at a time, because a subset
-//! reads the per-row ids of its prefix. Within an order the subsets are
-//! independent and fan out across workers. Each subset looks its keys up in
-//! a dense slot table (`prefix groups × dictionary size` slots) when that
-//! fits under [`DENSE_SLOTS_PER_ROW`] slots per row, and in a
-//! `HashMap<u64, ExplId>` otherwise. Ids are assigned in first-witness row
-//! order within a subset, and subsets take contiguous id blocks in
-//! ascending bitmask order, so the explanation list is the same at any
-//! thread count.
+//! The seed ([`enumerate_seed`]) makes two passes over the rows. The id pass
+//! runs one order at a time, because a subset reads the per-row ids of its
+//! prefix. Within an order the subsets are independent and fan out across
+//! workers. Each subset looks its keys up in a dense slot table (`prefix
+//! groups × dictionary size` slots) when that fits under
+//! [`DENSE_SLOTS_PER_ROW`] slots per row, and in a `HashMap<u64, ExplId>`
+//! otherwise. Ids are assigned in first-witness row order within a subset,
+//! and subsets take contiguous id blocks in ascending bitmask order, so the
+//! explanation list is the same at any thread count. An explanation's id is
+//! its column in the cube's time-major [`StateStore`].
+//!
+//! The fold pass then adds every row's measure to its group's cell, one
+//! subset at a time and in row order within a subset, so each cell sees its
+//! rows in the order a per-explanation series would and holds the same bits
+//! at any thread count. Workers take contiguous runs of timestamps, so each
+//! owns a contiguous slab of every plane and indexes it directly; each
+//! scans every row and folds the ones whose timestamp falls in its run.
 //!
 //! An incremental cube keeps one `u64 → ExplId` map per subset between
 //! appends, keyed by global prefix ids. [`derive_groups`] derives those maps
@@ -27,11 +35,12 @@
 use std::collections::HashMap;
 
 use tsexplain_parallel::ParallelCtx;
-use tsexplain_relation::AggState;
+use tsexplain_relation::AggFn;
 
 use crate::error::CubeError;
 use crate::explanation::{ExplId, Explanation};
 use crate::trie::ROOT_NODE;
+use crate::values::StateStore;
 
 /// A subset indexes its keys in a dense slot table while the table needs at
 /// most this many slots per relation row; above that it hashes them. The
@@ -110,26 +119,26 @@ pub(crate) struct SeedInput<'a> {
 }
 
 /// One subset's share of a seed: its explanations in first-witness row
-/// order, their series, and each row's subset-local id while a next-order
-/// subset still reads them as its prefix ids.
+/// order, and each row's subset-local id, which the next order's subsets
+/// read as prefix ids and the fold reads as columns.
 #[derive(Default)]
 struct Part {
     explanations: Vec<Explanation>,
-    series: Vec<Vec<AggState>>,
     row_ids: Vec<ExplId>,
 }
 
 /// Enumerates every witnessed explanation of every subset, in subset
-/// order, with its per-timestamp aggregate-state series (module docs).
+/// order, and folds the rows into a time-major store with one column per
+/// explanation plus the overall series, decoded under `agg` (module docs).
 ///
 /// A cancelled fan-out returns [`CubeError::Cancelled`]: subsets skipped
 /// after the token tripped leave truncated output, which is never seen.
 pub(crate) fn enumerate_seed(
     subsets: &[Subset],
     input: &SeedInput<'_>,
+    agg: AggFn,
     par: &ParallelCtx,
-) -> Result<(Vec<Explanation>, Vec<Vec<AggState>>), CubeError> {
-    let n_attrs = input.attr_codes.len();
+) -> Result<(Vec<Explanation>, StateStore), CubeError> {
     let max_order = subsets.iter().map(Subset::order).max().unwrap_or(0);
     let cancel = par.cancel_token().cloned();
     let mut parts: Vec<Part> = Vec::new();
@@ -146,10 +155,7 @@ pub(crate) fn enumerate_seed(
                         return Part::default();
                     }
                     let subset = &subsets[wave[wi]];
-                    // Only a subset with an attribute above its last one
-                    // is some next-order subset's prefix.
-                    let extended = order < max_order && usize::from(subset.last) + 1 < n_attrs;
-                    enumerate_subset(subset, subset.prefix.map(|p| &parts[p]), extended, input)
+                    enumerate_subset(subset, subset.prefix.map(|p| &parts[p]), input)
                 })
                 .collect()
         });
@@ -159,36 +165,58 @@ pub(crate) fn enumerate_seed(
         for (&si, part) in wave.iter().zip(done) {
             parts[si] = part;
         }
-        // The previous order's ids have been read by every extension.
-        for (subset, part) in subsets.iter().zip(&mut parts) {
-            if subset.order() + 1 == order {
-                part.row_ids = Vec::new();
+    }
+
+    // Each subset's first column.
+    let mut starts = Vec::with_capacity(parts.len());
+    let mut n_cols = 0;
+    for part in &parts {
+        starts.push(n_cols);
+        n_cols += part.explanations.len();
+    }
+    let mut store = StateStore::zeroed(agg, input.n_times, n_cols);
+    let runs = par.chunk_ranges(input.n_times);
+    let slabs = store.row_slabs(&runs.iter().map(|r| r.start).collect::<Vec<_>>());
+    par.run_parts(slabs, |mut slab| {
+        let rows = slab.rows();
+        for (part, &start) in parts.iter().zip(&starts) {
+            let observations = part
+                .row_ids
+                .iter()
+                .zip(input.time_codes)
+                .zip(input.measures);
+            for ((&id, &t), &m) in observations {
+                let t = t as usize;
+                if rows.contains(&t) {
+                    slab.observe(t, start + id as usize, m);
+                }
             }
         }
+    });
+    if par.is_cancelled() {
+        return Err(CubeError::Cancelled);
     }
-    let mut explanations = Vec::new();
-    let mut series = Vec::new();
+    for (&t, &m) in input.time_codes.iter().zip(input.measures) {
+        store.observe_total(t as usize, m);
+    }
+    store.decode();
+
+    let mut explanations = Vec::with_capacity(n_cols);
     for part in parts {
         explanations.extend(part.explanations);
-        series.extend(part.series);
     }
-    Ok((explanations, series))
+    Ok((explanations, store))
 }
 
 /// Groups the rows of one subset by their packed key, with the index the
 /// subset's key space fits (module docs).
-fn enumerate_subset(
-    subset: &Subset,
-    prefix: Option<&Part>,
-    keep_row_ids: bool,
-    input: &SeedInput<'_>,
-) -> Part {
+fn enumerate_subset(subset: &Subset, prefix: Option<&Part>, input: &SeedInput<'_>) -> Part {
     let prefix_groups = prefix.map_or(1, |p| p.explanations.len());
     let width = input.dict_lens[usize::from(subset.last)];
     let n_rows = input.time_codes.len();
     if prefix_groups.saturating_mul(width) <= DENSE_SLOTS_PER_ROW.saturating_mul(n_rows) {
         let mut slots = vec![VACANT; prefix_groups * width];
-        scan(subset, prefix, keep_row_ids, input, |p, code, next| {
+        scan(subset, prefix, input, |p, code, next| {
             let slot = &mut slots[p as usize * width + code as usize];
             if *slot == VACANT {
                 *slot = next;
@@ -197,7 +225,7 @@ fn enumerate_subset(
         })
     } else {
         let mut index: HashMap<u64, ExplId> = HashMap::new();
-        scan(subset, prefix, keep_row_ids, input, |p, code, next| {
+        scan(subset, prefix, input, |p, code, next| {
             *index.entry(pack(p, code)).or_insert(next)
         })
     }
@@ -208,15 +236,14 @@ fn enumerate_subset(
 fn scan(
     subset: &Subset,
     prefix: Option<&Part>,
-    keep_row_ids: bool,
     input: &SeedInput<'_>,
     mut lookup: impl FnMut(ExplId, u32, ExplId) -> ExplId,
 ) -> Part {
     let codes = input.attr_codes[usize::from(subset.last)];
-    let mut part = Part::default();
-    if keep_row_ids {
-        part.row_ids.reserve_exact(codes.len());
-    }
+    let mut part = Part {
+        explanations: Vec::new(),
+        row_ids: Vec::with_capacity(codes.len()),
+    };
     for (row, &code) in codes.iter().enumerate() {
         let p = prefix.map_or(0, |pre| pre.row_ids[row]);
         let next = part.explanations.len() as ExplId;
@@ -224,12 +251,8 @@ fn scan(
         if id == next {
             let parent = prefix.map(|pre| &pre.explanations[p as usize]);
             part.explanations.push(extend(parent, subset.last, code));
-            part.series.push(vec![AggState::ZERO; input.n_times]);
         }
-        part.series[id as usize][input.time_codes[row] as usize].observe(input.measures[row]);
-        if keep_row_ids {
-            part.row_ids.push(id);
-        }
+        part.row_ids.push(id);
     }
     part
 }
@@ -310,7 +333,6 @@ fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsexplain_relation::AggFn;
 
     /// Rows: (time, a0, a1, measure).
     fn run(rows: &[(u32, u32, u32, f64)], n_times: usize, max_order: usize) -> Vec<Explanation> {
@@ -322,7 +344,7 @@ mod tests {
         n_times: usize,
         max_order: usize,
         par: &ParallelCtx,
-    ) -> (Vec<Explanation>, Vec<Vec<AggState>>) {
+    ) -> (Vec<Explanation>, StateStore) {
         let time_codes: Vec<u32> = rows.iter().map(|r| r.0).collect();
         let a0: Vec<u32> = rows.iter().map(|r| r.1).collect();
         let a1: Vec<u32> = rows.iter().map(|r| r.2).collect();
@@ -335,7 +357,7 @@ mod tests {
             attr_codes: vec![&a0, &a1],
             measures: &measures,
         };
-        enumerate_seed(&enumerate_subsets(2, max_order), &input, par).unwrap()
+        enumerate_seed(&enumerate_subsets(2, max_order), &input, AggFn::Sum, par).unwrap()
     }
 
     #[test]
@@ -373,15 +395,16 @@ mod tests {
     #[test]
     fn series_accumulates_per_time() {
         let rows = [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 5.0)];
-        let (e, series) = run_with(&rows, 2, 2, &ParallelCtx::sequential());
+        let (e, store) = run_with(&rows, 2, 2, &ParallelCtx::sequential());
         let idx = e
             .iter()
             .position(|x| x.order() == 1 && x.code_for(0) == Some(0))
             .unwrap();
-        let s = &series[idx];
-        assert_eq!(s[0].value(AggFn::Sum), 3.0);
-        assert_eq!(s[1].value(AggFn::Sum), 5.0);
-        assert_eq!(s[0].value(AggFn::Count), 2.0);
+        assert_eq!(store.state(0, idx).value(AggFn::Sum), 3.0);
+        assert_eq!(store.state(1, idx).value(AggFn::Sum), 5.0);
+        assert_eq!(store.state(0, idx).value(AggFn::Count), 2.0);
+        assert_eq!(store.values().get(1, idx), 5.0);
+        assert_eq!(store.values().totals(), &[3.0, 5.0]);
     }
 
     #[test]

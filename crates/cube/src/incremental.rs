@@ -5,16 +5,24 @@
 //! re-materializing and re-enumerating all history per refresh is
 //! O(total rows × 2^|A|) each time. [`IncrementalCube`] keeps the
 //! enumeration state (one packed-key group map per attribute subset,
-//! per-explanation state series, dictionaries) alive between appends so
+//! dictionaries, and the time-major state store) alive between appends so
 //! that new rows cost only O(new rows × 2^|A|), and produces an
 //! [`ExplanationCube`] snapshot on demand. The batch builder
 //! [`ExplanationCube::build`] is this seed followed by a consuming
 //! snapshot, so one enumeration path serves both.
 //!
+//! The store is the cube's only copy of its states, held behind an `Arc`: a
+//! snapshot shares it instead of copying it. An append mutates the store in
+//! place when the cube holds it alone, and copies it first only while a
+//! snapshot taken before the append is still alive, so a snapshot never
+//! sees a later append.
+//!
 //! An appended row is keyed exactly like a seeded one (see the `enumerate`
 //! module): subsets are visited in ascending mask order, each reading its
 //! prefix's id for the row from a per-row scratch buffer, so one lookup of
-//! one `u64` per subset places the row.
+//! one `u64` per subset places the row. Once every row of the batch is
+//! placed, the store grows to its new shape once and the rows are folded
+//! in, in batch order.
 //!
 //! Time moves forward only: appended rows must be at or after the current
 //! horizon (the last known timestamp). Restating earlier timestamps
@@ -30,9 +38,10 @@
 //! differs from a cold rebuild, which no pipeline stage depends on.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use tsexplain_parallel::ParallelCtx;
-use tsexplain_relation::{AggFn, AggQuery, AggState, AttrValue, Dictionary, Relation};
+use tsexplain_relation::{AggQuery, AttrValue, Dictionary, Relation};
 
 use crate::cube::{CubeConfig, ExplanationCube};
 use crate::enumerate::{
@@ -41,7 +50,7 @@ use crate::enumerate::{
 use crate::error::CubeError;
 use crate::explanation::{ExplId, Explanation};
 use crate::trie::ROOT_NODE;
-use crate::values::ValueMatrix;
+use crate::values::StateStore;
 
 /// One raw appended observation: timestamp, explain-by values in the
 /// cube's attribute order, and the already-evaluated measure.
@@ -54,7 +63,6 @@ pub type AppendRow = (AttrValue, Vec<AttrValue>, f64);
 #[derive(Clone, Debug)]
 pub struct IncrementalCube {
     pub(crate) config: CubeConfig,
-    pub(crate) agg: AggFn,
     /// Sorted, append-only time axis.
     pub(crate) timestamps: Vec<AttrValue>,
     pub(crate) time_index: HashMap<AttrValue, u32>,
@@ -67,15 +75,14 @@ pub struct IncrementalCube {
     /// order.
     pub(crate) subsets: Vec<Subset>,
     /// Per subset: packed (prefix id, last code) key -> explanation id.
-    pub(crate) groups: Groups,
+    /// Only appends read them, so they are derived from the explanation
+    /// list at the first append (`derive_groups`); a cube that only serves
+    /// snapshots never builds them.
+    pub(crate) groups: Option<Groups>,
     pub(crate) explanations: Vec<Explanation>,
-    pub(crate) series: Vec<Vec<AggState>>,
-    pub(crate) total: Vec<AggState>,
-    /// Time-major pre-decoded values, maintained incrementally: appends
-    /// re-decode only the touched rows (or rebuild when new candidates
-    /// appeared), and snapshots hand the matrix to the finalizer so the
-    /// common no-prune case skips the O(ε·n) re-decode entirely.
-    pub(crate) values: ValueMatrix,
+    /// The states, one column per explanation id, shared with every
+    /// snapshot taken since the last append (module docs).
+    pub(crate) store: Arc<StateStore>,
     pub(crate) rows_ingested: usize,
 }
 
@@ -128,11 +135,6 @@ impl IncrementalCube {
             dict_index.push(index);
         }
 
-        let mut total = vec![AggState::ZERO; n_times];
-        for (row, &code) in time_col.codes().iter().enumerate() {
-            total[code as usize].observe(measures[row]);
-        }
-
         let subsets = enumerate_subsets(n_attrs, config.max_order);
         let input = SeedInput {
             time_codes: time_col.codes(),
@@ -142,14 +144,10 @@ impl IncrementalCube {
             measures: &measures,
         };
         // All-or-nothing: a cancelled fan-out is an error, never a seed.
-        let (explanations, series) = enumerate_seed(&subsets, &input, par)?;
-        let groups = derive_groups(&subsets, &explanations)
-            .expect("a seed holds every drill-down parent of what it enumerates");
+        let (explanations, store) = enumerate_seed(&subsets, &input, query.agg(), par)?;
 
-        let values = ValueMatrix::build(query.agg(), &total, &series);
         Ok(IncrementalCube {
             config: config.clone(),
-            agg: query.agg(),
             timestamps: time_col.dict().values().to_vec(),
             time_index: time_col
                 .dict()
@@ -162,11 +160,9 @@ impl IncrementalCube {
             dict_values,
             dict_index,
             subsets,
-            groups,
+            groups: None,
             explanations,
-            series,
-            total,
-            values,
+            store: Arc::new(store),
             rows_ingested: time_col.codes().len(),
         })
     }
@@ -179,18 +175,15 @@ impl IncrementalCube {
         let subsets = enumerate_subsets(n_attrs, config.max_order);
         Ok(IncrementalCube {
             config: config.clone(),
-            agg: query.agg(),
             timestamps: Vec::new(),
             time_index: HashMap::new(),
             attr_names: config.explain_by.clone(),
             dict_values: vec![Vec::new(); n_attrs],
             dict_index: vec![HashMap::new(); n_attrs],
-            groups: vec![HashMap::new(); subsets.len()],
+            groups: None,
             subsets,
             explanations: Vec::new(),
-            series: Vec::new(),
-            total: Vec::new(),
-            values: ValueMatrix::with_cols(0),
+            store: Arc::new(StateStore::zeroed(query.agg(), 0, 0)),
             rows_ingested: 0,
         })
     }
@@ -237,7 +230,12 @@ impl IncrementalCube {
                 .flat_map(|index| index.keys())
                 .map(|v| attr_value_bytes(v) + size_of::<u32>() + MAP_ENTRY_OVERHEAD)
                 .sum::<usize>();
-        let groups: usize = self.groups.iter().map(HashMap::len).sum::<usize>()
+        let groups: usize = self
+            .groups
+            .iter()
+            .flatten()
+            .map(HashMap::len)
+            .sum::<usize>()
             * (size_of::<u64>() + size_of::<ExplId>() + MAP_ENTRY_OVERHEAD);
         size_of::<Self>()
             + attr_values_bytes(&self.timestamps)
@@ -255,13 +253,15 @@ impl IncrementalCube {
                 .iter()
                 .map(explanation_bytes)
                 .sum::<usize>()
-            + self
-                .series
-                .iter()
-                .map(|s| state_series_bytes(s))
-                .sum::<usize>()
-            + state_series_bytes(&self.total)
-            + self.values.approx_bytes()
+            + self.store.approx_bytes()
+    }
+
+    /// The address of the state store this cube holds: unchanged by an
+    /// append that mutated the store in place, changed by one that had to
+    /// copy it first. Tests use it to check that appends do not copy.
+    #[doc(hidden)]
+    pub fn store_addr(&self) -> usize {
+        Arc::as_ptr(&self.store) as usize
     }
 
     /// The timestamps of the series so far, in time order.
@@ -278,6 +278,9 @@ impl IncrementalCube {
     /// attribute. On [`CubeError::RestatedTimestamp`] the caller should
     /// fall back to a full rebuild.
     pub fn append_batch(&mut self, rows: &[AppendRow]) -> Result<(), CubeError> {
+        if rows.is_empty() {
+            return Ok(());
+        }
         // ---- validation pass: no mutation ------------------------------
         let horizon = self.timestamps.last().cloned();
         let mut newest: Option<&AttrValue> = None;
@@ -308,35 +311,30 @@ impl IncrementalCube {
             }
         }
 
-        // ---- ingestion pass --------------------------------------------
-        let cols_before = self.explanations.len();
-        let rows_before = self.timestamps.len();
-        // Existing rows whose states this batch changes (appends at the
-        // current horizon); re-decoded after ingestion.
-        let mut touched_rows: Vec<usize> = Vec::new();
+        // ---- placement pass: time codes, dictionary codes, ids ----------
+        let groups = self.groups.get_or_insert_with(|| {
+            derive_groups(&self.subsets, &self.explanations)
+                .expect("every cube holds the drill-down parents of its explanations")
+        });
+        let n_subsets = self.subsets.len();
+        // Per row: its time index, then its id on each subset.
+        let mut times: Vec<usize> = Vec::with_capacity(rows.len());
+        let mut placed: Vec<ExplId> = Vec::with_capacity(rows.len() * n_subsets);
         // Per-row scratch: the row's codes, and its id on each subset (read
         // by the subsets that extend it, which come later in mask order).
         let mut codes = vec![0u32; self.attr_names.len()];
-        let mut ids: Vec<ExplId> = vec![0; self.subsets.len()];
-        for (time, attrs, measure) in rows {
+        let mut ids: Vec<ExplId> = vec![0; n_subsets];
+        for (time, attrs, _measure) in rows {
             let tcode = match self.time_index.get(time) {
                 Some(&c) => c,
                 None => {
                     let c = self.timestamps.len() as u32;
                     self.timestamps.push(time.clone());
                     self.time_index.insert(time.clone(), c);
-                    self.total.push(AggState::ZERO);
-                    for s in &mut self.series {
-                        s.push(AggState::ZERO);
-                    }
                     c
                 }
             };
-            let t = tcode as usize;
-            if t < rows_before && touched_rows.last() != Some(&t) {
-                touched_rows.push(t);
-            }
-            self.total[t].observe(*measure);
+            times.push(tcode as usize);
 
             for ((code, value), (values, index)) in codes
                 .iter_mut()
@@ -354,90 +352,78 @@ impl IncrementalCube {
                 };
             }
 
-            let n_now = self.timestamps.len();
             for (si, subset) in self.subsets.iter().enumerate() {
                 let prefix = subset.prefix.map(|p| ids[p]);
                 let code = codes[usize::from(subset.last)];
                 let next = self.explanations.len() as ExplId;
-                let id = *self.groups[si]
+                let id = *groups[si]
                     .entry(pack(prefix.unwrap_or(ROOT_NODE), code))
                     .or_insert(next);
                 if id == next {
                     let parent = prefix.map(|p| &self.explanations[p as usize]);
                     self.explanations.push(extend(parent, subset.last, code));
-                    self.series.push(vec![AggState::ZERO; n_now]);
                 }
                 ids[si] = id;
-                self.series[id as usize][t].observe(*measure);
             }
-            self.rows_ingested += 1;
+            placed.extend_from_slice(&ids);
         }
 
-        // ---- columnar maintenance --------------------------------------
-        if self.explanations.len() != cols_before {
-            // New candidates widen every row; rebuild in one pass.
-            self.values = ValueMatrix::build(self.agg, &self.total, &self.series);
-        } else {
-            touched_rows.sort_unstable();
-            touched_rows.dedup();
-            for &t in &touched_rows {
-                self.values.redecode_row(
-                    t,
-                    self.agg,
-                    self.total[t],
-                    self.series.iter().map(|s| &s[t]),
-                );
-            }
-            for t in rows_before..self.timestamps.len() {
-                self.values
-                    .push_row(self.agg, self.total[t], self.series.iter().map(|s| s[t]));
+        // ---- fold pass: one reshape, then the rows in batch order -------
+        // Copies the store first only if a snapshot still shares it.
+        let store = Arc::make_mut(&mut self.store);
+        store.grow(self.timestamps.len(), self.explanations.len());
+        for ((&t, (_, _, measure)), ids) in times.iter().zip(rows).zip(placed.chunks(n_subsets)) {
+            store.observe_total(t, *measure);
+            for &id in ids {
+                store.observe(t, id as usize, *measure);
             }
         }
+        times.sort_unstable();
+        times.dedup();
+        store.redecode_rows(times);
+        self.rows_ingested += rows.len();
         Ok(())
     }
 
     /// Finalizes the current state into an [`ExplanationCube`]
-    /// (redundancy pruning, trie, index, support filter), copying the
-    /// state so the cube can keep growing.
+    /// (redundancy pruning, trie, index, support filter). The snapshot
+    /// shares this cube's state store, so the cube can keep growing
+    /// without copying it.
     pub fn snapshot(&self) -> Result<ExplanationCube, CubeError> {
         if self.timestamps.is_empty() {
             return Err(CubeError::EmptyInput);
         }
         Ok(ExplanationCube::assemble(
             self.timestamps.clone(),
-            self.agg,
-            self.total.clone(),
             self.attr_names.clone(),
             self.dict_values
                 .iter()
                 .map(|values| Dictionary::from_ordered_values(values.clone()))
                 .collect(),
             self.explanations.clone(),
-            self.series.clone(),
-            self.values.clone(),
+            Arc::clone(&self.store),
+            true,
             self.config.filter_ratio,
             self.config.prune_redundant,
         ))
     }
 
     /// [`IncrementalCube::snapshot`] for a cube that will not grow again:
-    /// the state moves into the snapshot instead of being copied.
+    /// the state moves into the snapshot, which then owns the store.
     pub(crate) fn into_snapshot(self) -> Result<ExplanationCube, CubeError> {
         if self.timestamps.is_empty() {
             return Err(CubeError::EmptyInput);
         }
         Ok(ExplanationCube::assemble(
             self.timestamps,
-            self.agg,
-            self.total,
             self.attr_names,
             self.dict_values
                 .into_iter()
                 .map(Dictionary::from_ordered_values)
                 .collect(),
             self.explanations,
-            self.series,
-            self.values,
+            self.store,
+            false,
             self.config.filter_ratio,
             self.config.prune_redundant,
         ))
@@ -585,9 +571,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(par.explanations, seq.explanations, "t={threads}");
-            assert_eq!(par.series, seq.series, "t={threads}");
-            assert_eq!(par.groups, seq.groups, "t={threads}");
-            assert_eq!(par.total, seq.total, "t={threads}");
+            assert_eq!(par.store, seq.store, "t={threads}");
         }
     }
 

@@ -12,7 +12,11 @@
 //!    (Definition 3.1; β̄ defaults to 3 as in the paper),
 //! 2. materializes the decomposable aggregate-state series `ts(σ_E R)` for
 //!    every candidate, so that the absolute-change difference score of any
-//!    segment is an O(1) endpoint computation,
+//!    segment is an O(1) endpoint computation. The states are stored once,
+//!    time-major (one row per timestamp across all candidates; see
+//!    [`ValueMatrix`] for the decoded rows the scorers scan), and an
+//!    [`IncrementalCube`] shares that store with every
+//!    [`ExplanationCube`] snapshot taken from it,
 //! 3. applies the paper's support `filter` (§7.5.1): an explanation whose
 //!    series is pointwise below `ratio` × the overall series is marked
 //!    non-selectable,

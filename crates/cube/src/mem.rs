@@ -8,12 +8,14 @@
 //! handful of helpers.
 //!
 //! The estimate is intentionally approximate — it counts the dominant
-//! payloads (per-explanation state series, dictionaries, tries, hash
-//! indexes) with flat per-entry overheads for hash-map bookkeeping rather
-//! than chasing allocator metadata. What matters for an eviction policy is
-//! that the estimate is (a) monotone in the data (more rows, points or
+//! payloads (the state store's planes, dictionaries, tries, hash indexes)
+//! with flat per-entry overheads for hash-map bookkeeping rather than
+//! chasing allocator metadata. What matters for an eviction policy is that
+//! the estimate is (a) monotone in the data (more rows, points or
 //! candidates never shrink it) and (b) stable for identical state, so
-//! LRU-by-bytes decisions are reproducible.
+//! LRU-by-bytes decisions are reproducible. A state store that a snapshot
+//! shares with its incremental cube is counted by the incremental cube
+//! only, so an entry holding both counts it once.
 
 use std::mem::size_of;
 
@@ -55,7 +57,7 @@ pub(crate) fn explanation_bytes(e: &Explanation) -> usize {
     size_of::<Explanation>() + std::mem::size_of_val(e.preds())
 }
 
-/// Approximate size of a per-explanation (or total) aggregate-state series.
+/// Approximate size of an aggregate-state series (a store's overall series).
 pub(crate) fn state_series_bytes(series: &[AggState]) -> usize {
     size_of::<Vec<AggState>>() + std::mem::size_of_val(series)
 }

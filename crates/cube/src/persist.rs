@@ -2,25 +2,30 @@
 //!
 //! A demoted or checkpointed cube is written as one self-describing binary
 //! blob: a small header (config, aggregate, dictionaries, explanations)
-//! followed by flat little-endian `f64` blocks — the aggregate-state
-//! series and the time-major [`ValueMatrix`], which is already one
-//! contiguous row-major allocation, so the hot part of the snapshot is a
-//! single memcpy-style pass.
+//! followed by flat little-endian `f64` blocks: the overall state series,
+//! one state series per explanation (explanation-major, walked out of the
+//! time-major state store column by column), and the time-major value
+//! matrix with its overall value series.
 //!
 //! Only the *logical* state is persisted. The derived lookup structures
 //! (time index, dictionary indexes, subset list, per-subset group maps)
-//! are pure functions of the logical state and are rebuilt on load, which
-//! keeps the format small and makes a round-trip bit-identical by
-//! construction: floats travel as raw IEEE-754 bits, codes and ids as
-//! fixed-width integers, and every rebuilt map reproduces exactly the
-//! entries the live cube held. The group maps are derived by the same
-//! function that derives them for a fresh seed, so a change of their key
-//! leaves the format, and blobs already written, as they are.
+//! are pure functions of the logical state and are rebuilt on load (the
+//! group maps at the first append, as for a fresh seed), which keeps the
+//! format small and makes a round-trip bit-identical by construction:
+//! floats travel as raw IEEE-754 bits, codes and ids as fixed-width
+//! integers, and every rebuilt map reproduces exactly the entries the live
+//! cube held. The group maps are derived by the same function for a seed
+//! and a decoded blob, so a change of their key leaves the format, and
+//! blobs already written, as they are.
+//!
+//! The value block is derived data too: the decoder redecodes the states
+//! and requires the block to match them bit for bit.
 //!
 //! Decoding is defensive end to end: every read is bounds-checked and
 //! every structural invariant (pred sorted-ness, code ranges, series
-//! arity, matrix dimensions, no duplicate explanation, every drill-down
-//! parent of an explanation present) is re-validated, so a torn write or
+//! arity, matrix dimensions, values that decode from the states, no
+//! duplicate explanation, every drill-down parent of an explanation
+//! present) is re-validated, so a torn write or
 //! a bit flip yields [`CubeError::CorruptSnapshot`] — never a panic and
 //! never a cube that violates the invariants the scoring paths rely on
 //! (the trie, for one, hangs each explanation under all its parents). A
@@ -29,6 +34,7 @@
 //! only guarantees that *whatever* bytes arrive cannot crash the decoder.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use tsexplain_relation::{AggFn, AggState, AttrValue};
 
@@ -37,7 +43,7 @@ use crate::enumerate::{derive_groups, enumerate_subsets};
 use crate::error::CubeError;
 use crate::explanation::Explanation;
 use crate::incremental::IncrementalCube;
-use crate::values::ValueMatrix;
+use crate::values::StateStore;
 
 /// Format magic: "TSXC" + version 1. Bump the trailing byte on layout
 /// changes; old snapshots then fail the magic check and recovery rebuilds.
@@ -51,7 +57,10 @@ impl IncrementalCube {
     /// Serializes the cube's logical state into one snapshot blob (module
     /// docs). The inverse is [`IncrementalCube::from_snapshot_bytes`].
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.values.approx_bytes() * 4);
+        let store = &*self.store;
+        // Four f64 words per cell: three state fields and the value.
+        let cells = store.n_rows() * (store.n_cols() + 1);
+        let mut out = Vec::with_capacity(64 + cells * 32);
         out.extend_from_slice(MAGIC);
 
         // Config.
@@ -68,7 +77,7 @@ impl IncrementalCube {
             }
         }
         out.push(self.config.prune_redundant as u8);
-        out.push(agg_tag(self.agg));
+        out.push(agg_tag(store.agg()));
         put_u64(&mut out, self.rows_ingested as u64);
 
         // Time axis and per-attribute dictionaries, in code order.
@@ -94,21 +103,23 @@ impl IncrementalCube {
         }
 
         // Flat f64 blocks: total series, per-explanation series, matrix.
-        for st in &self.total {
+        for st in store.total_states() {
             put_state(&mut out, st);
         }
-        for s in &self.series {
-            debug_assert_eq!(s.len(), self.timestamps.len());
-            for st in s {
-                put_state(&mut out, st);
+        for col in 0..store.n_cols() {
+            for t in 0..store.n_rows() {
+                put_state(&mut out, &store.state(t, col));
             }
         }
-        put_u64(&mut out, self.values.n_rows() as u64);
-        put_u64(&mut out, self.values.n_cols() as u64);
-        for &x in self.values.data() {
-            put_u64(&mut out, x.to_bits());
+        let values = store.values();
+        put_u64(&mut out, values.n_rows() as u64);
+        put_u64(&mut out, values.n_cols() as u64);
+        for t in 0..values.n_rows() {
+            for &x in values.row(t) {
+                put_u64(&mut out, x.to_bits());
+            }
         }
-        for &x in self.values.totals() {
+        for &x in values.totals() {
             put_u64(&mut out, x.to_bits());
         }
         out
@@ -208,19 +219,23 @@ impl IncrementalCube {
             explanations.push(Explanation::new(preds));
         }
 
-        // Flat state blocks.
-        let mut total = Vec::with_capacity(n_times);
-        for _ in 0..n_times {
-            total.push(r.state()?);
+        // Flat state blocks, filled into a store sized only once the blob
+        // is known to hold that many states (a corrupt count cannot
+        // trigger a huge allocation).
+        let cells = n_times
+            .checked_mul(n_expl)
+            .ok_or_else(|| corrupt("state dimension overflow"))?;
+        r.block(cells, 24)?;
+        let mut store = StateStore::zeroed(agg, n_times, n_expl);
+        for t in 0..n_times {
+            store.set_total(t, r.state()?);
         }
-        let mut series = Vec::with_capacity(n_expl);
-        for _ in 0..n_expl {
-            let mut s = Vec::with_capacity(n_times);
-            for _ in 0..n_times {
-                s.push(r.state()?);
+        for col in 0..n_expl {
+            for t in 0..n_times {
+                store.set_state(t, col, r.state()?);
             }
-            series.push(s);
         }
+        store.decode();
         let n_rows = r.u64()? as usize;
         let n_cols = r.u64()? as usize;
         if n_rows != n_times || n_cols != n_expl {
@@ -228,19 +243,19 @@ impl IncrementalCube {
                 "matrix is {n_rows}x{n_cols}, state is {n_times}x{n_expl}"
             )));
         }
-        let cells = n_rows
-            .checked_mul(n_cols)
-            .ok_or_else(|| corrupt("matrix dimension overflow"))?;
-        let mut data = Vec::with_capacity(r.block(cells, 8)?);
-        for _ in 0..cells {
-            data.push(f64::from_bits(r.u64()?));
+        let values = store.values();
+        for t in 0..n_rows {
+            for &x in values.row(t) {
+                if r.u64()? != x.to_bits() {
+                    return Err(corrupt("value block disagrees with the states"));
+                }
+            }
         }
-        let mut totals = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            totals.push(f64::from_bits(r.u64()?));
+        for &x in values.totals() {
+            if r.u64()? != x.to_bits() {
+                return Err(corrupt("total values disagree with the states"));
+            }
         }
-        let values = ValueMatrix::from_parts(n_rows, n_cols, data, totals)
-            .ok_or_else(|| corrupt("inconsistent matrix block"))?;
         if r.pos != r.buf.len() {
             return Err(corrupt(format!(
                 "{} trailing bytes after snapshot",
@@ -248,11 +263,11 @@ impl IncrementalCube {
             )));
         }
 
-        // The group maps are derived, and the derivation rejects an
-        // explanation whose drill-down parents are not all present (the
-        // trie would panic on it at the first snapshot).
+        // The group maps are derived again at the first append; deriving
+        // them here rejects an explanation whose drill-down parents are not
+        // all present (the trie would panic on it at the first snapshot).
         let subsets = enumerate_subsets(n_attrs, max_order);
-        let groups = derive_groups(&subsets, &explanations)?;
+        derive_groups(&subsets, &explanations)?;
 
         Ok(IncrementalCube {
             config: CubeConfig {
@@ -261,18 +276,15 @@ impl IncrementalCube {
                 filter_ratio,
                 prune_redundant,
             },
-            agg,
             timestamps,
             time_index,
             attr_names: explain_by,
             dict_values,
             dict_index,
             subsets,
-            groups,
+            groups: None,
             explanations,
-            series,
-            total,
-            values,
+            store: Arc::new(store),
             rows_ingested,
         })
     }
@@ -455,16 +467,22 @@ mod tests {
         assert_eq!(a.groups, b.groups);
         assert_eq!(a.explanations, b.explanations);
         assert_eq!(a.rows_ingested, b.rows_ingested);
-        for (x, y) in a.series.iter().flatten().zip(b.series.iter().flatten()) {
-            assert_eq!(x.count.to_bits(), y.count.to_bits());
-            assert_eq!(x.sum.to_bits(), y.sum.to_bits());
-            assert_eq!(x.sumsq.to_bits(), y.sumsq.to_bits());
-        }
-        for (x, y) in a.values.data().iter().zip(b.values.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in a.values.totals().iter().zip(b.values.totals()) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        let (sa, sb) = (&a.store, &b.store);
+        assert_eq!((sa.n_rows(), sa.n_cols()), (sb.n_rows(), sb.n_cols()));
+        let bits = |s: AggState| [s.count.to_bits(), s.sum.to_bits(), s.sumsq.to_bits()];
+        for t in 0..sa.n_rows() {
+            assert_eq!(bits(sa.total_states()[t]), bits(sb.total_states()[t]));
+            for col in 0..sa.n_cols() {
+                assert_eq!(bits(sa.state(t, col)), bits(sb.state(t, col)));
+                assert_eq!(
+                    sa.values().get(t, col).to_bits(),
+                    sb.values().get(t, col).to_bits()
+                );
+            }
+            assert_eq!(
+                sa.values().total(t).to_bits(),
+                sb.values().total(t).to_bits()
+            );
         }
     }
 

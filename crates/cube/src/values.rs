@@ -1,101 +1,52 @@
-//! Time-major pre-decoded value storage — the columnar half of the cube.
+//! Time-major aggregate-state storage: the cube's one copy of its data.
 //!
-//! The cube's source of truth is the per-explanation [`AggState`] series
-//! (`series[e][t]`): explanation-major, one heap allocation per candidate,
-//! and an [`AggState::value`] enum dispatch on every read. That layout is
-//! right for *maintenance* (appends touch one candidate at a time, and
-//! semantics like `remove` on AVG need the full state), but exactly wrong
-//! for the scoring hot loop, which scans γ(E, seg) across **all**
-//! candidates at two fixed timestamps.
+//! A cube's states live in one [`StateStore`]: three `f64` planes (count,
+//! sum and sumsq of [`AggState`]), each holding one row per timestamp with
+//! one slot per candidate column (`plane[t * n_cols + col]`), plus the
+//! overall state series. An incremental cube holds its store behind an
+//! `Arc`, and every snapshot taken since its last append shares that `Arc`;
+//! smoothing and time slicing build stores of their own.
 //!
-//! [`ValueMatrix`] is the scan-friendly dual: one contiguous `f64` row per
-//! timestamp holding every candidate's already-decoded aggregate value,
-//! plus the decoded overall series. A batched scorer reads two rows
-//! linearly — cache-friendly, branch-free, vectorizable — instead of
-//! striding across ε allocations with a per-access `match`.
+//! The scoring hot loop scans γ(E, seg) across all candidates at two fixed
+//! timestamps, so it reads decoded values one contiguous row at a time
+//! ([`ValueMatrix`]). SUM and COUNT decode to the state's own sum or count,
+//! so that plane *is* the value plane and nothing is decoded. AVG and
+//! VARIANCE keep one decoded plane beside the states, redecoded row by row
+//! as appends change them. Decoding is a pure function of the state, so a
+//! pre-decoded value is bit-identical to [`AggState::value`] on the fly.
 //!
-//! Decoding is a pure function of the state and the aggregate function, so
-//! a pre-decoded value is bit-identical to decoding on the fly; every
-//! consumer switching from `state(e, t).value(agg)` to `row(t)[e]` keeps
-//! byte-identical results by construction.
+//! A fold adds each observation to its cell with the arithmetic of
+//! [`AggState::observe`], so a cell that receives its rows in row order
+//! holds bit for bit the state a per-explanation series would.
+
+use std::ops::Range;
 
 use tsexplain_relation::{AggFn, AggState};
 
-/// Time-major matrix of pre-decoded aggregate values: `row(t)[e]` is
+/// A borrowed time-major plane of decoded values: `row(t)[e]` is
 /// explanation `e`'s value at time index `t`, `totals()[t]` the overall
 /// series (see module docs).
-#[derive(Clone, Debug, Default)]
-pub struct ValueMatrix {
-    n_rows: usize,
+#[derive(Clone, Copy, Debug)]
+pub struct ValueMatrix<'a> {
     n_cols: usize,
     /// Row-major: `data[t * n_cols + e]`.
-    data: Vec<f64>,
-    totals: Vec<f64>,
+    data: &'a [f64],
+    totals: &'a [f64],
 }
 
-impl ValueMatrix {
-    /// Decodes `total` and `series` (explanation-major) into a time-major
-    /// matrix under `agg`. One pass per candidate; done once at cube build.
-    pub fn build(agg: AggFn, total: &[AggState], series: &[Vec<AggState>]) -> Self {
-        let n_rows = total.len();
-        let n_cols = series.len();
-        let mut data = vec![0.0; n_rows * n_cols];
-        for (e, s) in series.iter().enumerate() {
-            debug_assert_eq!(s.len(), n_rows, "ragged state series");
-            for (t, st) in s.iter().enumerate() {
-                data[t * n_cols + e] = st.value(agg);
-            }
-        }
-        let totals = total.iter().map(|st| st.value(agg)).collect();
+impl<'a> ValueMatrix<'a> {
+    pub(crate) fn new(n_cols: usize, data: &'a [f64], totals: &'a [f64]) -> Self {
+        debug_assert_eq!(data.len(), n_cols * totals.len(), "plane shape");
         ValueMatrix {
-            n_rows,
             n_cols,
             data,
             totals,
         }
-    }
-
-    /// An empty matrix with no rows over `n_cols` candidates.
-    pub fn with_cols(n_cols: usize) -> Self {
-        ValueMatrix {
-            n_rows: 0,
-            n_cols,
-            data: Vec::new(),
-            totals: Vec::new(),
-        }
-    }
-
-    /// Reassembles a matrix from its raw parts — the snapshot-load path.
-    /// Returns `None` when the dimensions are inconsistent with the data
-    /// (a torn or corrupt snapshot must not become an out-of-bounds panic
-    /// later).
-    pub fn from_parts(
-        n_rows: usize,
-        n_cols: usize,
-        data: Vec<f64>,
-        totals: Vec<f64>,
-    ) -> Option<Self> {
-        if data.len() != n_rows.checked_mul(n_cols)? || totals.len() != n_rows {
-            return None;
-        }
-        Some(ValueMatrix {
-            n_rows,
-            n_cols,
-            data,
-            totals,
-        })
-    }
-
-    /// The full row-major value block (`data[t * n_cols + e]`) — what a
-    /// block snapshot writes in one contiguous pass.
-    #[inline]
-    pub fn data(&self) -> &[f64] {
-        &self.data
     }
 
     /// Number of time points (rows).
     pub fn n_rows(&self) -> usize {
-        self.n_rows
+        self.totals.len()
     }
 
     /// Number of candidates (columns).
@@ -104,9 +55,9 @@ impl ValueMatrix {
     }
 
     /// The contiguous value row at time index `t` (one entry per
-    /// candidate) — what the batched γ scorer scans.
+    /// candidate): what the batched γ scorer scans.
     #[inline]
-    pub fn row(&self, t: usize) -> &[f64] {
+    pub fn row(&self, t: usize) -> &'a [f64] {
         &self.data[t * self.n_cols..(t + 1) * self.n_cols]
     }
 
@@ -118,8 +69,8 @@ impl ValueMatrix {
 
     /// The decoded overall value series.
     #[inline]
-    pub fn totals(&self) -> &[f64] {
-        &self.totals
+    pub fn totals(&self) -> &'a [f64] {
+        self.totals
     }
 
     /// The overall value at time index `t`.
@@ -127,58 +78,354 @@ impl ValueMatrix {
     pub fn total(&self, t: usize) -> f64 {
         self.totals[t]
     }
+}
 
-    /// The matrix restricted to rows `lo..=hi` — a pair of contiguous
-    /// copies (no re-decoding), used by `ExplanationCube::slice_time`.
-    pub fn slice_rows(&self, lo: usize, hi: usize) -> ValueMatrix {
-        debug_assert!(lo <= hi && hi < self.n_rows);
-        ValueMatrix {
-            n_rows: hi - lo + 1,
-            n_cols: self.n_cols,
-            data: self.data[lo * self.n_cols..(hi + 1) * self.n_cols].to_vec(),
-            totals: self.totals[lo..=hi].to_vec(),
+/// The time-major state planes of a cube (see module docs).
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct StateStore {
+    agg: AggFn,
+    n_rows: usize,
+    n_cols: usize,
+    count: Vec<f64>,
+    sum: Vec<f64>,
+    sumsq: Vec<f64>,
+    /// AVG and VARIANCE: the decoded values, laid out like the state
+    /// planes. Empty for SUM and COUNT, whose value plane is `sum` or
+    /// `count`.
+    decoded: Vec<f64>,
+    total: Vec<AggState>,
+    /// The decoded overall series.
+    totals: Vec<f64>,
+}
+
+/// Whether `agg` needs a decoded plane of its own (module docs).
+fn decodes(agg: AggFn) -> bool {
+    matches!(agg, AggFn::Avg | AggFn::Variance)
+}
+
+/// Appends rows `rows` of columns `cols` of an `n_cols`-wide time-major
+/// `plane` to `out`, row by row.
+fn gather_into(out: &mut Vec<f64>, plane: &[f64], n_cols: usize, rows: Range<usize>, cols: &[u32]) {
+    for t in rows {
+        let row = &plane[t * n_cols..(t + 1) * n_cols];
+        out.extend(cols.iter().map(|&c| row[c as usize]));
+    }
+}
+
+impl StateStore {
+    /// A store of `n_rows` empty rows over `n_cols` columns.
+    pub(crate) fn zeroed(agg: AggFn, n_rows: usize, n_cols: usize) -> Self {
+        let cells = n_rows * n_cols;
+        StateStore {
+            agg,
+            n_rows,
+            n_cols,
+            count: vec![0.0; cells],
+            sum: vec![0.0; cells],
+            sumsq: vec![0.0; cells],
+            decoded: if decodes(agg) {
+                vec![0.0; cells]
+            } else {
+                Vec::new()
+            },
+            total: vec![AggState::ZERO; n_rows],
+            totals: vec![0.0; n_rows],
         }
     }
 
-    /// Appends one decoded row at the tail (the incremental-append path).
-    pub fn push_row(
-        &mut self,
-        agg: AggFn,
-        total: AggState,
-        states: impl Iterator<Item = AggState>,
-    ) {
-        let before = self.data.len();
-        self.data.extend(states.map(|st| st.value(agg)));
-        debug_assert_eq!(self.data.len() - before, self.n_cols, "row arity");
-        self.totals.push(total.value(agg));
-        self.n_rows += 1;
+    /// The aggregate function the values decode under.
+    pub(crate) fn agg(&self) -> AggFn {
+        self.agg
     }
 
-    /// Re-decodes row `t` in place from the authoritative states — how an
-    /// incremental cube repairs rows whose states changed under an append.
-    pub fn redecode_row<'s>(
-        &mut self,
-        t: usize,
-        agg: AggFn,
-        total: AggState,
-        states: impl Iterator<Item = &'s AggState>,
-    ) {
-        let row = &mut self.data[t * self.n_cols..(t + 1) * self.n_cols];
-        let mut filled = 0;
-        for (slot, st) in row.iter_mut().zip(states) {
-            *slot = st.value(agg);
-            filled += 1;
+    /// Number of time points (rows).
+    pub(crate) fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    /// Number of candidate columns.
+    pub(crate) fn n_cols(&self) -> usize {
+        self.n_cols
+    }
+
+    /// Column `col`'s state at time index `t`.
+    #[inline]
+    pub(crate) fn state(&self, t: usize, col: usize) -> AggState {
+        let i = t * self.n_cols + col;
+        AggState {
+            count: self.count[i],
+            sum: self.sum[i],
+            sumsq: self.sumsq[i],
         }
-        debug_assert_eq!(filled, self.n_cols, "row arity");
-        self.totals[t] = total.value(agg);
     }
 
-    /// Approximate heap + inline footprint in bytes (same contract as
-    /// the `mem` module: deterministic, monotone in rows × columns).
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.data.len() * std::mem::size_of::<f64>()
-            + self.totals.len() * std::mem::size_of::<f64>()
+    /// Overwrites column `col`'s state at time index `t` (the blob
+    /// decoder's fill; call [`StateStore::decode`] once it is done).
+    pub(crate) fn set_state(&mut self, t: usize, col: usize, state: AggState) {
+        let i = t * self.n_cols + col;
+        self.count[i] = state.count;
+        self.sum[i] = state.sum;
+        self.sumsq[i] = state.sumsq;
+    }
+
+    /// The overall state series.
+    pub(crate) fn total_states(&self) -> &[AggState] {
+        &self.total
+    }
+
+    /// Overwrites the overall state at time index `t`.
+    pub(crate) fn set_total(&mut self, t: usize, state: AggState) {
+        self.total[t] = state;
+    }
+
+    /// The count plane, time-major: what redundancy pruning sums.
+    pub(crate) fn counts(&self) -> &[f64] {
+        &self.count
+    }
+
+    /// The value plane over every column.
+    pub(crate) fn values(&self) -> ValueMatrix<'_> {
+        let data = match self.agg {
+            AggFn::Sum => &self.sum,
+            AggFn::Count => &self.count,
+            AggFn::Avg | AggFn::Variance => &self.decoded,
+        };
+        ValueMatrix::new(self.n_cols, data, &self.totals)
+    }
+
+    /// Folds one observation into column `col` at time index `t`.
+    #[inline]
+    pub(crate) fn observe(&mut self, t: usize, col: usize, v: f64) {
+        let i = t * self.n_cols + col;
+        self.count[i] += 1.0;
+        self.sum[i] += v;
+        self.sumsq[i] += v * v;
+    }
+
+    /// Folds one observation into the overall state at time index `t`.
+    pub(crate) fn observe_total(&mut self, t: usize, v: f64) {
+        self.total[t].observe(v);
+    }
+
+    /// Splits the state planes into one [`RowSlab`] per entry of `starts`
+    /// (ascending time indices, the first 0): slab `k` owns rows
+    /// `starts[k]..starts[k + 1]` (the last one up to `n_rows`) of every
+    /// plane, so workers can fold disjoint rows at once.
+    pub(crate) fn row_slabs(&mut self, starts: &[usize]) -> Vec<RowSlab<'_>> {
+        let (n_rows, n_cols) = (self.n_rows, self.n_cols);
+        let (mut count, mut sum, mut sumsq) = (
+            self.count.as_mut_slice(),
+            self.sum.as_mut_slice(),
+            self.sumsq.as_mut_slice(),
+        );
+        let mut slabs = Vec::with_capacity(starts.len());
+        for (k, &lo) in starts.iter().enumerate() {
+            let hi = starts.get(k + 1).copied().unwrap_or(n_rows);
+            let cells = (hi - lo) * n_cols;
+            let (c, rest_c) = std::mem::take(&mut count).split_at_mut(cells);
+            let (s, rest_s) = std::mem::take(&mut sum).split_at_mut(cells);
+            let (q, rest_q) = std::mem::take(&mut sumsq).split_at_mut(cells);
+            (count, sum, sumsq) = (rest_c, rest_s, rest_q);
+            slabs.push(RowSlab {
+                rows: lo..hi,
+                n_cols,
+                count: c,
+                sum: s,
+                sumsq: q,
+            });
+        }
+        slabs
+    }
+
+    /// Grows the store to `n_rows` × `n_cols`, keeping every state at its
+    /// (row, column) and filling the new cells with empty states. Widening
+    /// re-lays every row out; adding rows extends the planes.
+    pub(crate) fn grow(&mut self, n_rows: usize, n_cols: usize) {
+        debug_assert!(n_rows >= self.n_rows && n_cols >= self.n_cols);
+        if n_cols > self.n_cols {
+            let (old, rows) = (self.n_cols, self.n_rows);
+            let widen = |plane: &mut Vec<f64>| {
+                let mut wide = vec![0.0; rows * n_cols];
+                if old > 0 {
+                    for (dst, src) in wide.chunks_mut(n_cols).zip(plane.chunks(old)) {
+                        dst[..old].copy_from_slice(src);
+                    }
+                }
+                *plane = wide;
+            };
+            widen(&mut self.count);
+            widen(&mut self.sum);
+            widen(&mut self.sumsq);
+            if decodes(self.agg) {
+                widen(&mut self.decoded);
+            }
+            self.n_cols = n_cols;
+        }
+        if n_rows > self.n_rows {
+            let cells = n_rows * self.n_cols;
+            self.count.resize(cells, 0.0);
+            self.sum.resize(cells, 0.0);
+            self.sumsq.resize(cells, 0.0);
+            if decodes(self.agg) {
+                self.decoded.resize(cells, 0.0);
+            }
+            self.total.resize(n_rows, AggState::ZERO);
+            self.totals.resize(n_rows, 0.0);
+            self.n_rows = n_rows;
+        }
+    }
+
+    /// Redecodes the values of rows `rows` from their states: how the store
+    /// catches up after folding observations into them.
+    pub(crate) fn redecode_rows(&mut self, rows: impl IntoIterator<Item = usize>) {
+        let (agg, n_cols) = (self.agg, self.n_cols);
+        for t in rows {
+            self.totals[t] = self.total[t].value(agg);
+            if decodes(agg) {
+                let span = t * n_cols..(t + 1) * n_cols;
+                for (i, slot) in span.clone().zip(&mut self.decoded[span]) {
+                    let state = AggState {
+                        count: self.count[i],
+                        sum: self.sum[i],
+                        sumsq: self.sumsq[i],
+                    };
+                    *slot = state.value(agg);
+                }
+            }
+        }
+    }
+
+    /// Decodes every row (after a seed or a blob decode filled the states).
+    pub(crate) fn decode(&mut self) {
+        self.redecode_rows(0..self.n_rows);
+    }
+
+    /// The value rows of columns `cols`, time-major: `out[t * cols.len() +
+    /// j]` is column `cols[j]`'s value at `t`. Gathered row by row.
+    pub(crate) fn gather_values(&self, cols: &[u32]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.n_rows * cols.len());
+        gather_into(
+            &mut out,
+            self.values().data,
+            self.n_cols,
+            0..self.n_rows,
+            cols,
+        );
+        out
+    }
+
+    /// A new store holding rows `rows` of columns `cols` (column `j` of the
+    /// result is column `cols[j]` here): what a time slice keeps.
+    pub(crate) fn gather(&self, rows: Range<usize>, cols: &[u32]) -> StateStore {
+        let pick = |plane: &[f64]| -> Vec<f64> {
+            let mut out = Vec::with_capacity(rows.len() * cols.len());
+            gather_into(&mut out, plane, self.n_cols, rows.clone(), cols);
+            out
+        };
+        StateStore {
+            agg: self.agg,
+            n_rows: rows.len(),
+            n_cols: cols.len(),
+            count: pick(&self.count),
+            sum: pick(&self.sum),
+            sumsq: pick(&self.sumsq),
+            decoded: if decodes(self.agg) {
+                pick(&self.decoded)
+            } else {
+                Vec::new()
+            },
+            total: self.total[rows.clone()].to_vec(),
+            totals: self.totals[rows].to_vec(),
+        }
+    }
+
+    /// A new store over columns `cols` whose every state is the centered
+    /// moving average of `window` points (clamped at the boundaries): each
+    /// cell sums its window's states in time order from an empty state,
+    /// then divides each field by the window length. Each plane's columns
+    /// are gathered once into one reused buffer, so the window sums run
+    /// over contiguous rows.
+    pub(crate) fn smoothed(&self, cols: &[u32], window: usize) -> StateStore {
+        let (n, width) = (self.n_rows, cols.len());
+        let half = window / 2;
+        let bounds = |t: usize| (t.saturating_sub(half), (t + half).min(n - 1));
+        let mut out = StateStore::zeroed(self.agg, n, width);
+        if width > 0 {
+            let mut src = Vec::with_capacity(n * width);
+            for (plane, dst) in [
+                (&self.count, &mut out.count),
+                (&self.sum, &mut out.sum),
+                (&self.sumsq, &mut out.sumsq),
+            ] {
+                src.clear();
+                gather_into(&mut src, plane, self.n_cols, 0..n, cols);
+                for (t, dst) in dst.chunks_mut(width).enumerate() {
+                    let (lo, hi) = bounds(t);
+                    for row in src[lo * width..(hi + 1) * width].chunks(width) {
+                        for (acc, &x) in dst.iter_mut().zip(row) {
+                            *acc += x;
+                        }
+                    }
+                    let k = (hi - lo + 1) as f64;
+                    for acc in dst.iter_mut() {
+                        *acc /= k;
+                    }
+                }
+            }
+        }
+        for (t, total) in out.total.iter_mut().enumerate() {
+            let (lo, hi) = bounds(t);
+            let mut acc = AggState::ZERO;
+            for x in &self.total[lo..=hi] {
+                acc += *x;
+            }
+            let k = (hi - lo + 1) as f64;
+            *total = AggState {
+                count: acc.count / k,
+                sum: acc.sum / k,
+                sumsq: acc.sumsq / k,
+            };
+        }
+        out.decode();
+        out
+    }
+
+    /// Approximate heap + inline footprint in bytes (same contract as the
+    /// `mem` module: deterministic, monotone in rows × columns).
+    pub(crate) fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Self>()
+            + (self.count.len() + self.sum.len() + self.sumsq.len() + self.decoded.len())
+                * size_of::<f64>()
+            + crate::mem::state_series_bytes(&self.total)
+            + self.totals.len() * size_of::<f64>()
+    }
+}
+
+/// One worker's share of a parallel fold: rows `rows` of the three state
+/// planes, contiguous (see [`StateStore::row_slabs`]).
+pub(crate) struct RowSlab<'a> {
+    rows: Range<usize>,
+    n_cols: usize,
+    count: &'a mut [f64],
+    sum: &'a mut [f64],
+    sumsq: &'a mut [f64],
+}
+
+impl RowSlab<'_> {
+    /// The time indices this slab owns.
+    pub(crate) fn rows(&self) -> Range<usize> {
+        self.rows.clone()
+    }
+
+    /// Folds one observation into column `col` at time index `t` (one of
+    /// the slab's rows), as [`StateStore::observe`] does.
+    #[inline]
+    pub(crate) fn observe(&mut self, t: usize, col: usize, v: f64) {
+        let i = (t - self.rows.start) * self.n_cols + col;
+        self.count[i] += 1.0;
+        self.sum[i] += v;
+        self.sumsq[i] += v * v;
     }
 }
 
@@ -186,78 +433,136 @@ impl ValueMatrix {
 mod tests {
     use super::*;
 
-    fn state(v: f64) -> AggState {
-        AggState::of(v)
-    }
+    /// Observations `(t, col, v)` over two columns and three points:
+    /// column 0 sees 3.0 and 4.0, column 1 sees 5.0, 6.0 and 1.0.
+    const SAMPLE: [(usize, usize, f64); 5] = [
+        (0, 0, 3.0),
+        (1, 0, 4.0),
+        (1, 1, 5.0),
+        (2, 1, 6.0),
+        (2, 1, 1.0),
+    ];
 
-    fn sample() -> (Vec<AggState>, Vec<Vec<AggState>>) {
-        let total = vec![state(6.0), state(9.0), state(6.0)];
-        let series = vec![
-            vec![state(3.0), state(4.0), AggState::ZERO],
-            vec![AggState::ZERO, state(5.0), state(6.0)],
-        ];
-        (total, series)
+    fn sample(agg: AggFn) -> StateStore {
+        let mut store = StateStore::zeroed(agg, 3, 2);
+        for (t, col, v) in SAMPLE {
+            store.observe(t, col, v);
+            store.observe_total(t, v);
+        }
+        store.decode();
+        store
     }
 
     #[test]
     fn build_decodes_time_major() {
-        let (total, series) = sample();
-        let m = ValueMatrix::build(AggFn::Sum, &total, &series);
+        let store = sample(AggFn::Sum);
+        let m = store.values();
         assert_eq!(m.n_rows(), 3);
         assert_eq!(m.n_cols(), 2);
         assert_eq!(m.row(0), &[3.0, 0.0]);
         assert_eq!(m.row(1), &[4.0, 5.0]);
-        assert_eq!(m.row(2), &[0.0, 6.0]);
-        assert_eq!(m.totals(), &[6.0, 9.0, 6.0]);
+        assert_eq!(m.row(2), &[0.0, 7.0]);
+        assert_eq!(m.totals(), &[3.0, 9.0, 7.0]);
         assert_eq!(m.get(1, 1), 5.0);
-        assert_eq!(m.total(2), 6.0);
+        assert_eq!(m.total(2), 7.0);
+        assert_eq!(sample(AggFn::Count).values().row(2), &[0.0, 2.0]);
     }
 
     #[test]
     fn decode_matches_state_value_for_every_agg() {
-        let (total, series) = sample();
         for agg in AggFn::ALL {
-            let m = ValueMatrix::build(agg, &total, &series);
-            for (e, s) in series.iter().enumerate() {
-                for (t, st) in s.iter().enumerate() {
-                    assert_eq!(m.get(t, e).to_bits(), st.value(agg).to_bits());
+            let store = sample(agg);
+            let m = store.values();
+            for t in 0..3 {
+                for col in 0..2 {
+                    let state = store.state(t, col);
+                    assert_eq!(m.get(t, col).to_bits(), state.value(agg).to_bits());
                 }
+                assert_eq!(
+                    m.total(t).to_bits(),
+                    store.total_states()[t].value(agg).to_bits()
+                );
             }
         }
     }
 
     #[test]
     fn slice_rows_is_a_contiguous_copy() {
-        let (total, series) = sample();
-        let m = ValueMatrix::build(AggFn::Sum, &total, &series);
-        let s = m.slice_rows(1, 2);
-        assert_eq!(s.n_rows(), 2);
-        assert_eq!(s.row(0), m.row(1));
-        assert_eq!(s.row(1), m.row(2));
-        assert_eq!(s.totals(), &m.totals()[1..=2]);
+        for agg in AggFn::ALL {
+            let store = sample(agg);
+            let s = store.gather(1..3, &[0, 1]);
+            assert_eq!(s.n_rows(), 2);
+            assert_eq!(s.values().row(0), store.values().row(1));
+            assert_eq!(s.values().row(1), store.values().row(2));
+            assert_eq!(s.values().totals(), &store.values().totals()[1..=2]);
+            assert_eq!(s.state(1, 1), store.state(2, 1));
+            // Columns are picked in the order asked for.
+            let swapped = store.gather(0..3, &[1, 0]);
+            assert_eq!(swapped.state(2, 0), store.state(2, 1));
+            assert_eq!(
+                store.gather_values(&[1]),
+                vec![0.0, store.values().get(1, 1), store.values().get(2, 1)]
+            );
+        }
     }
 
     #[test]
     fn push_and_redecode_match_batch_build() {
-        let (total, series) = sample();
-        let batch = ValueMatrix::build(AggFn::Avg, &total, &series);
-        let mut inc = ValueMatrix::with_cols(2);
-        for t in 0..3 {
-            inc.push_row(AggFn::Avg, total[t], series.iter().map(|s| s[t]));
+        // Grown one observation at a time, rows and columns appearing as
+        // they are first needed, the store equals one built at full size.
+        for agg in AggFn::ALL {
+            let full = sample(agg);
+            let mut grown = StateStore::zeroed(agg, 0, 0);
+            for (t, col, v) in SAMPLE {
+                grown.grow(grown.n_rows().max(t + 1), grown.n_cols().max(col + 1));
+                grown.observe(t, col, v);
+                grown.observe_total(t, v);
+                grown.redecode_rows([t]);
+            }
+            assert_eq!(grown, full);
         }
-        assert_eq!(inc.row(1), batch.row(1));
-        assert_eq!(inc.totals(), batch.totals());
-        // Corrupt then repair a row.
-        inc.redecode_row(0, AggFn::Avg, total[0], series.iter().map(|s| &s[0]));
-        assert_eq!(inc.row(0), batch.row(0));
+    }
+
+    #[test]
+    fn row_slabs_fold_like_the_store() {
+        for agg in AggFn::ALL {
+            let full = sample(agg);
+            for starts in [&[][..], &[0], &[0, 1], &[0, 0, 2]] {
+                let mut store = StateStore::zeroed(agg, 3, 2);
+                let mut slabs = store.row_slabs(starts);
+                for (t, col, v) in SAMPLE {
+                    if let Some(slab) = slabs.iter_mut().find(|s| s.rows().contains(&t)) {
+                        slab.observe(t, col, v);
+                    }
+                }
+                for (t, _, v) in SAMPLE {
+                    store.observe_total(t, v);
+                }
+                store.decode();
+                // No slab, no fold; otherwise the slabs cover every row.
+                assert_eq!(store == full, !starts.is_empty(), "{starts:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn smoothing_averages_each_window_in_time_order() {
+        let store = sample(AggFn::Sum);
+        let s = store.smoothed(&[1], 3);
+        assert_eq!(s.n_cols(), 1);
+        // Point 1 averages all three points of column 1: (0 + 5 + 7) / 3.
+        assert_eq!(s.values().get(1, 0), (0.0 + 5.0 + 7.0) / 3.0);
+        assert_eq!(s.values().get(0, 0), (0.0 + 5.0) / 2.0);
+        assert_eq!(s.values().total(2), (9.0 + 7.0) / 2.0);
     }
 
     #[test]
     fn approx_bytes_monotone() {
-        let (total, series) = sample();
-        let m = ValueMatrix::build(AggFn::Sum, &total, &series);
-        let s = m.slice_rows(0, 1);
-        assert!(s.approx_bytes() < m.approx_bytes());
-        assert!(m.approx_bytes() > 0);
+        let store = sample(AggFn::Sum);
+        let s = store.gather(0..2, &[0, 1]);
+        assert!(s.approx_bytes() < store.approx_bytes());
+        assert!(store.approx_bytes() > 0);
+        // AVG carries a decoded plane that SUM reads off its sum plane.
+        assert!(sample(AggFn::Avg).approx_bytes() > store.approx_bytes());
     }
 }

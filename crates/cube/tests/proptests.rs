@@ -9,7 +9,9 @@ use tsexplain_cube::{
     AppendRow, CubeConfig, ExplId, Explanation, ExplanationCube, IncrementalCube, ParallelCtx,
     ROOT_NODE,
 };
-use tsexplain_relation::{AggQuery, AggState, AttrValue, Datum, Field, Relation, Schema};
+use tsexplain_relation::{
+    AggFn, AggQuery, AggState, AttrValue, Datum, Field, MeasureExpr, Relation, Schema,
+};
 
 /// Every enumeration property runs at these thread counts.
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -99,6 +101,21 @@ fn oracle(
 
 fn state_bits(s: AggState) -> [u64; 3] {
     [s.count.to_bits(), s.sum.to_bits(), s.sumsq.to_bits()]
+}
+
+/// Every state and value of `cube` as bits: per point the overall state
+/// and value, then each explanation's.
+fn cube_bits(cube: &ExplanationCube) -> Vec<[u64; 4]> {
+    let mut out = Vec::new();
+    for t in 0..cube.n_points() {
+        let [c, s, q] = state_bits(cube.total_state(t));
+        out.push([c, s, q, cube.total_value(t).to_bits()]);
+        for e in 0..cube.n_candidates() as ExplId {
+            let [c, s, q] = state_bits(cube.state(e, t));
+            out.push([c, s, q, cube.value_at(e, t).to_bits()]);
+        }
+    }
+    out
 }
 
 /// The cube enumerates exactly the oracle's explanations, in its order,
@@ -294,6 +311,47 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// A snapshot shares its incremental cube's states, yet never sees an
+    /// append made after it was taken: its states and values keep their
+    /// bits and equal a cold build over the rows it saw, for every
+    /// aggregate, with pruning and the filter on.
+    #[test]
+    fn a_snapshot_never_sees_a_later_append(
+        seed in wide_rows_strategy(),
+        batch in proptest::collection::vec((0u8..3, (0u8..6, 0u8..5, 0u8..7), -50.0f64..100.0), 1..12),
+        max_order in 1usize..=3,
+        agg in 0usize..4,
+    ) {
+        let n_attrs = 3;
+        let query = AggQuery::new("t", AggFn::ALL[agg], MeasureExpr::Column("v".into()));
+        let config = CubeConfig::new(attr_names(n_attrs))
+            .with_max_order(max_order)
+            .with_filter_ratio(0.05);
+        let relation = wide_relation(&seed, n_attrs);
+        let cold = ExplanationCube::build(&relation, &query, &config).unwrap();
+        let horizon = seed.iter().map(|r| r.0).max().unwrap();
+        let mut batch = batch;
+        batch.sort_by_key(|r| r.0);
+        let rows: Vec<AppendRow> = batch
+            .iter()
+            .map(|&(dt, (a, b, c), v)| append_row(i64::from(horizon + dt), &[a, b, c], v))
+            .collect();
+        for threads in THREADS {
+            let mut inc =
+                IncrementalCube::from_relation_with(&relation, &query, &config, &ParallelCtx::new(threads))
+                    .unwrap();
+            let snapshot = inc.snapshot().unwrap();
+            let before = cube_bits(&snapshot);
+            inc.append_batch(&rows).unwrap();
+            prop_assert_eq!(cube_bits(&snapshot), before, "t={}", threads);
+            prop_assert_eq!(snapshot.explanations(), cold.explanations());
+            prop_assert_eq!(snapshot.selectable_ids(), cold.selectable_ids());
+            prop_assert_eq!(cube_bits(&snapshot), cube_bits(&cold), "t={}", threads);
+            // The append landed: the grown cube differs from what was seen.
+            prop_assert!(cube_bits(&inc.snapshot().unwrap()) != before);
         }
     }
 

@@ -1,4 +1,4 @@
-use tsexplain_cube::{ExplId, ExplanationCube};
+use tsexplain_cube::{ExplId, ExplanationCube, ValueMatrix};
 use tsexplain_relation::AggFn;
 
 use crate::metric::{DiffMetric, Effect};
@@ -18,12 +18,21 @@ const SHARE_FLOOR: f64 = 1e-9;
 pub struct ScoreContext<'a> {
     cube: &'a ExplanationCube,
     metric: DiffMetric,
+    agg: AggFn,
+    /// The cube's decoded value rows, looked up once: the per-candidate
+    /// scorers read them millions of times per request.
+    values: ValueMatrix<'a>,
 }
 
 impl<'a> ScoreContext<'a> {
     /// Builds a scoring context over `cube` using `metric`.
     pub fn new(cube: &'a ExplanationCube, metric: DiffMetric) -> Self {
-        ScoreContext { cube, metric }
+        ScoreContext {
+            cube,
+            metric,
+            agg: cube.agg(),
+            values: cube.values(),
+        }
     }
 
     /// The underlying cube.
@@ -41,14 +50,26 @@ impl<'a> ScoreContext<'a> {
     pub fn contribution(&self, e: ExplId, seg: (usize, usize)) -> f64 {
         let (a, b) = seg;
         debug_assert!(a < b, "segment endpoints must be ordered");
-        let agg = self.cube.agg();
-        let total_t = self.cube.total_state(b);
-        let total_c = self.cube.total_state(a);
-        let slice_t = self.cube.state(e, b);
-        let slice_c = self.cube.state(e, a);
-        let delta_with = total_t.value(agg) - total_c.value(agg);
-        let delta_without = total_t.remove(slice_t).value(agg) - total_c.remove(slice_c).value(agg);
-        delta_with - delta_without
+        let (cube, agg, values) = (self.cube, self.agg, &self.values);
+        match agg {
+            // SUM/COUNT decode to the state's own field, so the complement
+            // value `(total − slice).value(agg)` is exactly `total_value −
+            // slice_value`: the decoded values are enough.
+            AggFn::Sum | AggFn::Count => {
+                let (total_c, total_t) = (values.total(a), values.total(b));
+                let e = e as usize;
+                let delta_without = (total_t - values.get(b, e)) - (total_c - values.get(a, e));
+                (total_t - total_c) - delta_without
+            }
+            AggFn::Avg | AggFn::Variance => {
+                let total_t = cube.total_state(b);
+                let total_c = cube.total_state(a);
+                let delta_with = total_t.value(agg) - total_c.value(agg);
+                let delta_without = total_t.remove(cube.state(e, b)).value(agg)
+                    - total_c.remove(cube.state(e, a)).value(agg);
+                delta_with - delta_without
+            }
+        }
     }
 
     /// The difference score γ(E) over the segment, under the context's
@@ -58,19 +79,17 @@ impl<'a> ScoreContext<'a> {
         match self.metric {
             DiffMetric::AbsoluteChange => contribution.abs(),
             DiffMetric::RelativeChange => {
-                let agg = self.cube.agg();
-                let base = self.cube.state(e, seg.0).value(agg).abs().max(1.0);
+                let base = self.values.get(seg.0, e as usize).abs().max(1.0);
                 contribution.abs() / base
             }
             DiffMetric::RiskRatio => {
-                let agg = self.cube.agg();
                 let (a, b) = seg;
                 let share = |t: usize| -> f64 {
-                    let total = self.cube.total_state(t).value(agg).abs();
+                    let total = self.values.total(t).abs();
                     if total <= 0.0 {
                         return SHARE_FLOOR;
                     }
-                    (self.cube.state(e, t).value(agg).abs() / total).max(SHARE_FLOOR)
+                    (self.values.get(t, e as usize).abs() / total).max(SHARE_FLOOR)
                 };
                 (share(b) / share(a)).ln().abs()
             }
@@ -102,12 +121,13 @@ impl<'a> ScoreContext<'a> {
     /// same arithmetic, in the same order, as the scalar
     /// [`ScoreContext::gamma`] — the only difference is that the
     /// metric/aggregate dispatch is hoisted out of the loop and the
-    /// per-candidate values come from the cube's pre-decoded time-major
-    /// rows ([`tsexplain_cube::ValueMatrix`]) instead of per-access
-    /// `AggState::value` calls. AVG and VARIANCE contributions need full
-    /// state arithmetic (`remove` must see counts), so those paths walk
-    /// the states with the dispatch hoisted; SUM/COUNT contributions and
-    /// all share-based scores run on the contiguous rows.
+    /// per-candidate values come from two of the cube's pre-decoded
+    /// time-major rows ([`tsexplain_cube::ValueMatrix`]) instead of
+    /// per-candidate lookups. AVG and VARIANCE contributions need full
+    /// state arithmetic (`remove` must see counts), so those paths read
+    /// each candidate's states from the cube's state store with the
+    /// dispatch hoisted; SUM/COUNT contributions and all share-based
+    /// scores run on the contiguous rows.
     pub fn gamma_ids(&self, seg: (usize, usize), ids: &[ExplId], out: &mut [f64]) {
         debug_assert_eq!(
             out.len(),
@@ -123,10 +143,9 @@ impl<'a> ScoreContext<'a> {
     fn scan(&self, seg: (usize, usize), ids: impl Iterator<Item = usize>, out: &mut [f64]) {
         let (a, b) = seg;
         debug_assert!(a < b, "segment endpoints must be ordered");
-        let cube = self.cube;
-        let agg = cube.agg();
-        let row_a = cube.values().row(a);
-        let row_b = cube.values().row(b);
+        let (cube, agg) = (self.cube, self.agg);
+        let row_a = self.values.row(a);
+        let row_b = self.values.row(b);
 
         match self.metric {
             DiffMetric::AbsoluteChange | DiffMetric::RelativeChange => {
@@ -137,8 +156,8 @@ impl<'a> ScoreContext<'a> {
                     // exactly `total_value − slice_value`: the whole
                     // contribution runs on the two rows.
                     AggFn::Sum | AggFn::Count => {
-                        let total_a = cube.total_value(a);
-                        let total_b = cube.total_value(b);
+                        let total_a = self.values.total(a);
+                        let total_b = self.values.total(b);
                         let delta_with = total_b - total_a;
                         for e in ids {
                             let delta_without = (total_b - row_b[e]) - (total_a - row_a[e]);
@@ -172,8 +191,8 @@ impl<'a> ScoreContext<'a> {
             }
             // Shares only need decoded values — row-based for every agg.
             DiffMetric::RiskRatio => {
-                let total_a = cube.total_value(a).abs();
-                let total_b = cube.total_value(b).abs();
+                let total_a = self.values.total(a).abs();
+                let total_b = self.values.total(b).abs();
                 for e in ids {
                     let share_a = if total_a <= 0.0 {
                         SHARE_FLOOR

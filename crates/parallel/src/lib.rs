@@ -197,6 +197,42 @@ impl ParallelCtx {
         out
     }
 
+    /// Runs `f` once per element of `parts`, one scoped thread per part
+    /// (inline when there is only one): the fan-out for work written in
+    /// place, where each part owns a disjoint `&mut` share of the output.
+    /// Callers cut at most [`ParallelCtx::threads`] parts, typically along
+    /// [`ParallelCtx::chunk_ranges`]. Parts are independent, so the result
+    /// does not depend on scheduling.
+    ///
+    /// With a [`CancelToken`] attached, parts not yet started when it trips
+    /// are skipped; as after [`ParallelCtx::run_chunks`], callers re-check
+    /// [`ParallelCtx::is_cancelled`] and discard the region's output.
+    pub fn run_parts<P, F>(&self, parts: Vec<P>, f: F)
+    where
+        P: Send,
+        F: Fn(P) + Sync,
+    {
+        if parts.len() <= 1 {
+            for part in parts {
+                if !self.is_cancelled() {
+                    f(part);
+                }
+            }
+            return;
+        }
+        thread::scope(|scope| {
+            for part in parts {
+                let f = &f;
+                let ctx = &*self;
+                scope.spawn(move || {
+                    if !ctx.is_cancelled() {
+                        f(part);
+                    }
+                });
+            }
+        });
+    }
+
     /// Maps `f` over `0..n` with deterministic ordering: `out[i] = f(i)`,
     /// computed across the worker chunks. Convenience over
     /// [`ParallelCtx::run_chunks`] for per-index work.
@@ -286,6 +322,37 @@ mod tests {
         });
         let expected: Vec<usize> = (0..8).flat_map(|i| std::iter::repeat_n(i, i % 3)).collect();
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn run_parts_writes_each_disjoint_share_in_place() {
+        for threads in [1, 2, 3] {
+            let ctx = ParallelCtx::new(threads);
+            let mut out = vec![0usize; 10];
+            let mut parts = Vec::new();
+            let mut rest = out.as_mut_slice();
+            for range in ctx.chunk_ranges(10) {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                parts.push((range.start, head));
+                rest = tail;
+            }
+            ctx.run_parts(parts, |(start, share)| {
+                for (i, slot) in share.iter_mut().enumerate() {
+                    *slot = start + i;
+                }
+            });
+            assert_eq!(out, (0..10).collect::<Vec<_>>(), "threads={threads}");
+        }
+        // A tripped token skips every part.
+        let token = CancelToken::new();
+        token.cancel();
+        let ran = AtomicUsize::new(0);
+        ParallelCtx::new(2)
+            .with_cancel(token)
+            .run_parts(vec![(), ()], |()| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
     }
 
     #[test]
