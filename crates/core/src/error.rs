@@ -20,13 +20,6 @@ pub enum TsExplainError {
     Segment(SegmentError),
     /// The aggregated series has fewer than two points.
     SeriesTooShort(usize),
-    /// Seasonal decomposition needs at least two full periods.
-    PeriodTooLong {
-        /// Series length.
-        n: usize,
-        /// Requested period.
-        period: usize,
-    },
     /// The durable store rejected a write the request's acknowledgement
     /// depends on (WAL append or checkpoint I/O). The in-memory state may
     /// be ahead of disk; the unacknowledged mutation is the part a crash
@@ -52,9 +45,6 @@ impl fmt::Display for TsExplainError {
             TsExplainError::Segment(e) => write!(f, "segmentation error: {e}"),
             TsExplainError::SeriesTooShort(n) => {
                 write!(f, "aggregated series has {n} point(s); need at least 2")
-            }
-            TsExplainError::PeriodTooLong { n, period } => {
-                write!(f, "period {period} too long for a series of {n} points")
             }
             TsExplainError::Storage(e) => write!(f, "storage error: {e}"),
             TsExplainError::Cancelled { stage } => {

@@ -60,17 +60,19 @@
 //! explain-by set or an infeasible fixed K come back as
 //! [`TsExplainError::InvalidRequest`] before any pipeline work runs.
 //!
+//! Every answer is [`ExplainSession::prepare`] (the cube) followed by
+//! [`PreparedCube::explain`] (the per-query modules, on the detached cube).
 //! Live data goes through the same session: [`ExplainSession::append_rows`]
 //! extends every cached cube incrementally at the tail, and
-//! [`StreamingExplainer`] wraps a session with the paper's §8 cut-point
-//! reuse. Both the batch session and the streaming wrapper implement
-//! [`Explainer`], so serving code can treat them uniformly.
+//! [`ExplainSession::refresh`] is the paper's §8 real-time extension, which
+//! re-cuts the settled past only at the previous refresh's cut points.
 //!
 //! For serving many datasets from one process, [`SessionRegistry`] hosts a
 //! thread-safe multi-tenant map of sessions: per-tenant interior locking
-//! (one tenant's rebuild never blocks another's cache hit) and a global
-//! LRU-by-bytes cube eviction policy under a configurable memory budget
-//! (each session also enforces a local budget, default
+//! (one tenant's rebuild never blocks another's cache hit; an explain
+//! locks its tenant only to prepare the cube) and a global LRU-by-bytes
+//! cube eviction policy under a configurable memory budget (each session
+//! also enforces a local budget, default
 //! [`DEFAULT_CUBE_CACHE_BUDGET`]). The `tsexplain-server` crate serves the
 //! registry over HTTP/JSON.
 //!
@@ -101,34 +103,26 @@ mod durability;
 mod error;
 mod latency;
 mod pipeline;
-mod recommend;
 mod registry;
 mod request;
 mod result;
-mod seasonal;
 mod segmenter;
 mod serde_impls;
 mod session;
-mod streaming;
 
 pub use config::Optimizations;
 pub use deadline::{CancelToken, Deadline};
 pub use durability::CubeSpill;
 pub use error::TsExplainError;
 pub use latency::{LatencyBreakdown, MemoCounters, ParallelTimings};
-pub use recommend::{recommend_explain_by, AttributeScore};
 pub use registry::{
     DatasetId, DatasetSnapshot, RegistryError, RegistryStats, SessionRegistry,
     DEFAULT_REGISTRY_BUDGET,
 };
 pub use request::{ExplainRequest, InvalidRequest};
 pub use result::{ExplainResult, ExplanationItem, PipelineStats, SegmentExplanation};
-pub use seasonal::{classical_decompose, Decomposition};
 pub use segmenter::{default_window_for, SegmenterSpec, STRATEGIES};
-pub use session::{
-    ExplainSession, Explainer, PreparedCube, SessionStats, DEFAULT_CUBE_CACHE_BUDGET,
-};
-pub use streaming::StreamingExplainer;
+pub use session::{ExplainSession, PreparedCube, SessionStats, DEFAULT_CUBE_CACHE_BUDGET};
 
 // The intra-query parallel execution layer (deterministic chunk-ordered
 // fan-out; `TSX_THREADS`, `ExplainRequest::with_threads`).

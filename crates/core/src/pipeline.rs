@@ -2,11 +2,13 @@
 //! and (c) of paper Fig. 7 — segmentation by the request's strategy, then
 //! Cascading-Analysts explanations of whatever scheme came back.
 //!
-//! This is the single implementation behind every entry point: the
-//! [`crate::ExplainSession`] serving path and the streaming refresh (which
-//! passes `forced_positions`). Precompute — the cube — is the session's
-//! job; the pipeline reports its precompute latency as zero and the caller
-//! fills it in.
+//! This is the single implementation behind every entry point, all of
+//! which reach it through [`crate::PreparedCube`]: the session's and the
+//! registry's `explain`, the `/compare` fan-out, and
+//! [`crate::ExplainSession::refresh`] (the only caller that passes
+//! `forced_positions`). Precompute — the cube — is the session's job; the
+//! pipeline reports its precompute latency as zero and the caller fills it
+//! in.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -28,10 +30,9 @@ use crate::result::{ExplainResult, ExplanationItem, PipelineStats, SegmentExplan
 /// resulting scheme.
 ///
 /// `forced_positions` restricts the DP's candidate cut positions (sorted
-/// point indices; the endpoints are added if missing) — the streaming
-/// extension's hook (§8): previous cut points plus the newly arrived
-/// points. Shape-only strategies segment the full-resolution aggregate
-/// regardless.
+/// point indices; the endpoints are added if missing) — the §8 refresh's
+/// hook: previous cut points plus the newly arrived points. Shape-only
+/// strategies segment the full-resolution aggregate regardless.
 pub(crate) fn explain_cube_request(
     cube: &ExplanationCube,
     request: &ExplainRequest,
@@ -283,11 +284,11 @@ mod tests {
 
     #[test]
     fn candidate_positions_restrict_cuts() {
+        let request = request(Optimizations::none()).with_fixed_k(2);
         let result = session()
-            .explain_with_positions(
-                &request(Optimizations::none()).with_fixed_k(2),
-                Some(vec![7, 20]),
-            )
+            .prepare(&request)
+            .unwrap()
+            .explain_with_positions(&request, Some(vec![7, 20]))
             .unwrap();
         // Only 7 and 20 are available as interior cuts.
         assert!(result

@@ -9,7 +9,9 @@
 //! * **per-tenant interior locking** — the map itself is behind an
 //!   `RwLock` held only long enough to clone a session handle, and each
 //!   session sits behind its own `Mutex`. One tenant's cube rebuild never
-//!   blocks another tenant's cache hit.
+//!   blocks another tenant's cache hit. A session's lock covers preparing
+//!   its cube only; the explain pipeline runs on the detached
+//!   [`PreparedCube`].
 //! * **a global memory budget** — every session shares the registry's LRU
 //!   clock, so cube recency is comparable *across* tenants. After any
 //!   explain or append the registry sums the per-session cache estimates
@@ -378,30 +380,25 @@ impl SessionRegistry {
             .ok_or(RegistryError::UnknownDataset(id))
     }
 
-    /// Answers one explain request against tenant `id`, then enforces the
-    /// global memory budget.
+    /// Answers one explain request against tenant `id`:
+    /// [`SessionRegistry::prepare`], then [`PreparedCube::explain`] without
+    /// the tenant lock. Stats reads, appends and other explains of the
+    /// tenant proceed while the pipeline runs, and a pipeline panic cannot
+    /// poison the tenant.
     pub fn explain(
         &self,
         id: DatasetId,
         request: &ExplainRequest,
     ) -> Result<ExplainResult, RegistryError> {
-        let handle = self.session(id)?;
-        let result = {
-            let mut session = LockRank::Session
-                .lock(&handle)
-                .map_err(|_| RegistryError::Poisoned(id))?;
-            session.explain(request)?
-        };
-        self.enforce_global_budget();
-        Ok(result)
+        Ok(self.prepare(id, request)?.explain(request)?)
     }
 
     /// Prepares tenant `id`'s cube for `request` under **one** lock hold
-    /// and returns it as a lock-free [`PreparedCube`] — the batching
-    /// primitive behind a multi-strategy fan-out (`/compare`): lock once,
-    /// then run every strategy concurrently against the shared cube
-    /// without touching the tenant again. Enforces the global memory
-    /// budget on the way out, like [`SessionRegistry::explain`].
+    /// and returns it as a lock-free [`PreparedCube`], then enforces the
+    /// global memory budget. Every explain goes through here: a
+    /// multi-strategy fan-out (`/compare`) locks once, then runs every
+    /// strategy concurrently against the shared cube without touching the
+    /// tenant again.
     pub fn prepare(
         &self,
         id: DatasetId,
@@ -576,11 +573,11 @@ impl SessionRegistry {
     /// budget. The globally newest cube is never evicted, so the request
     /// that just ran cannot thrash its own cube out.
     ///
-    /// Every lock here is a `try_lock`: a tenant busy serving a request
-    /// (its cubes are hot anyway) is simply skipped, so this sweep never
-    /// parks behind another tenant's in-flight rebuild — the registry's
-    /// "one tenant's rebuild never blocks another's cache hit" property
-    /// holds through eviction too. Concurrent tenants may touch cubes
+    /// Every lock here is a `try_lock`: a tenant busy preparing a cube or
+    /// appending rows (its cubes are hot anyway) is simply skipped, so this
+    /// sweep never parks behind another tenant's in-flight rebuild — the
+    /// registry's "one tenant's rebuild never blocks another's cache hit"
+    /// property holds through eviction too. Concurrent tenants may touch cubes
     /// between the scan and the eviction; the policy is deliberately
     /// approximate — at worst a near-LRU entry is evicted or an eviction
     /// is deferred to the next request, which only costs a rebuild.
@@ -689,6 +686,51 @@ mod tests {
         assert_eq!(snap.stats.requests, 2);
         assert_eq!(snap.n_points, 21);
         assert!(snap.cache_bytes > 0);
+    }
+
+    #[test]
+    fn explain_runs_its_pipeline_outside_the_tenant_lock() {
+        // A tenant whose pipeline takes tens of milliseconds: 160 points,
+        // six states, every candidate position priced.
+        let mut b = Relation::builder(schema());
+        for t in 0..160i64 {
+            for (i, state) in ["NY", "CA", "TX", "WA", "FL", "IL"].into_iter().enumerate() {
+                let v = ((t * (i as i64 + 3)) % 17) as f64 + (t * i as i64) as f64;
+                b.push_row(vec![Datum::Attr(t.into()), state.into(), v.into()])
+                    .unwrap();
+            }
+        }
+        let registry = SessionRegistry::new();
+        let id = registry
+            .register(b.finish(), AggQuery::sum("t", "v"))
+            .unwrap();
+        let token = tsexplain_parallel::CancelToken::new();
+        let cancellable = request().with_cancel(token.clone());
+        std::thread::scope(|scope| {
+            let explain = scope.spawn(|| registry.explain(id, &cancellable));
+            // The request is counted under the lock that prepares its cube.
+            // Once a stats read sees it, the explain must still be running
+            // its pipeline, with the lock released: tripping the token now
+            // cancels it. Were the pipeline under the lock, this read would
+            // wait for the explain to finish.
+            let counted = (0..10_000_000).any(|_| {
+                std::thread::yield_now();
+                registry.dataset_stats(id).unwrap().stats.requests == 1
+            });
+            token.cancel();
+            assert!(counted, "the explain was never counted");
+            let result = explain.join().unwrap();
+            assert!(
+                matches!(
+                    result,
+                    Err(RegistryError::Session(TsExplainError::Cancelled { .. }))
+                ),
+                "the pipeline ended before the stats read: {:?}",
+                result.map(|r| r.stats.n_points)
+            );
+        });
+        // The tenant still answers.
+        assert!(registry.explain(id, &request()).is_ok());
     }
 
     #[test]

@@ -12,11 +12,16 @@
 //! §7.2 baseline adapter share one cube, so a `/compare` fan-out pays
 //! precompute once.
 //!
+//! Every answer is [`ExplainSession::prepare`] (the cube, under whatever
+//! lock guards the session) followed by [`PreparedCube::explain`] (the
+//! pipeline, on the detached cube).
+//!
 //! Appending rows ([`ExplainSession::append_rows`]) extends every cached
-//! cube *incrementally at the tail* (`O(new rows)`), which is what makes
-//! the rewritten [`crate::StreamingExplainer`] a thin wrapper over a
-//! session. Restated history (rows at already-settled timestamps) falls
-//! back to a transparent full rebuild.
+//! cube *incrementally at the tail* (`O(new rows)`). Restated history
+//! (rows at already-settled timestamps) falls back to a transparent full
+//! rebuild. [`ExplainSession::refresh`] is the paper's §8 real-time
+//! extension on top: it re-cuts the settled past only at the previous
+//! refresh's cut points.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,14 +40,6 @@ use crate::error::TsExplainError;
 use crate::pipeline::explain_cube_request;
 use crate::request::{ExplainRequest, InvalidRequest};
 use crate::result::ExplainResult;
-
-/// Anything that can answer [`ExplainRequest`]s: the batch serving session
-/// and the streaming wrapper both implement this, so callers can swap
-/// offline and real-time explainers behind one interface.
-pub trait Explainer {
-    /// Answers one request.
-    fn explain(&mut self, request: &ExplainRequest) -> Result<ExplainResult, TsExplainError>;
-}
 
 /// Serving-session instrumentation: how much precompute the cube cache
 /// saved.
@@ -135,6 +132,17 @@ impl CacheEntry {
     }
 }
 
+/// What the last full-horizon [`ExplainSession::refresh`] settled on: the
+/// result's cuts and point count seed the next refresh's candidate cut
+/// positions (paper §8).
+#[derive(Debug)]
+struct WarmStart {
+    request: ExplainRequest,
+    /// The row watermark ([`ExplainSession::total_rows`]) it was cut at.
+    total_rows: usize,
+    result: ExplainResult,
+}
+
 /// A reusable serving session over one registered relation and query (see
 /// module docs). Create with [`ExplainSession::new`], query with
 /// [`ExplainSession::explain`], feed live data with
@@ -163,6 +171,9 @@ pub struct ExplainSession {
     /// Second eviction tier: when set, budget evictions demote cubes to it
     /// and cache misses try to rehydrate from it before rebuilding.
     spill: Option<Arc<dyn CubeSpill>>,
+    /// The §8 refresh state. Cleared whenever the time axis is rebuilt,
+    /// since its cut indices would then point at the wrong timestamps.
+    warm: Option<WarmStart>,
 }
 
 /// Default cube-cache byte budget per session: 256 MiB.
@@ -195,6 +206,7 @@ impl ExplainSession {
             cache_budget: DEFAULT_CUBE_CACHE_BUDGET,
             clock: Arc::new(AtomicU64::new(0)),
             spill: None,
+            warm: None,
         })
     }
 
@@ -338,21 +350,47 @@ impl ExplainSession {
         self.cubes.clear();
     }
 
-    /// Answers one request (see [`Explainer::explain`]).
+    /// Answers one request: [`ExplainSession::prepare`], then
+    /// [`PreparedCube::explain`].
     pub fn explain(&mut self, request: &ExplainRequest) -> Result<ExplainResult, TsExplainError> {
-        self.explain_with_positions(request, None)
+        self.prepare(request)?.explain(request)
     }
 
-    /// Like [`ExplainSession::explain`], but restricting the DP's candidate
-    /// cut positions (the streaming hook, paper §8). Positions index into
-    /// the request's — possibly time-sliced — series.
-    pub fn explain_with_positions(
-        &mut self,
-        request: &ExplainRequest,
-        positions: Option<Vec<usize>>,
-    ) -> Result<ExplainResult, TsExplainError> {
+    /// Answers `request` with the paper's §8 real-time extension: the DP
+    /// re-cuts the settled past only at the previous refresh's cut points,
+    /// while every point that arrived since is a candidate at full
+    /// resolution. While no row arrives, a refresh of the same request
+    /// returns the previous result without touching the cube.
+    ///
+    /// The first refresh, and the first after restated history rebuilt
+    /// the time axis, segments the whole horizon. A windowed request is
+    /// answered like [`ExplainSession::explain`] and leaves the remembered
+    /// cuts alone: they index the full horizon, not the window.
+    pub fn refresh(&mut self, request: &ExplainRequest) -> Result<ExplainResult, TsExplainError> {
+        if request.time_range().is_some() {
+            return self.explain(request);
+        }
+        if let Some(warm) = &self.warm {
+            if warm.total_rows == self.total_rows() && warm.request == *request {
+                return Ok(warm.result.clone());
+            }
+        }
         let prepared = self.prepare(request)?;
-        prepared.explain_with_positions(request, positions)
+        // Read after `prepare`: a rebuild inside it clears the warm start.
+        let positions = self.warm.as_ref().map(|warm| {
+            let settled = warm.result.stats.n_points;
+            let mut positions = warm.result.segmentation.cuts().to_vec();
+            positions.push(settled - 1);
+            positions.extend(settled..prepared.n_points());
+            positions
+        });
+        let result = prepared.explain_with_positions(request, positions)?;
+        self.warm = Some(WarmStart {
+            request: request.clone(),
+            total_rows: self.total_rows(),
+            result: result.clone(),
+        });
+        Ok(result)
     }
 
     /// Validates `request` against the session and returns its prepared
@@ -480,9 +518,9 @@ impl ExplainSession {
     /// session had already applied it. In-memory state and the durable log
     /// must not diverge: a batch the client was *not* acked for cannot
     /// stay resident, or every later acked batch would be logged with a
-    /// `seq` that replay sees as a gap and skips. Drops every cached cube;
-    /// the next request per key rebuilds (or rehydrates a copy at the
-    /// rewound watermark).
+    /// `seq` that replay sees as a gap and skips. Drops every cached cube
+    /// and the §8 warm start; the next request per key rebuilds (or
+    /// rehydrates a copy at the rewound watermark).
     pub(crate) fn rollback_rows_to(&mut self, n_rows: usize) {
         let mut rows = self.export_rows();
         let removed = rows.len().saturating_sub(n_rows) as u64;
@@ -497,6 +535,7 @@ impl ExplainSession {
         self.base = builder.finish();
         self.tail.clear();
         self.cubes.clear();
+        self.warm = None;
         match self.base.dim_column(self.query.time_attr()) {
             Ok(col) => {
                 self.n_points = col.dict().len();
@@ -549,7 +588,8 @@ impl ExplainSession {
     }
 
     /// Re-materializes `base` from all rows seen so far and drops every
-    /// cached cube. The only path that pays the full O(total rows) cost.
+    /// cached cube and the §8 warm start. The only path that pays the full
+    /// O(total rows) cost.
     fn rebuild_base(&mut self) -> Result<(), TsExplainError> {
         let mut builder = Relation::builder(self.schema.clone());
         for row in relation_rows(&self.base) {
@@ -560,6 +600,7 @@ impl ExplainSession {
         }
         self.base = builder.finish();
         self.cubes.clear();
+        self.warm = None;
         let col = self.base.dim_column(self.query.time_attr())?;
         self.n_points = col.dict().len();
         self.last_time = col.dict().values().last().cloned();
@@ -693,12 +734,6 @@ impl ExplainSession {
     }
 }
 
-impl Explainer for ExplainSession {
-    fn explain(&mut self, request: &ExplainRequest) -> Result<ExplainResult, TsExplainError> {
-        ExplainSession::explain(self, request)
-    }
-}
-
 /// A request's prepared cube, detached from its session (see
 /// [`ExplainSession::prepare`]): the shared snapshot plus the precompute
 /// metadata every answer derived from it reports.
@@ -739,9 +774,10 @@ impl PreparedCube {
         self.explain_with_positions(request, None)
     }
 
-    /// [`PreparedCube::explain`] with restricted candidate cut positions
-    /// (the streaming hook).
-    pub fn explain_with_positions(
+    /// [`PreparedCube::explain`] with the DP's candidate cut positions
+    /// restricted (the hook of [`ExplainSession::refresh`]). Positions
+    /// index into the prepared series.
+    pub(crate) fn explain_with_positions(
         &self,
         request: &ExplainRequest,
         positions: Option<Vec<usize>>,
@@ -1266,11 +1302,167 @@ mod tests {
         );
     }
 
+    // The §8 refresh (`ExplainSession::refresh`).
+
+    fn session_over(range: std::ops::Range<i64>) -> ExplainSession {
+        ExplainSession::new(relation(range), AggQuery::sum("t", "v")).unwrap()
+    }
+
+    /// A session over no rows yet: a stream that starts cold.
+    fn empty_session() -> ExplainSession {
+        ExplainSession::new(
+            Relation::builder(schema()).finish(),
+            AggQuery::sum("t", "v"),
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn explainer_trait_is_object_safe_and_answers() {
+    fn incremental_matches_batch_on_replay() {
+        let full = session().refresh(&base_request()).unwrap();
+        // The same rows streamed in two chunks.
+        let mut s = empty_session();
+        s.append_rows(rows_for(0..12)).unwrap();
+        let first = s.refresh(&base_request()).unwrap();
+        assert_eq!(first.stats.n_points, 12);
+        s.append_rows(rows_for(12..21)).unwrap();
+        let second = s.refresh(&base_request()).unwrap();
+        assert_eq!(second.stats.n_points, 21);
+        assert_eq!(
+            second.segmentation.cuts(),
+            full.segmentation.cuts(),
+            "replayed stream should find the same cuts"
+        );
+    }
+
+    #[test]
+    fn refresh_restricts_candidates_after_first_run() {
+        let mut s = empty_session();
+        s.append_rows(rows_for(0..15)).unwrap();
+        let first = s.refresh(&base_request()).unwrap();
+        assert_eq!(first.stats.candidate_positions, 15);
+        s.append_rows(rows_for(15..20)).unwrap();
+        let second = s.refresh(&base_request()).unwrap();
+        // Candidates: endpoints + previous cuts + the 5 new points.
+        assert!(
+            second.stats.candidate_positions < 20,
+            "got {}",
+            second.stats.candidate_positions
+        );
+        // `explain` never restricts them.
+        let explained = s.explain(&base_request()).unwrap();
+        assert_eq!(explained.stats.candidate_positions, 20);
+    }
+
+    #[test]
+    fn refreshes_reuse_the_session_cube() {
+        let mut s = empty_session();
+        s.append_rows(rows_for(0..12)).unwrap();
+        s.refresh(&base_request()).unwrap();
+        s.append_rows(rows_for(12..16)).unwrap();
+        s.refresh(&base_request()).unwrap();
+        s.append_rows(rows_for(16..21)).unwrap();
+        s.refresh(&base_request()).unwrap();
+        let stats = s.stats();
+        assert_eq!(stats.cubes_built, 1, "one cube across all refreshes");
+        assert_eq!(stats.cube_refreshes, 2, "tail appends refresh, not rebuild");
+        assert_eq!(stats.rebuilds, 0);
+    }
+
+    #[test]
+    fn quiet_refresh_returns_cached_result() {
+        let mut s = empty_session();
+        s.append_rows(rows_for(0..10)).unwrap();
+        let first = s.refresh(&base_request()).unwrap();
+        let again = s.refresh(&base_request()).unwrap();
+        assert_eq!(first.segmentation, again.segmentation);
+        // One real request; the second refresh never touched the cube.
+        assert_eq!(s.stats().requests, 1);
+    }
+
+    #[test]
+    fn a_late_row_on_the_newest_timestamp_is_not_served_stale() {
+        let mut s = session_over(0..12);
+        let first = s.refresh(&base_request()).unwrap();
+        assert_eq!(first.aggregate[11], 91.0);
+        // A late report for the last day moves the row watermark but not
+        // the point count.
+        s.append_rows(vec![vec![
+            Datum::Attr(11i64.into()),
+            "CA".into(),
+            500.0.into(),
+        ]])
+        .unwrap();
+        assert_eq!(s.n_points(), 12);
+        let refreshed = s.refresh(&base_request()).unwrap();
+        assert_eq!(refreshed.aggregate[11], 591.0);
+        assert_eq!(
+            refreshed.aggregate,
+            s.explain(&base_request()).unwrap().aggregate
+        );
+        assert_eq!(s.stats().requests, 3);
+    }
+
+    #[test]
+    fn refresh_over_seeded_history() {
+        let mut s = session_over(0..12);
+        let first = s.refresh(&base_request()).unwrap();
+        assert_eq!(first.stats.n_points, 12);
+        s.append_rows(rows_for(12..18)).unwrap();
+        assert_eq!(s.refresh(&base_request()).unwrap().stats.n_points, 18);
+    }
+
+    #[test]
+    fn restated_history_unfreezes_cut_points() {
+        // Seed with the *late* phases only, settle cuts, then backfill the
+        // early history: the cached cut indices would point at the wrong
+        // timestamps on the shifted axis, so the next refresh must run at
+        // full resolution.
+        let mut s = session_over(14..21);
+        let first = s.refresh(&base_request()).unwrap();
+        assert_eq!(first.stats.n_points, 7);
+        s.append_rows(rows_for(0..14)).unwrap();
+        assert_eq!(s.stats().rebuilds, 1);
+        let full = s.refresh(&base_request()).unwrap();
+        assert_eq!(full.stats.n_points, 21);
+        assert_eq!(
+            full.stats.candidate_positions, 21,
+            "backfilled points must be cut candidates again"
+        );
+        // The result matches a cold batch run over the union.
+        let cold = session().refresh(&base_request()).unwrap();
+        assert_eq!(full.segmentation.cuts(), cold.segmentation.cuts());
+    }
+
+    #[test]
+    fn windowed_requests_bypass_the_cut_cache() {
         let mut s = session();
-        let explainer: &mut dyn Explainer = &mut s;
-        let result = explainer.explain(&base_request()).unwrap();
-        assert_eq!(result.stats.n_points, 21);
+        let full = s.refresh(&base_request()).unwrap();
+        // A windowed request is served ad hoc at full resolution within
+        // the window…
+        let windowed = s
+            .refresh(&base_request().with_time_range(11i64, 20i64).with_fixed_k(1))
+            .unwrap();
+        assert_eq!(windowed.stats.n_points, 10);
+        assert_eq!(windowed.stats.candidate_positions, 10);
+        assert_eq!(windowed.segments[0].explanations[0].label, "state=CA");
+        // …without corrupting the incremental cut state: the next
+        // full-horizon refresh (restricted to the previously settled cut
+        // candidates) still finds the pre-window cuts. Fixed K, because
+        // the elbow is undefined over so few candidate positions.
+        let again = s.refresh(&base_request().with_fixed_k(2)).unwrap();
+        assert_eq!(again.stats.n_points, 21);
+        assert_eq!(again.segmentation.cuts(), full.segmentation.cuts());
+    }
+
+    #[test]
+    fn refresh_switches_request() {
+        let mut s = session();
+        let auto = s.refresh(&base_request()).unwrap();
+        let fixed = s.refresh(&base_request().with_fixed_k(2)).unwrap();
+        assert_eq!(fixed.chosen_k, 2);
+        assert!(auto.chosen_k >= 1);
+        // Both requests share one cube (same cube-relevant knobs).
+        assert_eq!(s.stats().cubes_built, 1);
     }
 }

@@ -1,13 +1,13 @@
 //! Real-time explanation (paper §8): stream a KPI in chunks and refresh
-//! the evolving explanations incrementally — the settled past keeps its
-//! cut points, the fresh tail is segmented at full resolution, and the
-//! session extends its explanation cube in O(new rows) per chunk instead
-//! of re-aggregating all history.
+//! the evolving explanations incrementally with `ExplainSession::refresh`
+//! — the settled past keeps its cut points, the fresh tail is segmented
+//! at full resolution, and the session extends its explanation cube in
+//! O(new rows) per chunk instead of re-aggregating all history.
 //!
 //! Run with `cargo run --release --example streaming_explain`.
 
 use tsexplain::{
-    AggQuery, Datum, ExplainRequest, Field, Optimizations, Schema, StreamingExplainer,
+    AggQuery, Datum, ExplainRequest, ExplainSession, Field, Optimizations, Relation, Schema,
 };
 
 /// A three-phase KPI: NY drives days 0..20, CA 20..40, TX 40..60.
@@ -42,14 +42,16 @@ fn main() {
     ])
     .expect("valid schema");
     let request = ExplainRequest::new(["state"]).with_optimizations(Optimizations::none());
-    let mut streaming =
-        StreamingExplainer::new(request, schema, AggQuery::sum("t", "v")).expect("valid query");
+    // The stream starts cold: a session over no rows yet.
+    let mut session =
+        ExplainSession::new(Relation::builder(schema).finish(), AggQuery::sum("t", "v"))
+            .expect("valid query");
 
     for (chunk, range) in [(1, 0..25i64), (2, 25..45), (3, 45..60)] {
-        streaming
+        session
             .append_rows(rows_for(range))
             .expect("tail-ordered rows");
-        let result = streaming.refresh().expect("explainable");
+        let result = session.refresh(&request).expect("explainable");
         println!(
             "after chunk {chunk}: n = {}, K = {}, candidate positions = {}",
             result.stats.n_points, result.chosen_k, result.stats.candidate_positions
@@ -63,7 +65,7 @@ fn main() {
             println!("    {} ~ {}: {}", seg.start_time, seg.end_time, top);
         }
     }
-    let stats = streaming.stats();
+    let stats = session.stats();
     println!("\nEach refresh reuses the previous cut points as candidates,");
     println!("so the DP only works at full resolution on the new tail.");
     println!(

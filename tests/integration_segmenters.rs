@@ -5,8 +5,8 @@
 
 use serde::Value;
 use tsexplain::{
-    ExplainRequest, ExplainSession, Explainer, InvalidRequest, Optimizations, Relation,
-    SegmenterSpec, StreamingExplainer, TsExplainError, STRATEGIES,
+    ExplainRequest, ExplainSession, InvalidRequest, Optimizations, Relation, SegmenterSpec,
+    TsExplainError, STRATEGIES,
 };
 use tsexplain_datagen::synthetic::{SyntheticConfig, SyntheticDataset};
 
@@ -159,13 +159,14 @@ fn upfront_validation_rejects_bad_windows_before_any_work() {
 fn streaming_refreshes_serve_baseline_strategies_too() {
     let data = dataset();
     let request = base_request().with_segmenter(SegmenterSpec::BottomUp);
-    let mut streaming = StreamingExplainer::new(request, data.schema(), data.query()).unwrap();
+    let empty = Relation::builder(data.schema()).finish();
+    let mut streaming = ExplainSession::new(empty, data.query()).unwrap();
     streaming.append_rows(data.rows_between(0, 40)).unwrap();
-    let first = streaming.refresh().unwrap();
+    let first = streaming.refresh(&request).unwrap();
     assert_eq!(first.strategy, "bottom_up");
     assert_eq!(first.stats.n_points, 40);
     streaming.append_rows(data.rows_between(40, 60)).unwrap();
-    let second = streaming.refresh().unwrap();
+    let second = streaming.refresh(&request).unwrap();
     assert_eq!(second.stats.n_points, 60);
     // Shape strategies segment the full-resolution series: a refresh after
     // appends matches a cold batch run exactly.
@@ -174,8 +175,8 @@ fn streaming_refreshes_serve_baseline_strategies_too() {
         .explain(&base_request().with_segmenter(SegmenterSpec::BottomUp))
         .unwrap();
     assert_eq!(second.segmentation, cold.segmentation);
-    // Strategy switching through the Explainer trait works mid-stream.
-    let dp = Explainer::explain(&mut streaming, &base_request()).unwrap();
+    // Switching strategy works mid-stream.
+    let dp = streaming.refresh(&base_request()).unwrap();
     assert_eq!(dp.strategy, "dp");
     assert_eq!(streaming.stats().cubes_built, 1, "one cube throughout");
 }

@@ -1,12 +1,11 @@
 //! Acceptance tests for the session-oriented serving API: one registered
-//! dataset serving many requests from a single prepared cube, the
-//! `Explainer` trait unifying batch and streaming, upfront request
+//! dataset serving many requests from a single prepared cube, batch
+//! `explain` and the streamed §8 `refresh` agreeing, upfront request
 //! validation, and JSON-serializable responses.
 
 use tsexplain::{
-    AggQuery, AttrValue, Datum, DiffMetric, ExplainRequest, ExplainResult, ExplainSession,
-    Explainer, Field, InvalidRequest, Optimizations, Relation, Schema, StreamingExplainer,
-    TsExplainError,
+    AggQuery, AttrValue, Datum, DiffMetric, ExplainRequest, ExplainResult, ExplainSession, Field,
+    InvalidRequest, Optimizations, Relation, Schema, TsExplainError,
 };
 
 fn schema() -> Schema {
@@ -123,21 +122,24 @@ fn cache_hits_are_bit_identical_to_cold_runs() {
 }
 
 #[test]
-fn batch_and_streaming_agree_through_the_explainer_trait() {
-    // The same replayed data served by both Explainer implementations.
+fn batch_and_streaming_agree() {
+    // The same data, registered at once and explained, or streamed in
+    // chunks and refreshed.
     let mut batch = ExplainSession::new(relation(0..30), AggQuery::sum("t", "v")).unwrap();
-    let mut streaming =
-        StreamingExplainer::new(request(), schema(), AggQuery::sum("t", "v")).unwrap();
+    let empty = Relation::builder(schema()).finish();
+    let mut streaming = ExplainSession::new(empty, AggQuery::sum("t", "v")).unwrap();
     for chunk in [0..12i64, 12..22, 22..30] {
         streaming.append_rows(rows_for(chunk)).unwrap();
-        streaming.refresh().unwrap();
+        streaming.refresh(&request()).unwrap();
     }
 
-    let explainers: [&mut dyn Explainer; 2] = [&mut batch, &mut streaming];
+    let results = [
+        batch.explain(&request()).unwrap(),
+        streaming.refresh(&request()).unwrap(),
+    ];
     let mut cuts = Vec::new();
     let mut labels = Vec::new();
-    for explainer in explainers {
-        let result = explainer.explain(&request()).unwrap();
+    for result in results {
         assert_eq!(result.stats.n_points, 30);
         cuts.push(result.segmentation.cuts().to_vec());
         labels.push(
@@ -260,11 +262,10 @@ fn live_appends_flow_through_both_explainers() {
     assert_eq!(batch.stats.n_points, 30);
     assert_eq!(session.stats().cubes_built, 1, "append must not rebuild");
 
-    let mut streaming =
-        StreamingExplainer::with_history(request(), relation(0..15), query).unwrap();
-    streaming.refresh().unwrap();
+    let mut streaming = ExplainSession::new(relation(0..15), query).unwrap();
+    streaming.refresh(&request()).unwrap();
     streaming.append_rows(rows_for(15..30)).unwrap();
-    let live = streaming.refresh().unwrap();
+    let live = streaming.refresh(&request()).unwrap();
     assert_eq!(live.stats.n_points, 30);
     assert_eq!(live.segmentation.cuts(), batch.segmentation.cuts());
 }
