@@ -110,11 +110,7 @@ impl CacheEntry {
         if let Some(snapshot) = self.snapshots.get(&smoothing) {
             return Ok((Arc::clone(snapshot), true));
         }
-        let mut cube = self.inc.snapshot()?;
-        if smoothing > 1 {
-            cube.smooth_moving_average(smoothing);
-        }
-        let cube = Arc::new(cube);
+        let cube = Arc::new(self.inc.snapshot_smoothed(smoothing)?);
         self.snapshots.insert(smoothing, Arc::clone(&cube));
         self.recount_bytes();
         Ok((cube, false))
@@ -362,10 +358,13 @@ impl ExplainSession {
     /// resolution. While no row arrives, a refresh of the same request
     /// returns the previous result without touching the cube.
     ///
-    /// The first refresh, and the first after restated history rebuilt
-    /// the time axis, segments the whole horizon. A windowed request is
-    /// answered like [`ExplainSession::explain`] and leaves the remembered
-    /// cuts alone: they index the full horizon, not the window.
+    /// The first refresh, the first after restated history rebuilt the
+    /// time axis, and a refresh of a request other than the remembered
+    /// one segment the whole horizon: another strategy, explain-by set or
+    /// K policy would otherwise search only the remembered request's cuts.
+    /// A windowed request is answered like [`ExplainSession::explain`] and
+    /// leaves the remembered cuts alone: they index the full horizon, not
+    /// the window.
     pub fn refresh(&mut self, request: &ExplainRequest) -> Result<ExplainResult, TsExplainError> {
         if request.time_range().is_some() {
             return self.explain(request);
@@ -377,13 +376,17 @@ impl ExplainSession {
         }
         let prepared = self.prepare(request)?;
         // Read after `prepare`: a rebuild inside it clears the warm start.
-        let positions = self.warm.as_ref().map(|warm| {
-            let settled = warm.result.stats.n_points;
-            let mut positions = warm.result.segmentation.cuts().to_vec();
-            positions.push(settled - 1);
-            positions.extend(settled..prepared.n_points());
-            positions
-        });
+        let positions = self
+            .warm
+            .as_ref()
+            .filter(|warm| warm.request == *request)
+            .map(|warm| {
+                let settled = warm.result.stats.n_points;
+                let mut positions = warm.result.segmentation.cuts().to_vec();
+                positions.push(settled - 1);
+                positions.extend(settled..prepared.n_points());
+                positions
+            });
         let result = prepared.explain_with_positions(request, positions)?;
         self.warm = Some(WarmStart {
             request: request.clone(),
@@ -871,6 +874,7 @@ fn relation_rows(rel: &Relation) -> Vec<Vec<Datum>> {
 mod tests {
     use super::*;
     use crate::config::Optimizations;
+    use crate::segmenter::SegmenterSpec;
     use tsexplain_diff::DiffMetric;
     use tsexplain_relation::Field;
 
@@ -1437,7 +1441,10 @@ mod tests {
     #[test]
     fn windowed_requests_bypass_the_cut_cache() {
         let mut s = session();
-        let full = s.refresh(&base_request()).unwrap();
+        // Fixed K, because the elbow is undefined over the few candidate
+        // positions of the restricted refresh below.
+        let request = base_request().with_fixed_k(2);
+        let full = s.refresh(&request).unwrap();
         // A windowed request is served ad hoc at full resolution within
         // the window…
         let windowed = s
@@ -1446,13 +1453,45 @@ mod tests {
         assert_eq!(windowed.stats.n_points, 10);
         assert_eq!(windowed.stats.candidate_positions, 10);
         assert_eq!(windowed.segments[0].explanations[0].label, "state=CA");
-        // …without corrupting the incremental cut state: the next
-        // full-horizon refresh (restricted to the previously settled cut
-        // candidates) still finds the pre-window cuts. Fixed K, because
-        // the elbow is undefined over so few candidate positions.
-        let again = s.refresh(&base_request().with_fixed_k(2)).unwrap();
+        // …without corrupting the incremental cut state: after one late
+        // row, the next refresh of the first request is restricted to the
+        // previously settled cuts and still finds them.
+        s.append_rows(vec![vec![
+            Datum::Attr(20i64.into()),
+            "NY".into(),
+            1.0.into(),
+        ]])
+        .unwrap();
+        let again = s.refresh(&request).unwrap();
         assert_eq!(again.stats.n_points, 21);
+        assert!(
+            again.stats.candidate_positions < 21,
+            "got {}",
+            again.stats.candidate_positions
+        );
         assert_eq!(again.segmentation.cuts(), full.segmentation.cuts());
+    }
+
+    /// A refresh of another request than the remembered one searches the
+    /// whole horizon: the remembered cuts belong to another segmentation.
+    #[test]
+    fn a_switched_request_is_not_cut_at_the_previous_request_s_cuts() {
+        let data = tsexplain_datagen::synthetic::SyntheticDataset::generate(
+            tsexplain_datagen::synthetic::SyntheticConfig {
+                n_points: 60,
+                seed: 7,
+                ..Default::default()
+            },
+        );
+        let mut s = ExplainSession::new(data.to_relation(), data.query()).unwrap();
+        let dp = ExplainRequest::new(["category"]).with_optimizations(Optimizations::none());
+        let bottom_up = dp.clone().with_segmenter(SegmenterSpec::BottomUp);
+        s.refresh(&bottom_up).unwrap();
+        let refreshed = s.refresh(&dp).unwrap();
+        assert_eq!(refreshed.stats.candidate_positions, 60);
+        let explained = s.explain(&dp).unwrap();
+        assert_eq!(explained.segmentation.cuts(), &[13, 31]);
+        assert_eq!(refreshed.segmentation.cuts(), explained.segmentation.cuts());
     }
 
     #[test]

@@ -157,7 +157,11 @@ impl CubeCacheKey {
 /// snapshot's own. When pruning dropped candidates, explanation `e` reads
 /// its states from store column `cols[e]`, and the snapshot gathers the
 /// value rows of its kept columns once, so the γ scans still read one
-/// contiguous row per timestamp.
+/// contiguous row per timestamp. Beside them the cube lays out the values
+/// of its selectable candidates alone
+/// ([`ExplanationCube::selectable_values`]), rebuilt whenever values or
+/// selectability change, so a top-m scan reads two contiguous rows of only
+/// the candidates it may select.
 #[derive(Clone, Debug)]
 pub struct ExplanationCube {
     timestamps: Vec<AttrValue>,
@@ -177,6 +181,9 @@ pub struct ExplanationCube {
     /// The ids set in `selectable`, ascending: what the top-m scans walk
     /// instead of testing the bitmap over all ε candidates.
     selectable_ids: Vec<ExplId>,
+    /// The decoded values of `selectable_ids`, time-major
+    /// (`selectable_plane[t * S + i]` is `selectable_ids[i]` at `t`).
+    selectable_plane: Vec<f64>,
     /// Per node (explanations, then root in the last slot): whether the
     /// subtree rooted there contains any selectable explanation. Lets the
     /// CA algorithm prune filtered subtrees, which is where the filter's
@@ -208,12 +215,19 @@ impl ExplanationCube {
     }
 
     /// Finalizes a cube over `store`, whose column `e` holds explanation
-    /// `e`: optionally prunes redundant conjunctions (gathering the kept
-    /// columns' value rows when any were dropped), builds the drill-down
-    /// trie and the lookup index, and applies the support filter. Every
-    /// cube, batch-built or snapshotted, is finalized here. `shared_store`
-    /// says whether the incremental cube the store came from still holds
-    /// (and counts) it.
+    /// `e`: optionally prunes redundant conjunctions, builds the lookup
+    /// index and the drill-down trie from it, applies the support filter
+    /// and, for a `smoothing` window above 1, smooths the kept columns into
+    /// a store of the cube's own. Every cube, batch-built or snapshotted,
+    /// is finalized here. `shared_store` says whether the incremental cube
+    /// the store came from still holds (and counts) it.
+    ///
+    /// An unsmoothed cube gathers its kept columns' value rows when
+    /// pruning dropped any. A smoothed one reads the filter's values
+    /// through `cols` instead and smooths straight from `store`, so it
+    /// gathers nothing that smoothing would discard; its selectability
+    /// comes from the unsmoothed series, as
+    /// [`ExplanationCube::smooth_moving_average`] leaves it.
     #[expect(
         clippy::too_many_arguments,
         reason = "crate-private constructor fed field by field by the incremental cube's two snapshot paths"
@@ -227,6 +241,7 @@ impl ExplanationCube {
         shared_store: bool,
         filter_ratio: Option<f64>,
         prune: bool,
+        smoothing: usize,
     ) -> Self {
         debug_assert_eq!(store.n_cols(), explanations.len());
         debug_assert_eq!(store.n_rows(), timestamps.len());
@@ -236,17 +251,12 @@ impl ExplanationCube {
             let cols = (0..explanations.len() as u32).collect();
             (explanations, cols)
         };
-        let gathered = if cols.len() == store.n_cols() {
-            Vec::new()
-        } else {
-            store.gather_values(&cols)
-        };
-        let trie = DrillTrie::build(&explanations);
         let index = explanations
             .iter()
             .enumerate()
             .map(|(i, e)| (e.clone(), i as ExplId))
             .collect();
+        let trie = DrillTrie::build(&explanations, &index);
         let mut cube = ExplanationCube {
             timestamps,
             attr_names,
@@ -255,14 +265,27 @@ impl ExplanationCube {
             store,
             shared_store,
             cols,
-            gathered,
+            gathered: Vec::new(),
             selectable: Vec::new(),
             selectable_ids: Vec::new(),
+            selectable_plane: Vec::new(),
             subtree_selectable: Vec::new(),
             trie,
             index,
         };
-        cube.apply_filter(filter_ratio);
+        if smoothing > 1 {
+            let cols = &cube.cols;
+            let keep = support(cube.store.values(), cols.len(), filter_ratio, |e| {
+                cols[e] as usize
+            });
+            cube.smooth_store(smoothing);
+            cube.set_selectable(keep);
+        } else {
+            if cube.cols.len() != cube.store.n_cols() {
+                cube.gathered = cube.store.gather_values(&cube.cols);
+            }
+            cube.apply_filter(filter_ratio);
+        }
         cube
     }
 
@@ -298,6 +321,7 @@ impl ExplanationCube {
             gathered: Vec::new(),
             selectable: Vec::new(),
             selectable_ids: Vec::new(),
+            selectable_plane: Vec::new(),
             subtree_selectable: Vec::new(),
             trie: self.trie.clone(),
             index: self.index.clone(),
@@ -312,23 +336,15 @@ impl ExplanationCube {
     /// `ratio` × the overall series' magnitude at that point and is nonzero;
     /// otherwise its contribution is insignificant everywhere (§7.5.1).
     pub fn apply_filter(&mut self, filter_ratio: Option<f64>) {
+        let keep = support(self.values(), self.explanations.len(), filter_ratio, |e| e);
+        self.set_selectable(keep);
+    }
+
+    /// Installs a selectability bitmap and everything derived from it:
+    /// the id list, the subtree flags and the selectable value plane.
+    fn set_selectable(&mut self, selectable: Vec<bool>) {
         let n_expl = self.explanations.len();
-        self.selectable = match filter_ratio {
-            None => vec![true; n_expl],
-            // Row by row: a candidate is kept once any point passes.
-            Some(ratio) => {
-                let values = self.values();
-                let mut keep = vec![false; n_expl];
-                for t in 0..self.n_points() {
-                    let floor = ratio * values.total(t).abs();
-                    for (k, &v) in keep.iter_mut().zip(values.row(t)) {
-                        let v = v.abs();
-                        *k |= v > 0.0 && v >= floor;
-                    }
-                }
-                keep
-            }
-        };
+        self.selectable = selectable;
         self.selectable_ids = (0..n_expl as ExplId)
             .filter(|&e| self.selectable[e as usize])
             .collect();
@@ -357,6 +373,32 @@ impl ExplanationCube {
             .iter()
             .any(|(_, kids)| kids.iter().any(|&k| subtree[k as usize]));
         self.subtree_selectable = subtree;
+        self.lay_out_selectable();
+    }
+
+    /// Rebuilds the selectable value plane from the current values: after
+    /// every change of selectability or of the values themselves.
+    fn lay_out_selectable(&mut self) {
+        let values = self.values();
+        let mut plane = Vec::with_capacity(values.n_rows() * self.selectable_ids.len());
+        for t in 0..values.n_rows() {
+            let row = values.row(t);
+            plane.extend(self.selectable_ids.iter().map(|&e| row[e as usize]));
+        }
+        self.selectable_plane = plane;
+    }
+
+    /// Replaces the store by one whose states are `window`-point moving
+    /// averages of this cube's columns (see
+    /// [`ExplanationCube::smooth_moving_average`]); the selectable plane
+    /// is left for the caller to rebuild.
+    fn smooth_store(&mut self, window: usize) {
+        // A new store over this cube's columns, which it owns.
+        let smoothed = self.store.smoothed(&self.cols, window);
+        self.cols = (0..smoothed.n_cols() as u32).collect();
+        self.store = Arc::new(smoothed);
+        self.shared_store = false;
+        self.gathered = Vec::new();
     }
 
     /// Approximate heap + inline footprint of this cube in bytes (see the
@@ -401,6 +443,7 @@ impl ExplanationCube {
             + self.gathered.len() * size_of::<f64>()
             + self.selectable.len()
             + self.selectable_ids.len() * size_of::<ExplId>()
+            + self.selectable_plane.len() * size_of::<f64>()
             + self.subtree_selectable.len()
             + trie_bytes(&self.trie)
             + index
@@ -549,6 +592,20 @@ impl ExplanationCube {
         &self.selectable_ids
     }
 
+    /// The decoded values of the selectable explanations alone, time-major:
+    /// column `i` is [`selectable_ids`](ExplanationCube::selectable_ids)`[i]`,
+    /// bit-identical to its [`ExplanationCube::values`] column. Rebuilt by
+    /// [`ExplanationCube::apply_filter`],
+    /// [`ExplanationCube::smooth_moving_average`] and
+    /// [`ExplanationCube::slice_time`], so it is never stale.
+    pub fn selectable_values(&self) -> ValueMatrix<'_> {
+        ValueMatrix::new(
+            self.selectable_ids.len(),
+            &self.selectable_plane,
+            self.values().totals(),
+        )
+    }
+
     /// Smooths the overall and per-explanation series with a centered
     /// moving average of `window` points (clamped at the boundaries).
     ///
@@ -560,13 +617,33 @@ impl ExplanationCube {
         if window <= 1 {
             return;
         }
-        // A new store over this cube's columns, which it owns.
-        let smoothed = self.store.smoothed(&self.cols, window);
-        self.cols = (0..smoothed.n_cols() as u32).collect();
-        self.store = Arc::new(smoothed);
-        self.shared_store = false;
-        self.gathered = Vec::new();
+        self.smooth_store(window);
+        self.lay_out_selectable();
     }
+}
+
+/// The support filter (§7.5.1) over `n_expl` explanations whose values sit
+/// in column `col(e)` of `values`: row by row, a candidate is kept once
+/// any point passes.
+fn support(
+    values: ValueMatrix<'_>,
+    n_expl: usize,
+    filter_ratio: Option<f64>,
+    col: impl Fn(usize) -> usize,
+) -> Vec<bool> {
+    let Some(ratio) = filter_ratio else {
+        return vec![true; n_expl];
+    };
+    let mut keep = vec![false; n_expl];
+    for t in 0..values.n_rows() {
+        let floor = ratio * values.total(t).abs();
+        let row = values.row(t);
+        for (e, k) in keep.iter_mut().enumerate() {
+            let v = row[col(e)].abs();
+            *k |= v > 0.0 && v >= floor;
+        }
+    }
+    keep
 }
 
 /// Drops conjunctions whose row set equals one of their sub-conjunctions'.

@@ -390,6 +390,15 @@ impl IncrementalCube {
     /// shares this cube's state store, so the cube can keep growing
     /// without copying it.
     pub fn snapshot(&self) -> Result<ExplanationCube, CubeError> {
+        self.snapshot_smoothed(1)
+    }
+
+    /// [`IncrementalCube::snapshot`] followed by
+    /// [`ExplanationCube::smooth_moving_average`]`(window)`, bit for bit,
+    /// but smoothed straight from this cube's store: a pruned snapshot
+    /// gathers no value rows that smoothing would discard. A `window` of
+    /// 1 or less is a plain snapshot.
+    pub fn snapshot_smoothed(&self, window: usize) -> Result<ExplanationCube, CubeError> {
         if self.timestamps.is_empty() {
             return Err(CubeError::EmptyInput);
         }
@@ -405,6 +414,7 @@ impl IncrementalCube {
             true,
             self.config.filter_ratio,
             self.config.prune_redundant,
+            window,
         ))
     }
 
@@ -426,6 +436,7 @@ impl IncrementalCube {
             false,
             self.config.filter_ratio,
             self.config.prune_redundant,
+            1,
         ))
     }
 }

@@ -62,11 +62,12 @@ pub(crate) fn state_series_bytes(series: &[AggState]) -> usize {
     size_of::<Vec<AggState>>() + std::mem::size_of_val(series)
 }
 
-/// Approximate size of the drill-down trie: per node a group vector, per
-/// edge an id.
+/// Approximate size of the drill-down trie: per node a group vector and a
+/// parent offset, per edge a child id and a parent id.
 pub(crate) fn trie_bytes(trie: &DrillTrie) -> usize {
     let nodes = trie.n_explanations() + 1;
-    nodes * size_of::<Vec<(u16, Vec<u32>)>>() + trie.n_edges() * (size_of::<u32>() + 4)
+    nodes * (size_of::<Vec<(u16, Vec<u32>)>>() + size_of::<u32>())
+        + trie.n_edges() * (2 * size_of::<u32>() + 4)
 }
 
 #[cfg(test)]

@@ -1,3 +1,8 @@
+//! The drill-down trie (Fig. 8): per node its refinements grouped by
+//! attribute, and per explanation its parents as one CSR table. Both are
+//! resolved through the cube's one lookup index when the cube is
+//! assembled.
+
 use std::collections::HashMap;
 
 use crate::explanation::{ExplId, Explanation};
@@ -17,39 +22,60 @@ pub const ROOT_NODE: NodeId = u32::MAX;
 /// either takes the node as an explanation or picks **one** attribute to
 /// drill into and distributes its quota among that attribute's children —
 /// which is exactly what keeps the selected explanations non-overlapping.
+///
+/// The same edges are also kept upward, as a CSR table:
+/// `parents(e)[j]` is `e`'s drill-down parent along its `j`-th predicate's
+/// attribute. Walking them closes a set of explanations under ancestors
+/// without probing the cube's index for every predicate subset, which is
+/// how guess-and-verify builds its restriction each round.
 #[derive(Clone, Debug)]
 pub struct DrillTrie {
     /// `groups[slot]` lists `(attr, children)` pairs, sorted by attr.
     /// Slot `n_expl` is the root.
     groups: Vec<Vec<(u16, Vec<ExplId>)>>,
+    /// Explanation `e`'s parents are `parents[parent_start[e]..parent_start[e + 1]]`,
+    /// one per predicate, in predicate (attribute) order; an order-1
+    /// explanation's only parent is [`ROOT_NODE`].
+    parent_start: Vec<u32>,
+    parents: Vec<NodeId>,
     n_expl: usize,
 }
 
 impl DrillTrie {
-    /// Builds the trie for a candidate set.
+    /// Builds the trie for a candidate set, resolving parents through the
+    /// cube's lookup `index` (every explanation to its id).
     ///
     /// Every order-β explanation is attached, for each of its β attributes,
     /// under its order-(β−1) parent along that attribute. Parents always
     /// exist: an explanation is only enumerated when witnessed by a row, and
     /// any row witnessing a child also witnesses all of its ancestors.
-    pub fn build(explanations: &[Explanation]) -> Self {
+    pub fn build(explanations: &[Explanation], index: &HashMap<Explanation, ExplId>) -> Self {
         let n_expl = explanations.len();
-        let index: HashMap<&Explanation, ExplId> = explanations
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e, i as ExplId))
-            .collect();
         let mut groups: Vec<Vec<(u16, Vec<ExplId>)>> = vec![Vec::new(); n_expl + 1];
+        let mut parent_start = Vec::with_capacity(n_expl + 1);
+        let mut parents = Vec::new();
+        let mut scratch: Vec<(u16, u32)> = Vec::new();
         for (id, e) in explanations.iter().enumerate() {
-            for &(attr, _) in e.preds() {
-                let slot = match e.without(attr) {
-                    Some(parent) if parent.order() > 0 => {
-                        let pid = *index
-                            .get(&parent)
-                            .expect("drill-down parent must be enumerated");
-                        pid as usize
-                    }
-                    _ => n_expl, // order-1 explanations hang off the root
+            parent_start.push(parents.len() as u32);
+            let preds = e.preds();
+            for (j, &(attr, _)) in preds.iter().enumerate() {
+                let parent = if preds.len() == 1 {
+                    ROOT_NODE // order-1 explanations hang off the root
+                } else {
+                    // The predicates without the j-th stay sorted, so the
+                    // scratch slice probes the index directly.
+                    scratch.clear();
+                    scratch.extend_from_slice(&preds[..j]);
+                    scratch.extend_from_slice(&preds[j + 1..]);
+                    *index
+                        .get(scratch.as_slice())
+                        .expect("drill-down parent must be enumerated")
+                };
+                parents.push(parent);
+                let slot = if parent == ROOT_NODE {
+                    n_expl
+                } else {
+                    parent as usize
                 };
                 let group = &mut groups[slot];
                 match group.binary_search_by_key(&attr, |g| g.0) {
@@ -58,7 +84,13 @@ impl DrillTrie {
                 }
             }
         }
-        DrillTrie { groups, n_expl }
+        parent_start.push(parents.len() as u32);
+        DrillTrie {
+            groups,
+            parent_start,
+            parents,
+            n_expl,
+        }
     }
 
     fn slot(&self, node: NodeId) -> usize {
@@ -75,6 +107,14 @@ impl DrillTrie {
         &self.groups[self.slot(node)]
     }
 
+    /// The drill-down parents of explanation `e`, one per predicate in
+    /// predicate order: entry `j` is `e` without its `j`-th predicate
+    /// ([`ROOT_NODE`] for an order-1 explanation).
+    pub fn parents(&self, e: ExplId) -> &[NodeId] {
+        let e = e as usize;
+        &self.parents[self.parent_start[e] as usize..self.parent_start[e + 1] as usize]
+    }
+
     /// True when `node` has no refinements (a leaf of the trie).
     pub fn is_leaf(&self, node: NodeId) -> bool {
         self.children(node).is_empty()
@@ -88,10 +128,7 @@ impl DrillTrie {
     /// Total number of `(parent, child)` edges, counting one edge per
     /// (parent, attr, child) triple.
     pub fn n_edges(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| g.iter().map(|(_, c)| c.len()).sum::<usize>())
-            .sum()
+        self.parents.len()
     }
 }
 
@@ -116,10 +153,19 @@ mod tests {
         v
     }
 
+    fn trie_of(cands: &[Explanation]) -> DrillTrie {
+        let index = cands
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.clone(), i as ExplId))
+            .collect();
+        DrillTrie::build(cands, &index)
+    }
+
     #[test]
     fn root_children_grouped_by_attr() {
         let cands = two_attr_candidates();
-        let trie = DrillTrie::build(&cands);
+        let trie = trie_of(&cands);
         let groups = trie.children(ROOT_NODE);
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].0, 0);
@@ -131,7 +177,7 @@ mod tests {
     #[test]
     fn order2_nodes_attach_under_both_parents() {
         let cands = two_attr_candidates();
-        let trie = DrillTrie::build(&cands);
+        let trie = trie_of(&cands);
         // (A0=0) is id 0; its children along attr 1 are (A0=0 & A1=*).
         let groups = trie.children(0);
         assert_eq!(groups.len(), 1);
@@ -149,7 +195,7 @@ mod tests {
     #[test]
     fn leaves_have_no_children() {
         let cands = two_attr_candidates();
-        let trie = DrillTrie::build(&cands);
+        let trie = trie_of(&cands);
         // Order-2 explanations are leaves here.
         for (id, e) in cands.iter().enumerate() {
             assert_eq!(trie.is_leaf(id as NodeId), e.order() == 2);
@@ -159,8 +205,31 @@ mod tests {
     #[test]
     fn edge_count_matches_order_sum() {
         let cands = two_attr_candidates();
-        let trie = DrillTrie::build(&cands);
+        let trie = trie_of(&cands);
         let expected: usize = cands.iter().map(|e| e.order()).sum();
         assert_eq!(trie.n_edges(), expected);
+    }
+
+    #[test]
+    fn parents_mirror_the_children_edges() {
+        let cands = two_attr_candidates();
+        let trie = trie_of(&cands);
+        for (id, e) in cands.iter().enumerate() {
+            let parents = trie.parents(id as ExplId);
+            assert_eq!(parents.len(), e.order());
+            for (&parent, &(attr, _)) in parents.iter().zip(e.preds()) {
+                let group = trie
+                    .children(parent)
+                    .iter()
+                    .find(|(a, _)| *a == attr)
+                    .expect("parent has a group on the dropped attr");
+                assert!(group.1.contains(&(id as ExplId)));
+                if e.order() == 1 {
+                    assert_eq!(parent, ROOT_NODE);
+                } else {
+                    assert_eq!(Some(&cands[parent as usize]), e.without(attr).as_ref());
+                }
+            }
+        }
     }
 }

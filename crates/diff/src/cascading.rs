@@ -1,4 +1,16 @@
-use tsexplain_cube::{DrillTrie, ExplId, ExplanationCube, NodeId, ROOT_NODE};
+//! The Cascading Analysts DP (§5.2, Fig. 8) over a drill-down plan.
+//!
+//! A `DrillPlan` is the part of the cube's trie one DP walks: its included
+//! nodes children first, each with its drill-down groups cut down to the
+//! included kids, in trie order. A plan is built from the trie's parent
+//! lists, by counting-sorting the included kids into (parent, attribute)
+//! buckets: once per solver for exact CA, and once per round for
+//! guess-and-verify, so a restricted DP never visits a child outside its
+//! restriction. Kids keep ascending ids, so every knapsack sum — and with
+//! it every `Best` value and walk-back — is the one a walk of the whole
+//! trie would form.
+
+use tsexplain_cube::{ExplId, ExplanationCube, NodeId, MAX_EXPLAIN_BY, ROOT_NODE};
 
 use crate::metric::DiffMetric;
 use crate::score::ScoreContext;
@@ -7,6 +19,151 @@ use crate::top::{RankedExplanation, TopExplanations};
 /// Relative tolerance for matching DP values during reconstruction.
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// The part of the drill-down trie one DP walks: its included nodes,
+/// children first, each with its drill-down groups cut down to the
+/// included kids.
+///
+/// Groups keep the trie's order (ascending attribute) and kids their
+/// ascending id, so every knapsack sum is formed in the order a walk of
+/// the whole trie that skips excluded kids would form it, and the DP's
+/// values and walk-back are bit-identical to that walk's. Exact CA builds
+/// its plan once per solver; guess-and-verify rebuilds one per round, so
+/// a restricted DP never visits an excluded child.
+#[derive(Debug, Default)]
+pub(crate) struct DrillPlan {
+    /// Included nodes, children first (descending explanation order). The
+    /// root follows them implicitly, at position `order.len()`.
+    order: Vec<ExplId>,
+    /// Position `i`'s groups are `node_groups[i]..node_groups[i + 1]`
+    /// (`order.len() + 2` entries: the root's groups come last).
+    node_groups: Vec<u32>,
+    /// Group `g`'s kids are `kids[group_kids[g]..group_kids[g + 1]]`.
+    group_kids: Vec<u32>,
+    kids: Vec<ExplId>,
+    /// Per explanation id, its position in `order`; stale for ids outside
+    /// the plan, which no walk asks about.
+    position: Vec<u32>,
+    /// Build scratch: the included ids, ascending.
+    ascending: Vec<ExplId>,
+    /// Build scratch: per `(parent position, attr)` bucket, its start in
+    /// `kids` (then its fill cursor).
+    bucket: Vec<u32>,
+    /// Build scratch: `(bucket, kid)` per included edge, kids ascending.
+    edges: Vec<(u32, ExplId)>,
+}
+
+impl DrillPlan {
+    /// The plan of exact CA: every node whose subtree holds a selectable
+    /// candidate (a set closed under parents), with the kids that do.
+    pub(crate) fn full(cube: &ExplanationCube) -> Self {
+        let included: Vec<ExplId> = (0..cube.n_candidates() as ExplId)
+            .filter(|&e| cube.subtree_selectable(e))
+            .collect();
+        let mut plan = DrillPlan::default();
+        plan.rebuild(cube, &included);
+        plan
+    }
+
+    /// Rebuilds the plan over `included`, a set closed under drill-down
+    /// parents (any order, no repeats): each included node's kids are
+    /// found from the kids' parent lists, never by scanning a trie group.
+    ///
+    /// The kids are counting-sorted into one bucket per (parent position,
+    /// attribute) in ascending id order, so each bucket is one group in
+    /// trie order: attributes ascending, kids ascending.
+    pub(crate) fn rebuild(&mut self, cube: &ExplanationCube, included: &[ExplId]) {
+        if self.position.len() != cube.n_candidates() {
+            self.position = vec![0; cube.n_candidates()];
+        }
+        self.set_order(cube, included);
+        self.ascending.clear();
+        self.ascending.extend_from_slice(included);
+        self.ascending.sort_unstable();
+        let trie = cube.trie();
+        let n_attrs = cube.attr_names().len();
+        let (position, root) = (&self.position, self.order.len());
+        let bucket_of = |parent: NodeId, attr: u16| {
+            let at = if parent == ROOT_NODE {
+                root
+            } else {
+                position[parent as usize] as usize
+            };
+            at * n_attrs + attr as usize
+        };
+        let n_buckets = (root + 1) * n_attrs;
+        self.bucket.clear();
+        self.bucket.resize(n_buckets + 1, 0);
+        self.edges.clear();
+        for &kid in &self.ascending {
+            let preds = cube.explanation(kid).preds();
+            for (&parent, &(attr, _)) in trie.parents(kid).iter().zip(preds) {
+                let b = bucket_of(parent, attr);
+                self.bucket[b + 1] += 1;
+                self.edges.push((b as u32, kid));
+            }
+        }
+        for b in 1..=n_buckets {
+            self.bucket[b] += self.bucket[b - 1];
+        }
+        self.group_kids.clear();
+        self.node_groups.clear();
+        self.group_kids.push(0);
+        self.node_groups.push(0);
+        for at in 0..=root {
+            for b in at * n_attrs..(at + 1) * n_attrs {
+                if self.bucket[b + 1] > self.bucket[b] {
+                    self.group_kids.push(self.bucket[b + 1]);
+                }
+            }
+            self.node_groups.push(self.group_kids.len() as u32 - 1);
+        }
+        self.kids.clear();
+        self.kids.resize(self.edges.len(), 0);
+        for &(b, kid) in &self.edges {
+            let slot = &mut self.bucket[b as usize];
+            self.kids[*slot as usize] = kid;
+            *slot += 1;
+        }
+    }
+
+    /// Lays `included` out children first by bucketing it on explanation
+    /// order (nodes of equal order never read each other's DP rows, so
+    /// their relative order is free) and records each one's position.
+    fn set_order(&mut self, cube: &ExplanationCube, included: &[ExplId]) {
+        let mut start = [0usize; MAX_EXPLAIN_BY + 2];
+        for &e in included {
+            start[MAX_EXPLAIN_BY - cube.explanation(e).order() + 1] += 1;
+        }
+        for k in 1..start.len() {
+            start[k] += start[k - 1];
+        }
+        self.order.clear();
+        self.order.resize(included.len(), 0);
+        for &e in included {
+            let slot = &mut start[MAX_EXPLAIN_BY - cube.explanation(e).order()];
+            self.order[*slot] = e;
+            self.position[e as usize] = *slot as u32;
+            *slot += 1;
+        }
+    }
+
+    /// The position of `node` (the root's is `order.len()`).
+    fn position_of(&self, node: NodeId) -> usize {
+        if node == ROOT_NODE {
+            self.order.len()
+        } else {
+            self.position[node as usize] as usize
+        }
+    }
+
+    /// The groups of the node at `position`, as kid slices.
+    fn groups(&self, position: usize) -> impl Iterator<Item = &[ExplId]> + '_ {
+        let groups = self.node_groups[position] as usize..self.node_groups[position + 1] as usize;
+        groups
+            .map(move |g| &self.kids[self.group_kids[g] as usize..self.group_kids[g + 1] as usize])
+    }
 }
 
 /// The Cascading Analysts algorithm (paper ref.\ 38; §5.2, Fig. 8).
@@ -26,23 +183,33 @@ fn close(a: f64, b: f64) -> bool {
 /// bound. `Best[q]` at the root for every `q ≤ m` falls out as a side
 /// product — which is what the guess-and-verify bound (Eq. 12) consumes.
 ///
-/// The struct owns its DP buffers and the walk-back scratch, so a
+/// The DP and its walk-back run over a `DrillPlan`, the included part of
+/// the trie: the exact run's plan (every subtree holding a selectable
+/// candidate) is built once per solver, and a restricted run's by
+/// guess-and-verify each round, so neither visits a child it would skip.
+/// Either way a derivation scores its segment once, in one pass over the
+/// cube's selectable plane ([`ScoreContext::gamma_selectable`]). The
+/// struct owns its score and DP buffers and the walk-back scratch, so a
 /// repeated segment query allocates only the list it returns.
 pub struct CascadingAnalysts<'a> {
     ctx: ScoreContext<'a>,
     m: usize,
-    /// All nodes whose subtree contains a selectable explanation, ordered
-    /// children-before-parents (descending explanation order).
-    full_order: Vec<ExplId>,
+    /// The exact DP's plan: every node whose subtree contains a selectable
+    /// explanation, with the kids that do.
+    full_plan: DrillPlan,
     /// `(ε + 1) × (m + 1)` DP table; slot ε is the root.
     best: Vec<f64>,
     /// Grouped-knapsack scratch row.
     dp: Vec<f64>,
-    /// The exact path's γ buffer, filled by [`ScoreContext::gamma_ids`]
-    /// over the selectable ids (other entries are stale and never read).
+    /// The last scored segment's γ in selectable-position order
+    /// (`scores[i]` scores `selectable_ids()[i]`), from
+    /// [`ScoreContext::gamma_selectable`].
+    scores: Vec<f64>,
+    /// The exact DP's scores, indexed by id (entries of unselectable ids
+    /// are stale and never read).
     gammas: Vec<f64>,
-    /// Walk-back stack: the included kids of each group on the current
-    /// path with the quota assigned to each.
+    /// Walk-back stack: the kids of each group on the current path with
+    /// the quota assigned to each.
     kids: Vec<(ExplId, usize)>,
     /// Walk-back stage table, `(kids + 1) × (q + 1)` for the group being
     /// matched; free again once its back-walk ends.
@@ -56,17 +223,14 @@ impl<'a> CascadingAnalysts<'a> {
     /// most `m` explanations.
     pub fn new(cube: &'a ExplanationCube, metric: DiffMetric, m: usize) -> Self {
         assert!(m >= 1, "top-m requires m >= 1");
-        let mut full_order: Vec<ExplId> = (0..cube.n_candidates() as ExplId)
-            .filter(|&e| cube.subtree_selectable(e))
-            .collect();
-        full_order.sort_by_key(|&e| std::cmp::Reverse(cube.explanation(e).order()));
         let n = cube.n_candidates();
         CascadingAnalysts {
             ctx: ScoreContext::new(cube, metric),
             m,
-            full_order,
+            full_plan: DrillPlan::full(cube),
             best: vec![0.0; (n + 1) * (m + 1)],
             dp: vec![0.0; m + 1],
+            scores: vec![0.0; cube.n_selectable()],
             gammas: vec![0.0; n],
             kids: Vec::new(),
             stages: Vec::new(),
@@ -96,15 +260,8 @@ impl<'a> CascadingAnalysts<'a> {
 
     /// Exact top-m non-overlapping explanations for segment `(a, b)`.
     pub fn top_m(&mut self, seg: (usize, usize)) -> TopExplanations {
-        // One linear scan over the selectable ids replaces the per-node γ
-        // evaluations of the DP (bit-identical by the batched scorer's
-        // contract).
-        let mut gammas = std::mem::take(&mut self.gammas);
-        self.ctx
-            .gamma_ids(seg, self.cube().selectable_ids(), &mut gammas);
-        let top = self.top_m_exact(seg, &gammas);
-        self.gammas = gammas;
-        top
+        self.score(seg);
+        self.top_m_exact(seg)
     }
 
     /// Exact top-m plus the `Best[0..=m]` root scores.
@@ -113,27 +270,45 @@ impl<'a> CascadingAnalysts<'a> {
         (top, self.best_root().to_vec())
     }
 
-    /// Exact top-m over every selectable candidate, with `gammas` holding
-    /// γ for at least every selectable candidate (a caller that already
-    /// scored the segment passes its buffer instead of rescoring).
-    pub(crate) fn top_m_exact(&mut self, seg: (usize, usize), gammas: &[f64]) -> TopExplanations {
+    /// Scores every selectable candidate over `seg` in one pass over the
+    /// cube's selectable plane. Both derivation paths score a segment
+    /// here once: exact CA, and guess-and-verify's ranking.
+    pub(crate) fn score(&mut self, seg: (usize, usize)) {
+        self.ctx.gamma_selectable(seg, &mut self.scores);
+    }
+
+    /// The scores of the last [`CascadingAnalysts::score`] call:
+    /// `scores()[i]` scores `selectable_ids()[i]`.
+    pub(crate) fn scores(&self) -> &[f64] {
+        &self.scores
+    }
+
+    /// Exact top-m over every selectable candidate of the segment last
+    /// passed to [`CascadingAnalysts::score`], whose scores are first
+    /// scattered into the id-indexed buffer the DP reads.
+    pub(crate) fn top_m_exact(&mut self, seg: (usize, usize)) -> TopExplanations {
         let cube = self.ctx.cube();
-        let include = |e| cube.subtree_selectable(e);
+        for (&id, &gamma) in cube.selectable_ids().iter().zip(&self.scores) {
+            self.gammas[id as usize] = gamma;
+        }
         let selectable = |e| cube.is_selectable(e);
-        let order = std::mem::take(&mut self.full_order);
-        self.solve(gammas, &order, &include, &selectable);
-        self.full_order = order;
-        self.answer(seg, gammas, &include, &selectable)
+        let plan = std::mem::take(&mut self.full_plan);
+        let gammas = std::mem::take(&mut self.gammas);
+        self.solve(&plan, &gammas, &selectable);
+        let top = self.answer(seg, &plan, &gammas, &selectable);
+        self.full_plan = plan;
+        self.gammas = gammas;
+        top
     }
 
     /// Top-m over a restricted candidate set (guess-and-verify, §5.3.1).
     ///
-    /// `order` must list every structurally included node children-first
-    /// (descending explanation order); `structural[e]` marks inclusion
-    /// (selected candidates *and* their ancestors); `allowed[e]` marks the
-    /// candidates that may actually be taken as explanations; `gammas`
-    /// holds γ for at least every allowed candidate (the caller's batched
-    /// scores, borrowed so a guess round never rescores or copies them).
+    /// `plan` covers the structurally included nodes (the selected
+    /// candidates *and* their ancestors; see [`DrillPlan::rebuild`]);
+    /// `allowed[e]` marks the candidates that may actually be taken as
+    /// explanations; `gammas` holds γ for at least every allowed
+    /// candidate, indexed by id (the caller's ranked head, borrowed so a
+    /// guess round never rescores or copies it).
     ///
     /// `verify` sees the restricted `Best[0..=m]`; the list is walked
     /// back and returned only when it accepts, so a rejected round
@@ -141,19 +316,17 @@ impl<'a> CascadingAnalysts<'a> {
     pub(crate) fn top_m_restricted(
         &mut self,
         seg: (usize, usize),
-        order: &[ExplId],
-        structural: &[bool],
+        plan: &DrillPlan,
         allowed: &[bool],
         gammas: &[f64],
         verify: impl FnOnce(&[f64]) -> bool,
     ) -> Option<TopExplanations> {
-        let include = |e: ExplId| structural[e as usize];
         let selectable = |e: ExplId| allowed[e as usize];
-        self.solve(gammas, order, &include, &selectable);
+        self.solve(plan, gammas, &selectable);
         if !verify(self.best_root()) {
             return None;
         }
-        Some(self.answer(seg, gammas, &include, &selectable))
+        Some(self.answer(seg, plan, gammas, &selectable))
     }
 
     /// `Best[0..=m]` at the root from the last DP: the best total γ with
@@ -172,107 +345,41 @@ impl<'a> CascadingAnalysts<'a> {
         }
     }
 
-    /// Fills the DP table over `order` and the root.
-    fn solve<FI, FS>(&mut self, gammas: &[f64], order: &[ExplId], include: &FI, selectable: &FS)
+    /// Fills the DP table over `plan`'s nodes, children first, then the
+    /// root (which cannot take itself).
+    fn solve<FS>(&mut self, plan: &DrillPlan, gammas: &[f64], selectable: &FS)
     where
-        FI: Fn(ExplId) -> bool,
         FS: Fn(ExplId) -> bool,
-    {
-        let trie = self.ctx.cube().trie();
-        for &v in order {
-            self.solve_node(v, gammas, trie, include, selectable);
-        }
-        self.solve_node_groups(ROOT_NODE, trie, include, false);
-    }
-
-    /// Walks the last DP back into the ranked list.
-    fn answer<FI, FS>(
-        &mut self,
-        seg: (usize, usize),
-        gammas: &[f64],
-        include: &FI,
-        selectable: &FS,
-    ) -> TopExplanations
-    where
-        FI: Fn(ExplId) -> bool,
-        FS: Fn(ExplId) -> bool,
-    {
-        let trie = self.ctx.cube().trie();
-        self.selected.clear();
-        self.reconstruct(ROOT_NODE, self.m, gammas, trie, include, selectable);
-        let items = self
-            .selected
-            .iter()
-            .map(|&id| RankedExplanation {
-                id,
-                gamma: gammas[id as usize],
-                effect: self.ctx.effect(id, seg),
-            })
-            .collect();
-        TopExplanations::new(items)
-    }
-
-    /// Fills `best[v][*]` for a concrete explanation node.
-    fn solve_node<FI, FS>(
-        &mut self,
-        v: ExplId,
-        gammas: &[f64],
-        trie: &DrillTrie,
-        include: &FI,
-        selectable: &FS,
-    ) where
-        FI: Fn(ExplId) -> bool,
-        FS: Fn(ExplId) -> bool,
-    {
-        // The batched per-segment scores were filled before the DP walk;
-        // `selectable` still gates the take (a restricted run's buffer
-        // scores candidates outside its allowed set, and entries outside
-        // the scored list are stale).
-        let take_self = if selectable(v) {
-            gammas[v as usize]
-        } else {
-            0.0
-        };
-        let stride = self.m + 1;
-        let base = self.slot(v) * stride;
-        self.best[base] = 0.0;
-        for q in 1..=self.m {
-            self.best[base + q] = take_self;
-        }
-        self.solve_node_groups(v, trie, include, true);
-    }
-
-    /// Max-in the best drill-down dimension's knapsack at `node`.
-    ///
-    /// When `keep_existing` is false the node's row is reset first (used
-    /// for the root, which cannot take itself).
-    fn solve_node_groups<FI>(
-        &mut self,
-        node: NodeId,
-        trie: &DrillTrie,
-        include: &FI,
-        keep_existing: bool,
-    ) where
-        FI: Fn(ExplId) -> bool,
     {
         let stride = self.m + 1;
-        let base = self.slot(node) * stride;
-        if !keep_existing {
-            for q in 0..=self.m {
-                self.best[base + q] = 0.0;
-            }
+        for (position, &v) in plan.order.iter().enumerate() {
+            // The batched per-segment scores were filled before the DP
+            // walk; `selectable` still gates the take (a restricted run's
+            // buffer scores candidates outside its allowed set, and
+            // entries outside the scored list are stale).
+            let take_self = if selectable(v) {
+                gammas[v as usize]
+            } else {
+                0.0
+            };
+            let base = self.slot(v) * stride;
+            self.best[base] = 0.0;
+            self.best[base + 1..base + stride].fill(take_self);
+            self.solve_groups(base, plan, position);
         }
-        for (_attr, kids) in trie.children(node) {
+        let root = self.slot(ROOT_NODE) * stride;
+        self.best[root..root + stride].fill(0.0);
+        self.solve_groups(root, plan, plan.order.len());
+    }
+
+    /// Max-in the best drill-down dimension's knapsack at the node whose
+    /// DP row starts at `base` and whose plan position is `position`.
+    fn solve_groups(&mut self, base: usize, plan: &DrillPlan, position: usize) {
+        let stride = self.m + 1;
+        for kids in plan.groups(position) {
             // Grouped knapsack over this dimension's children.
-            for x in self.dp.iter_mut() {
-                *x = 0.0;
-            }
-            let mut any = false;
+            self.dp.fill(0.0);
             for &kid in kids {
-                if !include(kid) {
-                    continue;
-                }
-                any = true;
                 let kbase = (kid as usize) * stride;
                 for cap in (1..=self.m).rev() {
                     let mut acc = self.dp[cap];
@@ -285,9 +392,6 @@ impl<'a> CascadingAnalysts<'a> {
                     self.dp[cap] = acc;
                 }
             }
-            if !any {
-                continue;
-            }
             for q in 1..=self.m {
                 if self.dp[q] > self.best[base + q] {
                     self.best[base + q] = self.dp[q];
@@ -296,24 +400,47 @@ impl<'a> CascadingAnalysts<'a> {
         }
     }
 
+    /// Walks the last DP back into the ranked list.
+    fn answer<FS>(
+        &mut self,
+        seg: (usize, usize),
+        plan: &DrillPlan,
+        gammas: &[f64],
+        selectable: &FS,
+    ) -> TopExplanations
+    where
+        FS: Fn(ExplId) -> bool,
+    {
+        self.selected.clear();
+        self.reconstruct(ROOT_NODE, self.m, gammas, plan, selectable);
+        let items = self
+            .selected
+            .iter()
+            .map(|&id| RankedExplanation {
+                id,
+                gamma: gammas[id as usize],
+                effect: self.ctx.effect(id, seg),
+            })
+            .collect();
+        TopExplanations::new(items)
+    }
+
     /// Walks the DP back, pushing the selected explanation ids onto
     /// `self.selected`.
     ///
-    /// Each visited group pushes its included kids onto `self.kids` and
-    /// fills `self.stages`; the kids it assigns quota to are recursed into
-    /// only after its back-walk, so the stage table is free again and the
+    /// Each visited group pushes its kids onto `self.kids` and fills
+    /// `self.stages`; the kids it assigns quota to are recursed into only
+    /// after its back-walk, so the stage table is free again and the
     /// deeper calls' kids land above this group's entries. The emission
     /// order is free: [`TopExplanations::new`] sorts.
-    fn reconstruct<FI, FS>(
+    fn reconstruct<FS>(
         &mut self,
         node: NodeId,
         q: usize,
         gammas: &[f64],
-        trie: &DrillTrie,
-        include: &FI,
+        plan: &DrillPlan,
         selectable: &FS,
     ) where
-        FI: Fn(ExplId) -> bool,
         FS: Fn(ExplId) -> bool,
     {
         let stride = self.m + 1;
@@ -327,14 +454,10 @@ impl<'a> CascadingAnalysts<'a> {
         }
         let width = q + 1;
         let start = self.kids.len();
-        for (_attr, group) in trie.children(node) {
+        for group in plan.groups(plan.position_of(node)) {
             self.kids.truncate(start);
-            self.kids
-                .extend(group.iter().filter(|&&k| include(k)).map(|&k| (k, 0)));
-            let n_kids = self.kids.len() - start;
-            if n_kids == 0 {
-                continue;
-            }
+            self.kids.extend(group.iter().map(|&k| (k, 0)));
+            let n_kids = group.len();
             // Stage-by-stage knapsack: stage i, slot cap, after the first
             // i kids.
             self.stages.clear();
@@ -376,7 +499,7 @@ impl<'a> CascadingAnalysts<'a> {
             for i in start..end {
                 let (kid, assigned) = self.kids[i];
                 if assigned > 0 {
-                    self.reconstruct(kid, assigned, gammas, trie, include, selectable);
+                    self.reconstruct(kid, assigned, gammas, plan, selectable);
                 }
             }
             self.kids.truncate(start);
@@ -664,5 +787,264 @@ mod tests {
         let mut ca = CascadingAnalysts::new(&cube, DiffMetric::AbsoluteChange, 3);
         let top = ca.top_m((0, 1));
         assert!(top.items().iter().all(|it| cube.is_selectable(it.id)));
+    }
+
+    /// The reference DP: a walk of the whole trie that tests every child
+    /// against `include`. Returns the root's `Best[0..=m]` bits and the
+    /// selected ids, ascending.
+    fn trie_walk(
+        cube: &ExplanationCube,
+        m: usize,
+        gammas: &[f64],
+        include: &dyn Fn(ExplId) -> bool,
+        selectable: &dyn Fn(ExplId) -> bool,
+    ) -> (Vec<u64>, Vec<ExplId>) {
+        let n = cube.n_candidates();
+        let stride = m + 1;
+        let slot = |v: NodeId| if v == ROOT_NODE { n } else { v as usize };
+        let mut order: Vec<ExplId> = (0..n as ExplId).filter(|&e| include(e)).collect();
+        order.sort_by_key(|&e| std::cmp::Reverse(cube.explanation(e).order()));
+        let mut best = vec![0.0; (n + 1) * stride];
+        let trie = cube.trie();
+        for v in order.iter().copied().chain([ROOT_NODE]) {
+            let take = if v != ROOT_NODE && selectable(v) {
+                gammas[v as usize]
+            } else {
+                0.0
+            };
+            let base = slot(v) * stride;
+            for q in 1..=m {
+                best[base + q] = take;
+            }
+            for (_, kids) in trie.children(v) {
+                let mut dp = vec![0.0; stride];
+                let mut any = false;
+                for &kid in kids.iter().filter(|&&k| include(k)) {
+                    any = true;
+                    for cap in (1..=m).rev() {
+                        let mut acc = dp[cap];
+                        for s in 1..=cap {
+                            let cand = dp[cap - s] + best[kid as usize * stride + s];
+                            if cand > acc {
+                                acc = cand;
+                            }
+                        }
+                        dp[cap] = acc;
+                    }
+                }
+                for q in 1..=m {
+                    if any && dp[q] > best[base + q] {
+                        best[base + q] = dp[q];
+                    }
+                }
+            }
+        }
+        #[expect(
+            clippy::too_many_arguments,
+            reason = "the reference walk-back takes the DP state field by field"
+        )]
+        fn walk(
+            cube: &ExplanationCube,
+            best: &[f64],
+            stride: usize,
+            node: NodeId,
+            q: usize,
+            gammas: &[f64],
+            include: &dyn Fn(ExplId) -> bool,
+            selectable: &dyn Fn(ExplId) -> bool,
+            out: &mut Vec<ExplId>,
+        ) {
+            let n = cube.n_candidates();
+            let slot = |v: NodeId| if v == ROOT_NODE { n } else { v as usize };
+            let target = best[slot(node) * stride + q];
+            if target <= 0.0 {
+                return;
+            }
+            if node != ROOT_NODE && selectable(node) && close(target, gammas[node as usize]) {
+                out.push(node);
+                return;
+            }
+            for (_, group) in cube.trie().children(node) {
+                let kids: Vec<ExplId> = group.iter().copied().filter(|&k| include(k)).collect();
+                if kids.is_empty() {
+                    continue;
+                }
+                let width = q + 1;
+                let mut stages = vec![0.0; (kids.len() + 1) * width];
+                for i in 1..=kids.len() {
+                    for cap in 0..=q {
+                        let mut acc = stages[(i - 1) * width + cap];
+                        for s in 1..=cap {
+                            let cand = stages[(i - 1) * width + cap - s]
+                                + best[kids[i - 1] as usize * stride + s];
+                            if cand > acc {
+                                acc = cand;
+                            }
+                        }
+                        stages[i * width + cap] = acc;
+                    }
+                }
+                if !close(stages[kids.len() * width + q], target) {
+                    continue;
+                }
+                let mut cap = q;
+                let mut assigned = vec![0; kids.len()];
+                for i in (1..=kids.len()).rev() {
+                    let goal = stages[i * width + cap];
+                    for s in 0..=cap {
+                        let part = if s == 0 {
+                            0.0
+                        } else {
+                            best[kids[i - 1] as usize * stride + s]
+                        };
+                        if close(stages[(i - 1) * width + cap - s] + part, goal) {
+                            assigned[i - 1] = s;
+                            break;
+                        }
+                    }
+                    cap -= assigned[i - 1];
+                }
+                for (&kid, &s) in kids.iter().zip(&assigned) {
+                    if s > 0 {
+                        walk(cube, best, stride, kid, s, gammas, include, selectable, out);
+                    }
+                }
+                return;
+            }
+        }
+        let mut selected = Vec::new();
+        walk(
+            cube,
+            &best,
+            stride,
+            ROOT_NODE,
+            m,
+            gammas,
+            include,
+            selectable,
+            &mut selected,
+        );
+        selected.sort_unstable();
+        let root = n * stride;
+        let bits = best[root..root + stride]
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        (bits, selected)
+    }
+
+    /// A SUM cube over one to three explain-by attributes.
+    fn random_cube(
+        rows: &[(u8, [u8; 3], f64)],
+        n_attrs: usize,
+        prune: bool,
+        filter: Option<f64>,
+    ) -> ExplanationCube {
+        let names = ["A", "B", "C"];
+        let mut fields = vec![Field::dimension("t")];
+        fields.extend(names[..n_attrs].iter().map(|&a| Field::dimension(a)));
+        fields.push(Field::measure("v"));
+        let mut b = Relation::builder(Schema::new(fields).unwrap());
+        for &(t, attrs, v) in rows {
+            let mut row = vec![Datum::Attr(i64::from(t).into())];
+            row.extend(
+                attrs[..n_attrs]
+                    .iter()
+                    .map(|&x| Datum::Attr(i64::from(x).into())),
+            );
+            row.push(Datum::from(v));
+            b.push_row(row).unwrap();
+        }
+        let mut config = CubeConfig::new(names[..n_attrs].iter().copied());
+        if !prune {
+            config = config.without_redundancy_pruning();
+        }
+        config.filter_ratio = filter;
+        ExplanationCube::build(&b.finish(), &AggQuery::sum("t", "v"), &config).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The DP over plans matches the whole-trie walk bit for bit —
+        /// root `Best` and selected list — for exact CA and for restricted
+        /// runs whose included set is closed by probing every predicate
+        /// subset, on cubes of one to three attributes, pruned or not.
+        #[test]
+        fn plans_match_the_whole_trie_walk(
+            rows in proptest::collection::vec(
+                (0u8..4, (0u8..3, 0u8..3, 0u8..2), 0.0f64..40.0), 4..40),
+            n_attrs in 1usize..=3,
+            prune in 0u8..2,
+            filtered in 0u8..2,
+            m in 1usize..4,
+            pick in proptest::collection::vec(0u8..3, 64),
+        ) {
+            let rows: Vec<(u8, [u8; 3], f64)> = rows
+                .iter()
+                .map(|&(t, (a, b, c), v)| (t, [a, b, c], (v * 4.0).round() / 4.0))
+                .collect();
+            let filter = (filtered == 1).then_some(0.05);
+            let cube = random_cube(&rows, n_attrs, prune == 1, filter);
+            if cube.n_points() < 2 {
+                return Ok(());
+            }
+            let n = cube.n_candidates();
+            let mut ca = CascadingAnalysts::new(&cube, DiffMetric::AbsoluteChange, m);
+            let ctx = ca.score_context();
+            let mut gammas = vec![0.0; n];
+            ctx.gamma_all((0, 1), &mut gammas);
+            for seg in [(0, 1), (0, cube.n_points() - 1)] {
+                ctx.gamma_all(seg, &mut gammas);
+                let (top, best) = ca.top_m_with_best(seg);
+                let mut ids: Vec<ExplId> = top.items().iter().map(|it| it.id).collect();
+                ids.sort_unstable();
+                let include = |e: ExplId| cube.subtree_selectable(e);
+                let selectable = |e: ExplId| cube.is_selectable(e);
+                let (want_best, want_ids) = trie_walk(&cube, m, &gammas, &include, &selectable);
+                let got_best: Vec<u64> = best.iter().map(|x| x.to_bits()).collect();
+                proptest::prop_assert_eq!(got_best, want_best);
+                proptest::prop_assert_eq!(ids, want_ids);
+
+                // A restriction: some selectable ids, closed under every
+                // predicate subset found in the index.
+                let mut allowed = vec![false; n];
+                let mut structural = vec![false; n];
+                for &e in cube.selectable_ids() {
+                    if pick[e as usize % pick.len()] != 0 {
+                        continue;
+                    }
+                    allowed[e as usize] = true;
+                    let preds = cube.explanation(e).preds();
+                    for mask in 1u32..(1 << preds.len()) {
+                        let subset: Vec<(u16, u32)> = preds
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| mask & (1 << i) != 0)
+                            .map(|(_, &p)| p)
+                            .collect();
+                        let id = cube.lookup_preds(&subset).expect("ancestor in the cube");
+                        structural[id as usize] = true;
+                    }
+                }
+                let touched: Vec<ExplId> = (0..n as ExplId).rev().filter(|&e| structural[e as usize]).collect();
+                let mut plan = DrillPlan::default();
+                plan.rebuild(&cube, &touched);
+                let mut root_best = Vec::new();
+                let top = ca
+                    .top_m_restricted(seg, &plan, &allowed, &gammas, |b| {
+                        root_best = b.iter().map(|x| x.to_bits()).collect();
+                        true
+                    })
+                    .unwrap();
+                let mut ids: Vec<ExplId> = top.items().iter().map(|it| it.id).collect();
+                ids.sort_unstable();
+                let include = |e: ExplId| structural[e as usize];
+                let selectable = |e: ExplId| allowed[e as usize];
+                let (want_best, want_ids) = trie_walk(&cube, m, &gammas, &include, &selectable);
+                proptest::prop_assert_eq!(root_best, want_best);
+                proptest::prop_assert_eq!(ids, want_ids);
+            }
+        }
     }
 }

@@ -1,9 +1,18 @@
+//! Guess-and-verify (optimization O1, §5.3.1).
+//!
+//! A derivation scores its segment once over the cube's selectable plane
+//! (shared with exact CA), then ranks the best m̄ + m in one bounded pass:
+//! a heap of the running best whose worst γ is a scalar floor, so a
+//! candidate scoring below it costs one compare and no heap work. The
+//! restriction closes the best m̄ under the trie's parent lists and hands
+//! the DP a plan of just those nodes.
+
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use tsexplain_cube::{ExplId, ExplanationCube};
+use tsexplain_cube::{ExplId, ExplanationCube, ROOT_NODE};
 
-use crate::cascading::CascadingAnalysts;
+use crate::cascading::{CascadingAnalysts, DrillPlan};
 use crate::top::TopExplanations;
 
 /// Per-derivation statistics of the guess-and-verify loop.
@@ -34,16 +43,21 @@ pub struct GuessVerifyStats {
 /// > restricted `Best[m]` dominates every such bound it is globally optimal;
 /// > otherwise m̄ doubles (paper: m̄₀ = 30 for m = 3).
 ///
-/// A derivation scores the cube's selectable ids once, keeps only the
-/// best m̄ + m of them in one bounded pass, and runs the restricted CA on
-/// the same scores. Every buffer (scores, ranking heap, restriction
-/// bitmaps, ancestor scratch, processing order) is owned and reused, so a
+/// A derivation scores the cube's selectable candidates once (the one
+/// pass over the selectable plane that exact CA also runs), keeps only
+/// the best m̄ + m of them in one bounded pass per round, and runs
+/// the restricted CA on the same scores over a plan of the best m̄ and
+/// their ancestors, found through the trie's parent lists. Every buffer
+/// (ranking heap, restriction bitmaps, plan) is owned and reused, so a
 /// warm derivation allocates only the list it returns.
+///
+/// [`crate::TopExplEngine`] does not run this loop on a one-attribute
+/// cube whose first restriction would already cover most selectable
+/// candidates: exact CA is cheaper there.
 pub struct GuessVerify {
     initial_guess: usize,
-    /// Batched γ of the selectable candidates (other entries are stale),
-    /// filled once per segment and shared with the restricted CA runs and
-    /// the exact fallback.
+    /// The ranked head's scores, indexed by id, for the restricted CA
+    /// runs (entries outside the current head are stale).
     gamma_buf: Vec<f64>,
     /// Ranking scratch: the best `need` candidates seen so far, worst on
     /// top.
@@ -55,12 +69,11 @@ pub struct GuessVerify {
     structural: Vec<bool>,
     /// Selection-permission bitmap over all candidates.
     allowed: Vec<bool>,
-    /// Entries of the two bitmaps that are currently set.
+    /// Entries of the two bitmaps that are currently set, in the order
+    /// they were marked: the restriction's nodes.
     touched: Vec<ExplId>,
-    /// Included nodes in children-first order, rebuilt per round.
-    order: Vec<ExplId>,
-    /// Ancestor-predicate scratch for allocation-free trie lookups.
-    subset_buf: Vec<(u16, u32)>,
+    /// The restricted CA's plan over `touched`, rebuilt per round.
+    plan: DrillPlan,
 }
 
 /// A scored candidate in χ's order: γ descending (`partial_cmp`, NaN
@@ -95,29 +108,38 @@ impl PartialEq for Ranked {
 
 impl Eq for Ranked {}
 
-/// Writes the best `need` of `ids` (scored by `gammas`) into `out`, best
-/// first, in one pass: `heap` keeps the running best with the worst kept
-/// candidate on top, so each further candidate costs one comparison, or
-/// an O(log need) replacement — never an insertion into a sorted list.
-fn select_top(
-    gammas: &[f64],
-    ids: &[ExplId],
+/// Writes the best `need` of `cands` into `out`, best first, in one
+/// pass: `heap` keeps the running best with the worst kept candidate on
+/// top, so a further candidate costs one comparison, or an O(log need)
+/// replacement — never an insertion into a sorted list. `cands` may come
+/// in any order.
+///
+/// Once the heap is full, its worst γ is a floor: a candidate scoring
+/// below it ranks after every kept one, so it is skipped on one float
+/// compare before any heap work. `γ < floor` is false for a NaN on either
+/// side, so NaNs still reach the heap's order.
+fn select_best(
+    cands: impl Iterator<Item = Ranked>,
     need: usize,
     heap: &mut BinaryHeap<Ranked>,
     out: &mut Vec<Ranked>,
 ) {
     heap.clear();
-    for &id in ids {
-        let cand = Ranked {
-            gamma: gammas[id as usize],
-            id,
-        };
+    let mut floor = f64::NEG_INFINITY;
+    for cand in cands {
+        if cand.gamma < floor {
+            continue;
+        }
         if heap.len() < need {
             heap.push(cand);
         } else if let Some(mut worst) = heap.peek_mut() {
             if cand < *worst {
                 *worst = cand;
             }
+        }
+        if heap.len() == need {
+            // A full heap; an empty one (need 0) keeps nothing at all.
+            floor = heap.peek().map_or(f64::INFINITY, |worst| worst.gamma);
         }
     }
     out.clear();
@@ -138,8 +160,7 @@ impl GuessVerify {
             structural: vec![false; n],
             allowed: vec![false; n],
             touched: Vec::new(),
-            order: Vec::new(),
-            subset_buf: Vec::new(),
+            plan: DrillPlan::default(),
         }
     }
 
@@ -153,17 +174,17 @@ impl GuessVerify {
         let m = ca.m();
         let ids = cube.selectable_ids();
 
-        // One scan over the selectable ids scores every candidate the
-        // derivation may select; the buffer then feeds the ranking, every
+        // One pass over the selectable plane scores every candidate the
+        // derivation may select; the scores then feed the ranking, every
         // restricted CA round and the exact fallback (no rescoring).
-        ca.score_context().gamma_ids(seg, ids, &mut self.gamma_buf);
+        ca.score(seg);
         let total = ids.len();
         let mut guess = self.initial_guess.min(total);
         let mut rounds = 0u32;
         loop {
             if guess >= total {
                 // Exact fallback (also covers tiny candidate sets).
-                let top = ca.top_m_exact(seg, &self.gamma_buf);
+                let top = ca.top_m_exact(seg);
                 return (
                     top,
                     GuessVerifyStats {
@@ -178,18 +199,21 @@ impl GuessVerify {
             // replaces ranking all selectable candidates — this is where
             // O1's win over exact CA comes from when ε is large.
             let need = (guess + m).min(total);
-            select_top(&self.gamma_buf, ids, need, &mut self.heap, &mut self.scored);
+            let cands = ids
+                .iter()
+                .zip(ca.scores())
+                .map(|(&id, &gamma)| Ranked { gamma, id });
+            select_best(cands, need, &mut self.heap, &mut self.scored);
+            for r in &self.scored {
+                self.gamma_buf[r.id as usize] = r.gamma;
+            }
             rounds += 1;
             self.build_restriction(cube, guess);
             let scored = &self.scored;
-            let top = ca.top_m_restricted(
-                seg,
-                &self.order,
-                &self.structural,
-                &self.allowed,
-                &self.gamma_buf,
-                |best| verified(scored, best, m, guess),
-            );
+            let top =
+                ca.top_m_restricted(seg, &self.plan, &self.allowed, &self.gamma_buf, |best| {
+                    verified(scored, best, m, guess)
+                });
             if let Some(top) = top {
                 return (
                     top,
@@ -205,57 +229,34 @@ impl GuessVerify {
     }
 
     /// Marks the top-`guess` candidates (plus ancestors) in the bitmaps and
-    /// rebuilds the children-first order.
+    /// rebuilds the restricted plan over them.
     fn build_restriction(&mut self, cube: &ExplanationCube, guess: usize) {
         for &e in &self.touched {
             self.structural[e as usize] = false;
             self.allowed[e as usize] = false;
         }
         self.touched.clear();
-        self.order.clear();
-
-        for i in 0..guess {
-            let e = self.scored[i].id;
-            if !self.allowed[e as usize] {
-                self.allowed[e as usize] = true;
+        let trie = cube.trie();
+        // `touched` doubles as the work list of the ancestor closure: each
+        // marked node's parents are visited once, after it.
+        let mut next = 0;
+        for r in &self.scored[..guess] {
+            self.allowed[r.id as usize] = true;
+            if !self.structural[r.id as usize] {
+                self.structural[r.id as usize] = true;
+                self.touched.push(r.id);
             }
-            self.mark_structural(cube, e);
-            // The drill path from the root to `e` may pass through any
-            // subset of its predicates, so include them all.
-            let expl = cube.explanation(e);
-            let preds = expl.preds();
-            let k = preds.len() as u32;
-            for mask in 1..(1u32 << k) {
-                if mask == (1 << k) - 1 {
-                    continue; // `e` itself, already marked
-                }
-                // Subsets of a sorted predicate list stay sorted, so the
-                // scratch buffer probes the cube index directly.
-                self.subset_buf.clear();
-                self.subset_buf.extend(
-                    preds
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| mask & (1 << i) != 0)
-                        .map(|(_, &p)| p),
-                );
-                if let Some(aid) = cube.lookup_preds(&self.subset_buf) {
-                    self.mark_structural(cube, aid);
+            while let Some(&v) = self.touched.get(next) {
+                next += 1;
+                for &p in trie.parents(v) {
+                    if p != ROOT_NODE && !self.structural[p as usize] {
+                        self.structural[p as usize] = true;
+                        self.touched.push(p);
+                    }
                 }
             }
         }
-        // Children-first processing order. Nodes of equal order never read
-        // each other's DP rows, so an unstable (in-place) sort is exact.
-        self.order.extend(self.touched.iter().copied());
-        self.order
-            .sort_unstable_by_key(|&e| std::cmp::Reverse(cube.explanation(e).order()));
-    }
-
-    fn mark_structural(&mut self, _cube: &ExplanationCube, e: ExplId) {
-        if !self.structural[e as usize] {
-            self.structural[e as usize] = true;
-            self.touched.push(e);
-        }
+        self.plan.rebuild(cube, &self.touched);
     }
 }
 
@@ -480,6 +481,21 @@ mod tests {
             }
         }
         assert!(doubled, "no derivation took a doubling round");
+    }
+
+    /// [`select_best`] over `ids` scored by the id-indexed `gammas`.
+    fn select_top(
+        gammas: &[f64],
+        ids: &[ExplId],
+        need: usize,
+        heap: &mut BinaryHeap<Ranked>,
+        out: &mut Vec<Ranked>,
+    ) {
+        let cands = ids.iter().map(|&id| Ranked {
+            gamma: gammas[id as usize],
+            id,
+        });
+        select_best(cands, need, heap, out);
     }
 
     /// The ranking the bounded pass replaced: every pair collected, a

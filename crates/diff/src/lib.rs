@@ -40,5 +40,5 @@ pub use error::DiffError;
 pub use guess_verify::{GuessVerify, GuessVerifyStats};
 pub use metric::{DiffMetric, Effect};
 pub use score::ScoreContext;
-pub use top::{RankedExplanation, TopExplEngine, TopExplStrategy, TopExplanations};
+pub use top::{rank_log2, RankedExplanation, TopExplEngine, TopExplStrategy, TopExplanations};
 pub use two_relation::diff_two_relations;

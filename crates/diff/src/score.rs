@@ -112,10 +112,10 @@ impl<'a> ScoreContext<'a> {
 
     /// Batched γ over a list of candidates: `out[e]` is set to
     /// `gamma(e, seg)` for every `e` in `ids`; every other slot of `out`
-    /// (which must hold `n_candidates` slots) is left untouched. The
-    /// top-m derivations pass the cube's
-    /// [`selectable_ids`](ExplanationCube::selectable_ids), so a
-    /// filtered cube costs its survivors, not ε.
+    /// (which must hold `n_candidates` slots) is left untouched. Over the
+    /// cube's [`selectable_ids`](ExplanationCube::selectable_ids) it
+    /// writes what [`ScoreContext::gamma_selectable`], the scan the top-m
+    /// derivations run, writes in position order.
     ///
     /// **Bit-for-bit contract:** each written score is produced by the
     /// same arithmetic, in the same order, as the scalar
@@ -137,6 +137,53 @@ impl<'a> ScoreContext<'a> {
         self.scan(seg, ids.iter().map(|&e| e as usize), out);
     }
 
+    /// Batched γ over the cube's selectable candidates, in position
+    /// order: `out[i]` is set to `gamma(selectable_ids()[i], seg)`
+    /// (`out` must hold [`n_selectable`](ExplanationCube::n_selectable)
+    /// slots). Every top-m derivation scores its segment here.
+    ///
+    /// SUM/COUNT contributions and every risk ratio read two contiguous
+    /// rows of the cube's selectable plane
+    /// ([`ExplanationCube::selectable_values`]) instead of gathering two
+    /// values per id; AVG/VARIANCE contributions read each candidate's
+    /// states. Bit for bit what [`ScoreContext::gamma_ids`] writes for the
+    /// same ids.
+    pub fn gamma_selectable(&self, seg: (usize, usize), out: &mut [f64]) {
+        let (a, b) = seg;
+        debug_assert!(a < b, "segment endpoints must be ordered");
+        debug_assert_eq!(out.len(), self.cube.n_selectable());
+        let (cube, agg) = (self.cube, self.agg);
+        let plane = cube.selectable_values();
+        let (row_a, row_b) = (plane.row(a), plane.row(b));
+        let relative = self.metric == DiffMetric::RelativeChange;
+        match (self.metric, agg) {
+            (DiffMetric::RiskRatio, _) => {
+                let total_a = self.values.total(a).abs();
+                let total_b = self.values.total(b).abs();
+                for ((slot, &xa), &xb) in out.iter_mut().zip(row_a).zip(row_b) {
+                    *slot = risk_ratio(total_a, total_b, xa, xb);
+                }
+            }
+            (_, AggFn::Sum | AggFn::Count) => {
+                let total_a = self.values.total(a);
+                let total_b = self.values.total(b);
+                for ((slot, &xa), &xb) in out.iter_mut().zip(row_a).zip(row_b) {
+                    *slot = value_change(total_a, total_b, xa, xb, relative);
+                }
+            }
+            (_, AggFn::Avg | AggFn::Variance) => {
+                let total_a = cube.total_state(a);
+                let total_b = cube.total_state(b);
+                let delta_with = total_b.value(agg) - total_a.value(agg);
+                for ((slot, &id), &xa) in out.iter_mut().zip(cube.selectable_ids()).zip(row_a) {
+                    let delta_without = total_b.remove(cube.state(id, b)).value(agg)
+                        - total_a.remove(cube.state(id, a)).value(agg);
+                    *slot = finish_change(delta_with - delta_without, xa, relative);
+                }
+            }
+        }
+    }
+
     /// The per-candidate arithmetic behind [`ScoreContext::gamma_all`]
     /// and [`ScoreContext::gamma_ids`], written once and monomorphized
     /// for each candidate walk.
@@ -146,65 +193,38 @@ impl<'a> ScoreContext<'a> {
         let (cube, agg) = (self.cube, self.agg);
         let row_a = self.values.row(a);
         let row_b = self.values.row(b);
+        let relative = self.metric == DiffMetric::RelativeChange;
 
-        match self.metric {
-            DiffMetric::AbsoluteChange | DiffMetric::RelativeChange => {
-                let relative = self.metric == DiffMetric::RelativeChange;
-                match agg {
-                    // SUM/COUNT decode to the state's own field, so the
-                    // complement value `(total − slice).value(agg)` is
-                    // exactly `total_value − slice_value`: the whole
-                    // contribution runs on the two rows.
-                    AggFn::Sum | AggFn::Count => {
-                        let total_a = self.values.total(a);
-                        let total_b = self.values.total(b);
-                        let delta_with = total_b - total_a;
-                        for e in ids {
-                            let delta_without = (total_b - row_b[e]) - (total_a - row_a[e]);
-                            let contribution = delta_with - delta_without;
-                            out[e] = if relative {
-                                contribution.abs() / row_a[e].abs().max(1.0)
-                            } else {
-                                contribution.abs()
-                            };
-                        }
-                    }
-                    // AVG/VARIANCE complements are not value-derivable;
-                    // keep the state arithmetic, hoisting the dispatch.
-                    AggFn::Avg | AggFn::Variance => {
-                        let total_a = cube.total_state(a);
-                        let total_b = cube.total_state(b);
-                        let delta_with = total_b.value(agg) - total_a.value(agg);
-                        for e in ids {
-                            let id = e as ExplId;
-                            let delta_without = total_b.remove(cube.state(id, b)).value(agg)
-                                - total_a.remove(cube.state(id, a)).value(agg);
-                            let contribution = delta_with - delta_without;
-                            out[e] = if relative {
-                                contribution.abs() / row_a[e].abs().max(1.0)
-                            } else {
-                                contribution.abs()
-                            };
-                        }
-                    }
-                }
-            }
+        match (self.metric, agg) {
             // Shares only need decoded values — row-based for every agg.
-            DiffMetric::RiskRatio => {
+            (DiffMetric::RiskRatio, _) => {
                 let total_a = self.values.total(a).abs();
                 let total_b = self.values.total(b).abs();
                 for e in ids {
-                    let share_a = if total_a <= 0.0 {
-                        SHARE_FLOOR
-                    } else {
-                        (row_a[e].abs() / total_a).max(SHARE_FLOOR)
-                    };
-                    let share_b = if total_b <= 0.0 {
-                        SHARE_FLOOR
-                    } else {
-                        (row_b[e].abs() / total_b).max(SHARE_FLOOR)
-                    };
-                    out[e] = (share_b / share_a).ln().abs();
+                    out[e] = risk_ratio(total_a, total_b, row_a[e], row_b[e]);
+                }
+            }
+            // SUM/COUNT decode to the state's own field, so the complement
+            // value `(total − slice).value(agg)` is exactly `total_value −
+            // slice_value`: the whole contribution runs on the two rows.
+            (_, AggFn::Sum | AggFn::Count) => {
+                let total_a = self.values.total(a);
+                let total_b = self.values.total(b);
+                for e in ids {
+                    out[e] = value_change(total_a, total_b, row_a[e], row_b[e], relative);
+                }
+            }
+            // AVG/VARIANCE complements are not value-derivable; keep the
+            // state arithmetic, hoisting the dispatch.
+            (_, AggFn::Avg | AggFn::Variance) => {
+                let total_a = cube.total_state(a);
+                let total_b = cube.total_state(b);
+                let delta_with = total_b.value(agg) - total_a.value(agg);
+                for e in ids {
+                    let id = e as ExplId;
+                    let delta_without = total_b.remove(cube.state(id, b)).value(agg)
+                        - total_a.remove(cube.state(id, a)).value(agg);
+                    out[e] = finish_change(delta_with - delta_without, row_a[e], relative);
                 }
             }
         }
@@ -219,6 +239,43 @@ impl<'a> ScoreContext<'a> {
         };
         (gamma, Effect::of(contribution))
     }
+}
+
+/// γ of a SUM/COUNT candidate whose values are `xa` and `xb` at the
+/// segment's ends, the overall values being `total_a` and `total_b`.
+#[inline(always)]
+fn value_change(total_a: f64, total_b: f64, xa: f64, xb: f64, relative: bool) -> f64 {
+    let delta_with = total_b - total_a;
+    let delta_without = (total_b - xb) - (total_a - xa);
+    finish_change(delta_with - delta_without, xa, relative)
+}
+
+/// Absolute- or relative-change γ from a contribution and the candidate's
+/// control-side value `xa`.
+#[inline(always)]
+fn finish_change(contribution: f64, xa: f64, relative: bool) -> f64 {
+    if relative {
+        contribution.abs() / xa.abs().max(1.0)
+    } else {
+        contribution.abs()
+    }
+}
+
+/// Risk-ratio γ from the candidate's values and the overall magnitudes
+/// `total_a = |f(R_c)|`, `total_b = |f(R_t)|`.
+#[inline(always)]
+fn risk_ratio(total_a: f64, total_b: f64, xa: f64, xb: f64) -> f64 {
+    let share_a = if total_a <= 0.0 {
+        SHARE_FLOOR
+    } else {
+        (xa.abs() / total_a).max(SHARE_FLOOR)
+    };
+    let share_b = if total_b <= 0.0 {
+        SHARE_FLOOR
+    } else {
+        (xb.abs() / total_b).max(SHARE_FLOOR)
+    };
+    (share_b / share_a).ln().abs()
 }
 
 #[cfg(test)]

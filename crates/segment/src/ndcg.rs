@@ -1,4 +1,4 @@
-use tsexplain_diff::{ScoreContext, TopExplanations};
+use tsexplain_diff::{rank_log2, ScoreContext, TopExplanations};
 
 /// A segment together with its derived top-m explanations.
 ///
@@ -43,7 +43,7 @@ pub fn ndcg(ctx: &ScoreContext<'_>, target: &ExplainedSegment, source: &Explaine
         let (gamma, effect_on_target) = ctx.gamma_effect(item.id, target.seg);
         // Rectified relevance: γ̄ = γ(E, target) · 1[τ(E, source) = τ(E, target)].
         if effect_on_target == item.effect {
-            dcg += gamma / ((r + 2) as f64).log2();
+            dcg += gamma / rank_log2(r);
         }
     }
     (dcg / ideal).clamp(0.0, 1.0)
