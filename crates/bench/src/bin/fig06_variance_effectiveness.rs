@@ -15,9 +15,7 @@ use tsexplain_bench::arg_usize;
 use tsexplain_cube::{CubeConfig, ExplanationCube};
 use tsexplain_datagen::synthetic::{SyntheticConfig, SyntheticDataset};
 use tsexplain_diff::{DiffMetric, TopExplStrategy};
-use tsexplain_eval::{
-    average_ranks, ground_truth_rank, random_segmentation, rank_ascending, CachedObjective,
-};
+use tsexplain_eval::{average_ranks, ground_truth_rank, random_segmentation, rank_ascending};
 use tsexplain_segment::{Segmentation, SegmentationContext, VarianceMetric};
 
 fn main() {
@@ -65,8 +63,7 @@ fn main() {
                         TopExplStrategy::Exact,
                         metric,
                     );
-                    let mut objective = CachedObjective::new(&mut ctx);
-                    ground_truth_rank(&mut objective, &gt, &samples) as f64
+                    ground_truth_rank(&mut ctx, &gt, &samples) as f64
                 })
                 .collect();
             per_dataset_ranks.push(rank_ascending(&gt_ranks));

@@ -2,19 +2,22 @@ use std::time::Duration;
 
 /// Per-stage intra-query parallelism instrumentation: how many worker
 /// threads the request's [`tsexplain_parallel::ParallelCtx`] ran with and
-/// how much of each stage's wall-clock was spent inside parallel fan-out
-/// regions. Parallel and sequential execution are byte-identical by
+/// the wall-clock of the segment-layer regions that fanned out across more
+/// than one worker. Parallel and sequential execution are byte-identical by
 /// contract, so these timings are pure observability — they report where
 /// the speedup comes from, never affect what is computed.
+///
+/// Unlike the stage times, which sum the work of every worker, these are
+/// elapsed time, and they are zero when nothing fanned out.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ParallelTimings {
     /// Worker threads of the request's parallel context (1 = sequential).
     pub threads: usize,
-    /// Of `cascading`: wall-clock inside parallel fan-out regions (the
-    /// unit-object top-m derivation).
+    /// Wall-clock of the unit-object top-m regions that fanned out.
     pub cascading: Duration,
-    /// Of `segmentation`: wall-clock inside parallel fan-out regions (cost
-    /// matrix rows, DP layers, auto-K scheme scoring).
+    /// Wall-clock of the cost-matrix and auto-K scoring regions that
+    /// fanned out. DP layers that fan out are not included: the DP solve
+    /// is timed whole, into [`LatencyBreakdown::segmentation`].
     pub segmentation: Duration,
 }
 
@@ -38,18 +41,27 @@ pub struct MemoCounters {
     pub misses: u64,
 }
 
-/// Wall-clock breakdown of one `explain()` call into the paper's three
-/// pipeline modules (Fig. 15): precomputation (a), Cascading Analysts (b)
-/// and K-Segmentation (c), plus the parallel-execution share of (b)/(c)
-/// and the segment-cost memo counters.
+/// Breakdown of one `explain()` call into the paper's three pipeline
+/// modules (Fig. 15): precomputation (a), Cascading Analysts (b) and
+/// K-Segmentation (c), plus the parallel regions' wall-clock and the
+/// segment-cost memo counters.
+///
+/// Modules (b) and (c) are stage time summed over the segment layer's
+/// workers: each worker charges its own derivations to `cascading` and its
+/// distances to `segmentation`. At one thread this equals wall-clock; at N
+/// threads it is the same work, so the split between the modules does not
+/// change with the thread count, and [`LatencyBreakdown::total`] can
+/// exceed the elapsed time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LatencyBreakdown {
     /// Module (a): cube construction (group-bys, candidate enumeration,
-    /// filtering, trie).
+    /// filtering, trie), wall-clock.
     pub precompute: Duration,
-    /// Module (b): all top-m derivations.
+    /// Module (b): all top-m derivations, summed over workers.
     pub cascading: Duration,
-    /// Module (c): distances, variances, DP and elbow selection.
+    /// Module (c): distances and variances summed over workers, plus the
+    /// DP solve and elbow selection (or a baseline's cut proposal),
+    /// wall-clock.
     pub segmentation: Duration,
     /// Intra-query parallelism instrumentation.
     pub parallel: ParallelTimings,
@@ -58,13 +70,14 @@ pub struct LatencyBreakdown {
 }
 
 impl LatencyBreakdown {
-    /// End-to-end latency.
+    /// The three modules' times summed: wall-clock at one thread, stage
+    /// time summed over workers above it.
     pub fn total(&self) -> Duration {
         self.precompute + self.cascading + self.segmentation
     }
 
-    /// Wall-clock spent inside parallel fan-out regions (a subset of
-    /// [`LatencyBreakdown::total`]).
+    /// Wall-clock of the regions that fanned out. It is elapsed time, not
+    /// stage time, so it is not a part of [`LatencyBreakdown::total`].
     pub fn parallel_total(&self) -> Duration {
         self.parallel.cascading + self.parallel.segmentation
     }

@@ -717,8 +717,16 @@ mod tests {
                 std::thread::yield_now();
                 registry.dataset_stats(id).unwrap().stats.requests == 1
             });
+            // A second explain of the same tenant (a short window, sliced
+            // from the cube the first one cached) and a registry-wide stats
+            // read, the `/metrics` scrape's source, also complete meanwhile.
+            let windowed =
+                registry.explain(id, &request().with_time_range(0i64, 20i64).with_fixed_k(1));
+            let totals = registry.stats();
             token.cancel();
             assert!(counted, "the explain was never counted");
+            assert_eq!(windowed.unwrap().stats.n_points, 21);
+            assert_eq!((totals.datasets, totals.totals.requests), (1, 2));
             let result = explain.join().unwrap();
             assert!(
                 matches!(

@@ -1,81 +1,23 @@
-use std::collections::{HashMap, HashSet};
-
 use tsexplain_segment::{Segmentation, SegmentationContext};
-
-/// Memoized `Σ |P_i| var(P_i)` objective evaluation.
-///
-/// The §4.2.2 study scores 10 000 sampled schemes per dataset per metric;
-/// distinct segments number only `O(n²)`, so caching per-segment costs
-/// turns the study from quadratic-in-samples to linear.
-///
-/// The caching normally lives in [`SegmentationContext`]'s own
-/// segment-cost memo (every repeated segment is a lookup there); this
-/// wrapper then only tracks which distinct segments the *study* touched.
-/// When the context was built `without_memo()`, the wrapper falls back to
-/// a local cost map so the study stays linear regardless of how the
-/// context is configured.
-pub struct CachedObjective<'c, 'a> {
-    ctx: &'c mut SegmentationContext<'a>,
-    seen: HashSet<(usize, usize)>,
-    /// Local fallback cache, used only when the context's memo is off.
-    local: Option<HashMap<(usize, usize), f64>>,
-}
-
-impl<'c, 'a> CachedObjective<'c, 'a> {
-    /// Wraps a segmentation context with a cost memo.
-    pub fn new(ctx: &'c mut SegmentationContext<'a>) -> Self {
-        let local = (!ctx.memo_enabled()).then(HashMap::new);
-        CachedObjective {
-            ctx,
-            seen: HashSet::new(),
-            local,
-        }
-    }
-
-    /// The memoized cost of one segment.
-    pub fn segment_cost(&mut self, seg: (usize, usize)) -> f64 {
-        self.seen.insert(seg);
-        match &mut self.local {
-            None => self.ctx.segment_cost(seg),
-            Some(local) => {
-                if let Some(&c) = local.get(&seg) {
-                    return c;
-                }
-                let c = self.ctx.segment_cost(seg);
-                local.insert(seg, c);
-                c
-            }
-        }
-    }
-
-    /// The memoized objective of a whole scheme.
-    pub fn objective(&mut self, scheme: &Segmentation) -> f64 {
-        scheme
-            .segments()
-            .into_iter()
-            .map(|seg| self.segment_cost(seg))
-            .sum()
-    }
-
-    /// Number of distinct segments evaluated so far.
-    pub fn distinct_segments(&self) -> usize {
-        self.seen.len()
-    }
-}
 
 /// The *ground truth rank* of §4.2.2: `1 +` the number of sampled schemes
 /// whose objective is strictly lower than the ground truth's. Rank 1 means
 /// no sampled scheme beats the ground truth — the behaviour a good
 /// variance design must show on clean data.
+///
+/// The study scores 10 000 sampled schemes per dataset per metric, but
+/// distinct segments number only `O(n²)`: the context's segment-cost memo
+/// prices each distinct segment once, so the study is linear in samples.
 pub fn ground_truth_rank(
-    objective: &mut CachedObjective<'_, '_>,
+    ctx: &mut SegmentationContext<'_>,
     ground_truth: &Segmentation,
     samples: &[Segmentation],
 ) -> usize {
-    let gt_score = objective.objective(ground_truth);
-    let better = samples
-        .iter()
-        .filter(|s| objective.objective(s) < gt_score - 1e-12)
+    let gt_score = ctx.objective(ground_truth);
+    let better = ctx
+        .objective_batch(samples)
+        .into_iter()
+        .filter(|&score| score < gt_score - 1e-12)
         .count();
     1 + better
 }
@@ -117,83 +59,55 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn memo_avoids_recomputation() {
-        let cube = cube();
-        let mut ctx = SegmentationContext::new(
-            &cube,
-            DiffMetric::AbsoluteChange,
-            3,
-            TopExplStrategy::Exact,
-            VarianceMetric::Tse,
-        );
-        let mut obj = CachedObjective::new(&mut ctx);
-        let s1 = Segmentation::new(10, vec![5]).unwrap();
-        let s2 = Segmentation::new(10, vec![5, 7]).unwrap();
-        let a = obj.objective(&s1);
-        let b = obj.objective(&s1);
-        assert_eq!(a, b);
-        let _ = obj.objective(&s2);
-        // (0,5) shared between s1 and s2 is computed once.
-        assert_eq!(obj.distinct_segments(), 4);
-    }
-
-    #[test]
-    fn local_cache_keeps_study_linear_when_context_memo_is_off() {
-        let cube = cube();
-        let mut ctx = SegmentationContext::new(
-            &cube,
+    fn context(cube: &ExplanationCube) -> SegmentationContext<'_> {
+        SegmentationContext::new(
+            cube,
             DiffMetric::AbsoluteChange,
             3,
             TopExplStrategy::Exact,
             VarianceMetric::Tse,
         )
-        .without_memo();
-        let mut obj = CachedObjective::new(&mut ctx);
-        let s = Segmentation::new(10, vec![5]).unwrap();
-        let a = obj.objective(&s);
-        let derivations_after_first = obj.ctx.ca_derivations();
-        let b = obj.objective(&s);
-        assert_eq!(a.to_bits(), b.to_bits());
-        // The repeat was served by the wrapper's local cache: no new
-        // centroid derivations despite the context memo being disabled.
-        assert_eq!(obj.ctx.ca_derivations(), derivations_after_first);
-        assert_eq!(obj.distinct_segments(), 2);
+    }
+
+    #[test]
+    fn memo_avoids_recomputation() {
+        let cube = cube();
+        let mut ctx = context(&cube);
+        let s1 = Segmentation::new(10, vec![5]).unwrap();
+        let s2 = Segmentation::new(10, vec![5, 7]).unwrap();
+        let samples = [s1.clone(), s2];
+        let rank = ground_truth_rank(&mut ctx, &s1, &samples);
+        assert_eq!(rank, 1);
+        // (0,5) and (5,9) are shared between the ground truth and the
+        // samples: four distinct segments are priced once each.
+        assert_eq!(ctx.memo_misses(), 4);
+        let derivations = ctx.ca_derivations();
+        assert_eq!(
+            ctx.objective(&s1).to_bits(),
+            ctx.objective_batch(&samples)[0].to_bits()
+        );
+        assert_eq!(ctx.ca_derivations(), derivations);
     }
 
     #[test]
     fn ground_truth_ranks_first_on_clean_data() {
         let cube = cube();
-        let mut ctx = SegmentationContext::new(
-            &cube,
-            DiffMetric::AbsoluteChange,
-            3,
-            TopExplStrategy::Exact,
-            VarianceMetric::Tse,
-        );
-        let mut obj = CachedObjective::new(&mut ctx);
+        let mut ctx = context(&cube);
         let gt = Segmentation::new(10, vec![5]).unwrap();
         let samples: Vec<Segmentation> = (1..9)
             .map(|c| Segmentation::new(10, vec![c]).unwrap())
             .collect();
-        let rank = ground_truth_rank(&mut obj, &gt, &samples);
+        let rank = ground_truth_rank(&mut ctx, &gt, &samples);
         assert_eq!(rank, 1, "true cut must score best");
     }
 
     #[test]
     fn bad_scheme_ranks_behind_good_samples() {
         let cube = cube();
-        let mut ctx = SegmentationContext::new(
-            &cube,
-            DiffMetric::AbsoluteChange,
-            3,
-            TopExplStrategy::Exact,
-            VarianceMetric::Tse,
-        );
-        let mut obj = CachedObjective::new(&mut ctx);
+        let mut ctx = context(&cube);
         let bad = Segmentation::new(10, vec![1]).unwrap();
         let samples = vec![Segmentation::new(10, vec![5]).unwrap()];
-        let rank = ground_truth_rank(&mut obj, &bad, &samples);
+        let rank = ground_truth_rank(&mut ctx, &bad, &samples);
         assert_eq!(rank, 2);
     }
 }

@@ -1,7 +1,7 @@
 //! Cooperative cancellation for the parallel execution layer.
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle polled by long-running
-//! compute loops (cube enumeration, cost-matrix rows, DP layers, auto-K
+//! compute loops (cube enumeration, cost-matrix cells, DP layers, auto-K
 //! sweeps) at their natural chunk boundaries. Cancellation is **sticky**
 //! and **all-or-nothing**: once a poll observes the token cancelled it
 //! stays cancelled, the enclosing request discards every partial result

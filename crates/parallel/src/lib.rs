@@ -138,11 +138,6 @@ impl ParallelCtx {
         self.threads
     }
 
-    /// True when regions run inline on the caller's thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Splits `0..n` into at most `threads` contiguous chunks and runs `f`
     /// on each chunk, one scoped thread per chunk; the per-chunk outputs
     /// are concatenated **in chunk order**.
@@ -375,7 +370,7 @@ mod tests {
     #[test]
     fn sequential_context_runs_inline() {
         let ctx = ParallelCtx::sequential();
-        assert!(ctx.is_sequential());
+        assert_eq!(ctx.threads(), 1);
         let caller = std::thread::current().id();
         let ids = ctx.map(3, |_| std::thread::current().id());
         assert!(ids.iter().all(|&id| id == caller));

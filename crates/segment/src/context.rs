@@ -10,42 +10,36 @@ use crate::ndcg::ExplainedSegment;
 use crate::scheme::Segmentation;
 use crate::variance::{object_centroid_distance, object_pair_distance, VarianceMetric};
 
-/// Below this many unit objects the object-top derivation runs inline —
-/// spawn cost would dwarf the work. Deterministic in the input size, so
-/// the parallel/sequential boundary never depends on scheduling.
-const PAR_MIN_OBJECTS: usize = 32;
+/// Below this many items (unit objects, cost-matrix cells, sweep
+/// segments) a batch runs as one share on the caller's thread — spawn cost
+/// would dwarf the work. A function of the batch size alone, so whether a
+/// region fans out never depends on scheduling.
+const PAR_MIN_ITEMS: usize = 32;
 
-/// Below this many candidate positions the cost matrix runs inline.
-const PAR_MIN_POSITIONS: usize = 16;
-
-/// One parallel cost-matrix row: `(pj, cost, served_from_memo)` cells plus
-/// the worker engine's derivation count for that row.
-type CostRow = (Vec<(usize, f64, bool)>, u64);
-
-/// Below this many points a scheme-scoring batch runs inline.
-const PAR_MIN_SCORING_POINTS: usize = 32;
-
-/// Wall-clock accumulators for the two segment-side pipeline stages the
-/// paper's latency breakdown separates (Fig. 15): the Cascading Analysts
-/// module (b) and the distance/variance/DP module (c).
+/// Time accumulators for the two segment-side pipeline stages the paper's
+/// latency breakdown separates (Fig. 15): the Cascading Analysts module (b)
+/// and the distance/variance module (c).
 ///
-/// The `par_*` fields record the portion of each stage spent inside
-/// [`ParallelCtx`] fan-out regions (also included in the stage totals), so
-/// callers can report how much of a stage actually ran across the worker
-/// set. A parallel region's whole wall-clock is attributed to the stage
-/// that owns the region — a parallel cost-matrix region counts under
-/// `segmentation` even for the centroid top-m derivations inside it
-/// (worker wall-clocks overlap, so a per-module split is not meaningful
-/// there); sequential runs keep the exact per-module attribution.
+/// Every worker charges its own top-m derivations to `cascading` and its
+/// distance scans to `segmentation`, and the context sums the workers. At
+/// one thread both are wall-clock; at N threads they are the same work
+/// summed over the workers, so the split between the two modules means the
+/// same at any thread count (and their sum can exceed the elapsed time).
+///
+/// The `par_*` fields are the wall-clock of the regions that fanned out
+/// across more than one worker, charged to the stage that owns the region:
+/// the unit-object region to `par_cascading`, cost-matrix and sweep regions
+/// to `par_segmentation`. They are zero when nothing fanned out, and they
+/// are not part of the stage times.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimers {
-    /// Time spent deriving top-m explanations (module b).
+    /// Top-m derivations (module b), summed over workers.
     pub cascading: Duration,
-    /// Time spent on distances, variances and the DP (module c).
+    /// Distances and variances (module c), summed over workers.
     pub segmentation: Duration,
-    /// Of `cascading`: wall-clock inside parallel fan-out regions.
+    /// Wall-clock of the unit-object regions that fanned out.
     pub par_cascading: Duration,
-    /// Of `segmentation`: wall-clock inside parallel fan-out regions.
+    /// Wall-clock of the cost-matrix and sweep regions that fanned out.
     pub par_segmentation: Duration,
 }
 
@@ -59,32 +53,140 @@ pub(crate) fn stage_clock() -> Instant {
     Instant::now()
 }
 
+/// One worker's share of every fan-out region: a private top-m engine,
+/// kept from region to region, and the stage time that worker spent.
+struct Slot<'a> {
+    engine: TopExplEngine<'a>,
+    cascading: Duration,
+    segmentation: Duration,
+}
+
+impl<'a> Slot<'a> {
+    fn new(engine: TopExplEngine<'a>) -> Self {
+        Slot {
+            engine,
+            cascading: Duration::ZERO,
+            segmentation: Duration::ZERO,
+        }
+    }
+
+    /// Derives the top-m explanations of `seg`, charged to `cascading`.
+    fn explain(&mut self, seg: (usize, usize)) -> ExplainedSegment {
+        let start = stage_clock();
+        let explained = ExplainedSegment::new(seg, self.engine.top_m(seg));
+        self.cascading += start.elapsed();
+        explained
+    }
+
+    /// The DP cost `|P| · var(P)` of a segment spanning at least two unit
+    /// objects. For the centroid structure (Eq. 7) this is the *sum* of
+    /// object↔centroid distances, the centroid's derivation charged to
+    /// `cascading`; for the all-pair structure (Eq. 10) it is `|P|` times
+    /// the average over all ordered object pairs. Distances are charged to
+    /// `segmentation`.
+    fn cost(
+        &mut self,
+        score: &ScoreContext<'_>,
+        objects: &[ExplainedSegment],
+        metric: VarianceMetric,
+        seg: (usize, usize),
+    ) -> f64 {
+        let objects = &objects[seg.0..seg.1];
+        if metric.is_all_pair() {
+            let start = stage_clock();
+            let mut sum = 0.0;
+            for (i, x) in objects.iter().enumerate() {
+                for y in &objects[i + 1..] {
+                    sum += object_pair_distance(score, x, y, metric);
+                }
+            }
+            self.segmentation += start.elapsed();
+            // AVG over the l² ordered pairs (diagonal is 0, symmetric pairs
+            // counted twice), scaled by |P| = l.
+            let l = objects.len() as f64;
+            return l * (2.0 * sum / (l * l));
+        }
+        let centroid = self.explain(seg);
+        let start = stage_clock();
+        let mut cost = 0.0;
+        for x in objects {
+            cost += object_centroid_distance(score, x, &centroid, metric);
+        }
+        self.segmentation += start.elapsed();
+        cost
+    }
+}
+
+/// The one fan-out region of the segment layer. Runs `work` over the items
+/// `0..n`, cut into one contiguous share per slot (share *i* on slot *i*),
+/// and returns the outputs in item order; a single slot runs inline on the
+/// caller's thread. Share boundaries depend only on `(n, slots)`, so the
+/// output is the same at any thread count.
+///
+/// Every item polls the cancellation token first. A cancelled region
+/// returns fewer outputs than items, which callers discard; a full-length
+/// output is always complete and in order. The wall-clock of a region that
+/// fanned out is added to `par_clock`.
+fn region<'a, T: Send>(
+    parallel: &ParallelCtx,
+    slots: &mut [Slot<'a>],
+    par_clock: &mut Duration,
+    n: usize,
+    work: impl Fn(&mut Slot<'a>, usize) -> T + Sync,
+) -> Vec<T> {
+    let share = |slot: &mut Slot<'a>, items: std::ops::Range<usize>| {
+        let mut out = Vec::with_capacity(items.len());
+        for i in items {
+            if parallel.is_cancelled() {
+                break;
+            }
+            out.push(work(slot, i));
+        }
+        out
+    };
+    if let [slot] = slots {
+        return share(slot, 0..n);
+    }
+    let start = stage_clock();
+    let mut outputs: Vec<Vec<T>> = Vec::new();
+    outputs.resize_with(slots.len(), Vec::new);
+    let parts: Vec<_> = slots
+        .iter_mut()
+        .zip(parallel.chunk_ranges(n))
+        .zip(outputs.iter_mut())
+        .collect();
+    parallel.run_parts(parts, |((slot, items), out)| *out = share(slot, items));
+    *par_clock += start.elapsed();
+    outputs.into_iter().flatten().collect()
+}
+
 /// Orchestrates segment explanation and cost computation: caches the unit
 /// objects' top-explanation lists (§4.1.1 — the atomic units of
 /// K-Segmentation), runs the configured top-m strategy per centroid
 /// segment, and evaluates the `|P| · var(P)` DP costs under the chosen
 /// [`VarianceMetric`].
+///
+/// Every batch of work — the unit objects, a cost matrix's missing cells,
+/// a sweep's unique segments, one segment's miss — runs through one
+/// fan-out region over the context's worker slots (see [`StageTimers`]).
 pub struct SegmentationContext<'a> {
-    engine: TopExplEngine<'a>,
     diff_metric: DiffMetric,
     metric: VarianceMetric,
     strategy: TopExplStrategy,
     parallel: ParallelCtx,
+    /// One per share of the widest region so far. Slot 0, built with the
+    /// context, is the caller's thread; the rest are built the first time a
+    /// region needs them.
+    slots: Vec<Slot<'a>>,
     object_tops: Option<Vec<ExplainedSegment>>,
-    timers: StageTimers,
-    /// Top-m derivations performed by per-worker engines inside parallel
-    /// regions; [`SegmentationContext::ca_calls`] adds them to the main
-    /// engine's counter so the total is thread-count-independent.
-    extra_calls: u64,
+    par_cascading: Duration,
+    par_segmentation: Duration,
     /// Segment-cost memo keyed by point-index pair `(a, b)` — one request
     /// repeatedly prices the same segments (the auto-K proposal sweep, the
     /// sketch band vs. the main DP, the final per-segment description),
     /// and costs are pure functions of the segment, so every repeat is a
     /// lookup instead of a fresh centroid derivation + distance scan.
     memo: HashMap<(usize, usize), f64>,
-    /// Disabled via [`SegmentationContext::without_memo`] (testing /
-    /// apples-to-apples measurement); costs are identical either way.
-    memo_enabled: bool,
     memo_hits: u64,
     memo_misses: u64,
     /// Centroid derivations *avoided* by memo hits. Added back into
@@ -106,16 +208,20 @@ impl<'a> SegmentationContext<'a> {
         metric: VarianceMetric,
     ) -> Self {
         SegmentationContext {
-            engine: TopExplEngine::new(cube, diff_metric, m, strategy),
             diff_metric,
             metric,
             strategy,
             parallel: ParallelCtx::from_env(),
+            slots: vec![Slot::new(TopExplEngine::new(
+                cube,
+                diff_metric,
+                m,
+                strategy,
+            ))],
             object_tops: None,
-            timers: StageTimers::default(),
-            extra_calls: 0,
+            par_cascading: Duration::ZERO,
+            par_segmentation: Duration::ZERO,
             memo: HashMap::new(),
-            memo_enabled: true,
             memo_hits: 0,
             memo_misses: 0,
             hit_calls: 0,
@@ -144,22 +250,6 @@ impl<'a> SegmentationContext<'a> {
         self.parallel.is_cancelled()
     }
 
-    /// Disables the segment-cost memo (builder style). Costs and reported
-    /// `ca_calls` are identical either way — the memo only changes how
-    /// many derivations are actually performed — so this exists for tests
-    /// and for measuring the memo's effect.
-    pub fn without_memo(mut self) -> Self {
-        self.memo_enabled = false;
-        self
-    }
-
-    /// Whether the segment-cost memo is active (callers layering their
-    /// own caching — e.g. the eval study's `CachedObjective` — use this
-    /// to decide whether they must cache locally instead).
-    pub fn memo_enabled(&self) -> bool {
-        self.memo_enabled
-    }
-
     /// Segment-cost lookups served from the memo.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits
@@ -182,12 +272,12 @@ impl<'a> SegmentationContext<'a> {
 
     /// The underlying cube.
     pub fn cube(&self) -> &'a ExplanationCube {
-        self.engine.cube()
+        self.slots[0].engine.cube()
     }
 
     /// Number of points `n` in the series.
     pub fn n_points(&self) -> usize {
-        self.engine.cube().n_points()
+        self.cube().n_points()
     }
 
     /// The within-segment variance metric in use.
@@ -200,70 +290,99 @@ impl<'a> SegmentationContext<'a> {
         self.diff_metric
     }
 
-    /// Accumulated stage timings.
+    /// Accumulated stage timings: the slots' stage clocks summed, plus the
+    /// wall-clock of the regions that fanned out.
     pub fn timers(&self) -> StageTimers {
-        self.timers
+        let mut timers = StageTimers {
+            par_cascading: self.par_cascading,
+            par_segmentation: self.par_segmentation,
+            ..StageTimers::default()
+        };
+        for slot in &self.slots {
+            timers.cascading += slot.cascading;
+            timers.segmentation += slot.segmentation;
+        }
+        timers
     }
 
     /// Number of top-m derivations the workload *requested* so far: the
-    /// main engine's count, plus the per-worker engines of parallel
-    /// regions, plus derivations served from the segment-cost memo. By
-    /// construction this is independent of both the thread count and the
+    /// derivations performed plus those served from the segment-cost memo.
+    /// By construction this is independent of both the thread count and the
     /// memo — it is the deterministic workload-shape metric reported as
     /// `PipelineStats::ca_calls`. The derivations actually performed are
     /// [`SegmentationContext::ca_derivations`].
     pub fn ca_calls(&self) -> u64 {
-        self.engine.calls() + self.extra_calls + self.hit_calls
+        self.ca_derivations() + self.hit_calls
     }
 
-    /// Number of top-m derivations actually performed (excludes memo
-    /// hits); `ca_calls − ca_derivations` is the work the memo saved.
+    /// Number of top-m derivations actually performed, summed over the
+    /// worker slots (excludes memo hits); `ca_calls − ca_derivations` is
+    /// the work the memo saved.
     pub fn ca_derivations(&self) -> u64 {
-        self.engine.calls() + self.extra_calls
+        self.slots.iter().map(|slot| slot.engine.calls()).sum()
     }
 
     /// Derives (and times) the top-m explanations of an arbitrary segment.
     pub fn explained(&mut self, seg: (usize, usize)) -> ExplainedSegment {
-        let start = stage_clock();
-        let top = self.engine.top_m(seg);
-        self.timers.cascading += start.elapsed();
-        ExplainedSegment::new(seg, top)
+        self.slots[0].explain(seg)
     }
 
-    /// Ensures the unit-object top lists are cached. The per-object
-    /// derivations are mutually independent, so large inputs fan out over
-    /// the parallel context (chunk-ordered, byte-identical to sequential).
+    /// The number of shares a batch of `n` items runs in: one below
+    /// [`PAR_MIN_ITEMS`], else one per thread (at most `n`). Builds the
+    /// slots the shares need.
+    fn shares(&mut self, n: usize) -> usize {
+        let shares = if n < PAR_MIN_ITEMS {
+            1
+        } else {
+            self.parallel.threads().min(n)
+        };
+        let (cube, m) = (self.cube(), self.slots[0].engine.m());
+        while self.slots.len() < shares {
+            let engine = TopExplEngine::new(cube, self.diff_metric, m, self.strategy);
+            self.slots.push(Slot::new(engine));
+        }
+        shares
+    }
+
+    /// Ensures the unit-object top lists are cached, derived in one region.
     fn ensure_objects(&mut self) {
         if self.object_tops.is_some() {
             return;
         }
         let count = self.n_points().saturating_sub(1);
-        let start = stage_clock();
-        let tops: Vec<ExplainedSegment> =
-            if self.parallel.is_sequential() || count < PAR_MIN_OBJECTS {
-                (0..count)
-                    .map(|x| ExplainedSegment::new((x, x + 1), self.engine.top_m((x, x + 1))))
-                    .collect()
-            } else {
-                let cube = self.engine.cube();
-                let (diff, m, strategy) = (self.diff_metric, self.engine.m(), self.strategy);
-                let parts = self.parallel.run_chunks(count, |range| {
-                    let mut engine = TopExplEngine::new(cube, diff, m, strategy);
-                    let tops: Vec<ExplainedSegment> = range
-                        .map(|x| ExplainedSegment::new((x, x + 1), engine.top_m((x, x + 1))))
-                        .collect();
-                    vec![(tops, engine.calls())]
-                });
-                let mut tops = Vec::with_capacity(count);
-                for (part, calls) in parts {
-                    tops.extend(part);
-                    self.extra_calls += calls;
-                }
-                self.timers.par_cascading += start.elapsed();
-                tops
-            };
-        self.timers.cascading += start.elapsed();
-        self.object_tops = Some(tops);
+        let shares = self.shares(count);
+        let tops = region(
+            &self.parallel,
+            &mut self.slots[..shares],
+            &mut self.par_cascading,
+            count,
+            |slot, x| slot.explain((x, x + 1)),
+        );
+        // A cancelled region is not cached; nothing prices after it.
+        if tops.len() == count {
+            self.object_tops = Some(tops);
+        }
+    }
+
+    /// Prices the `n` segments `seg(0..n)`, each spanning at least two unit
+    /// objects, in one region. Fewer than `n` costs means the region was
+    /// cancelled.
+    fn price(&mut self, n: usize, seg: impl Fn(usize) -> (usize, usize) + Sync) -> Vec<f64> {
+        if n == 0 {
+            return Vec::new();
+        }
+        self.ensure_objects();
+        let shares = self.shares(n);
+        let score = ScoreContext::new(self.cube(), self.diff_metric);
+        let objects = self.object_tops.as_deref().unwrap_or_default();
+        let metric = self.metric;
+        region(
+            &self.parallel,
+            &mut self.slots[..shares],
+            &mut self.par_segmentation,
+            n,
+            |slot, i| slot.cost(&score, objects, metric, seg(i)),
+        )
     }
 
     /// Computes the DP cost matrix over the candidate cut `positions`
@@ -273,6 +392,9 @@ impl<'a> SegmentationContext<'a> {
     /// points are evaluated (the sketch-selection constraint, §5.3.2) and —
     /// when positions are all points — banded storage is used so memory is
     /// `O(n·L)` instead of `O(n²)`.
+    ///
+    /// Cells the memo holds fill in place; the rest are priced in one
+    /// region, then written to the matrix and the memo.
     pub fn compute_costs(
         &mut self,
         positions: &[usize],
@@ -290,95 +412,38 @@ impl<'a> SegmentationContext<'a> {
             _ => CostMatrix::dense(n_pos),
         };
 
-        if self.parallel.is_sequential() || n_pos < PAR_MIN_POSITIONS {
-            for pi in 0..n_pos {
-                // Per-row cancellation poll: a cancelled request stops
-                // pricing and returns the (partial, discarded) matrix.
-                if self.parallel.is_cancelled() {
-                    return matrix;
+        let mut missing: Vec<(usize, usize)> = Vec::new();
+        let mut hits = 0;
+        for pi in 0..n_pos {
+            for pj in pi + 1..n_pos {
+                let (a, b) = (positions[pi], positions[pj]);
+                if max_len_points.is_some_and(|max_len| b - a > max_len) {
+                    break; // spans only grow with pj
                 }
-                for pj in pi + 1..n_pos {
-                    let (a, b) = (positions[pi], positions[pj]);
-                    if let Some(max_len) = max_len_points {
-                        if b - a > max_len {
-                            break; // spans only grow with pj
-                        }
-                    }
-                    let cost = self.segment_cost((a, b));
+                if b - a == 1 {
+                    matrix.set(pi, pj, 0.0); // a single object is its own centroid
+                } else if let Some(&cost) = self.memo.get(&(a, b)) {
                     matrix.set(pi, pj, cost);
+                    hits += 1;
+                } else {
+                    missing.push((pi, pj));
                 }
             }
+        }
+        self.record_hits(hits);
+        let costs = self.price(missing.len(), |i| {
+            let (pi, pj) = missing[i];
+            (positions[pi], positions[pj])
+        });
+        // A cancelled region leaves the matrix partial; the caller discards it.
+        if costs.len() < missing.len() {
             return matrix;
         }
-
-        // Parallel path: one matrix row per `pi`, rows fanned across the
-        // worker chunks. Each worker owns a private top-m engine (top-m
-        // derivations are call-independent), every cell's cost is computed
-        // by the same [`raw_segment_cost`] the sequential path uses, and
-        // the rows are written back in row order — byte-identical output.
-        // Workers read (never write) the memo as it stood when the region
-        // opened; cells within one call are distinct, so this sees exactly
-        // the hits the sequential loop would.
-        let start = stage_clock();
-        let cube = self.engine.cube();
-        let objects = self.object_tops.as_ref().expect("cached");
-        let memo = self.memo_enabled.then_some(&self.memo);
-        let (diff, metric, m, strategy) = (
-            self.diff_metric,
-            self.metric,
-            self.engine.m(),
-            self.strategy,
-        );
-        let cancel = self.parallel.cancel_token().cloned();
-        let rows: Vec<CostRow> = self.parallel.run_chunks(n_pos, |range| {
-            let mut engine = TopExplEngine::new(cube, diff, m, strategy);
-            range
-                .map(|pi| {
-                    let before = engine.calls();
-                    let mut cells = Vec::new();
-                    // Per-row poll inside the chunk: workers stop pricing
-                    // promptly; the whole region's output is discarded by
-                    // the erroring request.
-                    if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                        return (cells, 0);
-                    }
-                    for pj in pi + 1..n_pos {
-                        let (a, b) = (positions[pi], positions[pj]);
-                        if let Some(max_len) = max_len_points {
-                            if b - a > max_len {
-                                break; // spans only grow with pj
-                            }
-                        }
-                        if let Some(&cost) = memo.and_then(|memo| memo.get(&(a, b))) {
-                            cells.push((pj, cost, true));
-                            continue;
-                        }
-                        let (cost, _) =
-                            raw_segment_cost(cube, diff, metric, objects, &mut engine, (a, b));
-                        cells.push((pj, cost, false));
-                    }
-                    (cells, engine.calls() - before)
-                })
-                .collect()
-        });
-        for (pi, (cells, calls)) in rows.into_iter().enumerate() {
-            self.extra_calls += calls;
-            for (pj, cost, from_memo) in cells {
-                let seg = (positions[pi], positions[pj]);
-                if seg.1 - seg.0 > 1 {
-                    if from_memo {
-                        self.record_hits(1);
-                    } else if self.memo_enabled {
-                        self.memo.insert(seg, cost);
-                        self.memo_misses += 1;
-                    }
-                }
-                matrix.set(pi, pj, cost);
-            }
+        for (&(pi, pj), cost) in missing.iter().zip(costs) {
+            matrix.set(pi, pj, cost);
+            self.memo.insert((positions[pi], positions[pj]), cost);
         }
-        let elapsed = start.elapsed();
-        self.timers.segmentation += elapsed;
-        self.timers.par_segmentation += elapsed;
+        self.memo_misses += missing.len() as u64;
         matrix
     }
 
@@ -389,45 +454,23 @@ impl<'a> SegmentationContext<'a> {
     /// object↔centroid distances; for the all-pair structure (Eq. 10) it is
     /// `|P|` times the average over all ordered object pairs.
     pub fn segment_cost(&mut self, seg: (usize, usize)) -> f64 {
-        let (a, b) = seg;
-        debug_assert!(a < b);
-        if b - a == 1 {
+        debug_assert!(seg.0 < seg.1);
+        if seg.1 - seg.0 == 1 {
             return 0.0; // a single object is its own centroid
         }
-        // Cancellation poll: bail before deriving or touching the memo,
-        // so no placeholder cost and no counter bump can ever leak out of
-        // a cancelled (and therefore erroring) request.
-        if self.parallel.is_cancelled() {
-            return 0.0;
+        if let Some(&cost) = self.memo.get(&seg) {
+            self.record_hits(1);
+            return cost;
         }
-        if self.memo_enabled {
-            if let Some(&cost) = self.memo.get(&seg) {
-                self.record_hits(1);
-                return cost;
+        match self.price(1, |_| seg)[..] {
+            [cost] => {
+                self.memo.insert(seg, cost);
+                self.memo_misses += 1;
+                cost
             }
+            // Cancelled: nothing is cached or counted, and the request errors.
+            _ => 0.0,
         }
-        self.ensure_objects();
-        let start = stage_clock();
-        let cube = self.engine.cube();
-        let objects = self.object_tops.as_ref().expect("cached");
-        let (cost, centroid_time) = raw_segment_cost(
-            cube,
-            self.diff_metric,
-            self.metric,
-            objects,
-            &mut self.engine,
-            seg,
-        );
-        // Preserve the module attribution of the latency breakdown
-        // (Fig. 15): centroid top-m derivation is Cascading-Analysts work
-        // (module b), distances are segmentation work (module c).
-        self.timers.cascading += centroid_time;
-        self.timers.segmentation += start.elapsed().saturating_sub(centroid_time);
-        if self.memo_enabled {
-            self.memo.insert(seg, cost);
-            self.memo_misses += 1;
-        }
-        cost
     }
 
     /// The paper's objective (Problem 1): `Σ_i |P_i| · var(P_i)` of a
@@ -445,19 +488,14 @@ impl<'a> SegmentationContext<'a> {
     /// byte-identical to scoring each scheme with
     /// [`SegmentationContext::objective`].
     ///
-    /// With the memo on (the default), each *unique* segment across the
-    /// batch is priced exactly once — nested auto-K proposals share most
-    /// of their segments, which is where the sweep's redundant centroid
-    /// derivations used to go — and the unique set fans out across the
-    /// parallel context. Per-scheme sums then read the memo in input
-    /// order, so the summation order (and hence every f64 bit) matches
-    /// the unmemoized path.
+    /// Each *unique* segment the memo lacks is priced exactly once, in one
+    /// region — nested auto-K proposals share most of their segments. The
+    /// per-scheme sums then read the memo in input order, so the summation
+    /// order (and hence every f64 bit) matches per-scheme scoring. A
+    /// cancelled sweep returns an empty vector.
     pub fn objective_batch(&mut self, schemes: &[Segmentation]) -> Vec<f64> {
-        if !self.memo_enabled {
-            return self.objective_batch_unmemoized(schemes);
-        }
         // The unique segments the memo cannot answer yet, in first-seen
-        // order (deterministic fan-out chunking).
+        // order (deterministic share boundaries).
         let mut pending: Vec<(usize, usize)> = Vec::new();
         let mut pending_set: HashSet<(usize, usize)> = HashSet::new();
         for scheme in schemes {
@@ -467,59 +505,17 @@ impl<'a> SegmentationContext<'a> {
                 }
             }
         }
-        if self.parallel.is_sequential()
-            || pending.len() < 2
-            || self.n_points() < PAR_MIN_SCORING_POINTS
-        {
-            for &seg in &pending {
-                let _ = self.segment_cost(seg); // computes, inserts, counts the miss
-            }
-        } else {
-            self.ensure_objects();
-            let start = stage_clock();
-            let cube = self.engine.cube();
-            let objects = self.object_tops.as_ref().expect("cached");
-            let (diff, metric, m, strategy) = (
-                self.diff_metric,
-                self.metric,
-                self.engine.m(),
-                self.strategy,
-            );
-            let cancel = self.parallel.cancel_token().cloned();
-            let parts: Vec<(f64, u64)> = self.parallel.run_chunks(pending.len(), |range| {
-                let mut engine = TopExplEngine::new(cube, diff, m, strategy);
-                range
-                    .map(|i| {
-                        if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                            return (0.0, 0); // discarded by the erroring request
-                        }
-                        let before = engine.calls();
-                        let (cost, _) =
-                            raw_segment_cost(cube, diff, metric, objects, &mut engine, pending[i]);
-                        (cost, engine.calls() - before)
-                    })
-                    .collect()
-            });
-            for (&seg, (cost, calls)) in pending.iter().zip(parts) {
-                self.memo.insert(seg, cost);
-                self.memo_misses += 1;
-                self.extra_calls += calls;
-            }
-            let elapsed = start.elapsed();
-            self.timers.segmentation += elapsed;
-            self.timers.par_segmentation += elapsed;
+        let costs = self.price(pending.len(), |i| pending[i]);
+        if costs.len() < pending.len() {
+            return Vec::new(); // cancelled: the segmenter surfaces a typed error
         }
-        // A cancelled sweep may have priced only a prefix of `pending`
-        // (zip truncation above, or segment_cost's early return): the
-        // read-back below would miss memo entries, so discard the batch —
-        // the driver surfaces the cancellation as a typed error.
-        if self.parallel.is_cancelled() {
-            return Vec::new();
+        for (&seg, cost) in pending.iter().zip(costs) {
+            self.memo.insert(seg, cost);
         }
-        // Each scheme's sum folds its segment costs in segment order —
-        // the same fold the unmemoized path performs. The first occurrence
-        // of a segment priced above was already charged as a miss; every
-        // other occurrence is a memo hit.
+        self.memo_misses += pending.len() as u64;
+        // Each scheme's sum folds its segment costs in segment order. The
+        // first occurrence of a segment priced above was already charged as
+        // a miss; every other occurrence is a memo hit.
         let mut charged = pending_set;
         let mut out = Vec::with_capacity(schemes.len());
         for scheme in schemes {
@@ -539,110 +535,6 @@ impl<'a> SegmentationContext<'a> {
             out.push(sum);
         }
         out
-    }
-
-    /// The memo-off scoring path: every scheme prices every segment from
-    /// scratch (what `objective_batch` did before the memo existed) —
-    /// kept so disabling the memo reproduces the historical work profile
-    /// exactly, which is what the memo-invisibility tests compare against.
-    fn objective_batch_unmemoized(&mut self, schemes: &[Segmentation]) -> Vec<f64> {
-        if self.parallel.is_sequential()
-            || schemes.len() < 2
-            || self.n_points() < PAR_MIN_SCORING_POINTS
-        {
-            return schemes.iter().map(|s| self.objective(s)).collect();
-        }
-        self.ensure_objects();
-        let start = stage_clock();
-        let cube = self.engine.cube();
-        let objects = self.object_tops.as_ref().expect("cached");
-        let (diff, metric, m, strategy) = (
-            self.diff_metric,
-            self.metric,
-            self.engine.m(),
-            self.strategy,
-        );
-        let cancel = self.parallel.cancel_token().cloned();
-        let parts: Vec<(f64, u64)> = self.parallel.run_chunks(schemes.len(), |range| {
-            let mut engine = TopExplEngine::new(cube, diff, m, strategy);
-            range
-                .map(|i| {
-                    if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                        return (0.0, 0); // discarded by the erroring request
-                    }
-                    let before = engine.calls();
-                    let cost: f64 = schemes[i]
-                        .segments()
-                        .into_iter()
-                        .map(|seg| {
-                            raw_segment_cost(cube, diff, metric, objects, &mut engine, seg).0
-                        })
-                        .sum();
-                    (cost, engine.calls() - before)
-                })
-                .collect()
-        });
-        let mut out = Vec::with_capacity(schemes.len());
-        for (cost, calls) in parts {
-            out.push(cost);
-            self.extra_calls += calls;
-        }
-        let elapsed = start.elapsed();
-        self.timers.segmentation += elapsed;
-        self.timers.par_segmentation += elapsed;
-        out
-    }
-}
-
-/// The DP cost `|P| · var(P)` of one segment under `metric` — the one
-/// implementation both the sequential [`SegmentationContext::segment_cost`]
-/// and every parallel worker share, so parallel costs cannot drift from
-/// sequential ones. Returns the cost plus the wall-clock spent deriving
-/// the centroid's top-m list (module-b work, so sequential callers can
-/// attribute it to the cascading timer).
-///
-/// For the centroid structure (Eq. 7) this is the *sum* of
-/// object↔centroid distances (the centroid's top-m list is derived on
-/// `engine`); for the all-pair structure (Eq. 10) it is `|P|` times the
-/// average over all ordered object pairs.
-fn raw_segment_cost(
-    cube: &ExplanationCube,
-    diff_metric: DiffMetric,
-    metric: VarianceMetric,
-    objects: &[ExplainedSegment],
-    engine: &mut TopExplEngine<'_>,
-    seg: (usize, usize),
-) -> (f64, Duration) {
-    let (a, b) = seg;
-    let len = b - a;
-    if len == 1 {
-        return (0.0, Duration::default()); // a single object is its own centroid
-    }
-    let ctx = ScoreContext::new(cube, diff_metric);
-    if metric.is_all_pair() {
-        let mut sum = 0.0;
-        for x in a..b {
-            for y in x + 1..b {
-                sum += object_pair_distance(&ctx, &objects[x], &objects[y], metric);
-            }
-        }
-        // AVG over the l² ordered pairs (diagonal is 0, symmetric pairs
-        // counted twice), scaled by |P| = l.
-        let l = len as f64;
-        (l * (2.0 * sum / (l * l)), Duration::default())
-    } else {
-        let centroid_start = stage_clock();
-        let centroid = ExplainedSegment::new(seg, engine.top_m(seg));
-        let centroid_time = centroid_start.elapsed();
-        let mut cost = 0.0;
-        #[expect(
-            clippy::needless_range_loop,
-            reason = "x is a point index into the segment, not a walk over the slice"
-        )]
-        for x in a..b {
-            cost += object_centroid_distance(&ctx, &objects[x], &centroid, metric);
-        }
-        (cost, centroid_time)
     }
 }
 
@@ -814,22 +706,27 @@ mod tests {
     fn parallel_costs_and_calls_match_sequential_exactly() {
         let cube = wide_cube();
         let positions: Vec<usize> = (0..cube.n_points()).collect();
-        for metric in [VarianceMetric::Tse, VarianceMetric::AllPair] {
-            let mut seq = context(&cube, metric).with_parallel(ParallelCtx::sequential());
-            let reference = seq.compute_costs(&positions, None);
-            for threads in [2, 8] {
-                let mut par = context(&cube, metric).with_parallel(ParallelCtx::new(threads));
-                let got = par.compute_costs(&positions, None);
-                for a in 0..positions.len() {
-                    for b in a + 1..positions.len() {
-                        let (r, g) = (reference.get(a, b), got.get(a, b));
-                        assert!(
-                            r == g || (r.is_infinite() && g.is_infinite()),
-                            "{metric} t={threads} cell ({a},{b}): {r} vs {g}"
-                        );
+        // The full matrix and the banded sketch matrix (§5.3.2).
+        for band in [None, Some(5)] {
+            for metric in [VarianceMetric::Tse, VarianceMetric::AllPair] {
+                let mut seq = context(&cube, metric).with_parallel(ParallelCtx::sequential());
+                let reference = seq.compute_costs(&positions, band);
+                // 3 threads cut uneven shares.
+                for threads in [2, 3, 8] {
+                    let mut par = context(&cube, metric).with_parallel(ParallelCtx::new(threads));
+                    let got = par.compute_costs(&positions, band);
+                    for a in 0..positions.len() {
+                        for b in a + 1..positions.len() {
+                            let (r, g) = (reference.get(a, b), got.get(a, b));
+                            assert!(
+                                r.to_bits() == g.to_bits(),
+                                "{metric} {band:?} t={threads} cell ({a},{b}): {r} vs {g}"
+                            );
+                        }
                     }
+                    assert_eq!(par.ca_calls(), seq.ca_calls(), "{metric} t={threads}");
+                    assert_eq!(par.ca_derivations(), seq.ca_derivations());
                 }
-                assert_eq!(par.ca_calls(), seq.ca_calls(), "{metric} t={threads}");
             }
         }
     }
@@ -841,13 +738,18 @@ mod tests {
         let schemes: Vec<Segmentation> = (1..=8)
             .map(|k| Segmentation::new(n, (1..k).map(|i| i * n / k).collect::<Vec<_>>()).unwrap())
             .collect();
-        let mut seq = context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::sequential());
-        let reference = seq.objective_batch(&schemes);
-        for threads in [2, 8] {
-            let mut par =
-                context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::new(threads));
-            assert_eq!(par.objective_batch(&schemes), reference, "t={threads}");
-            assert_eq!(par.ca_calls(), seq.ca_calls(), "t={threads}");
+        for metric in [VarianceMetric::Tse, VarianceMetric::AllPair] {
+            let mut seq = context(&cube, metric).with_parallel(ParallelCtx::sequential());
+            let reference = seq.objective_batch(&schemes);
+            for threads in [2, 3, 8] {
+                let mut par = context(&cube, metric).with_parallel(ParallelCtx::new(threads));
+                assert_eq!(
+                    par.objective_batch(&schemes),
+                    reference,
+                    "{metric} t={threads}"
+                );
+                assert_eq!(par.ca_calls(), seq.ca_calls(), "{metric} t={threads}");
+            }
         }
     }
 
@@ -872,24 +774,30 @@ mod tests {
         let n = cube.n_points();
         let schemes = nested_schemes(n, 8);
         let mut with_memo = context(&cube, VarianceMetric::Tse);
-        let mut without = context(&cube, VarianceMetric::Tse).without_memo();
         let memo_costs = with_memo.objective_batch(&schemes);
-        let plain_costs = without.objective_batch(&schemes);
-        // Bit-identical objectives...
-        for (a, b) in memo_costs.iter().zip(&plain_costs) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // The reference prices every segment occurrence on a fresh
+        // context, so nothing is ever served from a memo.
+        let mut occurrences = 0;
+        for (scheme, &cost) in schemes.iter().zip(&memo_costs) {
+            let mut sum = 0.0;
+            for seg in scheme.segments() {
+                occurrences += u64::from(seg.1 - seg.0 > 1);
+                sum += context(&cube, VarianceMetric::Tse).segment_cost(seg);
+            }
+            // Bit-identical objectives...
+            assert_eq!(cost.to_bits(), sum.to_bits());
         }
-        // ...and an identical logical workload metric...
-        assert_eq!(with_memo.ca_calls(), without.ca_calls());
+        // ...the logical workload of pricing every occurrence: one
+        // derivation per unit object and one per multi-object occurrence...
+        assert_eq!(with_memo.ca_calls(), (n as u64 - 1) + occurrences);
         // ...while strictly fewer derivations were actually performed.
         assert!(
-            with_memo.ca_derivations() < without.ca_derivations(),
-            "memo {} vs plain {}",
+            with_memo.ca_derivations() < with_memo.ca_calls(),
+            "memo {} vs logical {}",
             with_memo.ca_derivations(),
-            without.ca_derivations()
+            with_memo.ca_calls()
         );
         assert!(with_memo.memo_hits() > 0);
-        assert_eq!(without.memo_hits(), 0);
         // Re-pricing a segment from the sweep is a pure hit.
         let before = with_memo.ca_derivations();
         let direct = with_memo.segment_cost(schemes[1].segments()[0]);
@@ -903,17 +811,33 @@ mod tests {
     #[test]
     fn memo_counters_are_thread_count_independent() {
         let cube = wide_cube();
+        let positions: Vec<usize> = (0..cube.n_points()).collect();
         let schemes = nested_schemes(cube.n_points(), 8);
+        // The sketch band, then the full matrix, then a sweep: each later
+        // batch is served partly from what the earlier ones priced.
+        let run = |ctx: &mut SegmentationContext<'_>| {
+            let band = ctx.compute_costs(&positions, Some(5));
+            let full = ctx.compute_costs(&positions, None);
+            let sweep = ctx.objective_batch(&schemes);
+            (band, full, sweep)
+        };
         let mut seq = context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::sequential());
-        let reference = seq.objective_batch(&schemes);
-        for threads in [2, 8] {
+        let (band, full, reference) = run(&mut seq);
+        for threads in [2, 3, 8] {
             let mut par =
                 context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::new(threads));
-            let got = par.objective_batch(&schemes);
+            let (par_band, par_full, got) = run(&mut par);
+            for a in 0..positions.len() {
+                for b in a + 1..positions.len() {
+                    assert_eq!(band.get(a, b).to_bits(), par_band.get(a, b).to_bits());
+                    assert_eq!(full.get(a, b).to_bits(), par_full.get(a, b).to_bits());
+                }
+            }
             for (a, b) in got.iter().zip(&reference) {
                 assert_eq!(a.to_bits(), b.to_bits(), "t={threads}");
             }
             assert_eq!(par.ca_calls(), seq.ca_calls(), "t={threads}");
+            assert_eq!(par.ca_derivations(), seq.ca_derivations(), "t={threads}");
             assert_eq!(par.memo_hits(), seq.memo_hits(), "t={threads}");
             assert_eq!(par.memo_misses(), seq.memo_misses(), "t={threads}");
         }
@@ -940,11 +864,22 @@ mod tests {
     fn parallel_timers_record_fanout_regions() {
         let cube = wide_cube();
         let positions: Vec<usize> = (0..cube.n_points()).collect();
-        let mut ctx = context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::new(4));
-        let _ = ctx.compute_costs(&positions, None);
-        let timers = ctx.timers();
-        assert!(timers.par_segmentation <= timers.segmentation);
-        assert!(timers.par_segmentation.as_nanos() > 0);
-        assert!(timers.par_cascading <= timers.cascading);
+        for threads in [1, 4] {
+            let mut ctx =
+                context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::new(threads));
+            let _ = ctx.compute_costs(&positions, None);
+            let timers = ctx.timers();
+            // Every worker charges its derivations and its distances.
+            assert!(timers.cascading.as_nanos() > 0, "t={threads}");
+            assert!(timers.segmentation.as_nanos() > 0, "t={threads}");
+            // 39 objects and 741 cells: both regions fan out above 1 thread.
+            let fanned = threads > 1;
+            assert_eq!(timers.par_cascading.as_nanos() > 0, fanned, "t={threads}");
+            assert_eq!(
+                timers.par_segmentation.as_nanos() > 0,
+                fanned,
+                "t={threads}"
+            );
+        }
     }
 }

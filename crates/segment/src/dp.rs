@@ -116,6 +116,8 @@ pub fn k_segmentation_with(costs: &CostMatrix, k_max: usize, par: &ParallelCtx) 
     for j in 1..n_pos {
         d[j * stride + 1] = costs.get(0, j);
     }
+    // A layer below the cutoff runs as one inline chunk.
+    let inline = ParallelCtx::sequential();
     for k in 2..=k_max {
         // Layer-boundary cancellation poll: the caller (DpSegmenter)
         // re-checks the token after the solve and discards this partial
@@ -144,22 +146,19 @@ pub fn k_segmentation_with(costs: &CostMatrix, k_max: usize, par: &ParallelCtx) 
             (best, arg)
         };
         let n_cells = n_pos - k;
-        if par.is_sequential() || n_cells < PAR_MIN_LAYER_CELLS {
-            for j in k..n_pos {
-                let (best, arg) = cell(j, &d);
-                d[j * stride + k] = best;
-                prev[j * stride + k] = arg;
-            }
+        let layer_par = if n_cells < PAR_MIN_LAYER_CELLS {
+            &inline
         } else {
-            let d_read = &d;
-            let layer: Vec<(f64, u32)> = par.run_chunks(n_cells, |range| {
-                range.map(|off| cell(k + off, d_read)).collect()
-            });
-            for (off, (best, arg)) in layer.into_iter().enumerate() {
-                let j = k + off;
-                d[j * stride + k] = best;
-                prev[j * stride + k] = arg;
-            }
+            par
+        };
+        let d_read = &d;
+        let layer: Vec<(f64, u32)> = layer_par.run_chunks(n_cells, |range| {
+            range.map(|off| cell(k + off, d_read)).collect()
+        });
+        for (off, (best, arg)) in layer.into_iter().enumerate() {
+            let j = k + off;
+            d[j * stride + k] = best;
+            prev[j * stride + k] = arg;
         }
     }
 

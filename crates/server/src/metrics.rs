@@ -91,7 +91,8 @@ static SERVER: &[Metric<ServerShared>] = rows! {
     tsx_panics_total: Counter("panics", |s| load(&s.metrics.panics)),
     /// Wall-clock request latency by route.
     tsx_request_duration_seconds: HistogramBy("route", |s| s.obs.route_hist.snapshot_all()),
-    /// Engine explain latency by segmentation strategy.
+    /// Engine explain time by segmentation strategy: stage time summed over
+    /// workers, which equals wall-clock at 1 thread.
     tsx_explain_duration_seconds:
         HistogramBy("strategy", |s| s.obs.strategy_hist.snapshot_all()),
     /// Wall-clock request latency by tenant (dataset id).
@@ -131,10 +132,11 @@ static PARALLEL: &[Metric<ServerShared>] = rows! {
     tsx_default_threads: Gauge("default_threads", |s| {
         Some(s.threads.unwrap_or_else(|| ParallelCtx::from_env().threads()) as f64)
     }),
-    /// Engine wall-clock summed over answered explains, in nanoseconds.
+    /// Engine stage time summed over workers (equal to wall-clock at 1
+    /// thread), summed over answered explains, in nanoseconds.
     tsx_explain_nanoseconds_total: Counter("explain_nanos", |s| load(&s.metrics.explain_nanos)),
-    /// Of tsx_explain_nanoseconds_total, the wall-clock spent inside
-    /// intra-query parallel regions, in nanoseconds.
+    /// Wall-clock of the intra-query regions that fanned out across more
+    /// than one worker, summed over answered explains, in nanoseconds.
     tsx_parallel_nanoseconds_total:
         Counter("parallel_nanos", |s| load(&s.metrics.parallel_nanos)),
     /// Explain answers produced by a parallel context.

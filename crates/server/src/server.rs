@@ -204,7 +204,8 @@ impl ServerMetrics {
 pub struct ServerObs {
     /// Wall-clock request latency by route label.
     pub route_hist: HistogramFamily,
-    /// Engine explain latency (`LatencyBreakdown::total`) by strategy.
+    /// Engine explain time (`LatencyBreakdown::total`: stage time summed
+    /// over workers) by strategy.
     pub strategy_hist: HistogramFamily,
     /// Wall-clock request latency by tenant (dataset id).
     pub tenant_hist: HistogramFamily,

@@ -6,7 +6,7 @@ use tsexplain::{ExplainRequest, ExplainSession, Optimizations, Segmentation, Var
 use tsexplain_cube::{CubeConfig, ExplanationCube};
 use tsexplain_datagen::synthetic::{SyntheticConfig, SyntheticDataset};
 use tsexplain_diff::{DiffMetric, TopExplStrategy};
-use tsexplain_eval::{distance_percent, ground_truth_rank, random_segmentation, CachedObjective};
+use tsexplain_eval::{distance_percent, ground_truth_rank, random_segmentation};
 use tsexplain_segment::SegmentationContext;
 
 fn explain_with_oracle_k(dataset: &SyntheticDataset) -> Segmentation {
@@ -79,13 +79,12 @@ fn ground_truth_ranks_first_among_samples_on_clean_data() {
         TopExplStrategy::Exact,
         VarianceMetric::Tse,
     );
-    let mut objective = CachedObjective::new(&mut ctx);
     let gt = Segmentation::new(dataset.config.n_points, dataset.ground_truth_cuts.clone()).unwrap();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(99);
     let samples: Vec<Segmentation> = (0..500)
         .map(|_| random_segmentation(&mut rng, dataset.config.n_points, gt.k()))
         .collect();
-    let rank = ground_truth_rank(&mut objective, &gt, &samples);
+    let rank = ground_truth_rank(&mut ctx, &gt, &samples);
     assert!(rank <= 5, "ground truth rank {rank} of 501");
 }
 
