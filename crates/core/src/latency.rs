@@ -21,13 +21,21 @@ pub struct ParallelTimings {
     pub segmentation: Duration,
 }
 
-/// Segment-cost memo instrumentation: how the request's
-/// [`tsexplain_segment::SegmentationContext`] cache performed. Like the
-/// parallel timings, the memo never changes what is computed — reported
-/// `ca_calls` stay the memo-independent workload metric — so these
-/// counters are the observability channel for the work it saved:
-/// `hits` is exactly the number of segment pricings (and, under a
-/// centroid variance metric, top-m derivations) the memo avoided.
+/// Segment memo instrumentation: how the segment memo of the request's
+/// cube served its [`tsexplain_segment::SegmentationContext`]. The memo is
+/// kept per cached cube, for every request over it, and survives tail
+/// appends for the entries whose rows did not change (a time-range
+/// request keeps a private one). Like the parallel timings, it never
+/// changes what is computed — reported `ca_calls` stay what a cold,
+/// request-local run reports — so these counters are the observability
+/// channel for the work it saved. Each hit is one avoided pricing or
+/// unit-object derivation; under a centroid variance metric each hit also
+/// avoided one top-m derivation, so `ca_calls − hits` is exactly the
+/// derivations performed.
+///
+/// Requests running concurrently on one cube may split hits and misses
+/// differently from run to run, as each publishes what it priced; their
+/// answers never differ.
 ///
 /// They live in the latency block rather than `PipelineStats` because the
 /// stats block is pinned byte-for-byte by the golden acceptance files;
@@ -35,16 +43,16 @@ pub struct ParallelTimings {
 /// instrumentation area.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MemoCounters {
-    /// Segment-cost lookups served from the memo.
+    /// Segment costs and unit-object top-m lists served from the memo.
     pub hits: u64,
-    /// Segment costs computed and inserted.
+    /// Segment costs computed and published to the memo.
     pub misses: u64,
 }
 
 /// Breakdown of one `explain()` call into the paper's three pipeline
 /// modules (Fig. 15): precomputation (a), Cascading Analysts (b) and
 /// K-Segmentation (c), plus the parallel regions' wall-clock and the
-/// segment-cost memo counters.
+/// segment memo counters.
 ///
 /// Modules (b) and (c) are stage time summed over the segment layer's
 /// workers: each worker charges its own derivations to `cascading` and its
@@ -65,7 +73,7 @@ pub struct LatencyBreakdown {
     pub segmentation: Duration,
     /// Intra-query parallelism instrumentation.
     pub parallel: ParallelTimings,
-    /// Segment-cost memo instrumentation.
+    /// Segment memo instrumentation.
     pub memo: MemoCounters,
 }
 

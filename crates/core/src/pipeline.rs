@@ -17,9 +17,11 @@
     clippy::unimplemented
 )]
 
+use std::sync::Arc;
+
 use tsexplain_cube::ExplanationCube;
 use tsexplain_diff::TopExplStrategy;
-use tsexplain_segment::{select_sketch, SegmentationContext};
+use tsexplain_segment::{select_sketch, SegmentMemo, SegmentationContext};
 
 use crate::error::TsExplainError;
 use crate::latency::LatencyBreakdown;
@@ -33,10 +35,14 @@ use crate::result::{ExplainResult, ExplanationItem, PipelineStats, SegmentExplan
 /// point indices; the endpoints are added if missing) — the §8 refresh's
 /// hook: previous cut points plus the newly arrived points. Shape-only
 /// strategies segment the full-resolution aggregate regardless.
+///
+/// `memo` is the cube's segment memo and the row watermark the cube was
+/// prepared at; without one the pipeline prices into a private memo.
 pub(crate) fn explain_cube_request(
     cube: &ExplanationCube,
     request: &ExplainRequest,
     forced_positions: Option<Vec<usize>>,
+    memo: Option<(Arc<SegmentMemo>, u64)>,
 ) -> Result<ExplainResult, TsExplainError> {
     let n = cube.n_points();
     if n < 2 {
@@ -66,6 +72,9 @@ pub(crate) fn explain_cube_request(
         request.variance_metric(),
     )
     .with_parallel(parallel.clone());
+    if let Some((memo, watermark)) = memo {
+        ctx = ctx.with_memo(memo, watermark);
+    }
 
     let spec = request.segmenter();
     let positions: Vec<usize> = match forced_positions {

@@ -785,11 +785,13 @@ mod tests {
     #[test]
     fn global_budget_evicts_across_tenants_by_recency() {
         // Budget sized so the two tenants' cubes cannot all stay resident.
+        // The probe only prepares: an explain would add its segment memo,
+        // which can outweigh a cube this small.
         let probe = SessionRegistry::new();
         let pid = probe
             .register(relation(0..21), AggQuery::sum("t", "v"))
             .unwrap();
-        probe.explain(pid, &request()).unwrap();
+        probe.prepare(pid, &request()).unwrap();
         let one_cube = probe.stats().cache_bytes;
         assert!(one_cube > 0);
 
@@ -890,14 +892,16 @@ mod tests {
     #[test]
     fn budget_pressure_demotes_and_rehydrates_bit_identically() {
         let dir = temp_dir("demote");
-        // Measure one cube's footprint, then run with a budget that can
-        // hold only one of the two cubes the test builds.
+        // Measure one cube's footprint before any explain fills its segment
+        // memo, then run with a budget that can hold only one of the two
+        // cubes the test builds.
         let probe = durable_registry(&dir.join("probe"), DEFAULT_REGISTRY_BUDGET);
         let pid = probe
             .register(relation(0..21), AggQuery::sum("t", "v"))
             .unwrap();
-        let expected = probe.explain(pid, &request()).unwrap();
+        let prepared = probe.prepare(pid, &request()).unwrap();
         let one_cube = probe.stats().cache_bytes;
+        let expected = prepared.explain(&request()).unwrap();
         assert!(one_cube > 0);
 
         let registry = durable_registry(&dir.join("live"), one_cube + one_cube / 2);

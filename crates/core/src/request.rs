@@ -334,6 +334,38 @@ impl ExplainRequest {
         self.cancel.as_ref()
     }
 
+    /// Whether `other` asks for the same answer: every member but the
+    /// runtime-only `threads`, `timeout_ms` and `cancel`, which can change
+    /// how fast or whether a request is answered, never what the answer
+    /// is.
+    pub(crate) fn asks_same_as(&self, other: &ExplainRequest) -> bool {
+        let ExplainRequest {
+            explain_by,
+            top_m,
+            max_order,
+            diff_metric,
+            variance_metric,
+            k,
+            optimizations,
+            smoothing_window,
+            time_range,
+            segmenter,
+            threads: _,
+            timeout_ms: _,
+            cancel: _,
+        } = self;
+        *explain_by == other.explain_by
+            && *top_m == other.top_m
+            && *max_order == other.max_order
+            && *diff_metric == other.diff_metric
+            && *variance_metric == other.variance_metric
+            && *k == other.k
+            && *optimizations == other.optimizations
+            && *smoothing_window == other.smoothing_window
+            && *time_range == other.time_range
+            && *segmenter == other.segmenter
+    }
+
     /// The parallel execution context this request runs under: the
     /// explicit override when set, the process default otherwise — with
     /// the request's cancellation token (if any) attached so every fanned

@@ -16,12 +16,24 @@
 //! lock guards the session) followed by [`PreparedCube::explain`] (the
 //! pipeline, on the detached cube).
 //!
+//! Each cached cube also keeps, per smoothing window, a segment memo
+//! ([`tsexplain_segment::SegmentMemo`]): the unit-object top-m lists and
+//! segment costs every request over the cube derived, keyed by the knobs
+//! that shape them. Later requests read what earlier ones derived, so a
+//! follow-up over an unchanged cube re-derives almost nothing. The memo
+//! counts in [`ExplainSession::cache_bytes`] and goes with its entry
+//! (eviction, [`ExplainSession::invalidate`], restated history).
+//!
 //! Appending rows ([`ExplainSession::append_rows`]) extends every cached
-//! cube *incrementally at the tail* (`O(new rows)`). Restated history
-//! (rows at already-settled timestamps) falls back to a transparent full
-//! rebuild. [`ExplainSession::refresh`] is the paper's §8 real-time
-//! extension on top: it re-cuts the settled past only at the previous
-//! refresh's cut points.
+//! cube *incrementally at the tail* (`O(new rows)`) and records only the
+//! lowest row it touched. The next finalization of a window's snapshot
+//! keeps the memo entries that read no touched row (for a smoothed
+//! window, no row a touched row's window reaches) and drops the rest, or
+//! empties the memo when the cube's candidates or selectability changed.
+//! Restated history (rows at already-settled timestamps) falls back to a
+//! transparent full rebuild. [`ExplainSession::refresh`] is the paper's §8
+//! real-time extension on top: it re-cuts the settled past only at the
+//! previous refresh's cut points.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,11 +41,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tsexplain_cube::{
-    AppendRow, CubeCacheKey, CubeConfig, CubeError, ExplanationCube, IncrementalCube,
+    smoothed_reach, AppendRow, CubeCacheKey, CubeConfig, CubeError, ExplanationCube,
+    IncrementalCube,
 };
 use tsexplain_relation::{
     AggQuery, AttrValue, Column, ColumnType, Datum, Relation, RelationError, Schema,
 };
+use tsexplain_segment::SegmentMemo;
 
 use crate::durability::CubeSpill;
 use crate::error::TsExplainError;
@@ -78,18 +92,31 @@ pub struct SessionStats {
 /// smoothing window an analyst tries — only the finalized snapshot is
 /// kept per window. Snapshots are dropped when rows arrive and lazily
 /// re-finalized on the next request.
+///
+/// Beside each window's snapshot lives its segment memo, which outlives
+/// the snapshot: an append only records the lowest row it touched, and
+/// the next finalization drops the entries that read it.
 #[derive(Debug)]
 struct CacheEntry {
     inc: IncrementalCube,
     snapshots: HashMap<usize, Arc<ExplanationCube>>,
+    memos: HashMap<usize, WindowMemo>,
     /// Logical LRU stamp of the last request served from this entry, drawn
     /// from the session's (possibly registry-shared) clock.
     last_used: u64,
-    /// Approximate bytes held: incremental state + finalized snapshots,
-    /// the state store they share counted once. Set by the first
-    /// [`CacheEntry::snapshot`], which every new entry takes before it is
-    /// cached.
-    bytes: usize,
+    /// Approximate bytes held by the incremental state and the finalized
+    /// snapshots, the state store they share counted once. Set by the
+    /// first [`CacheEntry::snapshot`], which every new entry takes before
+    /// it is cached; [`CacheEntry::bytes`] adds the memos.
+    cube_bytes: usize,
+}
+
+/// One smoothing window's segment memo.
+#[derive(Debug)]
+struct WindowMemo {
+    memo: Arc<SegmentMemo>,
+    /// The lowest (raw) row an append touched since the memo's watermark.
+    touched: Option<usize>,
 }
 
 impl CacheEntry {
@@ -97,29 +124,61 @@ impl CacheEntry {
         CacheEntry {
             inc,
             snapshots: HashMap::new(),
+            memos: HashMap::new(),
             last_used,
-            bytes: 0,
+            cube_bytes: 0,
         }
     }
 
-    /// Finalizes (or returns) the snapshot for `smoothing`.
+    /// Finalizes (or returns) the snapshot for `smoothing` over the rows up
+    /// to `watermark`, with its segment memo. A re-finalization after an
+    /// append moves the memo to `watermark`, dropping what the append
+    /// touched.
     fn snapshot(
         &mut self,
         smoothing: usize,
-    ) -> Result<(Arc<ExplanationCube>, bool), TsExplainError> {
-        if let Some(snapshot) = self.snapshots.get(&smoothing) {
-            return Ok((Arc::clone(snapshot), true));
+        watermark: u64,
+    ) -> Result<(Arc<ExplanationCube>, Arc<SegmentMemo>, bool), TsExplainError> {
+        if let (Some(snapshot), Some(window)) =
+            (self.snapshots.get(&smoothing), self.memos.get(&smoothing))
+        {
+            return Ok((Arc::clone(snapshot), Arc::clone(&window.memo), true));
         }
         let cube = Arc::new(self.inc.snapshot_smoothed(smoothing)?);
+        // A new memo has seen no row yet.
+        let window = self.memos.entry(smoothing).or_insert_with(|| WindowMemo {
+            memo: Arc::default(),
+            touched: Some(0),
+        });
+        if let Some(row) = window.touched.take() {
+            window
+                .memo
+                .advance(&cube, watermark, smoothed_reach(row, smoothing));
+        }
+        let memo = Arc::clone(&window.memo);
         self.snapshots.insert(smoothing, Arc::clone(&cube));
         self.recount_bytes();
-        Ok((cube, false))
+        Ok((cube, memo, false))
     }
 
-    /// Recomputes the entry's byte estimate after a structural change
+    /// Records that an append touched rows from `row` on: O(1) per window,
+    /// whatever the memos hold.
+    fn touch(&mut self, row: usize) {
+        for window in self.memos.values_mut() {
+            window.touched = Some(window.touched.map_or(row, |seen| seen.min(row)));
+        }
+    }
+
+    /// Approximate bytes held, the memos read as they stand (the pipelines
+    /// grow them outside the session lock).
+    fn bytes(&self) -> usize {
+        self.cube_bytes + self.memos.values().map(|w| w.memo.bytes()).sum::<usize>()
+    }
+
+    /// Recomputes the cube byte estimate after a structural change
     /// (snapshot added/dropped, rows appended).
     fn recount_bytes(&mut self) {
-        self.bytes = self.inc.approx_bytes()
+        self.cube_bytes = self.inc.approx_bytes()
             + self
                 .snapshots
                 .values()
@@ -229,7 +288,7 @@ impl ExplainSession {
 
     /// Approximate bytes currently held by the cube cache.
     pub fn cache_bytes(&self) -> usize {
-        self.cubes.values().map(|e| e.bytes).sum()
+        self.cubes.values().map(CacheEntry::bytes).sum()
     }
 
     /// The LRU stamp of the least-recently-used cached cube, if any — what
@@ -265,7 +324,7 @@ impl ExplainSession {
         } else {
             self.stats.cube_evictions += 1;
         }
-        Some(entry.bytes)
+        Some(entry.bytes())
     }
 
     /// Replaces the LRU clock (a registry shares one clock across all its
@@ -362,15 +421,17 @@ impl ExplainSession {
     /// time axis, and a refresh of a request other than the remembered
     /// one segment the whole horizon: another strategy, explain-by set or
     /// K policy would otherwise search only the remembered request's cuts.
-    /// A windowed request is answered like [`ExplainSession::explain`] and
-    /// leaves the remembered cuts alone: they index the full horizon, not
-    /// the window.
+    /// Requests are matched without their runtime-only members (threads,
+    /// time budget, cancellation token), so a caller that mints a deadline
+    /// per refresh still gets both shortcuts. A windowed request is
+    /// answered like [`ExplainSession::explain`] and leaves the remembered
+    /// cuts alone: they index the full horizon, not the window.
     pub fn refresh(&mut self, request: &ExplainRequest) -> Result<ExplainResult, TsExplainError> {
         if request.time_range().is_some() {
             return self.explain(request);
         }
         if let Some(warm) = &self.warm {
-            if warm.total_rows == self.total_rows() && warm.request == *request {
+            if warm.total_rows == self.total_rows() && warm.request.asks_same_as(request) {
                 return Ok(warm.result.clone());
             }
         }
@@ -379,7 +440,7 @@ impl ExplainSession {
         let positions = self
             .warm
             .as_ref()
-            .filter(|warm| warm.request == *request)
+            .filter(|warm| warm.request.asks_same_as(request))
             .map(|warm| {
                 let settled = warm.result.stats.n_points;
                 let mut positions = warm.result.segmentation.cuts().to_vec();
@@ -414,13 +475,15 @@ impl ExplainSession {
             .map_err(TsExplainError::InvalidRequest)?;
 
         let acquire_start = Instant::now();
-        let (cube, from_cache) = self.acquire_cube(request)?;
-        let cube = match request.time_range() {
-            None => cube,
-            Some((start, end)) => Arc::new(self.slice_cube(&cube, request, start, end)?),
+        let (cube, memo, from_cache) = self.acquire_cube(request)?;
+        // A time slice is another cube: its pipeline keeps a private memo.
+        let (cube, memo) = match request.time_range() {
+            None => (cube, Some((memo, self.total_rows() as u64))),
+            Some((start, end)) => (Arc::new(self.slice_cube(&cube, request, start, end)?), None),
         };
         Ok(PreparedCube {
             cube,
+            memo,
             from_cache,
             precompute: acquire_start.elapsed(),
         })
@@ -478,6 +541,7 @@ impl ExplainSession {
                 })
                 .collect::<Result<_, TsExplainError>>()?;
             let mut all_applied = true;
+            let first_touched = self.first_touched_row(&rows)?;
             for (key, encoded) in encodings {
                 let entry = self.cubes.get_mut(&key).expect("key taken from the map");
                 // Drop the snapshots first: the append would copy a state
@@ -492,6 +556,7 @@ impl ExplainSession {
                     break;
                 }
                 entry.recount_bytes();
+                entry.touch(first_touched);
             }
             if !all_applied {
                 self.stats.rebuilds += 1;
@@ -578,6 +643,21 @@ impl ExplainSession {
         Ok(true)
     }
 
+    /// The lowest row (point index) tail-ordered `rows` touch: the horizon
+    /// point if a row reports on it, else the first new point.
+    fn first_touched_row(&self, rows: &[Vec<Datum>]) -> Result<usize, TsExplainError> {
+        let time = self.schema.index_of(self.query.time_attr())?;
+        let on_horizon = |row: &Vec<Datum>| match (&row[time], &self.last_time) {
+            (Datum::Attr(t), Some(horizon)) => t == horizon,
+            _ => false,
+        };
+        Ok(if rows.iter().any(on_horizon) {
+            self.n_points - 1
+        } else {
+            self.n_points
+        })
+    }
+
     fn row_time(&self, row: &[Datum]) -> Result<AttrValue, TsExplainError> {
         let idx = self.schema.index_of(self.query.time_attr())?;
         match &row[idx] {
@@ -610,13 +690,13 @@ impl ExplainSession {
         Ok(())
     }
 
-    /// Returns the prepared cube for `request`, building (and caching) it
-    /// on a miss. The `bool` is true when the request was answered from an
-    /// up-to-date cached snapshot.
+    /// Returns the prepared cube for `request` and its segment memo,
+    /// building (and caching) the cube on a miss. The `bool` is true when
+    /// the request was answered from an up-to-date cached snapshot.
     fn acquire_cube(
         &mut self,
         request: &ExplainRequest,
-    ) -> Result<(Arc<ExplanationCube>, bool), TsExplainError> {
+    ) -> Result<(Arc<ExplanationCube>, Arc<SegmentMemo>, bool), TsExplainError> {
         let _span = tsexplain_obs::trace::span("cube_acquire");
         let mut cube_config = CubeConfig::new(request.explain_by().iter().cloned())
             .with_max_order(request.max_order());
@@ -624,17 +704,18 @@ impl ExplainSession {
         let key = cube_config.cache_key();
         let smoothing = request.smoothing_window().max(1);
         let stamp = self.tick();
+        let watermark = self.total_rows() as u64;
 
         if let Some(entry) = self.cubes.get_mut(&key) {
             entry.last_used = stamp;
-            let (cube, was_ready) = entry.snapshot(smoothing)?;
+            let (cube, memo, was_ready) = entry.snapshot(smoothing, watermark)?;
             if was_ready {
                 self.stats.cube_cache_hits += 1;
             } else {
                 self.stats.cube_refreshes += 1;
             }
             self.enforce_budget(Some(&key));
-            return Ok((cube, was_ready));
+            return Ok((cube, memo, was_ready));
         }
 
         // Cache miss. With a spill tier attached, a previously demoted
@@ -653,10 +734,10 @@ impl ExplainSession {
                         self.stats.cube_rehydrations += 1;
                         spill.note_rehydrated();
                         let mut entry = CacheEntry::new(inc, stamp);
-                        let (cube, _) = entry.snapshot(smoothing)?;
+                        let (cube, memo, _) = entry.snapshot(smoothing, watermark)?;
                         self.cubes.insert(key.clone(), entry);
                         self.enforce_budget(Some(&key));
-                        return Ok((cube, false));
+                        return Ok((cube, memo, false));
                     }
                     _ => spill.discard(key.fingerprint()),
                 }
@@ -699,10 +780,10 @@ impl ExplainSession {
         }
         self.stats.cubes_built += 1;
         let mut entry = CacheEntry::new(inc, stamp);
-        let (cube, _) = entry.snapshot(smoothing)?;
+        let (cube, memo, _) = entry.snapshot(smoothing, watermark)?;
         self.cubes.insert(key.clone(), entry);
         self.enforce_budget(Some(&key));
-        Ok((cube, false))
+        Ok((cube, memo, false))
     }
 
     /// Resolves a time-range restriction against the cube's axis and
@@ -738,16 +819,28 @@ impl ExplainSession {
 }
 
 /// A request's prepared cube, detached from its session (see
-/// [`ExplainSession::prepare`]): the shared snapshot plus the precompute
-/// metadata every answer derived from it reports.
+/// [`ExplainSession::prepare`]): the shared snapshot, its segment memo and
+/// the precompute metadata every answer derived from it reports.
 ///
-/// `Send + Sync` by construction (the cube is immutable behind an `Arc`),
-/// so a fan-out can hand one `PreparedCube` to many worker threads without
-/// touching the session again — no per-strategy re-locking, no lock held
-/// across pipeline work.
+/// `Send + Sync` by construction (the cube is immutable behind an `Arc`,
+/// the memo is behind its own leaf lock), so a fan-out can hand one
+/// `PreparedCube` to many worker threads without touching the session
+/// again — no per-strategy re-locking, no session lock held across
+/// pipeline work. The strategies of a fan-out share the memo, so what one
+/// prices the others read.
+///
+/// The handle remembers the row watermark it was prepared at. If rows
+/// arrive and a later request re-finalizes the cube before this handle's
+/// pipeline runs, the pipeline detaches to a private memo: it answers over
+/// the rows it saw and never reads or writes an entry of newer rows.
 #[derive(Clone, Debug)]
 pub struct PreparedCube {
     cube: Arc<ExplanationCube>,
+    /// The segment memo of the cube's cache entry and the session's row
+    /// watermark when the cube was prepared: the pipeline uses the memo
+    /// only while the memo is at that watermark. `None` for a time slice,
+    /// whose pipeline keeps a private memo.
+    memo: Option<(Arc<SegmentMemo>, u64)>,
     from_cache: bool,
     precompute: Duration,
 }
@@ -785,7 +878,7 @@ impl PreparedCube {
         request: &ExplainRequest,
         positions: Option<Vec<usize>>,
     ) -> Result<ExplainResult, TsExplainError> {
-        let mut result = explain_cube_request(&self.cube, request, positions)?;
+        let mut result = explain_cube_request(&self.cube, request, positions, self.memo.clone())?;
         result.latency.precompute = self.precompute;
         result.stats.cube_from_cache = self.from_cache;
         Ok(result)
@@ -1300,9 +1393,12 @@ mod tests {
         let store = owned.approx_bytes() - plain.approx_bytes();
         assert!(store >= 3 * 8 * 21 * owned.n_candidates(), "{store} bytes");
         assert!(inc.approx_bytes() > store);
+        // Each window's segment memo counts beside its snapshot.
+        let memos = entry.memos[&1].memo.bytes() + entry.memos[&7].memo.bytes();
+        assert!(memos > 0);
         assert_eq!(
             s.cache_bytes(),
-            inc.approx_bytes() + plain.approx_bytes() + smoothed.approx_bytes()
+            inc.approx_bytes() + plain.approx_bytes() + smoothed.approx_bytes() + memos
         );
     }
 
@@ -1492,6 +1588,111 @@ mod tests {
         let explained = s.explain(&dp).unwrap();
         assert_eq!(explained.segmentation.cuts(), &[13, 31]);
         assert_eq!(refreshed.segmentation.cuts(), explained.segmentation.cuts());
+    }
+
+    /// A caller that mints a deadline per refresh (as the server does per
+    /// request) sends a new cancel token, and maybe a budget or a thread
+    /// count, every time. Neither shortcut may depend on them.
+    #[test]
+    fn refresh_matches_requests_without_their_runtime_members() {
+        let fresh = |threads: usize| {
+            base_request()
+                .with_cancel(crate::CancelToken::new())
+                .with_timeout_ms(60_000)
+                .with_threads(threads)
+        };
+        let mut s = empty_session();
+        s.append_rows(rows_for(0..15)).unwrap();
+        let first = s.refresh(&fresh(1)).unwrap();
+        assert_eq!(first.stats.candidate_positions, 15);
+        // No row arrived: the quiet refresh returns the cut it has.
+        let quiet = s.refresh(&fresh(2)).unwrap();
+        assert_eq!(quiet.segmentation, first.segmentation);
+        assert_eq!(s.stats().requests, 1);
+        // Rows arrived: the re-cut searches the settled cuts plus the new
+        // points, not all 20 positions.
+        s.append_rows(rows_for(15..20)).unwrap();
+        let second = s.refresh(&fresh(1)).unwrap();
+        assert_eq!(s.stats().requests, 2);
+        assert!(
+            second.stats.candidate_positions < 20,
+            "got {}",
+            second.stats.candidate_positions
+        );
+    }
+
+    /// An answer's canonical form: latency and cache provenance stripped,
+    /// `ca_calls` kept.
+    fn canonical(result: &ExplainResult) -> String {
+        let mut value = serde_json::to_value(result);
+        if let serde::Value::Object(map) = &mut value {
+            map.remove("latency");
+            if let Some(serde::Value::Object(stats)) = map.get_mut("stats") {
+                stats.remove("cube_from_cache");
+            }
+        }
+        serde_json::to_string(&value).unwrap()
+    }
+
+    /// Rows 0..12, then a late report on day 11 and a new day 12.
+    fn appended_session(tail: &[Vec<Vec<Datum>>]) -> ExplainSession {
+        let mut s = session_over(0..12);
+        for rows in tail {
+            s.append_rows(rows.clone()).unwrap();
+        }
+        s
+    }
+
+    /// A pipeline prepared before an append answers over the rows it saw,
+    /// whether the cube's memo has already moved past them (a later
+    /// request published at the new watermark) or not yet (the append is
+    /// waiting for its next finalization).
+    #[test]
+    fn a_prepared_pipeline_never_crosses_an_append() {
+        let late = vec![vec![Datum::Attr(11i64.into()), "CA".into(), 500.0.into()]];
+        let tail = [late, rows_for(12..13)];
+        let request = base_request().with_threads(1);
+        let cold_before = canonical(&session_over(0..12).explain(&request).unwrap());
+        let cold_after = canonical(&appended_session(&tail).explain(&request).unwrap());
+        assert_ne!(cold_before, cold_after);
+        for explain_first in [true, false] {
+            let mut s = session_over(0..12);
+            // A warm memo at the first watermark.
+            s.explain(&request).unwrap();
+            let held = s.prepare(&request).unwrap();
+            for rows in &tail {
+                s.append_rows(rows.clone()).unwrap();
+            }
+            if explain_first {
+                // Publishes at the new watermark before `held` runs.
+                assert_eq!(canonical(&s.explain(&request).unwrap()), cold_after);
+                assert_eq!(canonical(&held.explain(&request).unwrap()), cold_before);
+            } else {
+                // `held` runs against the memo the append left behind.
+                assert_eq!(canonical(&held.explain(&request).unwrap()), cold_before);
+                assert_eq!(canonical(&s.explain(&request).unwrap()), cold_after);
+            }
+            assert_eq!(canonical(&s.explain(&request).unwrap()), cold_after);
+        }
+    }
+
+    /// The memo is counted in `cache_bytes` as the pipeline publishes, and
+    /// its work counts keep the `ca_calls − memo.hits` identity of the
+    /// centroid metric on a warm request.
+    #[test]
+    fn a_warm_memo_serves_the_next_request_and_keeps_the_counter_identity() {
+        let mut s = session();
+        let prepared = s.prepare(&base_request()).unwrap();
+        let before = s.cache_bytes();
+        let cold = prepared.explain(&base_request()).unwrap();
+        assert!(s.cache_bytes() > before, "published entries count");
+        let warm = s.explain(&base_request()).unwrap();
+        assert_eq!(canonical(&warm), canonical(&cold));
+        let derived = |r: &ExplainResult| r.stats.ca_calls - r.latency.memo.hits;
+        // A repeat derives only the chosen segments' descriptions.
+        assert_eq!(derived(&warm), warm.chosen_k as u64);
+        assert!(derived(&cold) > derived(&warm));
+        assert_eq!(warm.latency.memo.misses, 0);
     }
 
     #[test]

@@ -144,6 +144,38 @@ impl CubeCacheKey {
     }
 }
 
+/// The structure a top-m derivation reads of a cube besides its value
+/// rows: the explanation list (ids, drill-down trie, parent lists) and the
+/// selectable ids. Two cubes with equal shapes derive equal lists for a
+/// segment whose endpoint rows hold equal values, so a derivation memo
+/// stays valid across a tail append while the shape holds.
+///
+/// The explanation list is shared with the cube it was taken from, so a
+/// shape costs only its selectable ids.
+#[derive(Clone, Debug)]
+pub struct CubeShape {
+    explanations: Arc<[Explanation]>,
+    selectable_ids: Vec<ExplId>,
+}
+
+impl CubeShape {
+    /// Approximate bytes a shape holds of its own: its selectable ids (the
+    /// explanation list is its cube's).
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.selectable_ids.len() * std::mem::size_of::<ExplId>()
+    }
+}
+
+impl PartialEq for CubeShape {
+    fn eq(&self, other: &Self) -> bool {
+        (Arc::ptr_eq(&self.explanations, &other.explanations)
+            || self.explanations == other.explanations)
+            && self.selectable_ids == other.selectable_ids
+    }
+}
+
+impl Eq for CubeShape {}
+
 /// The per-explanation time-series cube (paper §5.2, module a).
 ///
 /// Holds the overall aggregate-state series `ts(R)` and one state series
@@ -167,7 +199,9 @@ pub struct ExplanationCube {
     timestamps: Vec<AttrValue>,
     attr_names: Vec<String>,
     dicts: Vec<Dictionary>,
-    explanations: Vec<Explanation>,
+    /// Shared with every [`CubeShape`] taken from the cube and with its
+    /// time slices.
+    explanations: Arc<[Explanation]>,
     store: Arc<StateStore>,
     /// Whether `store` is the incremental cube's, which counts its bytes.
     shared_store: bool,
@@ -261,7 +295,7 @@ impl ExplanationCube {
             timestamps,
             attr_names,
             dicts,
-            explanations,
+            explanations: explanations.into(),
             store,
             shared_store,
             cols,
@@ -314,7 +348,7 @@ impl ExplanationCube {
             timestamps: self.timestamps[lo..=hi].to_vec(),
             attr_names: self.attr_names.clone(),
             dicts: self.dicts.clone(),
-            explanations: self.explanations.clone(),
+            explanations: Arc::clone(&self.explanations),
             cols: (0..store.n_cols() as u32).collect(),
             store: Arc::new(store),
             shared_store: false,
@@ -582,6 +616,15 @@ impl ExplanationCube {
             self.subtree_selectable[self.explanations.len()]
         } else {
             self.subtree_selectable[node as usize]
+        }
+    }
+
+    /// What a top-m derivation reads of the cube besides its value rows:
+    /// the explanation list and the selectable ids (see [`CubeShape`]).
+    pub fn shape(&self) -> CubeShape {
+        CubeShape {
+            explanations: Arc::clone(&self.explanations),
+            selectable_ids: self.selectable_ids.clone(),
         }
     }
 

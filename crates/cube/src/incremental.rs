@@ -444,6 +444,7 @@ impl IncrementalCube {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::values::smoothed_reach;
     use tsexplain_relation::{Datum, Field, Schema};
 
     fn schema() -> Schema {
@@ -506,6 +507,37 @@ mod tests {
 
     fn config() -> CubeConfig {
         CubeConfig::new(["state", "pack"]).with_filter_ratio(0.001)
+    }
+
+    /// A smoothed snapshot keeps every row before `smoothed_reach` bit for
+    /// bit across a late report on the horizon and a new timestamp, and so
+    /// does its shape when no candidate arrives.
+    #[test]
+    fn smoothed_rows_before_the_reach_survive_a_tail_append() {
+        let query = AggQuery::sum("t", "v");
+        for window in [1, 2, 3, 7] {
+            let mut inc = IncrementalCube::from_relation(
+                &relation_of(&sample_rows(0..12)),
+                &query,
+                &config(),
+            )
+            .unwrap();
+            let before = inc.snapshot_smoothed(window).unwrap();
+            let tail: Vec<AppendRow> = [row(11, "CA", 12, 3.0), row(12, "NY", 6, 40.0)]
+                .iter()
+                .map(|r| append_row_of(r))
+                .collect();
+            inc.append_batch(&tail).unwrap();
+            let after = inc.snapshot_smoothed(window).unwrap();
+            assert_eq!(before.shape(), after.shape(), "w={window}");
+            let reach = smoothed_reach(11, window);
+            for t in 0..before.n_points() {
+                let same = (0..before.n_candidates() as ExplId)
+                    .all(|e| before.value_at(e, t).to_bits() == after.value_at(e, t).to_bits())
+                    && before.total_value(t).to_bits() == after.total_value(t).to_bits();
+                assert_eq!(same, t < reach, "w={window} t={t}");
+            }
+        }
     }
 
     #[test]

@@ -37,10 +37,10 @@ mod persist;
 mod trie;
 mod values;
 
-pub use cube::{CubeCacheKey, CubeConfig, ExplanationCube, MAX_EXPLAIN_BY};
+pub use cube::{CubeCacheKey, CubeConfig, CubeShape, ExplanationCube, MAX_EXPLAIN_BY};
 pub use error::CubeError;
 pub use explanation::{ExplId, Explanation};
 pub use incremental::{AppendRow, IncrementalCube};
 pub use trie::{DrillTrie, NodeId, ROOT_NODE};
 pub use tsexplain_parallel::ParallelCtx;
-pub use values::ValueMatrix;
+pub use values::{smoothed_reach, ValueMatrix};

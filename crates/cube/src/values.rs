@@ -103,6 +103,23 @@ fn decodes(agg: AggFn) -> bool {
     matches!(agg, AggFn::Avg | AggFn::Variance)
 }
 
+/// How far a centered moving average of `window` points reaches on each
+/// side: smoothed row `t` averages raw rows `t − half ..= t + half`,
+/// clamped to the series.
+fn half_window(window: usize) -> usize {
+    window / 2
+}
+
+/// The first row of a `window`-point smoothed series (a window of 1 is
+/// the raw series) that can change when raw rows from `row` on change or
+/// are appended. Smoothed row `t` reads raw rows up to `t + half`, and a
+/// row appended at the end widens the clamped windows that reach it, so
+/// every row from `row − half` on may move and every row before it keeps
+/// its value bit for bit.
+pub fn smoothed_reach(row: usize, window: usize) -> usize {
+    row.saturating_sub(half_window(window))
+}
+
 /// Appends rows `rows` of columns `cols` of an `n_cols`-wide time-major
 /// `plane` to `out`, row by row.
 fn gather_into(out: &mut Vec<f64>, plane: &[f64], n_cols: usize, rows: Range<usize>, cols: &[u32]) {
@@ -347,7 +364,7 @@ impl StateStore {
     /// over contiguous rows.
     pub(crate) fn smoothed(&self, cols: &[u32], window: usize) -> StateStore {
         let (n, width) = (self.n_rows, cols.len());
-        let half = window / 2;
+        let half = half_window(window);
         let bounds = |t: usize| (t.saturating_sub(half), (t + half).min(n - 1));
         let mut out = StateStore::zeroed(self.agg, n, width);
         if width > 0 {

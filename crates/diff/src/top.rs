@@ -158,7 +158,7 @@ fn exact_cascading_wins(cube: &ExplanationCube, m: usize, initial_guess: usize) 
 }
 
 /// How [`TopExplEngine`] derives top-m lists.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum TopExplStrategy {
     /// Exact Cascading Analysts over every (unfiltered) candidate.
     #[default]
@@ -183,6 +183,7 @@ pub enum TopExplStrategy {
 pub struct TopExplEngine<'a> {
     ca: CascadingAnalysts<'a>,
     gv: Option<GuessVerify>,
+    path: TopExplStrategy,
     calls: u64,
 }
 
@@ -196,15 +197,29 @@ impl<'a> TopExplEngine<'a> {
         strategy: TopExplStrategy,
     ) -> Self {
         let ca = CascadingAnalysts::new(cube, metric, m);
-        let gv = match strategy {
+        let (gv, path) = match strategy {
             TopExplStrategy::GuessVerify { initial_guess }
                 if !exact_cascading_wins(cube, m, initial_guess) =>
             {
-                Some(GuessVerify::new(cube, initial_guess))
+                (Some(GuessVerify::new(cube, initial_guess)), strategy)
             }
-            _ => None,
+            _ => (None, TopExplStrategy::Exact),
         };
-        TopExplEngine { ca, gv, calls: 0 }
+        TopExplEngine {
+            ca,
+            gv,
+            path,
+            calls: 0,
+        }
+    }
+
+    /// The path the engine actually derives by: `Exact` where it runs
+    /// exact CA (asked for, or chosen over guess-and-verify on a small
+    /// one-attribute cube), else the requested guess-and-verify. Two
+    /// engines over one cube with equal metric, m and path derive equal
+    /// lists.
+    pub fn path(&self) -> TopExplStrategy {
+        self.path
     }
 
     /// The cube the engine explains.

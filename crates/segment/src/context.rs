@@ -1,4 +1,5 @@
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tsexplain_cube::ExplanationCube;
@@ -6,6 +7,7 @@ use tsexplain_diff::{DiffMetric, ScoreContext, TopExplEngine, TopExplStrategy};
 use tsexplain_parallel::ParallelCtx;
 
 use crate::cost::CostMatrix;
+use crate::memo::{cell, CostKey, DeriveKey, SegmentMemo, Tables};
 use crate::ndcg::ExplainedSegment;
 use crate::scheme::Segmentation;
 use crate::variance::{object_centroid_distance, object_pair_distance, VarianceMetric};
@@ -169,37 +171,50 @@ fn region<'a, T: Send>(
 /// Every batch of work — the unit objects, a cost matrix's missing cells,
 /// a sweep's unique segments, one segment's miss — runs through one
 /// fan-out region over the context's worker slots (see [`StageTimers`]).
+///
+/// Unit lists and segment costs are read from and published to a
+/// [`SegmentMemo`]: the cube's, attached with
+/// [`SegmentationContext::with_memo`], or else a private one. Lookups run
+/// in the single-threaded collect step before a region and publishing
+/// after it, one memo lock hold each.
 pub struct SegmentationContext<'a> {
     diff_metric: DiffMetric,
     metric: VarianceMetric,
     strategy: TopExplStrategy,
+    /// The memo key of the context's derivations (its engines' effective
+    /// path).
+    derive: DeriveKey,
     parallel: ParallelCtx,
     /// One per share of the widest region so far. Slot 0, built with the
     /// context, is the caller's thread; the rest are built the first time a
     /// region needs them.
     slots: Vec<Slot<'a>>,
-    object_tops: Option<Vec<ExplainedSegment>>,
+    object_tops: Option<Arc<Vec<ExplainedSegment>>>,
     par_cascading: Duration,
     par_segmentation: Duration,
-    /// Segment-cost memo keyed by point-index pair `(a, b)` — one request
-    /// repeatedly prices the same segments (the auto-K proposal sweep, the
-    /// sketch band vs. the main DP, the final per-segment description),
-    /// and costs are pure functions of the segment, so every repeat is a
-    /// lookup instead of a fresh centroid derivation + distance scan.
-    memo: HashMap<(usize, usize), f64>,
+    /// Unit lists and segment costs, pure functions of their keys and of
+    /// the cube rows they read, so every repeat is a lookup instead of a
+    /// fresh derivation and distance scan: within one request (the auto-K
+    /// proposal sweep, the sketch band vs. the main DP, the final
+    /// per-segment description) and, on a cube's memo, across requests.
+    memo: Arc<SegmentMemo>,
+    /// The row watermark of the context's cube; the memo is read and
+    /// written only while it is at this watermark.
+    watermark: u64,
     memo_hits: u64,
     memo_misses: u64,
-    /// Centroid derivations *avoided* by memo hits. Added back into
-    /// [`SegmentationContext::ca_calls`] so that counter stays the
-    /// memo-independent workload metric the serving layer reports (and the
-    /// golden files pin); the derivations actually performed are
+    /// Derivations *avoided* by memo hits. Added back into
+    /// [`SegmentationContext::ca_calls`] so that counter stays what a cold,
+    /// request-local run reports (the golden files pin it); the
+    /// derivations actually performed are
     /// [`SegmentationContext::ca_derivations`].
     hit_calls: u64,
 }
 
 impl<'a> SegmentationContext<'a> {
     /// Builds a context over `cube` with the process-default parallel
-    /// context (override with [`SegmentationContext::with_parallel`]).
+    /// context (override with [`SegmentationContext::with_parallel`]) and
+    /// a private memo (share one with [`SegmentationContext::with_memo`]).
     pub fn new(
         cube: &'a ExplanationCube,
         diff_metric: DiffMetric,
@@ -207,21 +222,24 @@ impl<'a> SegmentationContext<'a> {
         strategy: TopExplStrategy,
         metric: VarianceMetric,
     ) -> Self {
+        let engine = TopExplEngine::new(cube, diff_metric, m, strategy);
+        let derive = DeriveKey {
+            metric: diff_metric,
+            m,
+            path: engine.path(),
+        };
         SegmentationContext {
             diff_metric,
             metric,
             strategy,
+            derive,
             parallel: ParallelCtx::from_env(),
-            slots: vec![Slot::new(TopExplEngine::new(
-                cube,
-                diff_metric,
-                m,
-                strategy,
-            ))],
+            slots: vec![Slot::new(engine)],
             object_tops: None,
             par_cascading: Duration::ZERO,
             par_segmentation: Duration::ZERO,
-            memo: HashMap::new(),
+            memo: Arc::default(),
+            watermark: 0,
             memo_hits: 0,
             memo_misses: 0,
             hit_calls: 0,
@@ -234,6 +252,18 @@ impl<'a> SegmentationContext<'a> {
     /// computed, never what they are.
     pub fn with_parallel(mut self, parallel: ParallelCtx) -> Self {
         self.parallel = parallel;
+        self
+    }
+
+    /// Shares `memo`, the memo of the context's cube, whose rows are at
+    /// `watermark` (builder style). Entries are pure, so this changes how
+    /// much is derived, never a cost, a list or `ca_calls`. When the memo
+    /// has moved to another watermark (rows arrived and a later request
+    /// re-finalized the cube), the context detaches to a private memo
+    /// instead.
+    pub fn with_memo(mut self, memo: Arc<SegmentMemo>, watermark: u64) -> Self {
+        self.memo = memo;
+        self.watermark = watermark;
         self
     }
 
@@ -250,23 +280,46 @@ impl<'a> SegmentationContext<'a> {
         self.parallel.is_cancelled()
     }
 
-    /// Segment-cost lookups served from the memo.
+    /// Lookups served from the memo: segment costs, and unit-object lists
+    /// another request published.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits
     }
 
-    /// Segment costs computed and inserted into the memo.
+    /// Segment costs computed and published to the memo.
     pub fn memo_misses(&self) -> u64 {
         self.memo_misses
     }
 
-    /// Records `n` memo hits, restoring the derivations the hits avoided
-    /// into the logical `ca_calls` metric (centroid metrics derive one
-    /// top-m list per computed segment cost; all-pair metrics derive none).
+    /// Records `n` segment-cost hits, restoring the derivations the hits
+    /// avoided into the logical `ca_calls` metric (centroid metrics derive
+    /// one top-m list per computed segment cost; all-pair metrics derive
+    /// none).
     fn record_hits(&mut self, n: u64) {
         self.memo_hits += n;
         if !self.metric.is_all_pair() {
             self.hit_calls += n;
+        }
+    }
+
+    /// Runs `f` on the memo tables at the context's watermark. A memo that
+    /// has moved on is left for a fresh private one, so the context never
+    /// reads or writes an entry computed from other rows.
+    fn with_tables<R>(&mut self, f: impl FnOnce(&mut Tables) -> R) -> R {
+        match self.memo.at(self.watermark, f) {
+            Ok(out) => out,
+            Err(f) => {
+                self.memo = Arc::new(SegmentMemo::detached(self.watermark));
+                self.memo.locked(f)
+            }
+        }
+    }
+
+    /// The memo key of the context's segment costs.
+    fn cost_key(&self) -> CostKey {
+        CostKey {
+            derive: self.derive,
+            variance: self.metric,
         }
     }
 
@@ -306,10 +359,11 @@ impl<'a> SegmentationContext<'a> {
     }
 
     /// Number of top-m derivations the workload *requested* so far: the
-    /// derivations performed plus those served from the segment-cost memo.
-    /// By construction this is independent of both the thread count and the
-    /// memo — it is the deterministic workload-shape metric reported as
-    /// `PipelineStats::ca_calls`. The derivations actually performed are
+    /// derivations performed plus those the memo served. By construction
+    /// this is what a cold context with a private memo reports, at any
+    /// thread count and whatever a shared memo held — the deterministic
+    /// workload-shape metric reported as `PipelineStats::ca_calls`. The
+    /// derivations actually performed are
     /// [`SegmentationContext::ca_derivations`].
     pub fn ca_calls(&self) -> u64 {
         self.ca_derivations() + self.hit_calls
@@ -344,45 +398,74 @@ impl<'a> SegmentationContext<'a> {
         shares
     }
 
-    /// Ensures the unit-object top lists are cached, derived in one region.
+    /// Ensures the unit-object top lists are at hand: the memo's, then the
+    /// rest derived in one region and published. Called wherever a cold
+    /// run first derives them — the first cost matrix or the first lookup
+    /// of a segment spanning two or more objects — so `ca_calls` counts
+    /// them exactly when a cold run does; each list the memo serves is a
+    /// hit that restores its derivation.
     fn ensure_objects(&mut self) {
         if self.object_tops.is_some() {
             return;
         }
         let count = self.n_points().saturating_sub(1);
-        let shares = self.shares(count);
-        let tops = region(
+        let key = self.derive;
+        let known = self.with_tables(|tables| tables.units(&key));
+        let have = known.as_ref().map_or(0, |units| units.len().min(count));
+        self.memo_hits += have as u64;
+        self.hit_calls += have as u64;
+        if have == count {
+            self.object_tops = known;
+            return;
+        }
+        let shares = self.shares(count - have);
+        let fresh = region(
             &self.parallel,
             &mut self.slots[..shares],
             &mut self.par_cascading,
-            count,
-            |slot, x| slot.explain((x, x + 1)),
+            count - have,
+            |slot, i| slot.explain((have + i, have + i + 1)),
         );
         // A cancelled region is not cached; nothing prices after it.
-        if tops.len() == count {
-            self.object_tops = Some(tops);
+        if fresh.len() < count - have {
+            return;
         }
+        let mut tops = Vec::with_capacity(count);
+        tops.extend(known.iter().flat_map(|units| units[..have].iter().cloned()));
+        tops.extend(fresh);
+        let tops = Arc::new(tops);
+        self.with_tables(|tables| tables.put_units(key, &tops));
+        self.object_tops = Some(tops);
     }
 
-    /// Prices the `n` segments `seg(0..n)`, each spanning at least two unit
-    /// objects, in one region. Fewer than `n` costs means the region was
-    /// cancelled.
-    fn price(&mut self, n: usize, seg: impl Fn(usize) -> (usize, usize) + Sync) -> Vec<f64> {
-        if n == 0 {
-            return Vec::new();
+    /// Prices `segs`, segments the memo lacks that each span at least two
+    /// unit objects, in one region and publishes their costs. `None` when
+    /// the region was cancelled: nothing is published or counted.
+    fn price(&mut self, segs: &[(usize, usize)]) -> Option<Vec<f64>> {
+        if segs.is_empty() {
+            return Some(Vec::new());
         }
         self.ensure_objects();
-        let shares = self.shares(n);
+        let shares = self.shares(segs.len());
         let score = ScoreContext::new(self.cube(), self.diff_metric);
-        let objects = self.object_tops.as_deref().unwrap_or_default();
+        let objects = self.object_tops.as_deref().map_or(&[][..], Vec::as_slice);
         let metric = self.metric;
-        region(
+        let costs = region(
             &self.parallel,
             &mut self.slots[..shares],
             &mut self.par_segmentation,
-            n,
-            |slot, i| slot.cost(&score, objects, metric, seg(i)),
-        )
+            segs.len(),
+            |slot, i| slot.cost(&score, objects, metric, segs[i]),
+        );
+        if costs.len() < segs.len() {
+            return None;
+        }
+        let key = self.cost_key();
+        self.with_tables(|tables| {
+            tables.put_costs(key, segs.iter().copied().zip(costs.iter().copied()))
+        });
+        self.memo_misses += segs.len() as u64;
+        Some(costs)
     }
 
     /// Computes the DP cost matrix over the candidate cut `positions`
@@ -394,7 +477,7 @@ impl<'a> SegmentationContext<'a> {
     /// `O(n·L)` instead of `O(n²)`.
     ///
     /// Cells the memo holds fill in place; the rest are priced in one
-    /// region, then written to the matrix and the memo.
+    /// region, then written to the matrix and published.
     pub fn compute_costs(
         &mut self,
         positions: &[usize],
@@ -414,36 +497,37 @@ impl<'a> SegmentationContext<'a> {
 
         let mut missing: Vec<(usize, usize)> = Vec::new();
         let mut hits = 0;
-        for pi in 0..n_pos {
-            for pj in pi + 1..n_pos {
-                let (a, b) = (positions[pi], positions[pj]);
-                if max_len_points.is_some_and(|max_len| b - a > max_len) {
-                    break; // spans only grow with pj
-                }
-                if b - a == 1 {
-                    matrix.set(pi, pj, 0.0); // a single object is its own centroid
-                } else if let Some(&cost) = self.memo.get(&(a, b)) {
-                    matrix.set(pi, pj, cost);
-                    hits += 1;
-                } else {
-                    missing.push((pi, pj));
+        let key = self.cost_key();
+        self.with_tables(|tables| {
+            let known = tables.costs(&key);
+            for pi in 0..n_pos {
+                for pj in pi + 1..n_pos {
+                    let (a, b) = (positions[pi], positions[pj]);
+                    if max_len_points.is_some_and(|max_len| b - a > max_len) {
+                        break; // spans only grow with pj
+                    }
+                    if b - a == 1 {
+                        matrix.set(pi, pj, 0.0); // a single object is its own centroid
+                    } else if let Some(&cost) = known.and_then(|costs| costs.get(&cell(a, b))) {
+                        matrix.set(pi, pj, cost);
+                        hits += 1;
+                    } else {
+                        missing.push((pi, pj));
+                    }
                 }
             }
-        }
-        self.record_hits(hits);
-        let costs = self.price(missing.len(), |i| {
-            let (pi, pj) = missing[i];
-            (positions[pi], positions[pj])
         });
+        self.record_hits(hits);
+        let segs: Vec<(usize, usize)> = missing
+            .iter()
+            .map(|&(pi, pj)| (positions[pi], positions[pj]))
+            .collect();
         // A cancelled region leaves the matrix partial; the caller discards it.
-        if costs.len() < missing.len() {
-            return matrix;
+        if let Some(costs) = self.price(&segs) {
+            for (&(pi, pj), cost) in missing.iter().zip(costs) {
+                matrix.set(pi, pj, cost);
+            }
         }
-        for (&(pi, pj), cost) in missing.iter().zip(costs) {
-            matrix.set(pi, pj, cost);
-            self.memo.insert((positions[pi], positions[pj]), cost);
-        }
-        self.memo_misses += missing.len() as u64;
         matrix
     }
 
@@ -458,16 +542,14 @@ impl<'a> SegmentationContext<'a> {
         if seg.1 - seg.0 == 1 {
             return 0.0; // a single object is its own centroid
         }
-        if let Some(&cost) = self.memo.get(&seg) {
+        self.ensure_objects();
+        let key = self.cost_key();
+        if let Some(cost) = self.with_tables(|tables| tables.cost(&key, seg)) {
             self.record_hits(1);
             return cost;
         }
-        match self.price(1, |_| seg)[..] {
-            [cost] => {
-                self.memo.insert(seg, cost);
-                self.memo_misses += 1;
-                cost
-            }
+        match self.price(&[seg]).as_deref() {
+            Some(&[cost]) => cost,
             // Cancelled: nothing is cached or counted, and the request errors.
             _ => 0.0,
         }
@@ -490,51 +572,64 @@ impl<'a> SegmentationContext<'a> {
     ///
     /// Each *unique* segment the memo lacks is priced exactly once, in one
     /// region — nested auto-K proposals share most of their segments. The
-    /// per-scheme sums then read the memo in input order, so the summation
+    /// per-scheme sums then fold the costs in input order, so the summation
     /// order (and hence every f64 bit) matches per-scheme scoring. A
     /// cancelled sweep returns an empty vector.
     pub fn objective_batch(&mut self, schemes: &[Segmentation]) -> Vec<f64> {
-        // The unique segments the memo cannot answer yet, in first-seen
-        // order (deterministic share boundaries).
-        let mut pending: Vec<(usize, usize)> = Vec::new();
-        let mut pending_set: HashSet<(usize, usize)> = HashSet::new();
+        // The unique multi-object segments in first-seen order
+        // (deterministic share boundaries), and each one's slot.
+        let mut unique: Vec<(usize, usize)> = Vec::new();
+        let mut slot_of: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut occurrences = 0u64;
         for scheme in schemes {
             for seg in scheme.segments() {
-                if seg.1 - seg.0 > 1 && !self.memo.contains_key(&seg) && pending_set.insert(seg) {
-                    pending.push(seg);
+                if seg.1 - seg.0 > 1 {
+                    occurrences += 1;
+                    slot_of.entry(seg).or_insert_with(|| {
+                        unique.push(seg);
+                        unique.len() - 1
+                    });
                 }
             }
         }
-        let costs = self.price(pending.len(), |i| pending[i]);
-        if costs.len() < pending.len() {
-            return Vec::new(); // cancelled: the segmenter surfaces a typed error
+        if !unique.is_empty() {
+            self.ensure_objects();
         }
-        for (&seg, cost) in pending.iter().zip(costs) {
-            self.memo.insert(seg, cost);
-        }
-        self.memo_misses += pending.len() as u64;
-        // Each scheme's sum folds its segment costs in segment order. The
-        // first occurrence of a segment priced above was already charged as
-        // a miss; every other occurrence is a memo hit.
-        let mut charged = pending_set;
-        let mut out = Vec::with_capacity(schemes.len());
-        for scheme in schemes {
-            let mut sum = 0.0;
-            for seg in scheme.segments() {
-                let cost = if seg.1 - seg.0 == 1 {
-                    0.0
-                } else {
-                    let cost = self.memo[&seg];
-                    if !charged.remove(&seg) {
-                        self.record_hits(1);
-                    }
-                    cost
-                };
-                sum += cost;
+        let key = self.cost_key();
+        let mut costs = vec![0.0; unique.len()];
+        let mut pending: Vec<usize> = Vec::new();
+        self.with_tables(|tables| {
+            let known = tables.costs(&key);
+            for (i, &(a, b)) in unique.iter().enumerate() {
+                match known.and_then(|costs| costs.get(&cell(a, b))) {
+                    Some(&cost) => costs[i] = cost,
+                    None => pending.push(i),
+                }
             }
-            out.push(sum);
+        });
+        let segs: Vec<(usize, usize)> = pending.iter().map(|&i| unique[i]).collect();
+        let Some(priced) = self.price(&segs) else {
+            return Vec::new(); // cancelled: the segmenter surfaces a typed error
+        };
+        for (&i, cost) in pending.iter().zip(priced) {
+            costs[i] = cost;
         }
-        out
+        // Every occurrence but the first of each segment priced above is a
+        // memo hit.
+        self.record_hits(occurrences - segs.len() as u64);
+        schemes
+            .iter()
+            .map(|scheme| {
+                let mut sum = 0.0;
+                for seg in scheme.segments() {
+                    sum += match slot_of.get(&seg) {
+                        Some(&i) => costs[i],
+                        None => 0.0, // a single object is its own centroid
+                    };
+                }
+                sum
+            })
+            .collect()
     }
 }
 
@@ -800,10 +895,13 @@ mod tests {
         assert!(with_memo.memo_hits() > 0);
         // Re-pricing a segment from the sweep is a pure hit.
         let before = with_memo.ca_derivations();
-        let direct = with_memo.segment_cost(schemes[1].segments()[0]);
+        let seg = schemes[1].segments()[0];
+        let direct = with_memo.segment_cost(seg);
         assert_eq!(
             direct.to_bits(),
-            with_memo.memo[&schemes[1].segments()[0]].to_bits()
+            context(&cube, VarianceMetric::Tse)
+                .segment_cost(seg)
+                .to_bits()
         );
         assert_eq!(with_memo.ca_derivations(), before);
     }
@@ -858,6 +956,120 @@ mod tests {
         assert_eq!(ctx.ca_derivations(), derivations);
         assert_eq!(ctx.memo_misses(), misses);
         assert_eq!(ctx.memo_hits(), 2);
+    }
+
+    fn assert_same_costs(a: &CostMatrix, b: &CostMatrix) {
+        assert_eq!(a.n_pos(), b.n_pos());
+        for i in 0..a.n_pos() {
+            for j in i + 1..a.n_pos() {
+                assert_eq!(a.get(i, j).to_bits(), b.get(i, j).to_bits(), "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_memo_serves_later_contexts_at_its_watermark_only() {
+        let cube = wide_cube();
+        let positions: Vec<usize> = (0..cube.n_points()).collect();
+        let memo = Arc::new(SegmentMemo::default());
+        memo.advance(&cube, 1, 0);
+        let mut first = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo), 1);
+        let reference = first.compute_costs(&positions, None);
+        assert!(memo.bytes() > 0);
+
+        // A later context derives nothing the first one priced, and counts
+        // what a cold context counts.
+        let mut second = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo), 1);
+        assert_same_costs(&second.compute_costs(&positions, None), &reference);
+        assert_eq!(second.ca_calls(), first.ca_calls());
+        assert_eq!(second.ca_derivations(), 0);
+        assert_eq!(second.memo_misses(), 0);
+        assert_eq!(
+            second.ca_calls() - second.memo_hits(),
+            second.ca_derivations()
+        );
+
+        // Another list size is another key: nothing is shared.
+        let mut other_m = SegmentationContext::new(
+            &cube,
+            DiffMetric::AbsoluteChange,
+            1,
+            TopExplStrategy::Exact,
+            VarianceMetric::Tse,
+        )
+        .with_memo(Arc::clone(&memo), 1);
+        let _ = other_m.compute_costs(&positions, None);
+        assert_eq!(other_m.memo_hits(), 0);
+
+        // A context over rows at another watermark detaches: it reads
+        // nothing from the memo and publishes nothing to it.
+        let entries = memo.entries();
+        let mut stale = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo), 2);
+        assert_same_costs(&stale.compute_costs(&positions, None), &reference);
+        assert_eq!(stale.ca_derivations(), first.ca_derivations());
+        assert_eq!(memo.entries(), entries);
+    }
+
+    /// The wide fixture's rows for `t` in `range`, as a relation.
+    fn wide_rows(range: std::ops::Range<i64>) -> Relation {
+        let schema = Schema::new(vec![
+            Field::dimension("d"),
+            Field::dimension("state"),
+            Field::measure("v"),
+        ])
+        .unwrap();
+        let mut b = Relation::builder(schema);
+        for t in range {
+            let ny = if t < 20 { 3.0 * t as f64 } else { 60.0 };
+            let ca = 4.0 + 5.0 * (t - 20).max(0) as f64;
+            for (s, v) in [("NY", ny), ("CA", ca)] {
+                b.push_row(vec![Datum::Attr(t.into()), Datum::from(s), Datum::from(v)])
+                    .unwrap();
+            }
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn advancing_keeps_exactly_the_entries_an_append_left_alone() {
+        use tsexplain_cube::IncrementalCube;
+        let config = CubeConfig::new(["state"]);
+        let mut inc =
+            IncrementalCube::from_relation(&wide_rows(0..30), &AggQuery::sum("d", "v"), &config)
+                .unwrap();
+        let before = inc.snapshot().unwrap();
+        let memo = Arc::new(SegmentMemo::default());
+        memo.advance(&before, 1, 0);
+        let all = |cube: &ExplanationCube| (0..cube.n_points()).collect::<Vec<_>>();
+        let _ = context(&before, VarianceMetric::Tse)
+            .with_memo(Arc::clone(&memo), 1)
+            .compute_costs(&all(&before), None);
+
+        // A late report on day 29, then day 30: rows 29 and 30 change.
+        let attr = |s: &str| tsexplain_relation::AttrValue::from(s);
+        inc.append_batch(&[
+            (29.into(), vec![attr("CA")], 1.0),
+            (30.into(), vec![attr("NY")], 60.0),
+            (30.into(), vec![attr("CA")], 160.0),
+        ])
+        .unwrap();
+        let after = inc.snapshot().unwrap();
+        memo.advance(&after, 2, 29);
+        let mut warm = context(&after, VarianceMetric::Tse).with_memo(Arc::clone(&memo), 2);
+        let mut cold = context(&after, VarianceMetric::Tse);
+        let warm_costs = warm.compute_costs(&all(&after), None);
+        assert_same_costs(&warm_costs, &cold.compute_costs(&all(&after), None));
+        assert_eq!(warm.ca_calls(), cold.ca_calls());
+        // Re-derived: units 28 and 29, and the 28 + 29 costs ending at
+        // rows 29 and 30.
+        assert_eq!(warm.ca_derivations(), 2 + 28 + 29);
+
+        // A new candidate changes the shape: every entry goes.
+        inc.append_batch(&[(31.into(), vec![attr("TX")], 5.0)])
+            .unwrap();
+        let reshaped = inc.snapshot().unwrap();
+        memo.advance(&reshaped, 3, usize::MAX);
+        assert_eq!(memo.entries(), 0);
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   (Eq. 9), `allpair` (Eq. 10) and their squared `S*` variants.
 //! * [`SegmentationContext`] — object top-explanation caching, segment
 //!   cost computation (`|P| · var(P)`), and objective scoring.
+//! * [`SegmentMemo`] — unit lists and segment costs shared by every
+//!   request over one cube, kept across tail appends for the entries whose
+//!   rows did not change.
 //! * [`k_segmentation`] — the dynamic program of Eq. 11, producing optimal
 //!   schemes for every `K` up to a cap in one pass (which is what makes the
 //!   elbow method free, §6).
@@ -34,6 +37,7 @@ mod cost;
 mod dp;
 mod elbow;
 mod error;
+mod memo;
 mod ndcg;
 mod scheme;
 mod segmenter;
@@ -46,6 +50,7 @@ pub use cost::CostMatrix;
 pub use dp::{k_segmentation, k_segmentation_with, DpResult};
 pub use elbow::elbow_k;
 pub use error::SegmentError;
+pub use memo::SegmentMemo;
 pub use ndcg::{ndcg, ExplainedSegment};
 pub use scheme::Segmentation;
 pub use segmenter::{

@@ -144,11 +144,12 @@ static PARALLEL: &[Metric<ServerShared>] = rows! {
         Counter("parallel_explains", |s| load(&s.metrics.parallel_explains)),
 };
 
-/// `server.memo`: the per-request segment-cost memo.
+/// `server.memo`: the segment memo each cached cube keeps for every
+/// request over it.
 static MEMO: &[Metric<ServerShared>] = rows! {
-    /// Segment-cost memo hits across answered explains.
+    /// Segment costs and unit-object top-m lists served from the cube's segment memo across answered explains.
     tsx_memo_hits_total: Counter("hits", |s| load(&s.metrics.memo_hits)),
-    /// Segment-cost memo misses across answered explains.
+    /// Segment costs computed and published to the cube's segment memo across answered explains.
     tsx_memo_misses_total: Counter("misses", |s| load(&s.metrics.memo_misses)),
 };
 

@@ -147,8 +147,9 @@ pub struct ServerMetrics {
     pub(crate) explain_nanos: AtomicU64,
     pub(crate) parallel_nanos: AtomicU64,
     pub(crate) parallel_explains: AtomicU64,
-    /// Repeat pricings (and, under centroid metrics, top-m derivations)
-    /// the per-request memo served instead of recomputing.
+    /// Segment costs and unit-object lists (each, under centroid metrics,
+    /// an avoided top-m derivation) the cube's segment memo served
+    /// instead of recomputing.
     pub(crate) memo_hits: AtomicU64,
     pub(crate) memo_misses: AtomicU64,
     pub(crate) deadline_exceeded: AtomicU64,

@@ -6,17 +6,20 @@
 //! memo traffic (`latency.memo`) — and `ca_calls − memo.hits` is exactly
 //! the number of centroid derivations performed under the default (Tse)
 //! variance metric. This suite pins those counts for the `/compare`-shaped
-//! auto-K fan-out on the liquor workload (Table 6's densest): a change
-//! that quietly reintroduces redundant γ scans fails here, loudly, on any
-//! machine.
+//! auto-K fan-out on the liquor workload (Table 6's densest), and the
+//! work the session's segment memo leaves to a covid explain after a
+//! one-day append: a change that quietly reintroduces redundant γ scans
+//! fails here, loudly, on any machine.
 
 use tsexplain::{
-    ExplainRequest, ExplainResult, ExplainSession, Optimizations, SegmenterSpec, STRATEGIES,
+    AggQuery, AttrValue, Datum, ExplainRequest, ExplainResult, ExplainSession, Optimizations,
+    Relation, SegmenterSpec, STRATEGIES,
 };
-use tsexplain_datagen::liquor;
+use tsexplain_datagen::{covid, liquor};
+use tsexplain_relation::Column;
 
 /// Derivations actually performed: the logical workload minus what the
-/// segment-cost memo served (one avoided derivation per hit under the
+/// segment memo served (one avoided derivation per hit under the
 /// centroid metric the default request uses).
 fn derivations(result: &ExplainResult) -> u64 {
     result.stats.ca_calls - result.latency.memo.hits
@@ -104,4 +107,82 @@ fn memo_counters_reach_the_serving_surface() {
         .map(|r| r.latency.memo.hits)
         .sum();
     assert!(shape_hits > 0);
+}
+
+/// Raw rows (schema order) of a relation.
+fn rows_of(relation: &Relation) -> Vec<Vec<Datum>> {
+    let width = relation.schema().len();
+    let mut rows = vec![Vec::with_capacity(width); relation.n_rows()];
+    for idx in 0..width {
+        match relation.column(idx) {
+            Column::Dimension(col) => {
+                for (row, &code) in col.codes().iter().enumerate() {
+                    rows[row].push(Datum::Attr(col.dict().value(code).clone()));
+                }
+            }
+            Column::Measure(values) => {
+                for (row, &v) in values.iter().enumerate() {
+                    rows[row].push(Datum::Num(v));
+                }
+            }
+        }
+    }
+    rows
+}
+
+/// The first half of covid daily (as served-mixed's private tenants
+/// register it) and the rows of the day after it.
+fn covid_daily_half() -> (Relation, AggQuery, Vec<String>, Vec<Vec<Datum>>) {
+    let workload = covid::generate(0).daily_workload();
+    let rows = rows_of(&workload.relation);
+    let date = |row: &[Datum]| match &row[0] {
+        Datum::Attr(day) => day.clone(),
+        Datum::Num(_) => unreachable!("the date is a dimension"),
+    };
+    let mut days: Vec<AttrValue> = rows.iter().map(|row| date(row)).collect();
+    days.sort();
+    days.dedup();
+    let next = days[days.len() / 2].clone();
+    let mut base = Relation::builder(workload.relation.schema().clone());
+    let mut appended = Vec::new();
+    for row in rows {
+        let day = date(&row);
+        if day < next {
+            base.push_row(row).unwrap();
+        } else if day == next {
+            appended.push(row);
+        }
+    }
+    (base.finish(), workload.query, workload.explain_by, appended)
+}
+
+#[test]
+fn an_explain_after_a_one_day_append_rederives_a_fifth_at_most() {
+    let (relation, query, explain_by, next_day) = covid_daily_half();
+    let request = ExplainRequest::new(explain_by).with_threads(1);
+
+    let mut warm = ExplainSession::new(relation.clone(), query.clone()).unwrap();
+    warm.explain(&request).unwrap();
+    warm.append_rows(next_day.clone()).unwrap();
+    let after = warm.explain(&request).unwrap();
+
+    let mut cold = ExplainSession::new(relation, query).unwrap();
+    cold.append_rows(next_day).unwrap();
+    let fresh = cold.explain(&request).unwrap();
+
+    // The logical workload is what a cold run reports.
+    assert_eq!(after.stats.ca_calls, fresh.stats.ca_calls);
+    assert_eq!(after.segmentation, fresh.segmentation);
+    // Only the segments that read the new day are derived again.
+    assert!(
+        derivations(&after) * 5 <= derivations(&fresh),
+        "warm {} vs cold {} derivations",
+        derivations(&after),
+        derivations(&fresh)
+    );
+    // An identical repeat derives only the chosen segments' descriptions.
+    let repeat = warm.explain(&request).unwrap();
+    assert_eq!(repeat.stats.ca_calls, fresh.stats.ca_calls);
+    assert_eq!(derivations(&repeat), repeat.chosen_k as u64);
+    assert_eq!(repeat.latency.memo.misses, 0);
 }
