@@ -41,20 +41,38 @@ pub fn explain_with(
     fixed_k: Option<usize>,
     smoothing: usize,
 ) -> ExplainResult {
-    let mut request = ExplainRequest::new(workload.explain_by.clone())
+    explain_request(
+        workload,
+        &request_with(workload, optimizations, fixed_k, smoothing),
+    )
+}
+
+/// The workload's request with explicit optimizations / K / smoothing.
+pub fn request_with(
+    workload: &Workload,
+    optimizations: Optimizations,
+    fixed_k: Option<usize>,
+    smoothing: usize,
+) -> ExplainRequest {
+    let request = ExplainRequest::new(workload.explain_by.clone())
         .with_optimizations(optimizations)
         .with_smoothing(smoothing);
-    if let Some(k) = fixed_k {
-        request = request.with_fixed_k(k);
+    match fixed_k {
+        Some(k) => request.with_fixed_k(k),
+        None => request,
     }
-    explain_request(workload, &request)
+}
+
+/// A fresh session over the workload: no cube built yet.
+pub fn session_for(workload: &Workload) -> ExplainSession {
+    ExplainSession::new(workload.relation.clone(), workload.query.clone())
+        .expect("workload registers")
 }
 
 /// Answers one request against a one-shot session over the workload — the
 /// harness's end-to-end entry point (precompute + pipeline per call).
 pub fn explain_request(workload: &Workload, request: &ExplainRequest) -> ExplainResult {
-    ExplainSession::new(workload.relation.clone(), workload.query.clone())
-        .expect("workload registers")
+    session_for(workload)
         .explain(request)
         .expect("workload must be explainable")
 }

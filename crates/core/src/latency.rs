@@ -25,10 +25,10 @@ pub struct ParallelTimings {
 /// cube served its [`tsexplain_segment::SegmentationContext`]. The memo is
 /// kept per cached cube, for every request over it, and survives tail
 /// appends for the entries whose rows did not change (a time-range
-/// request keeps a private one). Like the parallel timings, it never
-/// changes what is computed — reported `ca_calls` stay what a cold,
-/// request-local run reports — so these counters are the observability
-/// channel for the work it saved. Each hit is one avoided pricing or
+/// request reads the memo of its slice's rows). Like the parallel
+/// timings, it never changes what is computed — reported `ca_calls` stay
+/// what a cold, request-local run reports — so these counters are the
+/// observability channel for the work it saved. Each hit is one avoided pricing or
 /// unit-object derivation; under a centroid variance metric each hit also
 /// avoided one top-m derivation, so `ca_calls − hits` is exactly the
 /// derivations performed.

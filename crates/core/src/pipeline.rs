@@ -36,13 +36,13 @@ use crate::result::{ExplainResult, ExplanationItem, PipelineStats, SegmentExplan
 /// hook: previous cut points plus the newly arrived points. Shape-only
 /// strategies segment the full-resolution aggregate regardless.
 ///
-/// `memo` is the cube's segment memo and the row watermark the cube was
-/// prepared at; without one the pipeline prices into a private memo.
+/// `memo` is the cube's segment memo (a time slice's is its own) and the
+/// row watermark the cube was prepared at.
 pub(crate) fn explain_cube_request(
     cube: &ExplanationCube,
     request: &ExplainRequest,
     forced_positions: Option<Vec<usize>>,
-    memo: Option<(Arc<SegmentMemo>, u64)>,
+    (memo, watermark): (Arc<SegmentMemo>, u64),
 ) -> Result<ExplainResult, TsExplainError> {
     let n = cube.n_points();
     if n < 2 {
@@ -71,10 +71,8 @@ pub(crate) fn explain_cube_request(
         strategy,
         request.variance_metric(),
     )
-    .with_parallel(parallel.clone());
-    if let Some((memo, watermark)) = memo {
-        ctx = ctx.with_memo(memo, watermark);
-    }
+    .with_parallel(parallel.clone())
+    .with_memo(memo, watermark);
 
     let spec = request.segmenter();
     let positions: Vec<usize> = match forced_positions {

@@ -20,16 +20,21 @@
 //! ([`tsexplain_segment::SegmentMemo`]): the unit-object top-m lists and
 //! segment costs every request over the cube derived, keyed by the knobs
 //! that shape them. Later requests read what earlier ones derived, so a
-//! follow-up over an unchanged cube re-derives almost nothing. The memo
-//! counts in [`ExplainSession::cache_bytes`] and goes with its entry
-//! (eviction, [`ExplainSession::invalidate`], restated history).
+//! follow-up over an unchanged cube re-derives almost nothing. A
+//! time-range request is a slice cut from the cached cube; the window
+//! keeps a second memo for the slice asked last, keyed by its resolved
+//! rows, so an identical windowed follow-up re-derives almost nothing
+//! too, and asking another range replaces it. The memos count in
+//! [`ExplainSession::cache_bytes`] and go with their entry (eviction,
+//! [`ExplainSession::invalidate`], restated history).
 //!
 //! Appending rows ([`ExplainSession::append_rows`]) extends every cached
 //! cube *incrementally at the tail* (`O(new rows)`) and records only the
-//! lowest row it touched. The next finalization of a window's snapshot
-//! keeps the memo entries that read no touched row (for a smoothed
-//! window, no row a touched row's window reaches) and drops the rest, or
-//! empties the memo when the cube's candidates or selectability changed.
+//! lowest row it touched. The next request over the full horizon (or over
+//! the slice's rows) keeps the memo entries that read no touched row (for
+//! a smoothed window, no row a touched row's window reaches) and drops
+//! the rest, or empties the memo when the cube's candidates or
+//! selectability changed.
 //! Restated history (rows at already-settled timestamps) falls back to a
 //! transparent full rebuild. [`ExplainSession::refresh`] is the paper's §8
 //! real-time extension on top: it re-cuts the settled past only at the
@@ -93,9 +98,10 @@ pub struct SessionStats {
 /// kept per window. Snapshots are dropped when rows arrive and lazily
 /// re-finalized on the next request.
 ///
-/// Beside each window's snapshot lives its segment memo, which outlives
+/// Beside each window's snapshot live its segment memos, which outlive
 /// the snapshot: an append only records the lowest row it touched, and
-/// the next finalization drops the entries that read it.
+/// the next request over the full horizon, or over the slice asked last,
+/// drops the entries of that memo that read it.
 #[derive(Debug)]
 struct CacheEntry {
     inc: IncrementalCube,
@@ -111,12 +117,59 @@ struct CacheEntry {
     cube_bytes: usize,
 }
 
-/// One smoothing window's segment memo.
-#[derive(Debug)]
+/// One smoothing window's segment memos: the full horizon's, and the
+/// time slice's asked last, keyed by its resolved rows `(lo, hi)`.
+#[derive(Debug, Default)]
 struct WindowMemo {
+    full: RowMemo,
+    slice: Option<((usize, usize), RowMemo)>,
+}
+
+impl WindowMemo {
+    fn bytes(&self) -> usize {
+        self.full.memo.bytes() + self.slice.as_ref().map_or(0, |(_, s)| s.memo.bytes())
+    }
+}
+
+/// A segment memo and the lowest (raw) row an append touched since the
+/// memo's watermark.
+#[derive(Debug)]
+struct RowMemo {
     memo: Arc<SegmentMemo>,
-    /// The lowest (raw) row an append touched since the memo's watermark.
     touched: Option<usize>,
+}
+
+impl Default for RowMemo {
+    /// A new memo has seen no row yet.
+    fn default() -> Self {
+        RowMemo {
+            memo: Arc::default(),
+            touched: Some(0),
+        }
+    }
+}
+
+impl RowMemo {
+    /// Moves the memo to `watermark` if an append touched a row since it
+    /// was last moved. `cube` holds the window's smoothed rows from `lo`
+    /// on, so the reach of the touched row is shifted into its rows.
+    fn catch_up(
+        &mut self,
+        cube: &ExplanationCube,
+        smoothing: usize,
+        lo: usize,
+        watermark: u64,
+    ) -> Arc<SegmentMemo> {
+        if let Some(row) = self.touched.take() {
+            let reach = smoothed_reach(row, smoothing).saturating_sub(lo);
+            self.memo.advance(cube, watermark, reach);
+        }
+        Arc::clone(&self.memo)
+    }
+
+    fn touch(&mut self, row: usize) {
+        self.touched = Some(self.touched.map_or(row, |seen| seen.min(row)));
+    }
 }
 
 impl CacheEntry {
@@ -142,37 +195,58 @@ impl CacheEntry {
         if let (Some(snapshot), Some(window)) =
             (self.snapshots.get(&smoothing), self.memos.get(&smoothing))
         {
-            return Ok((Arc::clone(snapshot), Arc::clone(&window.memo), true));
+            return Ok((Arc::clone(snapshot), Arc::clone(&window.full.memo), true));
         }
         let cube = Arc::new(self.inc.snapshot_smoothed(smoothing)?);
-        // A new memo has seen no row yet.
-        let window = self.memos.entry(smoothing).or_insert_with(|| WindowMemo {
-            memo: Arc::default(),
-            touched: Some(0),
-        });
-        if let Some(row) = window.touched.take() {
-            window
-                .memo
-                .advance(&cube, watermark, smoothed_reach(row, smoothing));
-        }
-        let memo = Arc::clone(&window.memo);
+        let memo = self
+            .memos
+            .entry(smoothing)
+            .or_default()
+            .full
+            .catch_up(&cube, smoothing, 0, watermark);
         self.snapshots.insert(smoothing, Arc::clone(&cube));
         self.recount_bytes();
         Ok((cube, memo, false))
     }
 
-    /// Records that an append touched rows from `row` on: O(1) per window,
+    /// Cuts rows `lo..=hi` out of `cube`, the `smoothing` snapshot at
+    /// `watermark`, and returns the slice with its segment memo. The
+    /// window keeps one slice memo, the last-asked rows': it is moved to
+    /// `watermark` while the same rows are asked, and replaced when other
+    /// rows are.
+    fn slice(
+        &mut self,
+        cube: &ExplanationCube,
+        smoothing: usize,
+        (lo, hi): (usize, usize),
+        filter_ratio: Option<f64>,
+        watermark: u64,
+    ) -> Result<(Arc<ExplanationCube>, Arc<SegmentMemo>), CubeError> {
+        let slice = Arc::new(cube.slice_time(lo, hi, filter_ratio)?);
+        let window = self.memos.entry(smoothing).or_default();
+        let memo = match &mut window.slice {
+            Some((rows, memo)) if *rows == (lo, hi) => memo,
+            other => &mut other.insert(((lo, hi), RowMemo::default())).1,
+        };
+        let memo = memo.catch_up(&slice, smoothing, lo, watermark);
+        Ok((slice, memo))
+    }
+
+    /// Records that an append touched rows from `row` on: O(1) per memo,
     /// whatever the memos hold.
     fn touch(&mut self, row: usize) {
         for window in self.memos.values_mut() {
-            window.touched = Some(window.touched.map_or(row, |seen| seen.min(row)));
+            window.full.touch(row);
+            if let Some((_, slice)) = &mut window.slice {
+                slice.touch(row);
+            }
         }
     }
 
     /// Approximate bytes held, the memos read as they stand (the pipelines
     /// grow them outside the session lock).
     fn bytes(&self) -> usize {
-        self.cube_bytes + self.memos.values().map(|w| w.memo.bytes()).sum::<usize>()
+        self.cube_bytes + self.memos.values().map(WindowMemo::bytes).sum::<usize>()
     }
 
     /// Recomputes the cube byte estimate after a structural change
@@ -475,15 +549,32 @@ impl ExplainSession {
             .map_err(TsExplainError::InvalidRequest)?;
 
         let acquire_start = Instant::now();
-        let (cube, memo, from_cache) = self.acquire_cube(request)?;
-        // A time slice is another cube: its pipeline keeps a private memo.
+        let (key, cube, memo, from_cache) = self.acquire_cube(request)?;
+        let watermark = self.total_rows() as u64;
         let (cube, memo) = match request.time_range() {
-            None => (cube, Some((memo, self.total_rows() as u64))),
-            Some((start, end)) => (Arc::new(self.slice_cube(&cube, request, start, end)?), None),
+            None => (cube, memo),
+            Some((start, end)) => {
+                let rows = slice_rows(cube.timestamps(), start, end).ok_or_else(|| {
+                    TsExplainError::InvalidRequest(InvalidRequest::EmptyTimeRange {
+                        start: start.to_string(),
+                        end: end.to_string(),
+                    })
+                })?;
+                self.cubes
+                    .get_mut(&key)
+                    .expect("the serving entry is never evicted")
+                    .slice(
+                        &cube,
+                        request.smoothing_window().max(1),
+                        rows,
+                        request.optimizations().filter_ratio,
+                        watermark,
+                    )?
+            }
         };
         Ok(PreparedCube {
             cube,
-            memo,
+            memo: (memo, watermark),
             from_cache,
             precompute: acquire_start.elapsed(),
         })
@@ -690,13 +781,14 @@ impl ExplainSession {
         Ok(())
     }
 
-    /// Returns the prepared cube for `request` and its segment memo,
-    /// building (and caching) the cube on a miss. The `bool` is true when
-    /// the request was answered from an up-to-date cached snapshot.
+    /// Returns the cache key of `request`'s cube, the cube over the full
+    /// horizon and its segment memo, building (and caching) the cube on a
+    /// miss. The `bool` is true when the request was answered from an
+    /// up-to-date cached snapshot.
     fn acquire_cube(
         &mut self,
         request: &ExplainRequest,
-    ) -> Result<(Arc<ExplanationCube>, Arc<SegmentMemo>, bool), TsExplainError> {
+    ) -> Result<(CubeCacheKey, Arc<ExplanationCube>, Arc<SegmentMemo>, bool), TsExplainError> {
         let _span = tsexplain_obs::trace::span("cube_acquire");
         let mut cube_config = CubeConfig::new(request.explain_by().iter().cloned())
             .with_max_order(request.max_order());
@@ -715,7 +807,7 @@ impl ExplainSession {
                 self.stats.cube_refreshes += 1;
             }
             self.enforce_budget(Some(&key));
-            return Ok((cube, memo, was_ready));
+            return Ok((key, cube, memo, was_ready));
         }
 
         // Cache miss. With a spill tier attached, a previously demoted
@@ -737,7 +829,7 @@ impl ExplainSession {
                         let (cube, memo, _) = entry.snapshot(smoothing, watermark)?;
                         self.cubes.insert(key.clone(), entry);
                         self.enforce_budget(Some(&key));
-                        return Ok((cube, memo, false));
+                        return Ok((key, cube, memo, false));
                     }
                     _ => spill.discard(key.fingerprint()),
                 }
@@ -783,39 +875,24 @@ impl ExplainSession {
         let (cube, memo, _) = entry.snapshot(smoothing, watermark)?;
         self.cubes.insert(key.clone(), entry);
         self.enforce_budget(Some(&key));
-        Ok((cube, memo, false))
+        Ok((key, cube, memo, false))
     }
+}
 
-    /// Resolves a time-range restriction against the cube's axis and
-    /// slices it.
-    fn slice_cube(
-        &self,
-        cube: &ExplanationCube,
-        request: &ExplainRequest,
-        start: &AttrValue,
-        end: &AttrValue,
-    ) -> Result<ExplanationCube, TsExplainError> {
-        let empty = || {
-            TsExplainError::InvalidRequest(InvalidRequest::EmptyTimeRange {
-                start: start.to_string(),
-                end: end.to_string(),
-            })
-        };
-        if start > end {
-            return Err(empty());
-        }
-        let timestamps = cube.timestamps();
-        let lo = timestamps.partition_point(|t| t < start);
-        let hi = timestamps.partition_point(|t| t <= end);
-        if hi <= lo + 1 {
-            return Err(empty());
-        }
-        cube.slice_time(lo, hi - 1, request.optimizations().filter_ratio)
-            .map_err(|e| match e {
-                CubeError::InvalidTimeSlice { .. } => empty(),
-                other => other.into(),
-            })
+/// Resolves the time range `start..=end` against a cube's `timestamps`:
+/// the rows `(lo, hi)` it spans, a valid slice, or `None` when it spans
+/// fewer than two.
+fn slice_rows(
+    timestamps: &[AttrValue],
+    start: &AttrValue,
+    end: &AttrValue,
+) -> Option<(usize, usize)> {
+    if start > end {
+        return None;
     }
+    let lo = timestamps.partition_point(|t| t < start);
+    let hi = timestamps.partition_point(|t| t <= end);
+    (hi > lo + 1).then(|| (lo, hi - 1))
 }
 
 /// A request's prepared cube, detached from its session (see
@@ -829,18 +906,21 @@ impl ExplainSession {
 /// pipeline work. The strategies of a fan-out share the memo, so what one
 /// prices the others read.
 ///
+/// For a time-range request the cube is the slice and the memo is the
+/// cache entry's memo for the slice's rows, so an identical windowed
+/// follow-up re-derives almost nothing too.
+///
 /// The handle remembers the row watermark it was prepared at. If rows
-/// arrive and a later request re-finalizes the cube before this handle's
+/// arrive and a later request moves the memo on before this handle's
 /// pipeline runs, the pipeline detaches to a private memo: it answers over
 /// the rows it saw and never reads or writes an entry of newer rows.
 #[derive(Clone, Debug)]
 pub struct PreparedCube {
     cube: Arc<ExplanationCube>,
-    /// The segment memo of the cube's cache entry and the session's row
-    /// watermark when the cube was prepared: the pipeline uses the memo
-    /// only while the memo is at that watermark. `None` for a time slice,
-    /// whose pipeline keeps a private memo.
-    memo: Option<(Arc<SegmentMemo>, u64)>,
+    /// The segment memo of the cube (the full horizon's or the slice's)
+    /// and the session's row watermark when the cube was prepared: the
+    /// pipeline uses the memo only while the memo is at that watermark.
+    memo: (Arc<SegmentMemo>, u64),
     from_cache: bool,
     precompute: Duration,
 }
@@ -1394,7 +1474,7 @@ mod tests {
         assert!(store >= 3 * 8 * 21 * owned.n_candidates(), "{store} bytes");
         assert!(inc.approx_bytes() > store);
         // Each window's segment memo counts beside its snapshot.
-        let memos = entry.memos[&1].memo.bytes() + entry.memos[&7].memo.bytes();
+        let memos = entry.memos[&1].bytes() + entry.memos[&7].bytes();
         assert!(memos > 0);
         assert_eq!(
             s.cache_bytes(),
@@ -1693,6 +1773,117 @@ mod tests {
         assert_eq!(derived(&warm), warm.chosen_k as u64);
         assert!(derived(&cold) > derived(&warm));
         assert_eq!(warm.latency.memo.misses, 0);
+    }
+
+    /// The slice twin of
+    /// `a_warm_memo_serves_the_next_request_and_keeps_the_counter_identity`:
+    /// an identical windowed repeat over an unchanged cube is served from
+    /// the slice memo.
+    #[test]
+    fn a_repeated_window_is_served_from_its_slice_memo() {
+        let request = base_request().with_time_range(4i64, 16i64);
+        let mut s = session();
+        let cold = s.explain(&request).unwrap();
+        let warm = s.explain(&request).unwrap();
+        assert_eq!(canonical(&warm), canonical(&cold));
+        assert_eq!(warm.stats.ca_calls, cold.stats.ca_calls);
+        let derived = |r: &ExplainResult| r.stats.ca_calls - r.latency.memo.hits;
+        assert!(cold.latency.memo.misses > 0);
+        assert_eq!(warm.latency.memo.misses, 0);
+        assert_eq!(derived(&warm), warm.chosen_k as u64);
+        assert!(derived(&cold) > derived(&warm));
+    }
+
+    /// After an append, a slice memo keeps every entry that reads no
+    /// touched row: a window wholly before the new day prices nothing, and
+    /// one that ends at the horizon re-prices only the cells that end
+    /// there.
+    #[test]
+    fn an_append_leaves_a_slice_memo_the_rows_it_did_not_touch() {
+        let derived = |r: &ExplainResult| r.stats.ca_calls - r.latency.memo.hits;
+        // A new day after a window of the settled past.
+        let past = base_request().with_time_range(2i64, 12i64);
+        let mut s = session_over(0..21);
+        s.explain(&past).unwrap();
+        s.append_rows(rows_for(21..22)).unwrap();
+        let after = s.explain(&past).unwrap();
+        let fresh = session_over(0..22).explain(&past).unwrap();
+        assert_eq!(canonical(&after), canonical(&fresh));
+        assert_eq!(after.latency.memo.misses, 0);
+        assert_eq!(derived(&after), after.chosen_k as u64);
+        // A late report on the horizon day of a window that ends there:
+        // of the 45 cells of the cost matrix over its 11 points (a unit
+        // segment costs nothing), only the 9 that end at its last point
+        // read the touched row.
+        let recent = base_request().with_time_range(10i64, 20i64);
+        let late = vec![vec![Datum::Attr(20i64.into()), "CA".into(), 500.0.into()]];
+        let mut s = session_over(0..21);
+        let before = s.explain(&recent).unwrap();
+        s.append_rows(late.clone()).unwrap();
+        let after = s.explain(&recent).unwrap();
+        let mut cold = session_over(0..21);
+        cold.append_rows(late).unwrap();
+        let fresh = cold.explain(&recent).unwrap();
+        assert_eq!(canonical(&after), canonical(&fresh));
+        assert_ne!(canonical(&after), canonical(&before));
+        assert_eq!(fresh.latency.memo.misses, 45);
+        assert_eq!(after.latency.memo.misses, 9);
+        assert!(derived(&after) < derived(&fresh));
+    }
+
+    /// A window keeps one slice memo, the last-asked range's: asking
+    /// another range replaces it, and `cache_bytes` counts only that one.
+    #[test]
+    fn asking_another_range_replaces_the_slice_memo() {
+        let first = base_request().with_time_range(0i64, 12i64);
+        let second = base_request().with_time_range(8i64, 20i64);
+        let mut s = session();
+        s.explain(&first).unwrap();
+        s.explain(&second).unwrap();
+        let entry = only_entry(&s);
+        let window = &entry.memos[&1];
+        let (rows, slice) = window.slice.as_ref().unwrap();
+        assert_eq!(*rows, (8, 20));
+        assert!(slice.memo.bytes() > 0);
+        assert_eq!(
+            s.cache_bytes(),
+            entry.cube_bytes + window.full.memo.bytes() + slice.memo.bytes()
+        );
+        // The first range's entries went with its memo.
+        assert!(s.explain(&first).unwrap().latency.memo.misses > 0);
+    }
+
+    /// The slice twin of `a_prepared_pipeline_never_crosses_an_append`: a
+    /// windowed pipeline prepared before an append answers over the rows
+    /// it saw, whether a newer request over the same rows has already
+    /// moved the slice memo on or not.
+    #[test]
+    fn a_prepared_slice_never_crosses_an_append() {
+        let late = vec![vec![Datum::Attr(11i64.into()), "CA".into(), 500.0.into()]];
+        let tail = [late, rows_for(12..13)];
+        let request = base_request().with_threads(1).with_time_range(2i64, 11i64);
+        let cold_before = canonical(&session_over(0..12).explain(&request).unwrap());
+        let cold_after = canonical(&appended_session(&tail).explain(&request).unwrap());
+        assert_ne!(cold_before, cold_after);
+        for explain_first in [true, false] {
+            let mut s = session_over(0..12);
+            // A warm slice memo at the first watermark.
+            s.explain(&request).unwrap();
+            let held = s.prepare(&request).unwrap();
+            for rows in &tail {
+                s.append_rows(rows.clone()).unwrap();
+            }
+            if explain_first {
+                // Moves the slice memo on before `held` runs.
+                assert_eq!(canonical(&s.explain(&request).unwrap()), cold_after);
+                assert_eq!(canonical(&held.explain(&request).unwrap()), cold_before);
+            } else {
+                // `held` runs against the memo the append left behind.
+                assert_eq!(canonical(&held.explain(&request).unwrap()), cold_before);
+                assert_eq!(canonical(&s.explain(&request).unwrap()), cold_after);
+            }
+            assert_eq!(canonical(&s.explain(&request).unwrap()), cold_after);
+        }
     }
 
     #[test]

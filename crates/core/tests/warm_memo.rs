@@ -1,9 +1,12 @@
-//! A session's segment memo outlives each request and survives tail
-//! appends; this pins that it never changes an answer. Random sequences of
-//! appends (new timestamps, partial reports on the horizon day, restated
-//! history) interleave with random requests, and every warm answer must
-//! equal, byte for byte, a cold session's answer over the same rows:
-//! `ca_calls` included, at threads 1, 2 and 8.
+//! A session's segment memos outlive each request and survive tail
+//! appends; this pins that they never change an answer. Random sequences
+//! of appends (new timestamps, partial reports on the horizon day,
+//! restated history) interleave with random requests, and every warm
+//! answer must equal, byte for byte, a cold session's answer over the same
+//! rows: `ca_calls` included, at threads 1, 2 and 8. After every step two
+//! fixed windows are asked as well, one in the settled past and one that
+//! ends at the horizon, so each slice memo is asked again across every
+//! kind of append.
 
 use proptest::prelude::*;
 use tsexplain::{
@@ -49,11 +52,8 @@ fn day(t: i64, seed: u64) -> Vec<Vec<Datum>> {
         .collect()
 }
 
-/// A request drawn from `seed`: m, all three difference metrics, a
-/// centroid and an all-pair variance metric, exact or guess-and-verify,
-/// with or without the filter and sketching, fixed or auto K, smoothing
-/// 1/3/7, an optional time range within the `n` points, every strategy
-/// and threads 1/2/8.
+/// A request drawn from `seed`: one or two explain-by attributes, and the
+/// knobs of [`request_by`].
 fn request(seed: u64, n: usize) -> ExplainRequest {
     let mut bits = Bits(seed);
     let explain_by: &[&str] = if bits.pick(2) == 0 {
@@ -61,6 +61,15 @@ fn request(seed: u64, n: usize) -> ExplainRequest {
     } else {
         &["a", "b"]
     };
+    request_by(explain_by, bits, n)
+}
+
+/// A request by `explain_by` drawn from `bits`: m, all three difference
+/// metrics, a centroid and an all-pair variance metric, exact or
+/// guess-and-verify, with or without the filter and sketching, fixed or
+/// auto K, smoothing 1/3/7, an optional time range within the `n` points,
+/// every strategy and threads 1/2/8.
+fn request_by(explain_by: &[&str], mut bits: Bits, n: usize) -> ExplainRequest {
     let diff = [
         DiffMetric::AbsoluteChange,
         DiffMetric::RelativeChange,
@@ -117,6 +126,15 @@ fn session(base: &[Vec<Datum>]) -> ExplainSession {
     ExplainSession::new(builder.finish(), AggQuery::sum("t", "v")).unwrap()
 }
 
+/// A cold session over `base` and then the `appended` batches.
+fn cold_session(base: &[Vec<Datum>], appended: &[Vec<Vec<Datum>>]) -> ExplainSession {
+    let mut cold = session(base);
+    for batch in appended {
+        cold.append_rows(batch.clone()).unwrap();
+    }
+    cold
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -148,21 +166,36 @@ proptest! {
                 _ => {
                     let n = warm.n_points();
                     let request = request(requests[(seed % 3) as usize], n);
-                    let mut cold = session(&base);
-                    for batch in &appended {
-                        cold.append_rows(batch.clone()).unwrap();
-                    }
                     prop_assert_eq!(
                         canonical(warm.explain(&request)),
-                        canonical(cold.explain(&request)),
+                        canonical(cold_session(&base, &appended).explain(&request)),
                         "request {:?} after {} appends",
                         request,
                         appended.len()
                     );
-                    continue;
                 }
             }
-            warm.append_rows(appended.last().unwrap().clone()).unwrap();
+            if kind < 3 {
+                warm.append_rows(appended.last().unwrap().clone()).unwrap();
+            }
+            // The two fixed windows, each on a cube of its own so that
+            // neither replaces the other's slice memo, and each with a
+            // strategy sized for its points.
+            let windows = [
+                request_by(&["a"], Bits(requests[0]), 4).with_time_range(0i64, 3i64),
+                request_by(&["a", "b"], Bits(requests[1]), last as usize - 1)
+                    .with_time_range(2i64, last),
+            ];
+            let mut cold = cold_session(&base, &appended);
+            for window in &windows {
+                prop_assert_eq!(
+                    canonical(warm.explain(window)),
+                    canonical(cold.explain(window)),
+                    "window {:?} after {} appends",
+                    window,
+                    appended.len()
+                );
+            }
         }
     }
 }

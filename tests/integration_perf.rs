@@ -7,9 +7,10 @@
 //! the number of centroid derivations performed under the default (Tse)
 //! variance metric. This suite pins those counts for the `/compare`-shaped
 //! auto-K fan-out on the liquor workload (Table 6's densest), and the
-//! work the session's segment memo leaves to a covid explain after a
-//! one-day append: a change that quietly reintroduces redundant γ scans
-//! fails here, loudly, on any machine.
+//! work the session's segment memos leave to a covid explain after a
+//! one-day append and to a repeated half-horizon window: a change that
+//! quietly reintroduces redundant γ scans fails here, loudly, on any
+//! machine.
 
 use tsexplain::{
     AggQuery, AttrValue, Datum, ExplainRequest, ExplainResult, ExplainSession, Optimizations,
@@ -185,4 +186,40 @@ fn an_explain_after_a_one_day_append_rederives_a_fifth_at_most() {
     assert_eq!(repeat.stats.ca_calls, fresh.stats.ca_calls);
     assert_eq!(derivations(&repeat), repeat.chosen_k as u64);
     assert_eq!(repeat.latency.memo.misses, 0);
+}
+
+/// The recent half of covid total's horizon, as serve-mixed's shared
+/// tenant is asked it: a time slice over the cached full cube, with a
+/// memo of its own.
+#[test]
+fn a_repeated_half_horizon_window_derives_only_its_descriptions() {
+    let workload = covid::generate(0).total_workload();
+    let mut days: Vec<AttrValue> = workload
+        .relation
+        .dim_column(workload.query.time_attr())
+        .unwrap()
+        .dict()
+        .values()
+        .to_vec();
+    days.sort();
+    let request = ExplainRequest::new(workload.explain_by)
+        .with_threads(1)
+        .with_time_range(days[days.len() / 2].clone(), days[days.len() - 1].clone());
+
+    let mut session = ExplainSession::new(workload.relation, workload.query).unwrap();
+    let cold = session.explain(&request).unwrap();
+    let warm = session.explain(&request).unwrap();
+
+    assert_eq!(warm.stats.ca_calls, cold.stats.ca_calls);
+    assert_eq!(warm.segmentation, cold.segmentation);
+    // A cold ask derives thousands of lists (observed: 3,405 `ca_calls`,
+    // 3,209 derived); the repeat derives only the chosen segments'
+    // descriptions and prices nothing.
+    assert!(
+        derivations(&cold) > 3_000,
+        "cold {} derivations",
+        derivations(&cold)
+    );
+    assert_eq!(derivations(&warm), warm.chosen_k as u64);
+    assert_eq!(warm.latency.memo.misses, 0);
 }
