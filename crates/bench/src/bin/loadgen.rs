@@ -23,9 +23,10 @@
 //! directly comparable — same answers, different wall-clock.
 //!
 //! `--data-dir` boots the in-process server on the durable storage
-//! engine (WAL + demotion tier), so the summary's demotion/rehydration
-//! counters — and the `store` metrics block — exercise the same code
-//! path a persistent deployment runs.
+//! engine (WAL + checkpoints), so the summary's `store` block exercises
+//! the same code path a persistent deployment runs. `--budget-mb 0`
+//! keeps only the newest cube resident, so the summary's `evictions`
+//! count shows cubes dropped and rebuilt under load.
 //!
 //! `--overload` switches to the admission-control drill: every client
 //! hammers the shared tenant as fast as it can against a deliberately
@@ -374,26 +375,21 @@ fn main() {
     );
     println!(
         "        requests={} cubes_built={} cache_hits={} refreshes={} \
-         evictions={} demotions={} rehydrations={}",
+         evictions={}",
         read(&totals, "requests"),
         read(&totals, "cubes_built"),
         read(&totals, "cube_cache_hits"),
         read(&totals, "cube_refreshes"),
         read(&totals, "cube_evictions"),
-        read(&totals, "cube_demotions"),
-        read(&totals, "cube_rehydrations"),
     );
     let store = metrics.get("store").cloned().unwrap_or(Value::Null);
     if !matches!(store, Value::Null) {
         println!(
-            "store:  wal_appends={} wal_bytes={} snapshots={} recoveries={} \
-             demotions={} rehydrations={}",
+            "store:  wal_appends={} wal_bytes={} snapshots={} recoveries={}",
             read(&store, "wal_appends"),
             read(&store, "wal_bytes"),
             read(&store, "snapshots"),
             read(&store, "recoveries"),
-            read(&store, "demotions"),
-            read(&store, "rehydrations"),
         );
     }
 

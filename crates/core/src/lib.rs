@@ -99,7 +99,6 @@
 #![deny(clippy::print_stdout)]
 mod config;
 mod deadline;
-mod durability;
 mod error;
 mod latency;
 mod pipeline;
@@ -112,7 +111,6 @@ mod session;
 
 pub use config::Optimizations;
 pub use deadline::{CancelToken, Deadline};
-pub use durability::CubeSpill;
 pub use error::TsExplainError;
 pub use latency::{LatencyBreakdown, MemoCounters, ParallelTimings};
 pub use registry::{

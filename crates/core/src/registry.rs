@@ -41,7 +41,6 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGua
 use tsexplain_relation::{AggQuery, Datum, Relation};
 use tsexplain_store::{DataStore, LockRank, Ranked, Recovery, TenantCheckpoint};
 
-use crate::durability::TenantSpill;
 use crate::error::TsExplainError;
 use crate::request::ExplainRequest;
 use crate::result::ExplainResult;
@@ -154,8 +153,7 @@ pub struct SessionRegistry {
     memory_budget: usize,
     /// The durable store, when the process runs with a data directory:
     /// every registration / row batch / deletion is WAL-logged before the
-    /// caller is acknowledged, periodic checkpoints truncate the log, and
-    /// budget evictions demote cubes to it instead of dropping them.
+    /// caller is acknowledged, and periodic checkpoints truncate the log.
     store: Option<Arc<DataStore>>,
     /// Serializes checkpoint cycles (rotate → export → truncate). Two
     /// interleaved cycles could let the older cycle's export overwrite a
@@ -227,7 +225,7 @@ impl SessionRegistry {
     }
 
     /// Reconstructs one recovered tenant's live session (shared clock,
-    /// global budget, spill tier attached).
+    /// global budget).
     fn rebuild_session(
         &self,
         tenant: tsexplain_store::RecoveredTenant,
@@ -239,12 +237,6 @@ impl SessionRegistry {
         let mut session = ExplainSession::new(builder.finish(), tenant.query)?;
         session.set_cache_budget(self.memory_budget);
         session.set_cache_clock(Arc::clone(&self.clock));
-        if let Some(store) = &self.store {
-            session.set_spill(Some(Arc::new(TenantSpill::new(
-                Arc::clone(store),
-                tenant.id,
-            ))));
-        }
         Ok(session)
     }
 
@@ -293,7 +285,6 @@ impl SessionRegistry {
         session.set_cache_clock(Arc::clone(&self.clock));
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         if let Some(store) = &self.store {
-            session.set_spill(Some(Arc::new(TenantSpill::new(Arc::clone(store), id))));
             // Publish the tenant BEFORE logging, holding its session lock
             // across both: a checkpoint cycle that rotates before our WAL
             // record lands then blocks on this lock during its export and
@@ -487,8 +478,6 @@ impl SessionRegistry {
             out.totals.rows_appended += s.rows_appended;
             out.totals.rebuilds += s.rebuilds;
             out.totals.cube_evictions += s.cube_evictions;
-            out.totals.cube_demotions += s.cube_demotions;
-            out.totals.cube_rehydrations += s.cube_rehydrations;
         }
         out
     }
@@ -890,8 +879,8 @@ mod tests {
     }
 
     #[test]
-    fn budget_pressure_demotes_and_rehydrates_bit_identically() {
-        let dir = temp_dir("demote");
+    fn budget_pressure_evicts_and_rebuilds_bit_identically() {
+        let dir = temp_dir("evict");
         // Measure one cube's footprint before any explain fills its segment
         // memo, then run with a budget that can hold only one of the two
         // cubes the test builds.
@@ -909,57 +898,34 @@ mod tests {
             .register(relation(0..21), AggQuery::sum("t", "v"))
             .unwrap();
         registry.explain(id, &request()).unwrap(); // cube A
-        registry.explain(id, &request().with_max_order(1)).unwrap(); // cube B evicts A — demoted, not dropped
-        let stats = registry.stats();
-        assert_eq!(stats.totals.cube_demotions, 1);
-        assert_eq!(stats.totals.cube_evictions, 0, "demotion is not a drop");
-        // Asking for A again decodes the demoted snapshot: no rebuild.
-        let rehydrated = registry.explain(id, &request()).unwrap();
-        let stats = registry.stats();
-        assert_eq!(stats.totals.cube_rehydrations, 1);
-        assert_eq!(stats.totals.cubes_built, 2, "A was not rebuilt");
-        assert_eq!(rehydrated.segmentation, expected.segmentation);
-        assert_eq!(rehydrated.aggregate, expected.aggregate);
-        assert_eq!(rehydrated.total_variance, expected.total_variance);
-        assert_eq!(rehydrated.k_variance_curve, expected.k_variance_curve);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        registry.explain(id, &request().with_max_order(1)).unwrap(); // cube B evicts A
+        assert_eq!(registry.stats().totals.cube_evictions, 1);
+        // Asking for A again rebuilds it from the session's rows.
+        let rebuilt = registry.explain(id, &request()).unwrap();
+        assert_eq!(registry.stats().totals.cubes_built, 3, "A was rebuilt");
+        assert_eq!(rebuilt.segmentation, expected.segmentation);
+        assert_eq!(rebuilt.aggregate, expected.aggregate);
+        assert_eq!(rebuilt.total_variance, expected.total_variance);
+        assert_eq!(rebuilt.k_variance_curve, expected.k_variance_curve);
 
-    #[test]
-    fn stale_demoted_cubes_are_discarded_after_appends() {
-        let dir = temp_dir("stale");
-        let probe = durable_registry(&dir.join("probe"), DEFAULT_REGISTRY_BUDGET);
-        let pid = probe
-            .register(relation(0..12), AggQuery::sum("t", "v"))
-            .unwrap();
-        probe.explain(pid, &request()).unwrap();
-        let one_cube = probe.stats().cache_bytes;
-
-        let registry = durable_registry(&dir.join("live"), one_cube + one_cube / 2);
-        let id = registry
-            .register(relation(0..12), AggQuery::sum("t", "v"))
-            .unwrap();
-        registry.explain(id, &request()).unwrap(); // cube A
-        registry.explain(id, &request().with_max_order(1)).unwrap(); // demotes A at the 24-row watermark
-        assert_eq!(registry.stats().totals.cube_demotions, 1);
-        // New rows make the demoted copy stale; the next miss for A must
-        // rebuild from the session, not resurrect pre-append state.
-        registry.append_rows(id, rows_for(12..21)).unwrap();
+        // Evict A once more, then append: the next miss for A rebuilds
+        // over every row, exactly like a cold registry over the full
+        // history.
+        registry.explain(id, &request().with_max_order(1)).unwrap();
+        assert_eq!(registry.stats().totals.cube_evictions, 3, "B, then A again");
+        registry.append_rows(id, rows_for(21..30)).unwrap();
         let after = registry.explain(id, &request()).unwrap();
-        assert_eq!(after.stats.n_points, 21);
-        let stats = registry.stats();
-        assert_eq!(
-            stats.totals.cube_rehydrations, 0,
-            "stale copy must not serve"
-        );
-        // And the result matches a cold registry over the full history.
+        assert_eq!(after.stats.n_points, 30);
+        assert_eq!(registry.stats().totals.cubes_built, 5);
         let cold = SessionRegistry::new();
         let cid = cold
-            .register(relation(0..21), AggQuery::sum("t", "v"))
+            .register(relation(0..30), AggQuery::sum("t", "v"))
             .unwrap();
         let expected = cold.explain(cid, &request()).unwrap();
         assert_eq!(after.segmentation, expected.segmentation);
         assert_eq!(after.aggregate, expected.aggregate);
+        assert_eq!(after.total_variance, expected.total_variance);
+        assert_eq!(after.k_variance_curve, expected.k_variance_curve);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -54,7 +54,6 @@ use tsexplain_relation::{
 };
 use tsexplain_segment::SegmentMemo;
 
-use crate::durability::CubeSpill;
 use crate::error::TsExplainError;
 use crate::pipeline::explain_cube_request;
 use crate::request::{ExplainRequest, InvalidRequest};
@@ -77,18 +76,10 @@ pub struct SessionStats {
     pub rows_appended: u64,
     /// Full rebuilds forced by restated history.
     pub rebuilds: u64,
-    /// Cached cubes *dropped* to respect the cache byte budget (locally or
-    /// by a registry's global policy) — evicted with no durable copy left
-    /// behind. Evicted keys keep serving correctly — the next request for
-    /// one rebuilds it.
+    /// Cached cubes dropped to respect the cache byte budget (locally or
+    /// by a registry's global policy). Evicted keys keep serving
+    /// correctly — the next request for one rebuilds it.
     pub cube_evictions: u64,
-    /// Cached cubes *demoted* under the same budget pressure: evicted from
-    /// memory but spilled to the durable store first, so the next request
-    /// rehydrates instead of rebuilding. Always 0 without a data dir.
-    pub cube_demotions: u64,
-    /// Cache misses served by decoding a demoted cube's snapshot back into
-    /// memory (bit-identical to the evicted state) instead of rebuilding.
-    pub cube_rehydrations: u64,
 }
 
 /// A cached cube: the incremental enumeration state plus the finalized
@@ -297,9 +288,6 @@ pub struct ExplainSession {
     /// LRU clock. Sessions owned by a [`crate::SessionRegistry`] share one
     /// clock so recency is comparable across tenants.
     clock: Arc<AtomicU64>,
-    /// Second eviction tier: when set, budget evictions demote cubes to it
-    /// and cache misses try to rehydrate from it before rebuilding.
-    spill: Option<Arc<dyn CubeSpill>>,
     /// The §8 refresh state. Cleared whenever the time axis is rebuilt,
     /// since its cut indices would then point at the wrong timestamps.
     warm: Option<WarmStart>,
@@ -334,7 +322,6 @@ impl ExplainSession {
             stats: SessionStats::default(),
             cache_budget: DEFAULT_CUBE_CACHE_BUDGET,
             clock: Arc::new(AtomicU64::new(0)),
-            spill: None,
             warm: None,
         })
     }
@@ -373,8 +360,7 @@ impl ExplainSession {
 
     /// Evicts the least-recently-used cached cube, returning its
     /// approximate size. The evicted key keeps serving correctly: the next
-    /// request for it rehydrates (with a spill tier) or rebuilds the cube
-    /// from the session's data.
+    /// request for it rebuilds the cube from the session's rows.
     pub fn evict_lru_one(&mut self) -> Option<usize> {
         let key = self
             .cubes
@@ -384,20 +370,10 @@ impl ExplainSession {
         self.evict_entry(&key)
     }
 
-    /// Removes one cache entry, demoting it to the spill tier when one is
-    /// attached (a failed demotion degrades to a plain drop). Returns the
-    /// approximate bytes freed.
+    /// Removes one cache entry, returning the approximate bytes freed.
     fn evict_entry(&mut self, key: &CubeCacheKey) -> Option<usize> {
         let entry = self.cubes.remove(key)?;
-        let demoted = self
-            .spill
-            .as_ref()
-            .is_some_and(|spill| spill.demote(key.fingerprint(), &entry.inc.to_snapshot_bytes()));
-        if demoted {
-            self.stats.cube_demotions += 1;
-        } else {
-            self.stats.cube_evictions += 1;
-        }
+        self.stats.cube_evictions += 1;
         Some(entry.bytes())
     }
 
@@ -405,11 +381,6 @@ impl ExplainSession {
     /// sessions so global eviction can compare recency between tenants).
     pub(crate) fn set_cache_clock(&mut self, clock: Arc<AtomicU64>) {
         self.clock = clock;
-    }
-
-    /// Attaches (or detaches) the spill tier budget evictions demote to.
-    pub(crate) fn set_spill(&mut self, spill: Option<Arc<dyn CubeSpill>>) {
-        self.spill = spill;
     }
 
     /// Evicts LRU entries until the cache fits the budget. `protect` (the
@@ -678,8 +649,7 @@ impl ExplainSession {
     /// must not diverge: a batch the client was *not* acked for cannot
     /// stay resident, or every later acked batch would be logged with a
     /// `seq` that replay sees as a gap and skips. Drops every cached cube
-    /// and the §8 warm start; the next request per key rebuilds (or
-    /// rehydrates a copy at the rewound watermark).
+    /// and the §8 warm start; the next request per key rebuilds.
     pub(crate) fn rollback_rows_to(&mut self, n_rows: usize) {
         let mut rows = self.export_rows();
         let removed = rows.len().saturating_sub(n_rows) as u64;
@@ -810,34 +780,9 @@ impl ExplainSession {
             return Ok((key, cube, memo, was_ready));
         }
 
-        // Cache miss. With a spill tier attached, a previously demoted
-        // cube at the session's exact row watermark is decoded back into
-        // memory bit-identically — no recompute. A stale copy (rows
-        // arrived after the demotion) or one whose key no longer matches
-        // (fingerprint collision) is discarded and rebuilt below.
-        if let Some(spill) = self.spill.clone() {
-            let _span = tsexplain_obs::trace::span("spill_rehydrate");
-            if let Some(bytes) = spill.rehydrate(key.fingerprint()) {
-                match IncrementalCube::from_snapshot_bytes(&bytes) {
-                    Ok(inc)
-                        if inc.config().cache_key() == key
-                            && inc.rows_ingested() == self.base.n_rows() + self.tail.len() =>
-                    {
-                        self.stats.cube_rehydrations += 1;
-                        spill.note_rehydrated();
-                        let mut entry = CacheEntry::new(inc, stamp);
-                        let (cube, memo, _) = entry.snapshot(smoothing, watermark)?;
-                        self.cubes.insert(key.clone(), entry);
-                        self.enforce_budget(Some(&key));
-                        return Ok((key, cube, memo, false));
-                    }
-                    _ => spill.discard(key.fingerprint()),
-                }
-            }
-        }
-
-        // Cold build. An empty base with pending tail rows (streaming cold
-        // start) is materialized first so the seed scan is columnar.
+        // Cache miss: a cold build. An empty base with pending tail rows
+        // (streaming cold start) is materialized first so the seed scan is
+        // columnar.
         if self.base.is_empty() {
             if self.tail.is_empty() {
                 return Err(TsExplainError::Cube(CubeError::EmptyInput));

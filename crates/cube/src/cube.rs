@@ -111,39 +111,6 @@ pub struct CubeCacheKey {
     prune_redundant: bool,
 }
 
-impl CubeCacheKey {
-    /// A stable 64-bit digest of the key (FNV-1a over a canonical field
-    /// encoding) — usable as an on-disk file name component, unlike the
-    /// std `Hash` whose value is unspecified across processes. Distinct
-    /// configurations virtually never collide, and a collision only costs
-    /// a failed rehydration (the watermark/config check rejects it).
-    pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for name in &self.explain_by {
-            eat(&(name.len() as u64).to_le_bytes());
-            eat(name.as_bytes());
-        }
-        eat(&(self.max_order as u64).to_le_bytes());
-        match self.filter_ratio_bits {
-            None => eat(&[0]),
-            Some(bits) => {
-                eat(&[1]);
-                eat(&bits.to_le_bytes());
-            }
-        }
-        eat(&[self.prune_redundant as u8]);
-        h
-    }
-}
-
 /// The structure a top-m derivation reads of a cube besides its value
 /// rows: the explanation list (ids, drill-down trie, parent lists) and the
 /// selectable ids. Two cubes with equal shapes derive equal lists for a

@@ -30,7 +30,7 @@
 //!
 //! An incremental cube keeps one `u64 → ExplId` map per subset between
 //! appends, keyed by global prefix ids. [`derive_groups`] derives those maps
-//! from the explanation list, for the seed and the snapshot decoder alike.
+//! from the explanation list at the first append.
 
 use std::collections::HashMap;
 
@@ -273,26 +273,18 @@ pub(crate) fn extend(prefix: Option<&Explanation>, last: u16, code: u32) -> Expl
 /// visited in ascending mask order, and a parent's mask is lower), so a
 /// parent that is not filed yet is missing.
 ///
-/// Fails with [`CubeError::CorruptSnapshot`] when an explanation is empty,
-/// names no subset, repeats another, or lacks one of its drill-down parents:
-/// the trie hangs an order-β explanation under each of its β order-(β−1)
-/// parents, so all of them must be present.
-pub(crate) fn derive_groups(
-    subsets: &[Subset],
-    explanations: &[Explanation],
-) -> Result<Groups, CubeError> {
-    let corrupt =
-        |id: usize, what: &str| CubeError::CorruptSnapshot(format!("explanation {id} {what}"));
+/// `None` when an explanation is empty, names no subset, repeats another,
+/// or lacks one of its drill-down parents: the trie hangs an order-β
+/// explanation under each of its β order-(β−1) parents, so all of them
+/// must be present.
+pub(crate) fn derive_groups(subsets: &[Subset], explanations: &[Explanation]) -> Option<Groups> {
     let mut groups: Groups = vec![HashMap::new(); subsets.len()];
     for (id, explanation) in explanations.iter().enumerate() {
         let preds = explanation.preds();
-        let Some((&(_, code), prefix)) = preds.split_last() else {
-            return Err(corrupt(id, "is empty"));
-        };
+        let (&(_, code), prefix) = preds.split_last()?;
         let mask = preds.iter().fold(0u32, |m, &(a, _)| m | 1 << a);
-        let si = subset_index(subsets, mask).ok_or_else(|| corrupt(id, "names no subset"))?;
-        let parent = resolve(subsets, &groups, prefix.iter().copied())
-            .ok_or_else(|| corrupt(id, "lacks its prefix parent"))?;
+        let si = subset_index(subsets, mask)?;
+        let parent = resolve(subsets, &groups, prefix.iter().copied())?;
         // The other parents drop one prefix predicate and keep `last`.
         for skip in 0..prefix.len() {
             let others = preds
@@ -300,18 +292,16 @@ pub(crate) fn derive_groups(
                 .enumerate()
                 .filter(|&(j, _)| j != skip)
                 .map(|(_, &p)| p);
-            if resolve(subsets, &groups, others).is_none() {
-                return Err(corrupt(id, "lacks a drill-down parent"));
-            }
+            resolve(subsets, &groups, others)?;
         }
         if groups[si]
             .insert(pack(parent, code), id as ExplId)
             .is_some()
         {
-            return Err(corrupt(id, "duplicates another"));
+            return None;
         }
     }
-    Ok(groups)
+    Some(groups)
 }
 
 /// The id of the filed explanation with the given sorted predicates
@@ -455,7 +445,7 @@ mod tests {
         let a = Explanation::new(vec![(0, 0)]);
         let b = Explanation::new(vec![(1, 0)]);
         let ab = Explanation::new(vec![(0, 0), (1, 0)]);
-        assert!(derive_groups(&subsets, &[a.clone(), b.clone(), ab.clone()]).is_ok());
+        assert!(derive_groups(&subsets, &[a.clone(), b.clone(), ab.clone()]).is_some());
         for broken in [
             vec![ab.clone(), a.clone(), b.clone()],
             vec![b.clone(), ab.clone()],
@@ -463,10 +453,7 @@ mod tests {
             vec![a.clone(), b.clone(), a.clone()],
             vec![a, Explanation::new(vec![])],
         ] {
-            assert!(matches!(
-                derive_groups(&subsets, &broken),
-                Err(CubeError::CorruptSnapshot(_))
-            ));
+            assert!(derive_groups(&subsets, &broken).is_none());
         }
     }
 }

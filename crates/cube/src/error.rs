@@ -39,10 +39,6 @@ pub enum CubeError {
         /// Number of values in the offending row.
         got: usize,
     },
-    /// A persisted cube snapshot failed to decode (torn write, bit flip,
-    /// wrong version). Recovery treats this as "no snapshot" and rebuilds —
-    /// it must never panic.
-    CorruptSnapshot(String),
     /// The request's cancel token tripped mid-build; the partial cube was
     /// discarded (all-or-nothing — nothing half-built reaches the cache).
     Cancelled,
@@ -80,9 +76,6 @@ impl fmt::Display for CubeError {
                     f,
                     "appended row has {got} explain-by value(s); cube expects {expected}"
                 )
-            }
-            CubeError::CorruptSnapshot(what) => {
-                write!(f, "corrupt cube snapshot: {what}")
             }
             CubeError::Cancelled => {
                 write!(f, "cube build cancelled before completing")

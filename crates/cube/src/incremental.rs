@@ -57,33 +57,29 @@ use crate::values::StateStore;
 pub type AppendRow = (AttrValue, Vec<AttrValue>, f64);
 
 /// An explanation cube that grows at the tail (see module docs).
-///
-/// Fields are `pub(crate)` so the `persist` module can serialize the logical
-/// state to a block snapshot and reassemble it bit-identically.
 #[derive(Clone, Debug)]
 pub struct IncrementalCube {
-    pub(crate) config: CubeConfig,
+    config: CubeConfig,
     /// Sorted, append-only time axis.
-    pub(crate) timestamps: Vec<AttrValue>,
-    pub(crate) time_index: HashMap<AttrValue, u32>,
-    pub(crate) attr_names: Vec<String>,
+    timestamps: Vec<AttrValue>,
+    time_index: HashMap<AttrValue, u32>,
+    attr_names: Vec<String>,
     /// Per attribute: values in code order (sorted for values present at
     /// construction, then first-seen order).
-    pub(crate) dict_values: Vec<Vec<AttrValue>>,
-    pub(crate) dict_index: Vec<HashMap<AttrValue, u32>>,
+    dict_values: Vec<Vec<AttrValue>>,
+    dict_index: Vec<HashMap<AttrValue, u32>>,
     /// Attribute subsets `S` with `|S| <= max_order`, in ascending mask
     /// order.
-    pub(crate) subsets: Vec<Subset>,
+    subsets: Vec<Subset>,
     /// Per subset: packed (prefix id, last code) key -> explanation id.
     /// Only appends read them, so they are derived from the explanation
     /// list at the first append (`derive_groups`); a cube that only serves
     /// snapshots never builds them.
-    pub(crate) groups: Option<Groups>,
-    pub(crate) explanations: Vec<Explanation>,
+    groups: Option<Groups>,
+    explanations: Vec<Explanation>,
     /// The states, one column per explanation id, shared with every
     /// snapshot taken since the last append (module docs).
-    pub(crate) store: Arc<StateStore>,
-    pub(crate) rows_ingested: usize,
+    store: Arc<StateStore>,
 }
 
 impl IncrementalCube {
@@ -163,7 +159,6 @@ impl IncrementalCube {
             groups: None,
             explanations,
             store: Arc::new(store),
-            rows_ingested: time_col.codes().len(),
         })
     }
 
@@ -184,7 +179,6 @@ impl IncrementalCube {
             subsets,
             explanations: Vec::new(),
             store: Arc::new(StateStore::zeroed(query.agg(), 0, 0)),
-            rows_ingested: 0,
         })
     }
 
@@ -201,11 +195,6 @@ impl IncrementalCube {
     /// Number of candidate explanations enumerated so far (pre-pruning).
     pub fn n_candidates(&self) -> usize {
         self.explanations.len()
-    }
-
-    /// Total rows ingested (seed + appends).
-    pub fn rows_ingested(&self) -> usize {
-        self.rows_ingested
     }
 
     /// Approximate heap + inline footprint of the incremental enumeration
@@ -381,7 +370,6 @@ impl IncrementalCube {
         times.sort_unstable();
         times.dedup();
         store.redecode_rows(times);
-        self.rows_ingested += rows.len();
         Ok(())
     }
 

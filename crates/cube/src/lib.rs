@@ -33,7 +33,6 @@ mod error;
 mod explanation;
 mod incremental;
 mod mem;
-mod persist;
 mod trie;
 mod values;
 

@@ -176,23 +176,9 @@ impl StateStore {
         }
     }
 
-    /// Overwrites column `col`'s state at time index `t` (the blob
-    /// decoder's fill; call [`StateStore::decode`] once it is done).
-    pub(crate) fn set_state(&mut self, t: usize, col: usize, state: AggState) {
-        let i = t * self.n_cols + col;
-        self.count[i] = state.count;
-        self.sum[i] = state.sum;
-        self.sumsq[i] = state.sumsq;
-    }
-
     /// The overall state series.
     pub(crate) fn total_states(&self) -> &[AggState] {
         &self.total
-    }
-
-    /// Overwrites the overall state at time index `t`.
-    pub(crate) fn set_total(&mut self, t: usize, state: AggState) {
-        self.total[t] = state;
     }
 
     /// The count plane, time-major: what redundancy pruning sums.
@@ -312,7 +298,7 @@ impl StateStore {
         }
     }
 
-    /// Decodes every row (after a seed or a blob decode filled the states).
+    /// Decodes every row (after a seed or a smoothing pass filled the states).
     pub(crate) fn decode(&mut self) {
         self.redecode_rows(0..self.n_rows);
     }

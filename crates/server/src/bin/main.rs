@@ -24,9 +24,9 @@
 //! partial work discarded.
 //!
 //! `--data-dir` turns on the durable storage engine: datasets are
-//! recovered from `PATH` before the listener accepts, every mutation is
-//! WAL-logged (and fsynced) before its acknowledgement, and
-//! budget-evicted cubes are demoted to disk instead of dropped. Without
+//! recovered from `PATH` before the listener accepts, and every mutation
+//! is WAL-logged (and fsynced) before its acknowledgement. Only rows are
+//! stored; a budget-evicted cube is dropped and rebuilt from them. Without
 //! it the server is purely in-memory.
 //!
 //! `--log-level` (`off|error|warn|info|debug`, default `info`, also the

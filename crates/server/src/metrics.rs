@@ -197,11 +197,6 @@ static SESSION: &[Metric<SessionStats>] = rows! {
     tsx_registry_rebuilds: Gauge("rebuilds", |t| Some(t.rebuilds as f64)),
     /// Cached cubes dropped for the memory budget, summed over registered datasets.
     tsx_registry_cube_evictions: Gauge("cube_evictions", |t| Some(t.cube_evictions as f64)),
-    /// Cached cubes spilled to disk for the memory budget, summed over registered datasets.
-    tsx_registry_cube_demotions: Gauge("cube_demotions", |t| Some(t.cube_demotions as f64)),
-    /// Cache misses served from a demoted cube, summed over registered datasets.
-    tsx_registry_cube_rehydrations:
-        Gauge("cube_rehydrations", |t| Some(t.cube_rehydrations as f64)),
 };
 
 /// `store`: the durable storage engine, present only with a data dir.
@@ -210,15 +205,10 @@ static STORE: &[Metric<DataStore>] = rows! {
     tsx_store_wal_appends_total: Counter("wal_appends", |d| Some(d.metrics().wal_appends as f64)),
     /// Framed WAL bytes written.
     tsx_store_wal_bytes_total: Counter("wal_bytes", |d| Some(d.metrics().wal_bytes as f64)),
-    /// Snapshot files written.
+    /// Tenant checkpoint snapshots written.
     tsx_store_snapshots_total: Counter("snapshots", |d| Some(d.metrics().snapshots as f64)),
     /// Tenants reconstructed by recovery-on-boot.
     tsx_store_recoveries_total: Counter("recoveries", |d| Some(d.metrics().recoveries as f64)),
-    /// Cubes demoted to disk by the eviction tier.
-    tsx_store_demotions_total: Counter("demotions", |d| Some(d.metrics().demotions as f64)),
-    /// Cubes rehydrated from disk on a cache miss.
-    tsx_store_rehydrations_total:
-        Counter("rehydrations", |d| Some(d.metrics().rehydrations as f64)),
     /// Per-append WAL fsync time.
     tsx_store_fsync_duration_seconds: Histogram(|d| d.durations().fsync.snapshot()),
     /// Full checkpoint cycles.

@@ -80,10 +80,11 @@ pub struct ServerConfig {
     pub threads: Option<usize>,
     /// Data directory for the durable storage engine (`tsx-server
     /// --data-dir`). When set, the server recovers every tenant from it
-    /// before accepting connections, WAL-logs each mutation before
-    /// acknowledging it, and demotes budget-evicted cubes to it instead of
-    /// dropping them. `None` (the default) serves purely in memory —
-    /// byte-identical behavior to a server without the storage engine.
+    /// before accepting connections and WAL-logs each mutation before
+    /// acknowledging it. Cubes are never written to it: a budget-evicted
+    /// cube is dropped and rebuilt from the rows on its next request.
+    /// `None` (the default) serves purely in memory — byte-identical
+    /// behavior to a server without the storage engine.
     pub data_dir: Option<std::path::PathBuf>,
     /// Requests at or above this wall-clock threshold land in the
     /// slow-request flight recorder (`GET /debug/requests`). Zero records

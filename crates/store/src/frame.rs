@@ -2,11 +2,11 @@
 //! artifact uses.
 //!
 //! A frame is `[len: u32 LE][crc32(payload): u32 LE][payload]`. WAL
-//! segments are a sequence of frames; snapshot files (tenant state, cube
-//! blobs) are exactly one frame. Decoding never trusts `len`: a frame
-//! whose claimed length runs past the buffer is *torn* (a crash mid
-//! `write`), a frame whose checksum mismatches is *corrupt* (torn inside
-//! the payload, or bit rot) — both end the valid prefix without a panic.
+//! segments are a sequence of frames; a tenant snapshot file is exactly
+//! one frame. Decoding never trusts `len`: a frame whose claimed length
+//! runs past the buffer is *torn* (a crash mid `write`), a frame whose
+//! checksum mismatches is *corrupt* (torn inside the payload, or bit
+//! rot) — both end the valid prefix without a panic.
 
 use crate::crc32::crc32;
 

@@ -3,9 +3,8 @@
 //! The durable storage engine under a TSExplain serving deployment:
 //! a CRC-framed, fsynced, segment-rotated write-ahead log of every
 //! tenant registration / row batch / deletion, checkpoint snapshots
-//! that truncate it, block snapshots of demoted cubes, and
-//! recovery-on-boot that reconstructs every tenant from whatever valid
-//! prefix a crash left behind.
+//! that truncate it, and recovery-on-boot that reconstructs every
+//! tenant from whatever valid prefix a crash left behind.
 //!
 //! The crate is dependency-free in the workspace's vendoring spirit:
 //! `std::fs` for I/O, the vendored `serde`/`serde_json` for record
@@ -13,9 +12,7 @@
 //! readable with the API's own vocabulary), a hand-rolled CRC-32, and
 //! `tsexplain-obs` for fsync/checkpoint/recovery latency histograms and
 //! structured logging.
-//! It knows nothing about cubes beyond "a blob of bytes with a
-//! fingerprint" — cube snapshot encoding lives with the cube, framing
-//! and placement live here.
+//! It stores rows, never cubes: a cube is rebuilt from the rows.
 //!
 //! Entry point: [`DataStore::open`], which recovers and then serves.
 //! The `store` module docs (`src/store.rs`) give the on-disk layout and

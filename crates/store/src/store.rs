@@ -1,5 +1,5 @@
-//! The [`DataStore`]: one data directory holding a WAL, tenant
-//! checkpoints and demoted cube blobs.
+//! The [`DataStore`]: one data directory holding a WAL and tenant
+//! checkpoints.
 //!
 //! Layout under the root:
 //!
@@ -7,8 +7,11 @@
 //! meta.json            last checkpoint's {"next_id": N} (plain JSON)
 //! wal/000001.wal …     CRC-framed record segments, replayed in order
 //! tenants/t{id}.snap   one frame: tenant schema + query + rows (JSON)
-//! cubes/t{id}-c{fp}.cube  one frame: a demoted cube's block snapshot
 //! ```
+//!
+//! Nothing else is kept: a cube is derived state, rebuilt from the rows
+//! on demand. A `cubes/` directory left by an older version (which wrote
+//! evicted cubes there) is removed at [`DataStore::open`].
 //!
 //! **Write path.** Every mutation is appended to the current WAL segment
 //! as one CRC frame and fsynced before the caller acknowledges, so an
@@ -66,14 +69,10 @@ pub struct StoreMetrics {
     pub wal_appends: u64,
     /// Framed WAL bytes written.
     pub wal_bytes: u64,
-    /// Snapshot files written (tenant checkpoints + demoted cubes).
+    /// Tenant checkpoint snapshots written.
     pub snapshots: u64,
     /// Tenants reconstructed by recovery-on-boot.
     pub recoveries: u64,
-    /// Cubes demoted to disk by the eviction tier.
-    pub demotions: u64,
-    /// Cubes rehydrated from disk on a cache miss.
-    pub rehydrations: u64,
 }
 
 /// One tenant as reconstructed by recovery: everything the registry
@@ -151,8 +150,6 @@ pub struct DataStore {
     wal_bytes: AtomicU64,
     snapshots: AtomicU64,
     recoveries: AtomicU64,
-    demotions: AtomicU64,
-    rehydrations: AtomicU64,
     durations: StoreDurations,
 }
 
@@ -171,13 +168,13 @@ impl DataStore {
     pub fn open(root: impl Into<PathBuf>) -> Result<(DataStore, Recovery), StoreError> {
         let started = clock();
         let root = root.into();
-        for dir in [
-            root.clone(),
-            root.join("wal"),
-            root.join("tenants"),
-            root.join("cubes"),
-        ] {
+        for dir in [root.clone(), root.join("wal"), root.join("tenants")] {
             fs::create_dir_all(&dir).map_err(|e| StoreError::io("create dir", &dir, e))?;
+        }
+        // Evicted cubes an older version wrote (module docs): nothing
+        // reads or unlinks them any more.
+        if fs::remove_dir_all(root.join("cubes")).is_ok() {
+            sync_dir(&root);
         }
 
         let mut recovery = Recovery::default();
@@ -291,8 +288,6 @@ impl DataStore {
             wal_bytes: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
             recoveries: AtomicU64::new(recovery.tenants.len() as u64),
-            demotions: AtomicU64::new(0),
-            rehydrations: AtomicU64::new(0),
             durations: StoreDurations::default(),
         };
         store.durations.recovery.record(started.elapsed());
@@ -336,13 +331,12 @@ impl DataStore {
         })
     }
 
-    /// Durably logs a tenant deletion, then removes its snapshot and cube
-    /// files. The tombstone lands first so a crash between the two steps
-    /// still deletes the tenant on replay.
+    /// Durably logs a tenant deletion, then removes its snapshot file.
+    /// The tombstone lands first so a crash between the two steps still
+    /// deletes the tenant on replay.
     pub fn log_remove(&self, id: u64) -> Result<(), StoreError> {
         self.append(&WalRecord::Remove { id })?;
         let _ = fs::remove_file(self.tenant_path(id));
-        self.remove_tenant_cubes(id);
         Ok(())
     }
 
@@ -419,65 +413,6 @@ impl DataStore {
         Ok(())
     }
 
-    /// Persists a demoted cube's block snapshot (atomic tmp + rename).
-    pub fn store_cube(
-        &self,
-        tenant: u64,
-        fingerprint: u64,
-        bytes: &[u8],
-    ) -> Result<(), StoreError> {
-        let mut framed = Vec::with_capacity(bytes.len() + 8);
-        append_frame(&mut framed, bytes);
-        write_atomic(&self.cube_path(tenant, fingerprint), &framed)?;
-        self.demotions.fetch_add(1, Ordering::Relaxed);
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Loads a demoted cube's bytes, if a valid snapshot exists. A
-    /// missing or corrupt file is `None` (the caller rebuilds from the
-    /// session instead), and a corrupt file is unlinked on sight.
-    ///
-    /// A raw load is not yet a rehydration: the caller still validates
-    /// the decoded cube's cache key and row watermark, and only a copy
-    /// that actually serves counts — it reports that via
-    /// [`DataStore::note_rehydration`].
-    pub fn load_cube(&self, tenant: u64, fingerprint: u64) -> Option<Vec<u8>> {
-        let path = self.cube_path(tenant, fingerprint);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => return None,
-        };
-        let (mut frames, end, _) = read_all(&bytes);
-        if end != FrameEnd::Clean || frames.len() != 1 {
-            tsexplain_obs::log::warn(
-                "store",
-                "cube snapshot is corrupt; discarding it",
-                &[
-                    ("tenant", Value::Number(tenant as f64)),
-                    ("path", Value::String(path.display().to_string())),
-                ],
-            );
-            let _ = fs::remove_file(&path);
-            return None;
-        }
-        Some(frames.remove(0).to_vec())
-    }
-
-    /// Counts one served rehydration (see [`DataStore::load_cube`]):
-    /// called once the loaded cube passed the caller's key + row-watermark
-    /// checks, so stale or fingerprint-colliding loads that get discarded
-    /// and rebuilt never inflate the `/metrics` store block.
-    pub fn note_rehydration(&self) {
-        self.rehydrations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Unlinks one demoted cube (e.g. after it was rehydrated and then
-    /// legitimately dropped).
-    pub fn drop_cube(&self, tenant: u64, fingerprint: u64) {
-        let _ = fs::remove_file(self.cube_path(tenant, fingerprint));
-    }
-
     /// The store's durability-operation latency histograms.
     pub fn durations(&self) -> &StoreDurations {
         &self.durations
@@ -490,8 +425,6 @@ impl DataStore {
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
             snapshots: self.snapshots.load(Ordering::Relaxed),
             recoveries: self.recoveries.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
-            rehydrations: self.rehydrations.load(Ordering::Relaxed),
         }
     }
 
@@ -533,27 +466,6 @@ impl DataStore {
 
     fn tenant_path(&self, id: u64) -> PathBuf {
         self.root.join("tenants").join(format!("t{id}.snap"))
-    }
-
-    fn cube_path(&self, tenant: u64, fingerprint: u64) -> PathBuf {
-        self.root
-            .join("cubes")
-            .join(format!("t{tenant}-c{fingerprint:016x}.cube"))
-    }
-
-    fn remove_tenant_cubes(&self, tenant: u64) {
-        let prefix = format!("t{tenant}-");
-        if let Ok(entries) = fs::read_dir(self.root.join("cubes")) {
-            for entry in entries.flatten() {
-                if entry
-                    .file_name()
-                    .to_str()
-                    .is_some_and(|n| n.starts_with(&prefix))
-                {
-                    let _ = fs::remove_file(entry.path());
-                }
-            }
-        }
     }
 }
 

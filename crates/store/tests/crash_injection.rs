@@ -329,34 +329,21 @@ fn corrupt_meta_is_ignored_and_next_id_still_safe() {
 }
 
 #[test]
-fn cube_blobs_roundtrip_and_corruption_is_contained() {
-    let dir = temp_dir("cubes");
-    let (store, _) = DataStore::open(&dir).unwrap();
-    let blob: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
-    store.store_cube(7, 0xdead_beef, &blob).unwrap();
-    assert_eq!(store.load_cube(7, 0xdead_beef), Some(blob.clone()));
-    assert_eq!(store.load_cube(7, 0x1), None);
-    // A raw load is not a rehydration: the session layer reports one only
-    // after the decoded cube passes its key + row-watermark checks.
-    let m = store.metrics();
-    assert_eq!((m.demotions, m.rehydrations), (1, 0));
-    store.note_rehydration();
-    assert_eq!(store.metrics().rehydrations, 1);
-
-    // Flip one byte: the load must fail closed and unlink the file.
-    let path = dir
-        .join("cubes")
-        .join(format!("t7-c{:016x}.cube", 0xdead_beefu64));
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[100] ^= 0x40;
-    std::fs::write(&path, &bytes).unwrap();
-    assert_eq!(store.load_cube(7, 0xdead_beef), None);
-    assert!(!path.exists(), "corrupt cube snapshot must be unlinked");
-
-    store.store_cube(7, 0x2, &blob).unwrap();
-    store.log_register(7, &schema(), &query(), &[]).unwrap();
-    store.log_remove(7).unwrap();
-    assert_eq!(store.load_cube(7, 0x2), None, "removal unlinks cubes");
+fn a_leftover_cube_directory_is_removed_and_recovery_is_unaffected() {
+    // An older version wrote evicted cubes under `cubes/`; nothing reads
+    // them now, so open must clear them out and recover the rows alone.
+    let dir = seed_store("legacy-cubes", 2);
+    std::fs::create_dir_all(dir.join("cubes")).unwrap();
+    std::fs::write(
+        dir.join("cubes").join("t1-c00000000deadbeef.cube"),
+        b"any bytes",
+    )
+    .unwrap();
+    let (_store, recovery) = DataStore::open(&dir).unwrap();
+    assert!(recovery.notes.is_empty(), "notes: {:?}", recovery.notes);
+    assert_eq!(recovery.tenants.len(), 1);
+    assert_eq!(recovery.tenants[0].rows, rows(0, 7));
+    assert!(!dir.join("cubes").exists(), "cubes/ must be gone");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

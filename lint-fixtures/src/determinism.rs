@@ -1,5 +1,5 @@
 //! Determinism: as denied at the roots of cube, segment, diff, baselines
-//! and parallel (and of store, registry and durability).
+//! and parallel (and of store and registry).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 use std::collections::{BTreeMap, HashMap, HashSet};

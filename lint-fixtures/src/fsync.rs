@@ -1,5 +1,5 @@
-//! Fsync: as denied on the store crate and core's registry and
-//! durability modules. Every fsync carries its reason.
+//! Fsync: as denied on the store crate and core's registry module.
+//! Every fsync carries its reason.
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 use std::fs::File;

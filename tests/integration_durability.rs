@@ -1,9 +1,10 @@
 //! End-to-end acceptance of the durable storage engine through the HTTP
-//! boundary: demoted cubes rehydrate bit-identically (pinned against the
-//! same golden `/compare` the in-memory server must reproduce, at thread
-//! counts 1/2/8), deleted datasets stay deleted across reboots, and a
-//! SIGKILL'd server recovers every acknowledged mutation on the next
-//! boot — warm answers byte-identical to the pre-crash ones.
+//! boundary: an evicted cube rebuilds bit-identically and writes nothing
+//! to the data dir (pinned against the same golden `/compare` the
+//! in-memory server must reproduce, at thread counts 1/2/8), deleted
+//! datasets stay deleted across reboots, and a SIGKILL'd server recovers
+//! every acknowledged mutation on the next boot — warm answers
+//! byte-identical to the pre-crash ones.
 
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -94,14 +95,14 @@ fn read_counter(metrics: &Value, block: &str, key: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Satellite (d): a demoted-then-rehydrated cube serves byte-identical
-/// responses. The budget admits exactly one cube, so asking for a second
-/// cube key demotes the first to disk; asking for the first again
-/// rehydrates it — decode, not rebuild — and the subsequent `/compare`
-/// must reproduce the *same* pinned golden the in-memory server does, at
-/// thread counts 1, 2 and 8.
+/// An evicted-then-rebuilt cube serves byte-identical responses on a
+/// durable server. The budget admits exactly one cube, so asking for a
+/// second cube key evicts the first; asking for the first again rebuilds
+/// it from the tenant's rows, writing nothing to the data dir, and the
+/// subsequent `/compare` must reproduce the *same* pinned golden the
+/// in-memory server does, at thread counts 1, 2 and 8.
 #[test]
-fn rehydrated_cube_reproduces_the_golden_compare_at_thread_counts_1_2_8() {
+fn evicted_cube_rebuilds_to_the_golden_compare_at_threads_1_2_8() {
     let data = dataset();
 
     // Probe one cube's footprint on a throwaway in-memory server.
@@ -133,7 +134,7 @@ fn rehydrated_cube_reproduces_the_golden_compare_at_thread_counts_1_2_8() {
         .register(&data.schema(), &data.query(), &data.rows_between(0, 60))
         .unwrap();
 
-    // Cube A, then cube B (different key): A is demoted, not dropped.
+    // Cube A, then cube B (different key): A is evicted.
     client
         .explain_value(created.dataset_id, &base_request())
         .unwrap();
@@ -143,38 +144,39 @@ fn rehydrated_cube_reproduces_the_golden_compare_at_thread_counts_1_2_8() {
     client
         .explain_value(created.dataset_id, &base_request().with_max_order(1))
         .unwrap();
-    let metrics = client.metrics().unwrap();
-    assert!(
-        read_counter(&metrics, "store", "demotions") >= 1.0,
-        "budget pressure must demote, got {metrics:?}"
-    );
 
-    // Asking for A again decodes the demoted snapshot back into memory…
-    let rehydrated = client
+    // Asking for A again rebuilds it from the tenant's rows…
+    let rebuilt = client
         .explain_value(created.dataset_id, &base_request())
         .unwrap();
     let metrics = client.metrics().unwrap();
-    assert!(read_counter(&metrics, "store", "rehydrations") >= 1.0);
     let totals = metrics
         .get("registry")
         .and_then(|r| r.get("totals"))
         .cloned()
         .unwrap();
+    let total = |key: &str| totals.get(key).and_then(Value::as_f64);
     assert!(
-        totals
-            .get("cube_rehydrations")
-            .and_then(Value::as_f64)
-            .unwrap()
-            >= 1.0
+        total("cube_evictions").unwrap() >= 1.0,
+        "budget pressure must evict, got {metrics:?}"
     );
-    assert_eq!(
-        totals.get("cubes_built").and_then(Value::as_f64),
-        Some(2.0),
-        "rehydration must not rebuild"
+    assert_eq!(total("cubes_built"), Some(3.0), "A was rebuilt");
+    // …and the eviction wrote nothing beside the WAL, the tenant
+    // snapshots and the id watermark.
+    let mut entries: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    assert!(
+        entries
+            .iter()
+            .all(|e| ["meta.json", "tenants", "wal"].contains(&e.as_str())),
+        "unexpected entries in the data dir: {entries:?}"
     );
-    // …bit-identically: the full response (minus wall-clock and cache
-    // provenance, which differ by construction) matches the pre-demotion
-    // cache-hit reference.
+    // The rebuilt answer is bit-identical: the full response (minus
+    // wall-clock and cache provenance, which differ by construction)
+    // matches the pre-eviction cache-hit reference.
     let strip = |value: &Value| {
         let mut value = canonical(value);
         if let Value::Object(map) = &mut value {
@@ -185,9 +187,9 @@ fn rehydrated_cube_reproduces_the_golden_compare_at_thread_counts_1_2_8() {
         }
         value
     };
-    assert_eq!(strip(&rehydrated), strip(&reference));
+    assert_eq!(strip(&rebuilt), strip(&reference));
 
-    // The rehydrated cube is now warm: `/compare` over it must reproduce
+    // The rebuilt cube is now warm: `/compare` over it must reproduce
     // the pinned golden — the same bytes the in-memory server produces —
     // at every thread count.
     let golden = include_str!("golden_compare.jsonl")
@@ -205,7 +207,7 @@ fn rehydrated_cube_reproduces_the_golden_compare_at_thread_counts_1_2_8() {
         assert_eq!(
             serde_json::to_string(&canonical_compare(&value)).unwrap(),
             golden,
-            "threads={threads}: rehydrated /compare diverged from the golden"
+            "threads={threads}: rebuilt /compare diverged from the golden"
         );
     }
     drop(client);
@@ -246,7 +248,7 @@ fn deleted_datasets_stay_deleted_across_reboots() {
     }
     let answer = client.explain(survivor, &base_request()).unwrap();
     assert_eq!(answer.stats.n_points, 60);
-    // No durable residue: neither a tenant snapshot nor cube blobs.
+    // No durable residue: the tenant snapshot is gone.
     assert!(!dir.join("tenants").join(format!("t{doomed}.snap")).exists());
     // New registrations never recycle the deleted id.
     let fresh = client
