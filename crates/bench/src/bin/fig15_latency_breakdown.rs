@@ -5,11 +5,12 @@
 //!
 //! Each row is one cold explain on a fresh session, registered off the
 //! clock. The module columns and "work" are stage time summed over
-//! workers (`LatencyBreakdown::total`); "wall" is the elapsed time of the
-//! explain call, cube build included, which is what the paper's totals
-//! measure. At one thread (`TSX_THREADS=1`) the two differ only by the
-//! request's bookkeeping outside the stages; above one thread "work" can
-//! exceed "wall".
+//! workers (`LatencyBreakdown::total`); segmentation includes every DP the
+//! request solves, the O2 sketch's among them. "wall" is the elapsed time
+//! of the explain call, cube build included, which is what the paper's
+//! totals measure. At one thread (`TSX_THREADS=1`) the two differ only by
+//! the request's bookkeeping outside the stages; above one thread "work"
+//! can exceed "wall".
 
 use std::time::Instant;
 

@@ -60,6 +60,10 @@ pub struct MemoCounters {
 /// threads it is the same work, so the split between the modules does not
 /// change with the thread count, and [`LatencyBreakdown::total`] can
 /// exceed the elapsed time.
+///
+/// It is the one record of where an answer's engine time went: the
+/// server's `/metrics` and flight recorder read this block, not a clock of
+/// their own.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LatencyBreakdown {
     /// Module (a): cube construction (group-bys, candidate enumeration,
@@ -68,8 +72,9 @@ pub struct LatencyBreakdown {
     /// Module (b): all top-m derivations, summed over workers.
     pub cascading: Duration,
     /// Module (c): distances and variances summed over workers, plus the
-    /// DP solve and elbow selection (or a baseline's cut proposal),
-    /// wall-clock.
+    /// solvers on the request's own thread, wall-clock: the sketch's DP,
+    /// and the DP solve with its elbow selection (or a baseline's cut
+    /// proposals).
     pub segmentation: Duration,
     /// Intra-query parallelism instrumentation.
     pub parallel: ParallelTimings,

@@ -95,22 +95,17 @@ pub(crate) fn explain_cube_request(
         },
     };
 
-    let outcome = {
-        let _span = tsexplain_obs::trace::span("segmentation");
-        spec.build()
-            .segment(&mut ctx, &positions, request.k_selection())
-            .map_err(TsExplainError::from)?
-    };
+    let outcome = spec
+        .build()
+        .segment(&mut ctx, &positions, request.k_selection())
+        .map_err(TsExplainError::from)?;
 
-    let segments: Vec<SegmentExplanation> = {
-        let _span = tsexplain_obs::trace::span("cascading");
-        outcome
-            .segmentation
-            .segments()
-            .into_iter()
-            .map(|seg| describe_segment(cube, &mut ctx, seg))
-            .collect()
-    };
+    let segments: Vec<SegmentExplanation> = outcome
+        .segmentation
+        .segments()
+        .into_iter()
+        .map(|seg| describe_segment(cube, &mut ctx, seg))
+        .collect();
     // All-or-nothing: a trip during the cascading stage leaves truncated
     // explanation lists — discard them rather than serve a partial answer.
     if parallel.is_cancelled() {
@@ -121,7 +116,7 @@ pub(crate) fn explain_cube_request(
     let latency = LatencyBreakdown {
         precompute: Default::default(),
         cascading: timers.cascading,
-        segmentation: timers.segmentation + outcome.solve_time,
+        segmentation: timers.segmentation,
         parallel: crate::latency::ParallelTimings {
             threads: parallel.threads(),
             cascading: timers.par_cascading,

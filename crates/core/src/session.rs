@@ -759,7 +759,6 @@ impl ExplainSession {
         &mut self,
         request: &ExplainRequest,
     ) -> Result<(CubeCacheKey, Arc<ExplanationCube>, Arc<SegmentMemo>, bool), TsExplainError> {
-        let _span = tsexplain_obs::trace::span("cube_acquire");
         let mut cube_config = CubeConfig::new(request.explain_by().iter().cloned())
             .with_max_order(request.max_order());
         cube_config.filter_ratio = request.optimizations().filter_ratio;
@@ -791,7 +790,6 @@ impl ExplainSession {
             // A rebuild drops cached cubes, but on this path the cache was
             // already missing this key; other keys are rebuilt on demand.
         }
-        let _build_span = tsexplain_obs::trace::span("cube_build");
         let par = request.parallel_ctx();
         let mut inc =
             IncrementalCube::from_relation_with(&self.base, &self.query, &cube_config, &par)?;

@@ -2,10 +2,11 @@
 //!
 //! A fixed-size ring of the most recent requests whose wall-clock time
 //! met a configurable threshold, each carrying its request id, route,
-//! status, duration, full span tree, and any trace annotations (the
-//! server attaches the engine's `LatencyBreakdown`). Served by the
-//! server at `GET /debug/requests` so "why was that one slow?" is
-//! answerable after the fact without re-running anything.
+//! status, duration and annotations (the server attaches the
+//! `LatencyBreakdown` the answer carried, and the stage a deadline
+//! tripped at). Served by the server at `GET /debug/requests` so "why
+//! was that one slow?" is answerable after the fact without re-running
+//! anything.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -28,9 +29,8 @@ pub struct FlightEntry {
     pub status: u16,
     /// Wall-clock time spent handling the request, in nanoseconds.
     pub duration_nanos: u64,
-    /// The span tree captured by the trace (see `trace::spans_value`).
-    pub spans: Value,
-    /// Trace annotations, e.g. the engine's latency breakdown.
+    /// Annotations as one JSON object, e.g. the answer's latency
+    /// breakdown.
     pub annotations: Value,
 }
 
@@ -43,7 +43,6 @@ impl FlightEntry {
             ("path", Value::String(self.path.clone())),
             ("status", Value::Number(self.status as f64)),
             ("duration_nanos", Value::Number(self.duration_nanos as f64)),
-            ("spans", self.spans.clone()),
             ("annotations", self.annotations.clone()),
         ])
     }
@@ -127,7 +126,6 @@ mod tests {
             path: "/datasets/1/explain".into(),
             status: 200,
             duration_nanos: millis * 1_000_000,
-            spans: Value::Array(vec![]),
             annotations: Value::object::<&str, _>([]),
         }
     }

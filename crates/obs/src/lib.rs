@@ -12,17 +12,15 @@
 //! - [`log`]: levelled structured JSON-lines logging to stderr
 //!   (`TSX_LOG` / `--log-level`), with component/tenant/request-id
 //!   fields.
-//! - [`trace`]: a span API with an ambient thread-local collector, so
-//!   pipeline stages record nested spans with zero plumbing and zero
-//!   cost when no trace is active.
-//! - [`flight`]: a fixed-size ring of recent slow requests (span tree +
-//!   latency breakdown), the data behind `GET /debug/requests`.
+//! - [`flight`]: a fixed-size ring of recent slow requests, each with
+//!   the latency breakdown its answer carried, the data behind
+//!   `GET /debug/requests`.
 //! - [`prom`]: Prometheus text exposition (`_bucket`/`_sum`/`_count`)
 //!   for `GET /metrics?format=prometheus`.
 //!
-//! Everything here is a side channel: recording, logging, and tracing
-//! never feed back into the engine, so explain output stays
-//! byte-identical with observability on or off, at any thread count.
+//! Everything here is a side channel: recording and logging never feed
+//! back into the engine, so explain output stays byte-identical with
+//! observability on or off, at any thread count.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout)]
@@ -31,7 +29,6 @@ pub mod flight;
 pub mod hist;
 pub mod log;
 pub mod prom;
-pub mod trace;
 
 pub use counter::CounterFamily;
 pub use flight::{FlightEntry, FlightRecorder};

@@ -27,6 +27,9 @@ const PAR_MIN_ITEMS: usize = 32;
 /// one thread both are wall-clock; at N threads they are the same work
 /// summed over the workers, so the split between the two modules means the
 /// same at any thread count (and their sum can exceed the elapsed time).
+/// Solver time — a strategy's solve or cut proposal and the sketch's DP —
+/// is charged to `segmentation` on the caller's thread, through
+/// [`SegmentationContext::timed_solve`].
 ///
 /// The `par_*` fields are the wall-clock of the regions that fanned out
 /// across more than one worker, charged to the stage that owns the region:
@@ -37,7 +40,8 @@ const PAR_MIN_ITEMS: usize = 32;
 pub struct StageTimers {
     /// Top-m derivations (module b), summed over workers.
     pub cascading: Duration,
-    /// Distances and variances (module c), summed over workers.
+    /// Distances and variances (module c), summed over workers, plus
+    /// solver time.
     pub segmentation: Duration,
     /// Wall-clock of the unit-object regions that fanned out.
     pub par_cascading: Duration,
@@ -51,7 +55,7 @@ pub struct StageTimers {
     clippy::disallowed_methods,
     reason = "stage timings are reported beside the answer and stripped before goldens compare"
 )]
-pub(crate) fn stage_clock() -> Instant {
+fn stage_clock() -> Instant {
     Instant::now()
 }
 
@@ -356,6 +360,18 @@ impl<'a> SegmentationContext<'a> {
             timers.segmentation += slot.segmentation;
         }
         timers
+    }
+
+    /// Runs `solve` on the caller's thread and charges its wall-clock to
+    /// the segmentation stage: a strategy's own solver (the DP solve with
+    /// its curve, elbow and cuts, or a shape strategy's cut proposal) and
+    /// the sketch's DP. A solve that fans out is timed whole, as elapsed
+    /// time on this thread.
+    pub fn timed_solve<T>(&mut self, solve: impl FnOnce() -> T) -> T {
+        let start = stage_clock();
+        let out = solve();
+        self.slots[0].segmentation += start.elapsed();
+        out
     }
 
     /// Number of top-m derivations the workload *requested* so far: the

@@ -9,9 +9,7 @@
 //! FLUSS, NNSegment) to the same trait so all four strategies are
 //! interchangeable per request, end-to-end through the serving API.
 
-use std::time::Duration;
-
-use crate::context::{stage_clock, SegmentationContext};
+use crate::context::SegmentationContext;
 use crate::dp::k_segmentation_with;
 use crate::elbow::elbow_k;
 use crate::error::SegmentError;
@@ -40,6 +38,9 @@ impl Default for KSelection {
 /// K-cost curve that backed the choice, and the objective at the chosen K
 /// (always the paper's explanation-aware `Σ |P_i| · var(P_i)`, so
 /// strategies are comparable on one scale regardless of how they cut).
+///
+/// It carries no timing: a strategy charges its solver to the context's
+/// segmentation clock with [`SegmentationContext::timed_solve`].
 #[derive(Clone, Debug)]
 pub struct SegmenterOutcome {
     /// The proposed scheme.
@@ -51,10 +52,6 @@ pub struct SegmenterOutcome {
     pub k_variance_curve: Vec<(usize, f64)>,
     /// The objective at the chosen K.
     pub total_variance: f64,
-    /// Wall-clock spent inside the strategy's own solver (the DP solve or
-    /// the baseline's cut proposal), *excluding* time already accumulated
-    /// by the context's cost/explanation timers.
-    pub solve_time: Duration,
 }
 
 /// One segmentation strategy behind the explanation pipeline (module docs).
@@ -99,31 +96,31 @@ impl Segmenter for DpSegmenter {
         if ctx.is_cancelled() {
             return Err(SegmentError::Cancelled);
         }
-        let dp_start = stage_clock();
         let k_cap = match k {
             KSelection::Auto { max_k } => max_k.min(positions.len() - 1).max(1),
             KSelection::Fixed(k) => k,
         };
-        let dp = k_segmentation_with(&costs, k_cap, &ctx.parallel());
-        // All-or-nothing: a cancelled solve leaves a truncated table whose
-        // cuts would be garbage — surface the typed error instead.
-        if ctx.is_cancelled() {
-            return Err(SegmentError::Cancelled);
-        }
-        let curve = dp.k_variance_curve();
-        let chosen_k = match k {
-            KSelection::Auto { .. } => elbow_k(&curve),
-            KSelection::Fixed(k) => k,
-        };
-        let position_cuts = dp.cuts(chosen_k)?;
-        let solve_time = dp_start.elapsed();
+        let parallel = ctx.parallel();
+        let (position_cuts, chosen_k, total_variance, curve) = ctx.timed_solve(|| {
+            let dp = k_segmentation_with(&costs, k_cap, &parallel);
+            // All-or-nothing: a cancelled solve leaves a truncated table
+            // whose cuts would be garbage — surface the typed error instead.
+            if parallel.is_cancelled() {
+                return Err(SegmentError::Cancelled);
+            }
+            let curve = dp.k_variance_curve();
+            let chosen_k = match k {
+                KSelection::Auto { .. } => elbow_k(&curve),
+                KSelection::Fixed(k) => k,
+            };
+            Ok((dp.cuts(chosen_k)?, chosen_k, dp.total_cost(chosen_k), curve))
+        })?;
         let cuts: Vec<usize> = position_cuts.iter().map(|&pi| positions[pi]).collect();
         Ok(SegmenterOutcome {
             segmentation: Segmentation::new(n, cuts)?,
             chosen_k,
-            total_variance: dp.total_cost(chosen_k),
+            total_variance,
             k_variance_curve: curve,
-            solve_time,
         })
     }
 }
@@ -148,9 +145,7 @@ pub fn shape_segmenter_outcome(
     let n = series.len();
     match k {
         KSelection::Fixed(k) => {
-            let start = stage_clock();
-            let cuts = propose(series, k);
-            let solve_time = start.elapsed();
+            let cuts = ctx.timed_solve(|| propose(series, k));
             let segmentation = Segmentation::new(n, cuts)?;
             let cost = ctx.objective(&segmentation);
             if ctx.is_cancelled() {
@@ -161,21 +156,17 @@ pub fn shape_segmenter_outcome(
                 k_variance_curve: vec![(segmentation.k(), cost)],
                 total_variance: cost,
                 segmentation,
-                solve_time,
             })
         }
         KSelection::Auto { max_k } => {
             let cap = max_k.min(n - 1).max(1);
-            let mut solve_time = Duration::default();
             let mut schemes = Vec::with_capacity(cap);
             // Proposals stay sequential (proposers memoize shared state —
             // matrix profiles, z-normed scores — across the sweep); the
             // explanation-aware scoring of the proposed schemes is the
             // expensive half and fans out across the parallel context.
             for k in 1..=cap {
-                let start = stage_clock();
-                let cuts = propose(series, k);
-                solve_time += start.elapsed();
+                let cuts = ctx.timed_solve(|| propose(series, k));
                 schemes.push(Segmentation::new(n, cuts)?);
             }
             let costs = ctx.objective_batch(&schemes);
@@ -196,7 +187,6 @@ pub fn shape_segmenter_outcome(
                 total_variance: curve[idx].1,
                 k_variance_curve: curve,
                 segmentation,
-                solve_time,
             })
         }
     }

@@ -48,6 +48,10 @@ impl SketchConfig {
 /// Returns the candidate positions *including both endpoints*, sorted. When
 /// the sketch cannot prune anything (`|S| ≥ n − 1`, short series), all
 /// positions are returned and phase II degenerates to the exact pipeline.
+///
+/// The DP is charged to the context's segmentation clock
+/// ([`SegmentationContext::timed_solve`]); its costs come from the memo
+/// when they are known, but the DP runs on every call.
 pub fn select_sketch(ctx: &mut SegmentationContext<'_>, config: &SketchConfig) -> Vec<usize> {
     let n = ctx.n_points();
     debug_assert!(n >= 2);
@@ -59,12 +63,14 @@ pub fn select_sketch(ctx: &mut SegmentationContext<'_>, config: &SketchConfig) -
 
     let positions: Vec<usize> = (0..n).collect();
     let costs = ctx.compute_costs(&positions, Some(l));
-    let dp = k_segmentation(&costs, s);
-    let k_use = dp.feasible_k_max().min(s);
-    if k_use < 2 {
+    let cuts = ctx.timed_solve(|| {
+        let dp = k_segmentation(&costs, s);
+        let k_use = dp.feasible_k_max().min(s);
+        (k_use >= 2).then(|| dp.cuts(k_use).expect("feasible k"))
+    });
+    let Some(cuts) = cuts else {
         return (0..n).collect();
-    }
-    let cuts = dp.cuts(k_use).expect("feasible k");
+    };
 
     let mut out = Vec::with_capacity(cuts.len() + 2);
     out.push(0);
@@ -83,28 +89,30 @@ mod tests {
 
     /// A 60-point series where NY drives the first half and CA the second.
     fn cube() -> ExplanationCube {
+        cube_of(60)
+    }
+
+    /// An `n`-point series where NY drives the first half and CA the second.
+    fn cube_of(n: usize) -> ExplanationCube {
         let schema = Schema::new(vec![
             Field::dimension("d"),
             Field::dimension("state"),
             Field::measure("v"),
         ])
         .unwrap();
+        let half = n / 2;
         let mut b = Relation::builder(schema);
-        for t in 0..60 {
-            let ny = if t < 30 { 10.0 * t as f64 } else { 290.0 };
-            let ca = if t < 30 {
-                5.0
-            } else {
-                5.0 + 8.0 * (t - 30) as f64
-            };
+        for t in 0..n {
+            let ny = 10.0 * t.min(half - 1) as f64;
+            let ca = 5.0 + 8.0 * t.saturating_sub(half) as f64;
             b.push_row(vec![
-                Datum::from(format!("d{t:02}")),
+                Datum::from(format!("d{t:03}")),
                 Datum::from("NY"),
                 Datum::from(ny),
             ])
             .unwrap();
             b.push_row(vec![
-                Datum::from(format!("d{t:02}")),
+                Datum::from(format!("d{t:03}")),
                 Datum::from("CA"),
                 Datum::from(ca),
             ])
@@ -116,6 +124,16 @@ mod tests {
             &CubeConfig::new(["state"]),
         )
         .unwrap()
+    }
+
+    fn context(cube: &ExplanationCube) -> SegmentationContext<'_> {
+        SegmentationContext::new(
+            cube,
+            DiffMetric::AbsoluteChange,
+            3,
+            TopExplStrategy::Exact,
+            VarianceMetric::Tse,
+        )
     }
 
     #[test]
@@ -130,13 +148,7 @@ mod tests {
     #[test]
     fn short_series_returns_all_positions() {
         let cube = cube();
-        let mut ctx = SegmentationContext::new(
-            &cube,
-            DiffMetric::AbsoluteChange,
-            3,
-            TopExplStrategy::Exact,
-            VarianceMetric::Tse,
-        );
+        let mut ctx = context(&cube);
         // Default config on n=60: |S| = 3·60/3 = 60 ≥ n−1 → no pruning.
         let sketch = select_sketch(&mut ctx, &SketchConfig::default());
         assert_eq!(sketch.len(), 60);
@@ -145,13 +157,7 @@ mod tests {
     #[test]
     fn sketch_prunes_and_keeps_true_cut() {
         let cube = cube();
-        let mut ctx = SegmentationContext::new(
-            &cube,
-            DiffMetric::AbsoluteChange,
-            3,
-            TopExplStrategy::Exact,
-            VarianceMetric::Tse,
-        );
+        let mut ctx = context(&cube);
         let cfg = SketchConfig {
             max_len_fraction: 0.2,
             max_len_cap: 12,
@@ -174,13 +180,7 @@ mod tests {
     #[test]
     fn sketch_positions_within_bounds() {
         let cube = cube();
-        let mut ctx = SegmentationContext::new(
-            &cube,
-            DiffMetric::AbsoluteChange,
-            3,
-            TopExplStrategy::Exact,
-            VarianceMetric::Tse,
-        );
+        let mut ctx = context(&cube);
         let cfg = SketchConfig {
             max_len_fraction: 0.1,
             max_len_cap: 6,
@@ -188,5 +188,22 @@ mod tests {
         };
         let sketch = select_sketch(&mut ctx, &cfg);
         assert!(sketch.iter().all(|&p| p < 60));
+    }
+
+    #[test]
+    fn a_memo_served_sketch_still_charges_its_dp() {
+        // n = 400: L = 20 and |S| = 60, so the sketch prunes.
+        let cube = cube_of(400);
+        let mut ctx = context(&cube);
+        let first = select_sketch(&mut ctx, &SketchConfig::default());
+        assert!(first.len() < 400, "sketch should prune: {}", first.len());
+        let work = (ctx.ca_derivations(), ctx.memo_misses());
+        let clock = ctx.timers().segmentation;
+        let second = select_sketch(&mut ctx, &SketchConfig::default());
+        assert_eq!(second, first);
+        // Every cost is served from the memo: nothing is derived or priced…
+        assert_eq!((ctx.ca_derivations(), ctx.memo_misses()), work);
+        // …yet the DP runs again, and on the segmentation clock.
+        assert!(ctx.timers().segmentation > clock);
     }
 }

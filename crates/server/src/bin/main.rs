@@ -32,8 +32,9 @@
 //! `--log-level` (`off|error|warn|info|debug`, default `info`, also the
 //! `TSX_LOG` environment variable) controls the structured JSON-lines
 //! log on stderr. `--slow-ms` sets the flight-recorder threshold:
-//! requests at or above it are captured with their span tree and served
-//! at `GET /debug/requests` (0 records everything).
+//! requests at or above it are captured with the latency breakdown their
+//! answer carried and served at `GET /debug/requests` (0 records
+//! everything).
 //!
 //! Serves until killed. `--addr 127.0.0.1:0` picks an ephemeral port and
 //! prints it, which is what scripts and CI use.

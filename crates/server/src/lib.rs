@@ -50,8 +50,9 @@
 //!   Prometheus text exposition with per-route/per-strategy/per-tenant
 //!   latency histograms (`tsexplain-obs`).
 //! * `GET /debug/requests` — the slow-request flight recorder: the last N
-//!   requests at or above `--slow-ms`, each with its span tree and the
-//!   explain latency breakdown.
+//!   requests at or above `--slow-ms`, each with the latency breakdown
+//!   its answer carried (a `/compare`'s DP row's) and, for a deadline
+//!   504, the stage the deadline tripped at.
 //! * `GET /healthz` — liveness.
 //!
 //! Every response carries an `x-request-id` header — the client's
@@ -70,11 +71,11 @@
 //!
 //! ## Observability contract
 //!
-//! All instrumentation is a pure side channel: histograms, spans, flight
-//! entries and log lines never feed back into an answer, spans are
-//! recorded only on the thread running the request (parallel workers
-//! no-op), and logs go to stderr — responses stay byte-identical at any
-//! thread count, log level, or slow threshold.
+//! All instrumentation is a pure side channel: histograms, flight entries
+//! and log lines never feed back into an answer, and logs go to stderr —
+//! responses stay byte-identical at any thread count, log level, or slow
+//! threshold. Engine time has one clock: the answer's latency block,
+//! which the response, `/metrics` and the flight recorder all read.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout)]

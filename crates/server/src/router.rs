@@ -32,8 +32,8 @@ use std::sync::atomic::Ordering;
 
 use serde::{Deserialize, Serialize, Value};
 use tsexplain::{
-    default_window_for, DatasetId, Deadline, ExplainRequest, RegistryError, Relation,
-    SegmenterSpec, TsExplainError,
+    default_window_for, DatasetId, Deadline, ExplainRequest, LatencyBreakdown, RegistryError,
+    Relation, SegmenterSpec, TsExplainError,
 };
 use tsexplain_eval::{distance_percent, rank_ascending};
 
@@ -45,22 +45,49 @@ use crate::wire::{
     DatasetCreated, RegisterDataset, StrategyComparison,
 };
 
-/// Dispatches one request against the shared server state.
-pub fn handle(shared: &ServerShared, request: &Request) -> Response {
-    match route(shared, request) {
-        Ok(response) => response,
-        Err(e) => e.into_response(),
+/// What the flight recorder keeps of a request beside its response: the
+/// latency block of the answer (a `/compare`'s DP row's) and the stage a
+/// deadline tripped at.
+#[derive(Default)]
+pub(crate) struct FlightNotes {
+    latency: Option<LatencyBreakdown>,
+    cancelled_at_stage: Option<&'static str>,
+}
+
+impl FlightNotes {
+    /// The notes as a flight entry's `annotations` object.
+    pub(crate) fn annotations(&self) -> Value {
+        let latency = self.latency.map(|l| ("latency", l.serialize()));
+        let stage = self
+            .cancelled_at_stage
+            .map(|stage| ("cancelled_at_stage", Value::String(stage.into())));
+        Value::object(latency.into_iter().chain(stage))
     }
 }
 
-fn route(shared: &ServerShared, request: &Request) -> Result<Response, ApiError> {
+/// Dispatches one request against the shared server state.
+pub fn handle(shared: &ServerShared, request: &Request) -> Response {
+    route(shared, request, &mut FlightNotes::default()).unwrap_or_else(ApiError::into_response)
+}
+
+/// Dispatches one request, leaving in `notes` what the flight recorder
+/// keeps of it.
+pub(crate) fn route(
+    shared: &ServerShared,
+    request: &Request,
+    notes: &mut FlightNotes,
+) -> Result<Response, ApiError> {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     let method = request.method.as_str();
     match (method, segments.as_slice()) {
         ("POST", ["datasets"]) => register(shared, &request.body),
         ("POST", ["datasets", id, "rows"]) => append(shared, parse_id(id)?, &request.body),
-        ("POST", ["datasets", id, "explain"]) => explain(shared, parse_id(id)?, &request.body),
-        ("POST", ["datasets", id, "compare"]) => compare(shared, parse_id(id)?, &request.body),
+        ("POST", ["datasets", id, "explain"]) => {
+            explain(shared, parse_id(id)?, &request.body, notes)
+        }
+        ("POST", ["datasets", id, "compare"]) => {
+            compare(shared, parse_id(id)?, &request.body, notes)
+        }
         ("GET", ["datasets", id, "stats"]) => stats(shared, parse_id(id)?),
         ("DELETE", ["datasets", id]) => remove(shared, parse_id(id)?),
         ("GET", ["metrics"]) => metrics(shared, request),
@@ -197,11 +224,12 @@ fn with_deadline(
 /// Turns a cooperative-cancellation error into the deadline 504: bumps
 /// the counters (every deadline 504; plus `cancelled_inflight` when the
 /// trip happened after engine compute began), leaves the stage in the
-/// flight recorder, and reports honest elapsed/budget milliseconds from
+/// flight notes, and reports honest elapsed/budget milliseconds from
 /// the deadline that was actually minted for this request.
 fn deadline_response(
     shared: &ServerShared,
     deadline: Option<&Deadline>,
+    notes: &mut FlightNotes,
     stage: &'static str,
 ) -> ApiError {
     let m = &shared.metrics;
@@ -209,7 +237,7 @@ fn deadline_response(
     if stage != "start" {
         m.cancelled_inflight.fetch_add(1, Ordering::Relaxed);
     }
-    tsexplain_obs::trace::annotate("cancelled_at_stage", Value::String(stage.into()));
+    notes.cancelled_at_stage = Some(stage);
     let (elapsed_ms, budget_ms) = match deadline {
         Some(d) => (d.elapsed_ms(), d.budget_ms()),
         // Unreachable in practice — a token only exists because a deadline
@@ -223,12 +251,11 @@ fn deadline_response(
 fn map_registry_error(
     shared: &ServerShared,
     deadline: Option<&Deadline>,
+    notes: &mut FlightNotes,
     e: RegistryError,
 ) -> ApiError {
     match e {
-        RegistryError::Session(TsExplainError::Cancelled { stage }) => {
-            deadline_response(shared, deadline, stage)
-        }
+        RegistryError::Session(e) => map_engine_error(shared, deadline, notes, e),
         other => ApiError::from(other),
     }
 }
@@ -237,27 +264,33 @@ fn map_registry_error(
 fn map_engine_error(
     shared: &ServerShared,
     deadline: Option<&Deadline>,
+    notes: &mut FlightNotes,
     e: TsExplainError,
 ) -> ApiError {
     match e {
-        TsExplainError::Cancelled { stage } => deadline_response(shared, deadline, stage),
+        TsExplainError::Cancelled { stage } => deadline_response(shared, deadline, notes, stage),
         other => ApiError::from(other),
     }
 }
 
-fn explain(shared: &ServerShared, id: DatasetId, body: &[u8]) -> Result<Response, ApiError> {
+fn explain(
+    shared: &ServerShared,
+    id: DatasetId,
+    body: &[u8],
+    notes: &mut FlightNotes,
+) -> Result<Response, ApiError> {
     let request = with_thread_default(shared, parse_body::<ExplainRequest>(body)?);
     let (request, deadline) = with_deadline(shared, request);
     let result = shared
         .registry
         .explain(id, &request)
-        .map_err(|e| map_registry_error(shared, deadline.as_ref(), e))?;
+        .map_err(|e| map_registry_error(shared, deadline.as_ref(), notes, e))?;
     shared.metrics.observe_latency(&result.latency);
     shared
         .obs
         .strategy_hist
         .record(&result.strategy, result.latency.total());
-    tsexplain_obs::trace::annotate("latency", result.latency.serialize());
+    notes.latency = Some(result.latency);
     Ok(json_ok(200, &result))
 }
 
@@ -267,7 +300,12 @@ fn explain(shared: &ServerShared, id: DatasetId, body: &[u8]) -> Result<Response
 /// the session is never re-locked per strategy), then the four strategies
 /// run concurrently across the request's parallel context. Chunk-ordered
 /// reduction keeps the response byte-identical at any thread count.
-fn compare(shared: &ServerShared, id: DatasetId, body: &[u8]) -> Result<Response, ApiError> {
+fn compare(
+    shared: &ServerShared,
+    id: DatasetId,
+    body: &[u8],
+    notes: &mut FlightNotes,
+) -> Result<Response, ApiError> {
     let spec: CompareBody = parse_body(body)?;
     let base = with_thread_default(shared, spec.request.clone());
     // One deadline covers the whole comparison — cube acquisition plus
@@ -281,7 +319,7 @@ fn compare(shared: &ServerShared, id: DatasetId, body: &[u8]) -> Result<Response
     let prepared = shared
         .registry
         .prepare(id, &base.clone().with_segmenter(SegmenterSpec::Dp))
-        .map_err(|e| map_registry_error(shared, deadline.as_ref(), e))?;
+        .map_err(|e| map_registry_error(shared, deadline.as_ref(), notes, e))?;
     let window = spec
         .window
         .unwrap_or_else(|| default_window_for(prepared.n_points()));
@@ -305,16 +343,13 @@ fn compare(shared: &ServerShared, id: DatasetId, body: &[u8]) -> Result<Response
     let outer = total_threads.min(specs.len()).max(1);
     let inner = (total_threads / outer).max(1);
     let strategy_base = base.clone().with_threads(inner);
-    let outcomes = {
-        let _span = tsexplain_obs::trace::span("parallel_fanout");
-        tsexplain::ParallelCtx::new(outer).map(specs.len(), |i| {
-            prepared.explain(&strategy_base.clone().with_segmenter(specs[i]))
-        })
-    };
+    let outcomes = tsexplain::ParallelCtx::new(outer).map(specs.len(), |i| {
+        prepared.explain(&strategy_base.clone().with_segmenter(specs[i]))
+    });
     shared.metrics.observe_fanout(outer);
     let mut results = Vec::with_capacity(specs.len());
     for outcome in outcomes {
-        let result = outcome.map_err(|e| map_engine_error(shared, deadline.as_ref(), e))?;
+        let result = outcome.map_err(|e| map_engine_error(shared, deadline.as_ref(), notes, e))?;
         shared.metrics.observe_latency(&result.latency);
         shared
             .obs
@@ -323,7 +358,7 @@ fn compare(shared: &ServerShared, id: DatasetId, body: &[u8]) -> Result<Response
         results.push(result);
     }
     // The reference (DP) row's breakdown is the one worth flight-recording.
-    tsexplain_obs::trace::annotate("latency", results[0].latency.serialize());
+    notes.latency = Some(results[0].latency);
 
     let reference_cuts = results[0].segmentation.cuts().to_vec();
     let objectives: Vec<f64> = results.iter().map(|r| r.total_variance).collect();

@@ -35,14 +35,14 @@ use std::time::{Duration, Instant};
 use serde::Value;
 use tsexplain::{DataStore, SessionRegistry, DEFAULT_REGISTRY_BUDGET};
 use tsexplain_epoll::Waker;
-use tsexplain_obs::{trace, CounterFamily, FlightEntry, FlightRecorder, HistogramFamily};
+use tsexplain_obs::{CounterFamily, FlightEntry, FlightRecorder, HistogramFamily};
 
 use crate::admission::TokenBuckets;
 use crate::error::ApiError;
 use crate::http::{self, ReadError};
 use crate::pool::WorkerPool;
 use crate::reactor::{self, Reactor};
-use crate::router;
+use crate::router::{self, FlightNotes};
 
 /// Tunables of a [`Server`].
 #[derive(Clone, Debug)]
@@ -485,11 +485,12 @@ fn throttle(shared: &ServerShared, request: &http::Request) -> Option<(String, D
 /// error, read timeout, server shutdown, or (the common case) after a
 /// keep-alive response with no pipelined bytes pending.
 ///
-/// Every parsed request is traced (spans recorded by the pipeline on
-/// this thread), timed into the per-route/per-tenant histograms, stamped
-/// with its request id (the client's `X-Request-Id` or a generated one),
-/// and — when it meets the `--slow-ms` threshold — captured by the
-/// flight recorder with its full span tree.
+/// Every parsed request is timed into the per-route/per-tenant
+/// histograms, stamped with its request id (the client's `X-Request-Id`
+/// or a generated one), and — when it meets the `--slow-ms` threshold —
+/// captured by the flight recorder with the notes the router left: the
+/// answer's own latency block and the stage a deadline tripped at. Only
+/// a recorded entry serializes them.
 fn serve_ready(
     shared: &ServerShared,
     stream: TcpStream,
@@ -558,7 +559,7 @@ fn serve_ready(
             .map(str::to_string)
             .unwrap_or_else(next_request_id);
         let started = Instant::now();
-        trace::begin();
+        let mut notes = FlightNotes::default();
         let mut response = match throttle(shared, &request) {
             Some((tenant, wait)) => {
                 metrics.throttled.fetch_add(1, Ordering::Relaxed);
@@ -573,15 +574,16 @@ fn serve_ready(
                 .into_response_retry_after(wait)
             }
             // A panic in the engine must cost one 500, not a worker thread.
-            None => match catch_unwind(AssertUnwindSafe(|| router::handle(shared, &request))) {
-                Ok(response) => response,
+            None => match catch_unwind(AssertUnwindSafe(|| {
+                router::route(shared, &request, &mut notes)
+            })) {
+                Ok(routed) => routed.unwrap_or_else(ApiError::into_response),
                 Err(_) => {
                     metrics.panics.fetch_add(1, Ordering::Relaxed);
                     ApiError::internal("worker panicked while handling the request").into_response()
                 }
             },
         };
-        let trace_result = trace::finish();
         let elapsed = started.elapsed();
 
         metrics.observe(response.status);
@@ -591,10 +593,6 @@ fn serve_ready(
             shared.obs.tenant_hist.record(&tenant, elapsed);
         }
         if shared.obs.flight.qualifies(elapsed) {
-            let (spans, annotations) = match &trace_result {
-                Some(t) => (t.spans_value(), t.annotations_value()),
-                None => (Value::Array(Vec::new()), Value::object::<String, _>([])),
-            };
             shared.obs.flight.record(FlightEntry {
                 seq: 0,
                 request_id: request_id.clone(),
@@ -602,8 +600,7 @@ fn serve_ready(
                 path: request.path.clone(),
                 status: response.status,
                 duration_nanos: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-                spans,
-                annotations,
+                annotations: notes.annotations(),
             });
         }
         tsexplain_obs::log::debug(

@@ -1,7 +1,8 @@
 //! End-to-end acceptance of the observability subsystem: a booted
 //! `tsx-server` must echo (or mint) `X-Request-Id` on every response,
-//! capture slow requests in the flight recorder with a real span tree,
-//! serve a valid Prometheus text exposition at
+//! capture slow requests in the flight recorder with the latency block
+//! their answer carried (or the stage a deadline tripped at), serve a
+//! valid Prometheus text exposition at
 //! `/metrics?format=prometheus`, and keep the JSON `/metrics` document
 //! byte-identical whether or not a `format` parameter spelled it out.
 //! The metric surface itself — every JSON leaf path and every Prometheus
@@ -9,9 +10,10 @@
 
 use std::collections::BTreeSet;
 
-use serde::Value;
+use serde::{Serialize, Value};
 use tsexplain::ExplainRequest;
 use tsexplain_datagen::synthetic::{SyntheticConfig, SyntheticDataset};
+use tsexplain_server::wire::CompareBody;
 use tsexplain_server::{Client, Server, ServerConfig};
 
 /// The `/metrics` surface of a server with a data dir: `json <path>` for
@@ -50,16 +52,36 @@ fn boot_with(base: ServerConfig) -> (tsexplain_server::ServerHandle, Client, u64
     (handle, client, created.dataset_id)
 }
 
-/// Collects every span name in a flight-recorded span forest.
-fn span_names(spans: &Value, into: &mut Vec<String>) {
-    let Value::Array(spans) = spans else { return };
-    for span in spans {
-        if let Some(name) = span.get("name").and_then(Value::as_str) {
-            into.push(name.to_string());
-        }
-        if let Some(children) = span.get("children") {
-            span_names(children, into);
-        }
+/// POSTs `body` to `path` under `request_id`: the response's status and
+/// JSON body.
+fn post(client: &mut Client, path: &str, body: &Value, request_id: &str) -> (u16, Value) {
+    let body = serde_json::to_string(body).unwrap();
+    let response = client
+        .raw("POST", path, Some(&body), &[("x-request-id", request_id)])
+        .unwrap();
+    let text = std::str::from_utf8(&response.body).unwrap();
+    (response.status, serde_json::from_str(text).unwrap())
+}
+
+/// The recorded requests of a `/debug/requests` document.
+fn flight_requests(flight: &Value) -> &[Value] {
+    flight.get("requests").and_then(Value::as_array).unwrap()
+}
+
+/// The flight entry of the request sent under `request_id`.
+fn flight_entry<'a>(requests: &'a [Value], request_id: &str) -> &'a Value {
+    requests
+        .iter()
+        .find(|e| e.get("request_id").and_then(Value::as_str) == Some(request_id))
+        .unwrap_or_else(|| panic!("no flight entry for {request_id}"))
+}
+
+/// `value` with every leaf nulled: its key structure.
+fn shape(value: &Value) -> Value {
+    match value {
+        Value::Object(map) => Value::object(map.iter().map(|(k, v)| (k.clone(), shape(v)))),
+        Value::Array(items) => Value::Array(items.iter().map(shape).collect()),
+        _ => Value::Null,
     }
 }
 
@@ -201,63 +223,76 @@ fn request_ids_are_echoed_or_minted() {
 }
 
 #[test]
-fn flight_recorder_captures_the_explain_span_tree() {
+fn flight_entries_carry_the_answers_latency_block_at_any_thread_count() {
     let (mut handle, mut client, id) = boot();
-    client
-        .explain_value(id, &ExplainRequest::new(["category"]))
-        .unwrap();
-    client
-        .compare_value(id, &ExplainRequest::new(["category"]), None)
-        .unwrap();
+    // (request id, the latency block its answer carried)
+    let mut answered = Vec::new();
+    for threads in [1, 2] {
+        let request = ExplainRequest::new(["category"]).with_threads(threads);
+        let explain_id = format!("explain-t{threads}");
+        let (status, explained) = post(
+            &mut client,
+            &format!("/datasets/{id}/explain"),
+            &request.serialize(),
+            &explain_id,
+        );
+        assert_eq!(status, 200, "{explained:?}");
+        answered.push((explain_id, explained.get("latency").cloned().unwrap()));
+
+        let compare_id = format!("compare-t{threads}");
+        let body = CompareBody {
+            request,
+            window: None,
+        };
+        let (status, compared) = post(
+            &mut client,
+            &format!("/datasets/{id}/compare"),
+            &body.serialize(),
+            &compare_id,
+        );
+        assert_eq!(status, 200, "{compared:?}");
+        // The reference (DP) row is the first.
+        let dp_latency = compared
+            .get("strategies")
+            .and_then(Value::as_array)
+            .and_then(|rows| rows.first())
+            .and_then(|row| row.get("result"))
+            .and_then(|result| result.get("latency"))
+            .cloned()
+            .unwrap();
+        answered.push((compare_id, dp_latency));
+    }
 
     let flight = client.debug_requests().unwrap();
     assert_eq!(
         flight.get("slow_threshold_ms").and_then(Value::as_f64),
         Some(0.0)
     );
-    let requests = flight.get("requests").and_then(Value::as_array).unwrap();
-    assert!(!requests.is_empty(), "slow_ms=0 must record every request");
-
-    let explain_entry = requests
-        .iter()
-        .find(|e| {
-            e.get("path")
-                .and_then(Value::as_str)
-                .is_some_and(|p| p.ends_with("/explain"))
-        })
-        .expect("the explain request was recorded");
-    let mut names = Vec::new();
-    span_names(explain_entry.get("spans").unwrap(), &mut names);
-    for expected in ["cube_acquire", "segmentation", "cascading"] {
-        assert!(
-            names.contains(&expected.to_string()),
-            "missing {expected} in {names:?}"
+    let requests = flight_requests(&flight);
+    // The flight entry holds the very latency block the answer carried:
+    // one clock, whatever the thread count.
+    for (request_id, latency) in &answered {
+        let entry = flight_entry(requests, request_id);
+        assert_eq!(
+            entry.get("annotations").and_then(|a| a.get("latency")),
+            Some(latency),
+            "{request_id}"
         );
+        assert!(entry
+            .get("duration_nanos")
+            .and_then(Value::as_f64)
+            .is_some_and(|d| d > 0.0));
     }
-    // Spans carry real timings and the entry carries the breakdown.
-    assert!(explain_entry
-        .get("duration_nanos")
-        .and_then(Value::as_f64)
-        .is_some_and(|d| d > 0.0));
-    let latency = explain_entry
-        .get("annotations")
-        .and_then(|a| a.get("latency"))
-        .expect("the explain latency breakdown is annotated");
-    for module in ["precompute", "cascading", "segmentation"] {
-        assert!(latency.get(module).is_some(), "latency lacks {module}");
+    // An entry's structure does not change with the thread count.
+    for route in ["explain", "compare"] {
+        let one = flight_entry(requests, &format!("{route}-t1"));
+        let two = flight_entry(requests, &format!("{route}-t2"));
+        assert_eq!(shape(one), shape(two), "{route}");
     }
-
-    let compare_entry = requests
-        .iter()
-        .find(|e| {
-            e.get("path")
-                .and_then(Value::as_str)
-                .is_some_and(|p| p.ends_with("/compare"))
-        })
-        .expect("the compare request was recorded");
-    let mut names = Vec::new();
-    span_names(compare_entry.get("spans").unwrap(), &mut names);
-    assert!(names.contains(&"parallel_fanout".to_string()), "{names:?}");
+    assert!(
+        requests.iter().all(|e| e.get("spans").is_none()),
+        "flight entries carry no span trees"
+    );
 
     // The deepest documents the server writes stay far under the JSON
     // parser's nesting cap of 128, so a client can always read them back.
@@ -273,6 +308,43 @@ fn flight_recorder_captures_the_explain_span_tree() {
         .map(|e| e.get("seq").and_then(Value::as_f64).unwrap())
         .collect();
     assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{seqs:?}");
+    drop(client);
+    handle.shutdown();
+}
+
+#[test]
+fn a_deadlined_requests_entry_names_its_stage() {
+    let (mut handle, mut client, id) = boot();
+    let path = format!("/datasets/{id}/explain");
+    let request = ExplainRequest::new(["category"]);
+    let deadlined = request.clone().with_timeout_ms(0).serialize();
+    // A zero budget trips at the first poll: the cold cube build's, then,
+    // once the cube is cached, the pipeline's entry poll.
+    let (status, body) = post(&mut client, &path, &deadlined, "deadlined-cold");
+    assert_eq!(status, 504, "{body:?}");
+    client.explain_value(id, &request).unwrap();
+    let (status, body) = post(&mut client, &path, &deadlined, "deadlined-warm");
+    assert_eq!(status, 504, "{body:?}");
+    assert_eq!(
+        body.get("kind").and_then(Value::as_str),
+        Some("deadline_exceeded")
+    );
+
+    let flight = client.debug_requests().unwrap();
+    for (request_id, stage) in [("deadlined-cold", "cube"), ("deadlined-warm", "start")] {
+        let annotations = flight_entry(flight_requests(&flight), request_id)
+            .get("annotations")
+            .unwrap();
+        assert_eq!(
+            annotations
+                .get("cancelled_at_stage")
+                .and_then(Value::as_str),
+            Some(stage),
+            "{request_id}"
+        );
+        // Nothing was answered, so there is no latency block to keep.
+        assert!(annotations.get("latency").is_none(), "{annotations:?}");
+    }
     drop(client);
     handle.shutdown();
 }

@@ -489,7 +489,8 @@ fn deadline_504_is_wellformed_and_leaves_no_state_behind() {
     let request = requests().remove(0);
 
     // Over-budget explain: a zero budget deterministically trips at the
-    // pipeline's entry poll, through the real engine path.
+    // first poll (here the cold cube build's), through the real engine
+    // path.
     let err = client
         .explain_value(created.dataset_id, &request.clone().with_timeout_ms(0))
         .unwrap_err();
