@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use tsexplain_relation::{AggQuery, Datum, Relation};
-use tsexplain_store::{DataStore, LockRank, Ranked, Recovery, TenantCheckpoint};
+use tsexplain_store::{DataStore, LockRank, Ranked, Recovery};
 
 use crate::error::TsExplainError;
 use crate::request::ExplainRequest;
@@ -485,10 +485,11 @@ impl SessionRegistry {
     /// Checkpoints the durable store once enough log has accumulated: one
     /// cycle of rotate → export → truncate. The WAL is rotated FIRST and
     /// the tenant states are exported AFTER — every record already in the
-    /// pre-rotation segments is then visible to the exports (taken under
-    /// each session's lock, which any in-flight mutation holds while it
-    /// logs), and a record logged concurrently with the export lands in
-    /// the fresh segment, which survives the truncation. The seq
+    /// pre-rotation segments is then visible to the exports (each encoded
+    /// in place under its session's lock, which any in-flight mutation
+    /// holds while it logs; the lock is released before the CRC and the
+    /// file write), and a record logged concurrently with the export lands
+    /// in the fresh segment, which survives the truncation. The seq
     /// watermark makes snapshot/WAL-suffix overlap idempotent on replay,
     /// so no acked mutation can fall between a deleted log segment and a
     /// snapshot that predates it. Tenants whose lock is poisoned are
@@ -525,21 +526,21 @@ impl SessionRegistry {
             let Ok(session) = LockRank::Session.lock(&handle) else {
                 continue;
             };
-            tenants.push(TenantCheckpoint {
-                id,
-                schema: session.schema().clone(),
-                query: session.query().clone(),
-                rows: session.export_rows(),
-            });
+            tenants.push(session.checkpoint(id));
         }
         let next_id = self.next_id.load(Ordering::Relaxed);
-        if let Err(e) = store.checkpoint(next_id, &tenants, rotation) {
+        let count = tenants.len();
+        let written = tenants
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .and_then(|tenants| store.checkpoint(next_id, tenants, rotation));
+        if let Err(e) = written {
             tsexplain_obs::log::warn(
                 "store",
                 "checkpoint failed (will retry)",
                 &[
                     ("error", serde::Value::String(e.to_string())),
-                    ("tenants", serde::Value::Number(tenants.len() as f64)),
+                    ("tenants", serde::Value::Number(count as f64)),
                 ],
             );
         }

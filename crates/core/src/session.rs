@@ -53,6 +53,7 @@ use tsexplain_relation::{
     AggQuery, AttrValue, Column, ColumnType, Datum, Relation, RelationError, Schema,
 };
 use tsexplain_segment::SegmentMemo;
+use tsexplain_store::{StoreError, TenantCheckpoint};
 
 use crate::error::TsExplainError;
 use crate::pipeline::explain_cube_request;
@@ -433,11 +434,18 @@ impl ExplainSession {
     }
 
     /// Every raw row the session holds, in ingestion order (schema order
-    /// per row) — what a durable checkpoint persists.
+    /// per row) — what a durable registration logs.
     pub(crate) fn export_rows(&self) -> Vec<Vec<Datum>> {
         let mut rows = relation_rows(&self.base);
         rows.extend(self.tail.iter().cloned());
         rows
+    }
+
+    /// Tenant `id`'s checkpoint snapshot: the query, the schema and every
+    /// row in ingestion order, encoded in place from the base relation's
+    /// columns and the tail, with no row copied.
+    pub(crate) fn checkpoint(&self, id: u64) -> Result<TenantCheckpoint, StoreError> {
+        TenantCheckpoint::encode(id, &self.query, &self.base, &self.tail)
     }
 
     /// Cache instrumentation.

@@ -9,15 +9,33 @@
 //! rot) — both end the valid prefix without a panic.
 
 use crate::crc32::crc32;
+use crate::error::StoreError;
 
 /// Frame header size: length + checksum.
 pub const HEADER: usize = 8;
 
 /// Appends one frame around `payload` to `out`.
-pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), StoreError> {
+    let at = out.len();
+    out.extend_from_slice(&[0; HEADER]);
     out.extend_from_slice(payload);
+    seal_frame(&mut out[at..])
+}
+
+/// Fills in the header of a frame built in place: `frame` is [`HEADER`]
+/// reserved bytes followed by the payload. A payload the `u32` length
+/// field cannot hold is an error, not a silently wrong length.
+pub fn seal_frame(frame: &mut [u8]) -> Result<(), StoreError> {
+    let (header, payload) = frame.split_at_mut(HEADER);
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        StoreError::Encode(format!(
+            "a {} byte payload overflows the frame length",
+            payload.len()
+        ))
+    })?;
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
 }
 
 /// One decoded frame: the payload and the total encoded size consumed.
@@ -87,7 +105,7 @@ mod tests {
     fn segment(payloads: &[&[u8]]) -> Vec<u8> {
         let mut out = Vec::new();
         for p in payloads {
-            append_frame(&mut out, p);
+            append_frame(&mut out, p).unwrap();
         }
         out
     }

@@ -25,12 +25,12 @@ mod crc32;
 mod error;
 mod frame;
 mod rank;
+mod snapshot;
 mod store;
 mod wal;
 
 pub use error::StoreError;
 pub use rank::{LockRank, Ranked};
-pub use store::{
-    DataStore, RecoveredTenant, Recovery, StoreDurations, StoreMetrics, TenantCheckpoint,
-};
+pub use snapshot::TenantCheckpoint;
+pub use store::{DataStore, RecoveredTenant, Recovery, StoreDurations, StoreMetrics};
 pub use wal::WalRecord;

@@ -6,7 +6,8 @@
 //! ```text
 //! meta.json            last checkpoint's {"next_id": N} (plain JSON)
 //! wal/000001.wal …     CRC-framed record segments, replayed in order
-//! tenants/t{id}.snap   one frame: tenant schema + query + rows (JSON)
+//! tenants/t{id}.snap   one frame: tenant schema + query + rows (JSON,
+//!                      written in place by `TenantCheckpoint::encode`)
 //! ```
 //!
 //! Nothing else is kept: a cube is derived state, rebuilt from the rows
@@ -17,12 +18,13 @@
 //! as one CRC frame and fsynced before the caller acknowledges, so an
 //! acked request survives a crash. Segments rotate at a size threshold.
 //! A checkpoint cycle rotates to a fresh segment *first*
-//! ([`DataStore::rotate_wal`]), then writes every tenant's full state to
-//! `tenants/` (atomic tmp + rename), persists `next_id`, and deletes
-//! only the pre-rotation segments ([`DataStore::checkpoint`]) — records
-//! logged concurrently with the export land in the fresh segment and
-//! survive, so no acked mutation can fall between a deleted log and a
-//! snapshot that predates it.
+//! ([`DataStore::rotate_wal`]), then encodes every tenant's full state
+//! ([`TenantCheckpoint::encode`]), writes it to `tenants/` (atomic tmp +
+//! rename), persists `next_id`, and deletes only the pre-rotation
+//! segments ([`DataStore::checkpoint`]) — records logged concurrently
+//! with the encode land in the fresh segment and survive, so no acked
+//! mutation can fall between a deleted log and a snapshot that predates
+//! it.
 //!
 //! **Recovery.** [`DataStore::open`] loads the newest valid tenant
 //! snapshots, then replays the WAL suffix on top: `Register` for an
@@ -43,15 +45,16 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use serde::{Serialize, Value};
+use serde::Value;
 use tsexplain_obs::Histogram;
 use tsexplain_relation::{decode_wire_row, encode_wire_row, AggQuery, Datum, Schema};
 
 use crate::error::StoreError;
 use crate::frame::{append_frame, read_all, FrameEnd};
 use crate::rank::LockRank;
+use crate::snapshot::TenantCheckpoint;
 use crate::wal::WalRecord;
 
 /// Rotate the active WAL segment once it exceeds this many bytes.
@@ -110,19 +113,6 @@ pub struct Recovery {
     pub notes: Vec<String>,
 }
 
-/// One tenant's full state handed to [`DataStore::checkpoint`].
-pub struct TenantCheckpoint {
-    /// The tenant id.
-    pub id: u64,
-    /// The relation's schema.
-    pub schema: Schema,
-    /// The aggregation query.
-    pub query: AggQuery,
-    /// All rows in ingestion order — the snapshot's row watermark is
-    /// implicitly `rows.len()`.
-    pub rows: Vec<Vec<Datum>>,
-}
-
 struct WalWriter {
     file: File,
     seg_index: u64,
@@ -135,7 +125,8 @@ struct WalWriter {
 pub struct StoreDurations {
     /// Per-append `fsync` (really `sync_data`) time.
     pub fsync: Histogram,
-    /// Full [`DataStore::checkpoint`] cycles.
+    /// Full checkpoint cycles: each tenant's [`TenantCheckpoint::encode`]
+    /// plus the [`DataStore::checkpoint`] call that writes them.
     pub checkpoint: Histogram,
     /// Recovery-on-boot, recorded once per [`DataStore::open`].
     pub recovery: Histogram,
@@ -358,38 +349,30 @@ impl DataStore {
         Ok(fresh)
     }
 
-    /// Writes every tenant's full state to `tenants/`, persists the id
-    /// watermark, then deletes the WAL segments below `rotation` — a
+    /// Writes every tenant's encoded snapshot to `tenants/`, persists the
+    /// id watermark, then deletes the WAL segments below `rotation` — a
     /// value obtained from [`DataStore::rotate_wal`] *before* the tenant
-    /// states were exported (see there for why that order is the
+    /// states were encoded (see there for why that order is the
     /// crash-safety contract; the `seq` watermark makes any snapshot/WAL
-    /// overlap idempotent on replay). Tenants absent from `tenants` lose
-    /// their snapshot files (they were deleted).
+    /// overlap idempotent on replay). Each frame's CRC is computed here,
+    /// so a caller that encoded under a lock ([`TenantCheckpoint::encode`])
+    /// has released it before the checksum and the file writes. Tenants
+    /// absent from `tenants` lose their snapshot files (they were
+    /// deleted).
     pub fn checkpoint(
         &self,
         next_id: u64,
-        tenants: &[TenantCheckpoint],
+        tenants: Vec<TenantCheckpoint>,
         rotation: u64,
     ) -> Result<(), StoreError> {
         let started = clock();
-        for t in tenants {
-            let payload = serde_json::to_string(&Value::object([
-                ("id", t.id.serialize()),
-                ("schema", t.schema.serialize()),
-                ("query", t.query.serialize()),
-                (
-                    "rows",
-                    Value::Array(t.rows.iter().map(|r| encode_wire_row(r)).collect()),
-                ),
-            ]))
-            .map_err(|e| StoreError::Encode(e.to_string()))?;
-            let mut framed = Vec::with_capacity(payload.len() + 8);
-            append_frame(&mut framed, payload.as_bytes());
-            write_atomic(&self.tenant_path(t.id), &framed)?;
+        let encoded: Duration = tenants.iter().map(|t| t.encode_time).sum();
+        let live: Vec<u64> = tenants.iter().map(TenantCheckpoint::id).collect();
+        for mut t in tenants {
+            write_atomic(&self.tenant_path(t.id()), t.seal()?)?;
             self.snapshots.fetch_add(1, Ordering::Relaxed);
         }
         // Snapshot files for tenants that no longer exist are stale.
-        let live: Vec<u64> = tenants.iter().map(|t| t.id).collect();
         for path in sorted_files(&self.root.join("tenants"), ".snap")? {
             let keep = tenant_id_of(&path).is_some_and(|id| live.contains(&id));
             if !keep {
@@ -409,7 +392,9 @@ impl DataStore {
             }
         }
         sync_dir(&self.root.join("wal"));
-        self.durations.checkpoint.record(started.elapsed());
+        self.durations
+            .checkpoint
+            .record(encoded + started.elapsed());
         Ok(())
     }
 
@@ -432,7 +417,7 @@ impl DataStore {
         let payload =
             serde_json::to_string(record).map_err(|e| StoreError::Encode(e.to_string()))?;
         let mut framed = Vec::with_capacity(payload.len() + 8);
-        append_frame(&mut framed, payload.as_bytes());
+        append_frame(&mut framed, payload.as_bytes())?;
 
         let mut wal = LockRank::StoreWal
             .lock(&self.wal)
@@ -649,7 +634,7 @@ fn rotate_locked(root: &Path, wal: &mut WalWriter) -> Result<u64, StoreError> {
     clippy::disallowed_methods,
     reason = "durations feed the fsync, checkpoint and recovery histograms only"
 )]
-fn clock() -> Instant {
+pub(crate) fn clock() -> Instant {
     Instant::now()
 }
 

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use tsexplain_relation::{AggQuery, AttrValue, Datum, Field, Schema};
+use tsexplain_relation::{AggQuery, AttrValue, Datum, Field, Relation, Schema};
 use tsexplain_store::{DataStore, TenantCheckpoint};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -49,6 +49,13 @@ fn rows(from: usize, n: usize) -> Vec<Vec<Datum>> {
             ]
         })
         .collect()
+}
+
+/// Tenant `id`'s snapshot holding `rows`, all of them as the tail of an
+/// empty base relation.
+fn checkpoint_of(id: u64, rows: &[Vec<Datum>]) -> TenantCheckpoint {
+    let base = Relation::builder(schema()).finish();
+    TenantCheckpoint::encode(id, &query(), &base, rows).unwrap()
 }
 
 /// The single live WAL segment of a store that was opened once.
@@ -209,16 +216,11 @@ fn records_logged_after_rotation_survive_checkpoint_truncation() {
         .log_register(1, &schema(), &query(), &rows(0, 3))
         .unwrap();
     // Export taken as of 3 rows — i.e. BEFORE the concurrent batch below.
-    let exported = TenantCheckpoint {
-        id: 1,
-        schema: schema(),
-        query: query(),
-        rows: rows(0, 3),
-    };
+    let exported = checkpoint_of(1, &rows(0, 3));
     let rotation = store.rotate_wal().unwrap();
     // An append racing the export: it lands in the fresh segment.
     store.log_rows(1, 3, &rows(3, 2)).unwrap();
-    store.checkpoint(2, &[exported], rotation).unwrap();
+    store.checkpoint(2, vec![exported], rotation).unwrap();
     drop(store);
 
     let (_store, recovery) = DataStore::open(&dir).unwrap();
@@ -262,12 +264,7 @@ fn checkpoint_truncates_wal_and_seeds_recovery() {
     store
         .checkpoint(
             recovery.next_id,
-            &[TenantCheckpoint {
-                id: t.id,
-                schema: t.schema.clone(),
-                query: t.query.clone(),
-                rows: t.rows.clone(),
-            }],
+            vec![checkpoint_of(t.id, &t.rows)],
             rotation,
         )
         .unwrap();
@@ -292,12 +289,7 @@ fn partial_tenant_snapshot_falls_back_to_wal() {
     store
         .checkpoint(
             recovery.next_id,
-            &[TenantCheckpoint {
-                id: t.id,
-                schema: t.schema.clone(),
-                query: t.query.clone(),
-                rows: t.rows.clone(),
-            }],
+            vec![checkpoint_of(t.id, &t.rows)],
             rotation,
         )
         .unwrap();

@@ -389,3 +389,70 @@ fn sigkilled_server_recovers_acknowledged_state_on_reboot() {
     child.wait().expect("reap tsx-server");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A checkpoint the registry trips itself (one per 256 WAL records), then
+/// a SIGKILL: the reboot loads the tenant snapshot that checkpoint wrote,
+/// replays the appends logged after it, and serves every acknowledged
+/// point with byte-identical answers. Every step waits on the response of
+/// the one before it, so the order of events is the order of requests.
+#[test]
+fn a_registry_triggered_checkpoint_survives_a_sigkill() {
+    let data = SyntheticDataset::generate(SyntheticConfig {
+        seed: 11,
+        ..SyntheticConfig::default()
+    });
+    let n_points = data.config.n_points;
+    let dir = temp_dir("checkpoint-sigkill");
+
+    let (mut child, addr) = spawn_server(&dir);
+    let mut client = Client::new(addr);
+    let created = client
+        .register(&data.schema(), &data.query(), &data.rows_between(0, 10))
+        .unwrap();
+    // One acknowledged append per row: 270 appends after the registration,
+    // so the 256th WAL record trips a checkpoint and 15 land after it.
+    let mut appends = 0;
+    for row in data.rows_between(10, n_points) {
+        client.append_rows(created.dataset_id, &[row]).unwrap();
+        appends += 1;
+    }
+    assert!(appends >= 256, "{appends} appends");
+    let metrics = client.metrics().unwrap();
+    assert!(read_counter(&metrics, "store", "snapshots") >= 1.0);
+    assert_eq!(
+        read_counter(&metrics, "store", "wal_appends"),
+        (appends + 1) as f64
+    );
+    assert!(dir
+        .join("tenants")
+        .join(format!("t{}.snap", created.dataset_id))
+        .exists());
+    let requests = [
+        ExplainRequest::new(["category"]),
+        ExplainRequest::new(["category"]).with_fixed_k(3),
+    ];
+    let before: Vec<Value> = requests
+        .iter()
+        .map(|r| canonical(&client.explain_value(created.dataset_id, r).unwrap()))
+        .collect();
+    drop(client);
+
+    child.kill().expect("kill tsx-server");
+    child.wait().expect("reap tsx-server");
+
+    let (mut child, addr) = spawn_server(&dir);
+    let mut client = Client::new(addr);
+    let stats = client.stats(created.dataset_id).unwrap();
+    assert_eq!(
+        stats.get("n_points").and_then(Value::as_f64),
+        Some(n_points as f64)
+    );
+    for (request, expected) in requests.iter().zip(&before) {
+        let after = canonical(&client.explain_value(created.dataset_id, request).unwrap());
+        assert_eq!(&after, expected, "post-reboot answer diverged");
+    }
+    drop(client);
+    child.kill().expect("kill tsx-server");
+    child.wait().expect("reap tsx-server");
+    let _ = std::fs::remove_dir_all(&dir);
+}
