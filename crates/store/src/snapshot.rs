@@ -4,19 +4,18 @@
 //! A snapshot file is one CRC frame whose payload is the JSON document
 //! `{"id":…,"query":…,"rows":[…],"schema":…}`, byte for byte what the
 //! vendored `serde_json` writer makes of that object: keys in sorted
-//! order, rows as the wire arrays `encode_wire_row` builds, integral
-//! numbers below 2^53 as integers, others in Rust's shortest round-trip
-//! `Display`, non-finite ones as `null`, and strings with the writer's
-//! escapes. Recovery reads it back with the same parser as ever.
+//! order, rows as the wire arrays `encode_wire_row` builds, and every
+//! number and string spelled by that writer's own `write_number` and
+//! `write_string`. Recovery reads it back with the same parser as ever.
 //!
 //! The writer builds no `Value` for a row and copies no row: it reads a
 //! [`Relation`]'s columns and the appended tail in place, so a caller can
 //! encode under the lock that guards them and release it before the
 //! frame is sealed and written ([`crate::DataStore::checkpoint`]).
 
-use std::io::Write as _;
 use std::time::Duration;
 
+use serde_json::{write_number, write_string};
 use tsexplain_relation::{AggQuery, AttrValue, Column, Datum, Relation};
 
 use crate::error::StoreError;
@@ -50,25 +49,27 @@ impl TenantCheckpoint {
         let encode_err = |e: serde::Error| StoreError::Encode(e.to_string());
         let query = serde_json::to_string(query).map_err(encode_err)?;
         let schema = serde_json::to_string(base.schema()).map_err(encode_err)?;
-        let mut frame = vec![0u8; HEADER];
-        frame.extend_from_slice(b"{\"id\":");
-        write_number(id as f64, &mut frame);
-        frame.extend_from_slice(b",\"query\":");
-        frame.extend_from_slice(query.as_bytes());
-        frame.extend_from_slice(b",\"rows\":[");
-        write_relation_rows(base, &mut frame);
+        // The header's bytes start as NULs, so the whole frame is a
+        // `String` the writer's functions can append to.
+        let mut doc = "\0".repeat(HEADER);
+        doc.push_str("{\"id\":");
+        write_number(id as f64, &mut doc);
+        doc.push_str(",\"query\":");
+        doc.push_str(&query);
+        doc.push_str(",\"rows\":[");
+        write_relation_rows(base, &mut doc);
         for (i, row) in tail.iter().enumerate() {
             if i > 0 || base.n_rows() > 0 {
-                frame.push(b',');
+                doc.push(',');
             }
-            write_row(row, &mut frame);
+            write_row(row, &mut doc);
         }
-        frame.extend_from_slice(b"],\"schema\":");
-        frame.extend_from_slice(schema.as_bytes());
-        frame.push(b'}');
+        doc.push_str("],\"schema\":");
+        doc.push_str(&schema);
+        doc.push('}');
         Ok(TenantCheckpoint {
             id,
-            frame,
+            frame: doc.into_bytes(),
             encode_time: started.elapsed(),
         })
     }
@@ -92,7 +93,7 @@ enum ColumnText<'a> {
     Dimension {
         codes: &'a [u32],
         /// The encoded dictionary values, back to back.
-        text: Vec<u8>,
+        text: String,
         /// Where value `code` ends in `text` (it starts where `code - 1`
         /// ends).
         ends: Vec<usize>,
@@ -101,11 +102,11 @@ enum ColumnText<'a> {
 }
 
 /// Writes `base`'s rows, comma-separated, as wire arrays.
-fn write_relation_rows(base: &Relation, out: &mut Vec<u8>) {
+fn write_relation_rows(base: &Relation, out: &mut String) {
     let columns: Vec<ColumnText<'_>> = (0..base.schema().len())
         .map(|idx| match base.column(idx) {
             Column::Dimension(col) => {
-                let mut text = Vec::new();
+                let mut text = String::new();
                 let ends = col
                     .dict()
                     .values()
@@ -126,171 +127,49 @@ fn write_relation_rows(base: &Relation, out: &mut Vec<u8>) {
         .collect();
     for row in 0..base.n_rows() {
         if row > 0 {
-            out.push(b',');
+            out.push(',');
         }
-        out.push(b'[');
+        out.push('[');
         for (i, column) in columns.iter().enumerate() {
             if i > 0 {
-                out.push(b',');
+                out.push(',');
             }
             match column {
                 ColumnText::Dimension { codes, text, ends } => {
                     let code = codes[row] as usize;
                     let start = if code == 0 { 0 } else { ends[code - 1] };
-                    out.extend_from_slice(&text[start..ends[code]]);
+                    out.push_str(&text[start..ends[code]]);
                 }
                 ColumnText::Measure(values) => write_number(values[row], out),
             }
         }
-        out.push(b']');
+        out.push(']');
     }
 }
 
 /// Writes one raw row as the wire array `encode_wire_row` builds.
-fn write_row(row: &[Datum], out: &mut Vec<u8>) {
-    out.push(b'[');
+fn write_row(row: &[Datum], out: &mut String) {
+    out.push('[');
     for (i, datum) in row.iter().enumerate() {
         if i > 0 {
-            out.push(b',');
+            out.push(',');
         }
         match datum {
             Datum::Attr(value) => write_attr(value, out),
             Datum::Num(x) => write_number(*x, out),
         }
     }
-    out.push(b']');
+    out.push(']');
 }
 
 /// An attribute as its `Serialize` writes it: an integer as a JSON
 /// number (through `f64`, as the data model holds it), a string as a
 /// JSON string.
-fn write_attr(value: &AttrValue, out: &mut Vec<u8>) {
+fn write_attr(value: &AttrValue, out: &mut String) {
     match value {
         AttrValue::Int(i) => write_number(*i as f64, out),
-        AttrValue::Str(s) => write_str(s, out),
+        AttrValue::Str(s) => write_string(s, out),
     }
-}
-
-/// A number as the vendored writer prints it: `null` if not finite, an
-/// integer if integral and below 2^53 in magnitude, else Rust's shortest
-/// round-trip `Display`.
-fn write_number(x: f64, out: &mut Vec<u8>) {
-    // Below 2^53 the cast truncates exactly: the same test as the
-    // writer's `x == x.trunc()`, without a libm call.
-    let i = x as i64;
-    if !x.is_finite() {
-        out.extend_from_slice(b"null");
-    } else if x.abs() < 9.007_199_254_740_992e15 && i as f64 == x {
-        if i < 0 {
-            out.push(b'-');
-        }
-        out.extend_from_slice(digits(i.unsigned_abs(), 1, &mut [0; 20]));
-    } else if !write_short_fraction(x, out) {
-        // Writes to a `Vec` cannot fail.
-        let _ = write!(out, "{x}");
-    }
-}
-
-/// Writes a finite, non-integral `x` that some decimal with at most eight
-/// fractional digits parses back to, as `Display` spells it, and returns
-/// false (writing nothing) for any other `x`. Float formatting was most
-/// of the encode; measures like these (money, dyadic fractions) take
-/// this path instead.
-///
-/// Why the digits are `Display`'s: `p` is the most fractional digits
-/// (up to eight) with `|x| · 10^p < 2^50`. Then the doubles around `x` are
-/// less than `10^-p / 4` apart, so at most one decimal with `p` or fewer
-/// fractional digits parses to `x`, and it is the integer nearest
-/// `|x| · 10^p` (which the product's rounding cannot move it off) over
-/// `10^p`. Dividing that integer by `10^p` (both exact in `f64`) rounds
-/// once, as parsing does, so the check below is exact. That one decimal,
-/// with its trailing zeros dropped, is then the shortest spelling that
-/// parses to `x`, which is what `Display` writes. (Some digit stays after
-/// the point: `x` is not integral.)
-fn write_short_fraction(x: f64, out: &mut Vec<u8>) -> bool {
-    const SCALES: [f64; 8] = [1e8, 1e7, 1e6, 1e5, 1e4, 1e3, 1e2, 1e1];
-    const LIMIT: f64 = (1u64 << 50) as f64;
-    let a = x.abs();
-    let Some((mut p, scale)) = (1..=8usize)
-        .rev()
-        .zip(SCALES)
-        .find(|&(_, scale)| a * scale < LIMIT)
-    else {
-        return false;
-    };
-    // Below 2^50 adding one half is exact, so this rounds half up.
-    let mut m = (a * scale + 0.5) as i64;
-    if m as f64 / scale != a {
-        return false;
-    }
-    while m % 10 == 0 {
-        m /= 10;
-        p -= 1;
-    }
-    if x < 0.0 {
-        out.push(b'-');
-    }
-    let mut buf = [0; 20];
-    let spelled = digits(m.unsigned_abs(), p + 1, &mut buf);
-    let (int, frac) = spelled.split_at(spelled.len() - p);
-    out.extend_from_slice(int);
-    out.push(b'.');
-    out.extend_from_slice(frac);
-    true
-}
-
-/// `n` in decimal, zero-padded to at least `width` digits, spelled into
-/// the end of `buf`.
-fn digits(mut n: u64, width: usize, buf: &mut [u8; 20]) -> &[u8] {
-    let mut at = buf.len();
-    while n > 0 || buf.len() - at < width {
-        at -= 1;
-        buf[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-    }
-    &buf[at..]
-}
-
-/// A string literal with the vendored writer's escapes: the short forms
-/// for `"`, `\`, newline, carriage return, tab, backspace and form feed,
-/// `\u00XX` for every other control character, everything else verbatim.
-/// Every escaped byte is ASCII, so the unescaped runs copied between them
-/// are whole UTF-8 sequences.
-fn write_str(s: &str, out: &mut Vec<u8>) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.push(b'"');
-    let mut rest = s.as_bytes();
-    while let Some(at) = rest
-        .iter()
-        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
-    {
-        out.extend_from_slice(&rest[..at]);
-        let b = rest[at];
-        let control;
-        out.extend_from_slice(match b {
-            b'"' => b"\\\"",
-            b'\\' => b"\\\\",
-            b'\n' => b"\\n",
-            b'\r' => b"\\r",
-            b'\t' => b"\\t",
-            0x08 => b"\\b",
-            0x0c => b"\\f",
-            _ => {
-                control = [
-                    b'\\',
-                    b'u',
-                    b'0',
-                    b'0',
-                    HEX[(b >> 4) as usize],
-                    HEX[(b & 0xf) as usize],
-                ];
-                &control
-            }
-        });
-        rest = &rest[at + 1..];
-    }
-    out.extend_from_slice(rest);
-    out.push(b'"');
 }
 
 #[cfg(test)]
@@ -480,72 +359,6 @@ mod tests {
             prop_assert!(recovery.tenants[0].from_snapshot);
             prop_assert_eq!(&recovery.tenants[0].rows, &rows);
             let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    /// `x` as the vendored writer prints it.
-    fn vendored(x: f64) -> String {
-        serde_json::to_string(&Value::Number(x)).unwrap()
-    }
-
-    fn written(x: f64) -> String {
-        let mut out = Vec::new();
-        write_number(x, &mut out);
-        String::from_utf8(out).unwrap()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(2048))]
-
-        /// Numbers match the vendored writer: any bit pattern, and the
-        /// fractions the short-fraction path takes (dyadic, and decimal
-        /// with up to eleven fractional digits), at every magnitude it
-        /// bounds.
-        #[test]
-        fn numbers_match_the_vendored_writer(
-            hi in 0u32..u32::MAX,
-            lo in 0u32..u32::MAX,
-            int in -(1i64 << 53)..=(1i64 << 53),
-            small in -100_000i64..100_000,
-            k in 0i32..12,
-        ) {
-            for x in [
-                f64::from_bits(u64::from(hi) << 32 | u64::from(lo)),
-                int as f64 / 2f64.powi(k),
-                int as f64 / 10f64.powi(k),
-                small as f64 / 2f64.powi(k),
-                small as f64 / 10f64.powi(k),
-            ] {
-                prop_assert_eq!(written(x), vendored(x), "{:e}", x);
-            }
-        }
-    }
-
-    #[test]
-    fn short_fraction_edges_match_the_vendored_writer() {
-        let limit = (1u64 << 50) as f64;
-        for x in [
-            0.1,
-            0.2,
-            0.3,
-            -0.5,
-            1e-8,
-            1e-9,
-            1.000_000_01,
-            0.123_456_789,
-            12_345_678.9,
-            123_456.123_456_789,
-            limit / 1e8,
-            limit / 1e8 + 0.5,
-            limit / 1e8 - 0.25,
-            limit / 10.0 - 0.5,
-            limit / 10.0 + 0.5,
-            4_503_599_627_370_495.5,
-            -4_503_599_627_370_495.5,
-            f64::MIN_POSITIVE,
-            5e-324,
-        ] {
-            assert_eq!(written(x), vendored(x), "{x:e}");
         }
     }
 
