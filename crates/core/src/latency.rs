@@ -72,9 +72,9 @@ pub struct LatencyBreakdown {
     /// Module (b): all top-m derivations, summed over workers.
     pub cascading: Duration,
     /// Module (c): distances and variances summed over workers, plus the
-    /// solvers on the request's own thread, wall-clock: the sketch's DP,
-    /// and the DP solve with its elbow selection (or a baseline's cut
-    /// proposals).
+    /// work on the request's own thread, wall-clock: the sketch's DP, the
+    /// DP solve with its elbow selection (or a baseline's cut proposals),
+    /// and each cost matrix's memo lookups, fill and publish.
     pub segmentation: Duration,
     /// Intra-query parallelism instrumentation.
     pub parallel: ParallelTimings,

@@ -29,7 +29,9 @@ const PAR_MIN_ITEMS: usize = 32;
 /// same at any thread count (and their sum can exceed the elapsed time).
 /// Solver time — a strategy's solve or cut proposal and the sketch's DP —
 /// is charged to `segmentation` on the caller's thread, through
-/// [`SegmentationContext::timed_solve`].
+/// [`SegmentationContext::timed_solve`], and so is a cost matrix's memo
+/// bookkeeping: its lookup pass, its fill and the publish of what was
+/// priced.
 ///
 /// The `par_*` fields are the wall-clock of the regions that fanned out
 /// across more than one worker, charged to the stage that owns the region:
@@ -41,7 +43,7 @@ pub struct StageTimers {
     /// Top-m derivations (module b), summed over workers.
     pub cascading: Duration,
     /// Distances and variances (module c), summed over workers, plus
-    /// solver time.
+    /// solver time and the cost matrix's memo bookkeeping.
     pub segmentation: Duration,
     /// Wall-clock of the unit-object regions that fanned out.
     pub par_cascading: Duration,
@@ -477,9 +479,11 @@ impl<'a> SegmentationContext<'a> {
             return None;
         }
         let key = self.cost_key();
+        let start = stage_clock();
         self.with_tables(|tables| {
             tables.put_costs(key, segs.iter().copied().zip(costs.iter().copied()))
         });
+        self.slots[0].segmentation += start.elapsed();
         self.memo_misses += segs.len() as u64;
         Some(costs)
     }
@@ -493,7 +497,9 @@ impl<'a> SegmentationContext<'a> {
     /// `O(n·L)` instead of `O(n²)`.
     ///
     /// Cells the memo holds fill in place; the rest are priced in one
-    /// region, then written to the matrix and published.
+    /// region, then written to the matrix and published. The lookup pass,
+    /// the fill and the publish run on the caller's thread and are charged
+    /// to its segmentation clock, beside each worker's own pricing.
     pub fn compute_costs(
         &mut self,
         positions: &[usize],
@@ -511,6 +517,7 @@ impl<'a> SegmentationContext<'a> {
             _ => CostMatrix::dense(n_pos),
         };
 
+        let start = stage_clock();
         let mut missing: Vec<(usize, usize)> = Vec::new();
         let mut hits = 0;
         let key = self.cost_key();
@@ -538,11 +545,14 @@ impl<'a> SegmentationContext<'a> {
             .iter()
             .map(|&(pi, pj)| (positions[pi], positions[pj]))
             .collect();
+        self.slots[0].segmentation += start.elapsed();
         // A cancelled region leaves the matrix partial; the caller discards it.
         if let Some(costs) = self.price(&segs) {
+            let start = stage_clock();
             for (&(pi, pj), cost) in missing.iter().zip(costs) {
                 matrix.set(pi, pj, cost);
             }
+            self.slots[0].segmentation += start.elapsed();
         }
         matrix
     }
@@ -972,6 +982,25 @@ mod tests {
         assert_eq!(ctx.ca_derivations(), derivations);
         assert_eq!(ctx.memo_misses(), misses);
         assert_eq!(ctx.memo_hits(), 2);
+    }
+
+    #[test]
+    fn a_memo_served_cost_matrix_charges_its_memo_pass() {
+        let cube = wide_cube();
+        let positions: Vec<usize> = (0..cube.n_points()).collect();
+        let memo = Arc::new(SegmentMemo::default());
+        memo.advance(&cube, 1, 0);
+        let mut first = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo), 1);
+        let _ = first.compute_costs(&positions, None);
+        // Every cell is in the memo: nothing is priced or derived, and the
+        // lookup pass and the fill are still on the segmentation clock.
+        let mut served = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo), 1);
+        let _ = served.compute_costs(&positions, None);
+        assert_eq!(served.memo_misses(), 0);
+        assert_eq!(served.ca_derivations(), 0);
+        let timers = served.timers();
+        assert!(timers.segmentation.as_nanos() > 0);
+        assert_eq!(timers.cascading, Duration::ZERO);
     }
 
     fn assert_same_costs(a: &CostMatrix, b: &CostMatrix) {

@@ -9,6 +9,9 @@
 /// shapes: the sketch-selection phase computes *all* positions but only
 /// short segments (banded storage, `O(n·L)`), while the main phase computes
 /// *few* positions but all spans (dense triangular storage, `O(|S|²)`).
+/// Both store the segments that end at one position side by side, in
+/// ascending start order: a DP cell `D(j, k)` scans the costs of every
+/// segment ending at `j` as one contiguous slice.
 #[derive(Clone, Debug)]
 pub struct CostMatrix {
     n_pos: usize,
@@ -17,9 +20,10 @@ pub struct CostMatrix {
 
 #[derive(Clone, Debug)]
 enum Storage {
-    /// Upper-triangular, row-major.
+    /// Lower-triangular by end position: `(i, j)` at `j(j−1)/2 + i`.
     Dense(Vec<f64>),
-    /// Only spans of at most `band` positions.
+    /// Only spans of at most `band` positions, `band` slots per end
+    /// position: `(i, j)` at `j·band + (i + band − j)`.
     Banded { band: usize, data: Vec<f64> },
 }
 
@@ -40,7 +44,7 @@ impl CostMatrix {
             n_pos,
             storage: Storage::Banded {
                 band,
-                data: vec![f64::INFINITY; n_pos.saturating_sub(1) * band],
+                data: vec![f64::INFINITY; n_pos * band],
             },
         }
     }
@@ -58,27 +62,26 @@ impl CostMatrix {
         }
     }
 
-    /// Row-major upper-triangular index — the one place the dense layout
-    /// formula lives; both accessors go through it.
-    fn dense_index(n_pos: usize, i: usize, j: usize) -> usize {
-        debug_assert!(i < j && j < n_pos);
-        i * (n_pos - 1) - i * (i.saturating_sub(1)) / 2 + (j - i - 1)
+    /// Where `(i, j)` is stored — the one place each layout formula lives;
+    /// `get`, `set` and `column` all go through it. `None` outside a band.
+    fn index(&self, i: usize, j: usize) -> Option<usize> {
+        debug_assert!(i < j && j < self.n_pos);
+        match &self.storage {
+            Storage::Dense(_) => Some(j * (j - 1) / 2 + i),
+            Storage::Banded { band, .. } => (j - i <= *band).then(|| j * band + (i + band - j)),
+        }
+    }
+
+    fn data(&self) -> &[f64] {
+        match &self.storage {
+            Storage::Dense(data) | Storage::Banded { data, .. } => data,
+        }
     }
 
     /// The cost of the segment between positions `i` and `j` (`i < j`);
     /// `+∞` when unavailable.
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < j && j < self.n_pos);
-        match &self.storage {
-            Storage::Dense(data) => data[Self::dense_index(self.n_pos, i, j)],
-            Storage::Banded { band, data } => {
-                if j - i > *band {
-                    f64::INFINITY
-                } else {
-                    data[i * band + (j - i - 1)]
-                }
-            }
-        }
+        self.index(i, j).map_or(f64::INFINITY, |at| self.data()[at])
     }
 
     /// Stores the cost of the segment between positions `i` and `j`.
@@ -86,15 +89,24 @@ impl CostMatrix {
     /// # Panics
     /// Panics when a banded matrix is written outside its band.
     pub fn set(&mut self, i: usize, j: usize, value: f64) {
-        debug_assert!(i < j && j < self.n_pos);
-        let n_pos = self.n_pos;
+        let at = self
+            .index(i, j)
+            .unwrap_or_else(|| panic!("write outside band: ({i}, {j}) band {:?}", self.band()));
         match &mut self.storage {
-            Storage::Dense(data) => data[Self::dense_index(n_pos, i, j)] = value,
-            Storage::Banded { band, data } => {
-                assert!(j - i <= *band, "write outside band: ({i}, {j}) band {band}");
-                data[i * *band + (j - i - 1)] = value;
-            }
+            Storage::Dense(data) | Storage::Banded { data, .. } => data[at] = value,
         }
+    }
+
+    /// The costs of every stored segment that ends at position `j > 0`,
+    /// side by side in ascending start order: `column(j)[t]` is
+    /// `get(j − len + t, j)`, where `len = column(j).len()` (`j` when dense,
+    /// `min(j, band)` when banded).
+    pub(crate) fn column(&self, j: usize) -> &[f64] {
+        let first = j.saturating_sub(self.band().unwrap_or(j));
+        let start = self
+            .index(first, j)
+            .expect("the first start lies in the band");
+        &self.data()[start..start + (j - first)]
     }
 }
 
@@ -150,6 +162,32 @@ mod tests {
     fn banded_write_outside_band_panics() {
         let mut m = CostMatrix::banded(10, 2);
         m.set(0, 5, 1.0);
+    }
+
+    #[test]
+    fn columns_agree_with_get_for_both_storages() {
+        let n = 9;
+        let band = 3;
+        let mut dense = CostMatrix::dense(n);
+        let mut banded = CostMatrix::banded(n, band);
+        for i in 0..n {
+            for j in i + 1..n {
+                dense.set(i, j, (i * 10 + j) as f64);
+                if j - i <= band {
+                    banded.set(i, j, (i * 10 + j) as f64);
+                }
+            }
+        }
+        for (m, span) in [(&dense, n), (&banded, band)] {
+            for j in 1..n {
+                let col = m.column(j);
+                let first = j - col.len();
+                assert_eq!(first, j.saturating_sub(span), "j={j}");
+                for i in first..j {
+                    assert_eq!(col[i - first], m.get(i, j), "({i},{j})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,10 +17,13 @@ const PAR_MIN_LAYER_CELLS: usize = 64;
 pub struct DpResult {
     n_pos: usize,
     k_max: usize,
-    /// `d[j * (k_max + 1) + k]` = minimal total cost of splitting positions
-    /// `0..=j` into `k` segments.
+    /// `d[k * n_pos + j]` = minimal total cost of splitting positions
+    /// `0..=j` into `k` segments, stored layer by layer. Only the cells a
+    /// path to the last position can use are computed (see
+    /// [`k_segmentation_with`]); every other cell reads `+∞`.
     d: Vec<f64>,
-    /// Back-pointer: the previous boundary position index.
+    /// `prev[k * n_pos + j]`: the previous boundary position index of that
+    /// optimum (`u32::MAX` where there is none).
     prev: Vec<u32>,
 }
 
@@ -35,14 +38,10 @@ impl DpResult {
         self.k_max
     }
 
-    fn at(&self, j: usize, k: usize) -> f64 {
-        self.d[j * (self.k_max + 1) + k]
-    }
-
     /// The optimal total cost `D(n, k)`; `+∞` when no valid scheme exists.
     pub fn total_cost(&self, k: usize) -> f64 {
         assert!(k >= 1 && k <= self.k_max, "k out of range");
-        self.at(self.n_pos - 1, k)
+        self.d[k * self.n_pos + self.n_pos - 1]
     }
 
     /// The K-Variance curve `[(k, D(n, k))]` over all feasible `k`.
@@ -72,7 +71,7 @@ impl DpResult {
         let mut cuts = Vec::with_capacity(k - 1);
         let mut j = self.n_pos - 1;
         for kk in (2..=k).rev() {
-            j = self.prev[j * (self.k_max + 1) + kk] as usize;
+            j = self.prev[kk * self.n_pos + j] as usize;
             cuts.push(j);
         }
         cuts.reverse();
@@ -101,20 +100,36 @@ pub fn k_segmentation(costs: &CostMatrix, k_max: usize) -> DpResult {
 ///
 /// The recurrence is layer-sequential in `k`, but within one layer every
 /// cell `D(j, k)` reads only layer `k − 1`, so the cells of a layer are
-/// mutually independent: they are fanned across the worker chunks and
-/// written back in `j` order. Each cell's inner minimization keeps the
-/// sequential loop order (first-minimum tie-breaking), so the resulting
-/// costs *and* back-pointers are byte-identical at any thread count.
+/// mutually independent: each worker writes its own run of them in place.
+/// Each cell's inner minimization scans its predecessors in ascending order
+/// with a strict `<` (first-minimum tie-breaking), so the resulting costs
+/// *and* back-pointers are byte-identical at any thread count.
+///
+/// A cell reads layer `k − 1` and the costs of the segments ending at `j`
+/// as two contiguous slices. Layer `k` computes only the positions `j` in
+/// `max(k, (n−1) − (k_max − k)·band) ..= min(n − 1, k·band)`, where a dense
+/// matrix has `band = n − 1`. From position 0, `k` segments reach at least
+/// `k` and at most `k·band`; from `j`, the at most `k_max − k` segments
+/// left reach the last position only if it lies within `(k_max − k)·band`.
+/// No other cell lies on a path to `(n − 1, k′)` for any `k′ ≤ k_max`, so
+/// every total, curve point and cut equals the full table's.
 pub fn k_segmentation_with(costs: &CostMatrix, k_max: usize, par: &ParallelCtx) -> DpResult {
     let n_pos = costs.n_pos();
     assert!(n_pos >= 2, "need at least two positions");
     let k_max = k_max.max(1).min(n_pos - 1);
-    let stride = k_max + 1;
-    let mut d = vec![f64::INFINITY; n_pos * stride];
-    let mut prev = vec![u32::MAX; n_pos * stride];
+    let last = n_pos - 1;
+    let band = costs.band().unwrap_or(last);
+    // The positions of layer k some path can use (empty when the band
+    // cannot reach the last position in k_max segments).
+    let reach = |k: usize| {
+        let lo = k.max(last.saturating_sub((k_max - k) * band));
+        lo..(last.min(k * band) + 1).max(lo)
+    };
+    let mut d = vec![f64::INFINITY; (k_max + 1) * n_pos];
+    let mut prev = vec![u32::MAX; (k_max + 1) * n_pos];
 
-    for j in 1..n_pos {
-        d[j * stride + 1] = costs.get(0, j);
+    for j in reach(1) {
+        d[n_pos + j] = costs.get(0, j);
     }
     // A layer below the cutoff runs as one inline chunk.
     let inline = ParallelCtx::sequential();
@@ -125,19 +140,22 @@ pub fn k_segmentation_with(costs: &CostMatrix, k_max: usize, par: &ParallelCtx) 
         if par.is_cancelled() {
             break;
         }
-        let cell = |j: usize, d: &[f64]| -> (f64, u32) {
-            let lo = match costs.band() {
-                Some(band) => j.saturating_sub(band).max(k - 1),
-                None => k - 1,
-            };
+        let (from, cells) = (reach(k - 1), reach(k));
+        let (done, rest) = d.split_at_mut(k * n_pos);
+        let below = &done[(k - 1) * n_pos..];
+        let cell = |j: usize| -> (f64, u32) {
+            let col = costs.column(j);
+            let first = j - col.len();
+            let lo = first.max(from.start);
+            let hi = j.min(from.end).max(lo);
             let mut best = f64::INFINITY;
             let mut arg = u32::MAX;
-            for jp in lo..j {
-                let left = d[jp * stride + (k - 1)];
+            let pairs = below[lo..hi].iter().zip(&col[lo - first..hi - first]);
+            for (jp, (&left, &cost)) in (lo..hi).zip(pairs) {
                 if !left.is_finite() {
                     continue;
                 }
-                let cand = left + costs.get(jp, j);
+                let cand = left + cost;
                 if cand < best {
                     best = cand;
                     arg = jp as u32;
@@ -145,21 +163,25 @@ pub fn k_segmentation_with(costs: &CostMatrix, k_max: usize, par: &ParallelCtx) 
             }
             (best, arg)
         };
-        let n_cells = n_pos - k;
-        let layer_par = if n_cells < PAR_MIN_LAYER_CELLS {
+        let layer_par = if cells.len() < PAR_MIN_LAYER_CELLS {
             &inline
         } else {
             par
         };
-        let d_read = &d;
-        let layer: Vec<(f64, u32)> = layer_par.run_chunks(n_cells, |range| {
-            range.map(|off| cell(k + off, d_read)).collect()
-        });
-        for (off, (best, arg)) in layer.into_iter().enumerate() {
-            let j = k + off;
-            d[j * stride + k] = best;
-            prev[j * stride + k] = arg;
+        let mut d_rest = &mut rest[cells.clone()];
+        let mut p_rest = &mut prev[k * n_pos..][cells.clone()];
+        let mut parts = Vec::new();
+        for range in layer_par.chunk_ranges(cells.len()) {
+            let (d_part, d_tail) = std::mem::take(&mut d_rest).split_at_mut(range.len());
+            let (p_part, p_tail) = std::mem::take(&mut p_rest).split_at_mut(range.len());
+            parts.push((cells.start + range.start, d_part, p_part));
+            (d_rest, p_rest) = (d_tail, p_tail);
         }
+        layer_par.run_parts(parts, |(j0, d_part, p_part)| {
+            for (j, (best, arg)) in (j0..).zip(d_part.iter_mut().zip(p_part)) {
+                (*best, *arg) = cell(j);
+            }
+        });
     }
 
     DpResult {
@@ -173,6 +195,169 @@ pub fn k_segmentation_with(costs: &CostMatrix, k_max: usize, par: &ParallelCtx) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The recurrence the layer-major kernel replaced, kept as the
+    /// reference it is pinned to: a position-major table
+    /// (`d[j * (k_max + 1) + k]`), every cell of every layer, each
+    /// predecessor read through `CostMatrix::get`.
+    struct Reference {
+        n_pos: usize,
+        k_max: usize,
+        d: Vec<f64>,
+        prev: Vec<u32>,
+    }
+
+    impl Reference {
+        fn solve(costs: &CostMatrix, k_max: usize, par: &ParallelCtx) -> Self {
+            let n_pos = costs.n_pos();
+            let k_max = k_max.max(1).min(n_pos - 1);
+            let stride = k_max + 1;
+            let mut d = vec![f64::INFINITY; n_pos * stride];
+            let mut prev = vec![u32::MAX; n_pos * stride];
+            for j in 1..n_pos {
+                d[j * stride + 1] = costs.get(0, j);
+            }
+            let inline = ParallelCtx::sequential();
+            for k in 2..=k_max {
+                let cell = |j: usize, d: &[f64]| -> (f64, u32) {
+                    let lo = match costs.band() {
+                        Some(band) => j.saturating_sub(band).max(k - 1),
+                        None => k - 1,
+                    };
+                    let mut best = f64::INFINITY;
+                    let mut arg = u32::MAX;
+                    for jp in lo..j {
+                        let left = d[jp * stride + (k - 1)];
+                        if !left.is_finite() {
+                            continue;
+                        }
+                        let cand = left + costs.get(jp, j);
+                        if cand < best {
+                            best = cand;
+                            arg = jp as u32;
+                        }
+                    }
+                    (best, arg)
+                };
+                let n_cells = n_pos - k;
+                let layer_par = if n_cells < PAR_MIN_LAYER_CELLS {
+                    &inline
+                } else {
+                    par
+                };
+                let d_read = &d;
+                let layer: Vec<(f64, u32)> = layer_par.run_chunks(n_cells, |range| {
+                    range.map(|off| cell(k + off, d_read)).collect()
+                });
+                for (off, (best, arg)) in layer.into_iter().enumerate() {
+                    let j = k + off;
+                    d[j * stride + k] = best;
+                    prev[j * stride + k] = arg;
+                }
+            }
+            Reference {
+                n_pos,
+                k_max,
+                d,
+                prev,
+            }
+        }
+
+        fn total_cost(&self, k: usize) -> f64 {
+            self.d[(self.n_pos - 1) * (self.k_max + 1) + k]
+        }
+
+        fn k_variance_curve(&self) -> Vec<(usize, f64)> {
+            (1..=self.k_max)
+                .map(|k| (k, self.total_cost(k)))
+                .filter(|(_, c)| c.is_finite())
+                .collect()
+        }
+
+        fn feasible_k_max(&self) -> usize {
+            (1..=self.k_max)
+                .rev()
+                .find(|&k| self.total_cost(k).is_finite())
+                .unwrap_or(0)
+        }
+
+        fn cuts(&self, k: usize) -> Option<Vec<usize>> {
+            if !self.total_cost(k).is_finite() {
+                return None;
+            }
+            let mut cuts = Vec::with_capacity(k - 1);
+            let mut j = self.n_pos - 1;
+            for kk in (2..=k).rev() {
+                j = self.prev[j * (self.k_max + 1) + kk] as usize;
+                cuts.push(j);
+            }
+            cuts.reverse();
+            Some(cuts)
+        }
+    }
+
+    /// A cost matrix for the reference check: `n` positions, dense or
+    /// banded, each cell drawn from four values (so ties occur), `+∞` or
+    /// NaN.
+    fn drawn_costs(n: usize, band: Option<usize>, draws: &[u8]) -> CostMatrix {
+        let mut costs = match band {
+            Some(band) => CostMatrix::banded(n, band),
+            None => CostMatrix::dense(n),
+        };
+        let mut draws = draws.iter().cycle();
+        for j in 1..n {
+            for i in j.saturating_sub(band.unwrap_or(j))..j {
+                let value = match draws.next().copied().unwrap_or(0) {
+                    0 => 0.0,
+                    1 => 0.5,
+                    2 => 1.0,
+                    3 => 2.5,
+                    4 => f64::INFINITY,
+                    _ => f64::NAN,
+                };
+                costs.set(i, j, value);
+            }
+        }
+        costs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn layer_major_dp_is_the_position_major_recurrence_bit_for_bit(
+            (n, band, k_max) in (2usize..91).prop_flat_map(|n| (Just(n), 1..n, 1..n)),
+            banded in 0u8..2,
+            draws in proptest::collection::vec(0u8..7, 1..400),
+        ) {
+            let band = (banded == 1).then_some(band);
+            let costs = drawn_costs(n, band, &draws);
+            let reference = Reference::solve(&costs, k_max, &ParallelCtx::sequential());
+            for threads in [1, 2, 8] {
+                let par = ParallelCtx::new(threads);
+                let dp = k_segmentation_with(&costs, k_max, &par);
+                prop_assert_eq!(dp.k_max(), reference.k_max);
+                for k in 1..=dp.k_max() {
+                    prop_assert_eq!(
+                        dp.total_cost(k).to_bits(),
+                        reference.total_cost(k).to_bits(),
+                        "n={} band={:?} k_max={} t={} k={}", n, band, k_max, threads, k
+                    );
+                    prop_assert_eq!(
+                        dp.cuts(k).ok(),
+                        reference.cuts(k),
+                        "n={} band={:?} k_max={} t={} k={}", n, band, k_max, threads, k
+                    );
+                }
+                prop_assert_eq!(dp.feasible_k_max(), reference.feasible_k_max());
+                let bits = |curve: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+                    curve.into_iter().map(|(k, c)| (k, c.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(dp.k_variance_curve()), bits(reference.k_variance_curve()));
+            }
+        }
+    }
 
     /// Costs from an additive per-point "badness": segment (i, j) costs the
     /// squared distance between a step series' values at i and j, so the

@@ -308,15 +308,29 @@ fn out_of_range_numbers_are_rejected_before_the_wal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `tsx-server` child process, SIGKILLed and reaped when dropped, so a
+/// failing assertion ends the server with its test instead of leaving it
+/// running (and holding the test's inherited stdout).
+struct ServerProcess(std::process::Child);
+
+impl Drop for ServerProcess {
+    fn drop(&mut self) {
+        // Errors are ignored: the child may already be gone.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Boots the real `tsx-server` binary on an ephemeral port with
-/// `--data-dir` and returns the child plus its parsed address.
-fn spawn_server(dir: &std::path::Path) -> (std::process::Child, SocketAddr) {
+/// `--data-dir` and returns it with its parsed address.
+fn spawn_server(dir: &std::path::Path) -> (ServerProcess, SocketAddr) {
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_tsx-server"))
         .args(["--addr", "127.0.0.1:0", "--data-dir", dir.to_str().unwrap()])
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("spawn tsx-server");
     let stdout = child.stdout.take().expect("piped stdout");
+    let server = ServerProcess(child);
     let mut lines = std::io::BufReader::new(stdout).lines();
     let addr = loop {
         let line = lines
@@ -330,7 +344,7 @@ fn spawn_server(dir: &std::path::Path) -> (std::process::Child, SocketAddr) {
     };
     // Keep draining stdout so the child never blocks on a full pipe.
     std::thread::spawn(move || for _ in lines {});
-    (child, addr)
+    (server, addr)
 }
 
 /// Satellite (f): kill -9 mid-flight, reboot on the same data dir, and
@@ -341,7 +355,7 @@ fn sigkilled_server_recovers_acknowledged_state_on_reboot() {
     let data = dataset();
     let dir = temp_dir("sigkill");
 
-    let (mut child, addr) = spawn_server(&dir);
+    let (server, addr) = spawn_server(&dir);
     let mut client = Client::new(addr);
     let created = client
         .register(&data.schema(), &data.query(), &data.rows_between(0, 40))
@@ -367,10 +381,9 @@ fn sigkilled_server_recovers_acknowledged_state_on_reboot() {
     drop(client);
 
     // No goodbyes: SIGKILL, as a crash would.
-    child.kill().expect("kill tsx-server");
-    child.wait().expect("reap tsx-server");
+    drop(server);
 
-    let (mut child, addr) = spawn_server(&dir);
+    let (server, addr) = spawn_server(&dir);
     let mut client = Client::new(addr);
     // The dataset survives under its original id with all 60 points…
     let stats = client.stats(created.dataset_id).unwrap();
@@ -385,8 +398,7 @@ fn sigkilled_server_recovers_acknowledged_state_on_reboot() {
     let metrics = client.metrics().unwrap();
     assert!(read_counter(&metrics, "store", "recoveries") >= 1.0);
     drop(client);
-    child.kill().expect("kill tsx-server");
-    child.wait().expect("reap tsx-server");
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -404,7 +416,7 @@ fn a_registry_triggered_checkpoint_survives_a_sigkill() {
     let n_points = data.config.n_points;
     let dir = temp_dir("checkpoint-sigkill");
 
-    let (mut child, addr) = spawn_server(&dir);
+    let (server, addr) = spawn_server(&dir);
     let mut client = Client::new(addr);
     let created = client
         .register(&data.schema(), &data.query(), &data.rows_between(0, 10))
@@ -437,10 +449,9 @@ fn a_registry_triggered_checkpoint_survives_a_sigkill() {
         .collect();
     drop(client);
 
-    child.kill().expect("kill tsx-server");
-    child.wait().expect("reap tsx-server");
+    drop(server);
 
-    let (mut child, addr) = spawn_server(&dir);
+    let (server, addr) = spawn_server(&dir);
     let mut client = Client::new(addr);
     let stats = client.stats(created.dataset_id).unwrap();
     assert_eq!(
@@ -452,7 +463,6 @@ fn a_registry_triggered_checkpoint_survives_a_sigkill() {
         assert_eq!(&after, expected, "post-reboot answer diverged");
     }
     drop(client);
-    child.kill().expect("kill tsx-server");
-    child.wait().expect("reap tsx-server");
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
