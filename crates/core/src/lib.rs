@@ -100,7 +100,6 @@
 mod config;
 mod deadline;
 mod error;
-mod latency;
 mod pipeline;
 mod registry;
 mod request;
@@ -112,7 +111,6 @@ mod session;
 pub use config::Optimizations;
 pub use deadline::{CancelToken, Deadline};
 pub use error::TsExplainError;
-pub use latency::{LatencyBreakdown, MemoCounters, ParallelTimings};
 pub use registry::{
     DatasetId, DatasetSnapshot, RegistryError, RegistryStats, SessionRegistry,
     DEFAULT_REGISTRY_BUDGET,
@@ -140,6 +138,6 @@ pub use tsexplain_relation::{
     Relation, Schema,
 };
 pub use tsexplain_segment::{
-    elbow_k, DpSegmenter, KSelection, Segmentation, Segmenter, SegmenterOutcome, SketchConfig,
-    VarianceMetric,
+    elbow_k, DpSegmenter, KSelection, LatencyBreakdown, MemoCounters, ParallelTimings,
+    Segmentation, Segmenter, SegmenterOutcome, SketchConfig, VarianceMetric,
 };

@@ -24,7 +24,6 @@ use tsexplain_diff::TopExplStrategy;
 use tsexplain_segment::{select_sketch, SegmentMemo, SegmentationContext};
 
 use crate::error::TsExplainError;
-use crate::latency::LatencyBreakdown;
 use crate::request::ExplainRequest;
 use crate::result::{ExplainResult, ExplanationItem, PipelineStats, SegmentExplanation};
 
@@ -36,13 +35,12 @@ use crate::result::{ExplainResult, ExplanationItem, PipelineStats, SegmentExplan
 /// hook: previous cut points plus the newly arrived points. Shape-only
 /// strategies segment the full-resolution aggregate regardless.
 ///
-/// `memo` is the cube's segment memo (a time slice's is its own) and the
-/// row watermark the cube was prepared at.
+/// `memo` is the cube's segment memo (a time slice's is its own).
 pub(crate) fn explain_cube_request(
     cube: &ExplanationCube,
     request: &ExplainRequest,
     forced_positions: Option<Vec<usize>>,
-    (memo, watermark): (Arc<SegmentMemo>, u64),
+    memo: Arc<SegmentMemo>,
 ) -> Result<ExplainResult, TsExplainError> {
     let n = cube.n_points();
     if n < 2 {
@@ -72,7 +70,7 @@ pub(crate) fn explain_cube_request(
         request.variance_metric(),
     )
     .with_parallel(parallel.clone())
-    .with_memo(memo, watermark);
+    .with_memo(memo);
 
     let spec = request.segmenter();
     let positions: Vec<usize> = match forced_positions {
@@ -112,21 +110,6 @@ pub(crate) fn explain_cube_request(
         return Err(TsExplainError::Cancelled { stage: "cascading" });
     }
 
-    let timers = ctx.timers();
-    let latency = LatencyBreakdown {
-        precompute: Default::default(),
-        cascading: timers.cascading,
-        segmentation: timers.segmentation,
-        parallel: crate::latency::ParallelTimings {
-            threads: parallel.threads(),
-            cascading: timers.par_cascading,
-            segmentation: timers.par_segmentation,
-        },
-        memo: crate::latency::MemoCounters {
-            hits: ctx.memo_hits(),
-            misses: ctx.memo_misses(),
-        },
-    };
     let stats = PipelineStats {
         epsilon: cube.n_candidates(),
         filtered_epsilon: cube.n_selectable(),
@@ -145,7 +128,7 @@ pub(crate) fn explain_cube_request(
         segments,
         timestamps: cube.timestamps().to_vec(),
         aggregate: cube.total_values(),
-        latency,
+        latency: ctx.latency(),
         stats,
     })
 }

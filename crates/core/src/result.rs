@@ -2,9 +2,7 @@ use std::fmt;
 
 use tsexplain_diff::Effect;
 use tsexplain_relation::AttrValue;
-use tsexplain_segment::Segmentation;
-
-use crate::latency::LatencyBreakdown;
+use tsexplain_segment::{LatencyBreakdown, Segmentation};
 
 /// One ranked explanation of one segment, self-contained for display: its
 /// label, score, effect and KPI trendline over the segment (the per-

@@ -18,27 +18,11 @@ use tsexplain_relation::AttrValue;
 use tsexplain_segment::KSelection;
 
 use crate::config::Optimizations;
-use crate::latency::{LatencyBreakdown, MemoCounters, ParallelTimings};
 use crate::request::ExplainRequest;
 use crate::result::{ExplainResult, ExplanationItem, PipelineStats, SegmentExplanation};
 use crate::segmenter::SegmenterSpec;
 
 // Members decode in the listed order, so the first bad one names the error.
-record!(ParallelTimings {
-    threads,
-    cascading,
-    segmentation,
-});
-record!(MemoCounters { hits, misses });
-// Results predating the parallel layer / the memo carry no such blocks;
-// defaults keep old payloads decodable.
-record!(LatencyBreakdown {
-    precompute,
-    cascading,
-    segmentation,
-    parallel = ParallelTimings::default(),
-    memo = MemoCounters::default(),
-});
 record!(PipelineStats {
     epsilon,
     filtered_epsilon,
@@ -173,7 +157,7 @@ mod tests {
     use std::time::Duration;
     use tsexplain_diff::{DiffMetric, Effect};
     use tsexplain_relation::AttrValue;
-    use tsexplain_segment::Segmentation;
+    use tsexplain_segment::{LatencyBreakdown, MemoCounters, ParallelTimings, Segmentation};
 
     fn sample_result() -> ExplainResult {
         ExplainResult {

@@ -83,22 +83,21 @@ pub struct SessionStats {
     pub cube_evictions: u64,
 }
 
-/// A cached cube: the incremental enumeration state plus the finalized
-/// (pruned, filtered, smoothed) snapshots the pipeline runs against. The
-/// incremental state is smoothing-independent, so one entry serves every
-/// smoothing window an analyst tries — only the finalized snapshot is
-/// kept per window. Snapshots are dropped when rows arrive and lazily
-/// re-finalized on the next request.
+/// A cached cube: the incremental enumeration state plus, per smoothing
+/// window, the finalized (pruned, filtered, smoothed) snapshot the
+/// pipeline runs against and its segment memos. The incremental state is
+/// smoothing-independent, so one entry serves every smoothing window an
+/// analyst tries — only the finalized snapshot is kept per window.
+/// Snapshots are dropped when rows arrive and lazily re-finalized on the
+/// next request.
 ///
-/// Beside each window's snapshot live its segment memos, which outlive
-/// the snapshot: an append only records the lowest row it touched, and
-/// the next request over the full horizon, or over the slice asked last,
-/// drops the entries of that memo that read it.
+/// The memos outlive the snapshot: an append only records the lowest row
+/// it touched, and the next request over the full horizon, or over the
+/// slice asked last, drops the entries of that memo that read it.
 #[derive(Debug)]
 struct CacheEntry {
     inc: IncrementalCube,
-    snapshots: HashMap<usize, Arc<ExplanationCube>>,
-    memos: HashMap<usize, WindowMemo>,
+    windows: HashMap<usize, Window>,
     /// Logical LRU stamp of the last request served from this entry, drawn
     /// from the session's (possibly registry-shared) clock.
     last_used: u64,
@@ -109,22 +108,25 @@ struct CacheEntry {
     cube_bytes: usize,
 }
 
-/// One smoothing window's segment memos: the full horizon's, and the
-/// time slice's asked last, keyed by its resolved rows `(lo, hi)`.
+/// One smoothing window of a cache entry: its finalized snapshot (`None`
+/// from an append until the next request re-finalizes it) and its
+/// segment memos, the full horizon's and the time slice's asked last,
+/// keyed by its resolved rows `(lo, hi)`.
 #[derive(Debug, Default)]
-struct WindowMemo {
+struct Window {
+    snapshot: Option<Arc<ExplanationCube>>,
     full: RowMemo,
     slice: Option<((usize, usize), RowMemo)>,
 }
 
-impl WindowMemo {
-    fn bytes(&self) -> usize {
+impl Window {
+    fn memo_bytes(&self) -> usize {
         self.full.memo.bytes() + self.slice.as_ref().map_or(0, |(_, s)| s.memo.bytes())
     }
 }
 
 /// A segment memo and the lowest (raw) row an append touched since the
-/// memo's watermark.
+/// memo was last advanced.
 #[derive(Debug)]
 struct RowMemo {
     memo: Arc<SegmentMemo>,
@@ -142,19 +144,19 @@ impl Default for RowMemo {
 }
 
 impl RowMemo {
-    /// Moves the memo to `watermark` if an append touched a row since it
-    /// was last moved. `cube` holds the window's smoothed rows from `lo`
-    /// on, so the reach of the touched row is shifted into its rows.
+    /// Advances the memo to `cube` if an append touched a row since it was
+    /// last advanced (on a copy while a prepared pipeline still holds it).
+    /// `cube` holds the window's smoothed rows from `lo` on, so the reach
+    /// of the touched row is shifted into its rows.
     fn catch_up(
         &mut self,
         cube: &ExplanationCube,
         smoothing: usize,
         lo: usize,
-        watermark: u64,
     ) -> Arc<SegmentMemo> {
         if let Some(row) = self.touched.take() {
             let reach = smoothed_reach(row, smoothing).saturating_sub(lo);
-            self.memo.advance(cube, watermark, reach);
+            SegmentMemo::advance(&mut self.memo, cube, reach);
         }
         Arc::clone(&self.memo)
     }
@@ -168,66 +170,58 @@ impl CacheEntry {
     fn new(inc: IncrementalCube, last_used: u64) -> Self {
         CacheEntry {
             inc,
-            snapshots: HashMap::new(),
-            memos: HashMap::new(),
+            windows: HashMap::new(),
             last_used,
             cube_bytes: 0,
         }
     }
 
-    /// Finalizes (or returns) the snapshot for `smoothing` over the rows up
-    /// to `watermark`, with its segment memo. A re-finalization after an
-    /// append moves the memo to `watermark`, dropping what the append
-    /// touched.
+    /// Finalizes (or returns) the snapshot for `smoothing`, with its
+    /// segment memo. A re-finalization after an append advances the memo,
+    /// dropping what the append touched.
     fn snapshot(
         &mut self,
         smoothing: usize,
-        watermark: u64,
     ) -> Result<(Arc<ExplanationCube>, Arc<SegmentMemo>, bool), TsExplainError> {
-        if let (Some(snapshot), Some(window)) =
-            (self.snapshots.get(&smoothing), self.memos.get(&smoothing))
-        {
-            return Ok((Arc::clone(snapshot), Arc::clone(&window.full.memo), true));
+        let window = self.windows.entry(smoothing).or_default();
+        if let Some(cube) = &window.snapshot {
+            return Ok((Arc::clone(cube), Arc::clone(&window.full.memo), true));
         }
         let cube = Arc::new(self.inc.snapshot_smoothed(smoothing)?);
-        let memo = self
-            .memos
-            .entry(smoothing)
-            .or_default()
-            .full
-            .catch_up(&cube, smoothing, 0, watermark);
-        self.snapshots.insert(smoothing, Arc::clone(&cube));
+        let memo = window.full.catch_up(&cube, smoothing, 0);
+        window.snapshot = Some(Arc::clone(&cube));
         self.recount_bytes();
         Ok((cube, memo, false))
     }
 
-    /// Cuts rows `lo..=hi` out of `cube`, the `smoothing` snapshot at
-    /// `watermark`, and returns the slice with its segment memo. The
-    /// window keeps one slice memo, the last-asked rows': it is moved to
-    /// `watermark` while the same rows are asked, and replaced when other
-    /// rows are.
+    /// Cuts rows `lo..=hi` out of `cube`, the `smoothing` snapshot, and
+    /// returns the slice with its segment memo. The window keeps one slice
+    /// memo, the last-asked rows': it is advanced while the same rows are
+    /// asked, and replaced when other rows are.
     fn slice(
         &mut self,
         cube: &ExplanationCube,
         smoothing: usize,
         (lo, hi): (usize, usize),
         filter_ratio: Option<f64>,
-        watermark: u64,
     ) -> Result<(Arc<ExplanationCube>, Arc<SegmentMemo>), CubeError> {
         let slice = Arc::new(cube.slice_time(lo, hi, filter_ratio)?);
-        let window = self.memos.entry(smoothing).or_default();
+        let window = self.windows.entry(smoothing).or_default();
         let memo = match &mut window.slice {
             Some((rows, memo)) if *rows == (lo, hi) => memo,
             other => &mut other.insert(((lo, hi), RowMemo::default())).1,
         };
-        let memo = memo.catch_up(&slice, smoothing, lo, watermark);
+        let memo = memo.catch_up(&slice, smoothing, lo);
         Ok((slice, memo))
     }
 
-    /// Records that an append touched rows from `row` on: O(1) per memo,
-    /// whatever the memos hold.
+    /// Readies the entry for an append that touches rows from `row` on:
+    /// drops every window's snapshot, so the append does not copy a state
+    /// store a snapshot still shares, and records the row in every memo
+    /// (O(1) per memo, whatever the memos hold).
     fn touch(&mut self, row: usize) {
-        for window in self.memos.values_mut() {
+        for window in self.windows.values_mut() {
+            window.snapshot = None;
             window.full.touch(row);
             if let Some((_, slice)) = &mut window.slice {
                 slice.touch(row);
@@ -238,7 +232,7 @@ impl CacheEntry {
     /// Approximate bytes held, the memos read as they stand (the pipelines
     /// grow them outside the session lock).
     fn bytes(&self) -> usize {
-        self.cube_bytes + self.memos.values().map(WindowMemo::bytes).sum::<usize>()
+        self.cube_bytes + self.windows.values().map(Window::memo_bytes).sum::<usize>()
     }
 
     /// Recomputes the cube byte estimate after a structural change
@@ -246,8 +240,9 @@ impl CacheEntry {
     fn recount_bytes(&mut self) {
         self.cube_bytes = self.inc.approx_bytes()
             + self
-                .snapshots
+                .windows
                 .values()
+                .filter_map(|w| w.snapshot.as_ref())
                 .map(|c| c.approx_bytes())
                 .sum::<usize>();
     }
@@ -308,10 +303,7 @@ impl ExplainSession {
             ));
         }
         validate_measure(&schema, query.measure())?;
-        let (n_points, last_time) = match relation.dim_column(query.time_attr()) {
-            Ok(col) => (col.dict().len(), col.dict().values().last().cloned()),
-            Err(_) => (0, None),
-        };
+        let (n_points, last_time) = time_axis(&relation, &query);
         Ok(ExplainSession {
             schema,
             query,
@@ -529,7 +521,6 @@ impl ExplainSession {
 
         let acquire_start = Instant::now();
         let (key, cube, memo, from_cache) = self.acquire_cube(request)?;
-        let watermark = self.total_rows() as u64;
         let (cube, memo) = match request.time_range() {
             None => (cube, memo),
             Some((start, end)) => {
@@ -547,13 +538,12 @@ impl ExplainSession {
                         request.smoothing_window().max(1),
                         rows,
                         request.optimizations().filter_ratio,
-                        watermark,
                     )?
             }
         };
         Ok(PreparedCube {
             cube,
-            memo: (memo, watermark),
+            memo,
             from_cache,
             precompute: acquire_start.elapsed(),
         })
@@ -614,9 +604,7 @@ impl ExplainSession {
             let first_touched = self.first_touched_row(&rows)?;
             for (key, encoded) in encodings {
                 let entry = self.cubes.get_mut(&key).expect("key taken from the map");
-                // Drop the snapshots first: the append would copy a state
-                // store one of them still shares.
-                entry.snapshots.clear();
+                entry.touch(first_touched);
                 if entry.inc.append_batch(&encoded).is_err() {
                     // The session's ordering check and the cube's should
                     // agree; if they ever diverge, fall back to a rebuild
@@ -626,7 +614,6 @@ impl ExplainSession {
                     break;
                 }
                 entry.recount_bytes();
-                entry.touch(first_touched);
             }
             if !all_applied {
                 self.stats.rebuilds += 1;
@@ -663,26 +650,8 @@ impl ExplainSession {
         let removed = rows.len().saturating_sub(n_rows) as u64;
         rows.truncate(n_rows);
         self.stats.rows_appended = self.stats.rows_appended.saturating_sub(removed);
-        let mut builder = Relation::builder(self.schema.clone());
-        for row in rows {
-            builder
-                .push_row(row)
-                .expect("rows were previously accepted by this schema");
-        }
-        self.base = builder.finish();
-        self.tail.clear();
-        self.cubes.clear();
-        self.warm = None;
-        match self.base.dim_column(self.query.time_attr()) {
-            Ok(col) => {
-                self.n_points = col.dict().len();
-                self.last_time = col.dict().values().last().cloned();
-            }
-            Err(_) => {
-                self.n_points = 0;
-                self.last_time = None;
-            }
-        }
+        self.reset_rows(rows)
+            .expect("rows were previously accepted by this schema");
     }
 
     /// Whether `rows` only touch the session's tail: every timestamp at or
@@ -739,23 +708,28 @@ impl ExplainSession {
         }
     }
 
-    /// Re-materializes `base` from all rows seen so far and drops every
-    /// cached cube and the §8 warm start. The only path that pays the full
-    /// O(total rows) cost.
+    /// Re-materializes `base` from all rows seen so far (see
+    /// [`ExplainSession::reset_rows`]).
     fn rebuild_base(&mut self) -> Result<(), TsExplainError> {
+        let mut rows = relation_rows(&self.base);
+        rows.append(&mut self.tail);
+        self.reset_rows(rows)
+    }
+
+    /// Makes `rows` the session's base with an empty tail and drops every
+    /// cached cube and the §8 warm start, whose rows and cut points belong
+    /// to the old time axis. The only path that pays the full O(total
+    /// rows) cost.
+    fn reset_rows(&mut self, rows: Vec<Vec<Datum>>) -> Result<(), TsExplainError> {
         let mut builder = Relation::builder(self.schema.clone());
-        for row in relation_rows(&self.base) {
-            builder.push_row(row)?;
-        }
-        for row in self.tail.drain(..) {
+        for row in rows {
             builder.push_row(row)?;
         }
         self.base = builder.finish();
+        self.tail.clear();
         self.cubes.clear();
         self.warm = None;
-        let col = self.base.dim_column(self.query.time_attr())?;
-        self.n_points = col.dict().len();
-        self.last_time = col.dict().values().last().cloned();
+        (self.n_points, self.last_time) = time_axis(&self.base, &self.query);
         Ok(())
     }
 
@@ -773,11 +747,10 @@ impl ExplainSession {
         let key = cube_config.cache_key();
         let smoothing = request.smoothing_window().max(1);
         let stamp = self.tick();
-        let watermark = self.total_rows() as u64;
 
         if let Some(entry) = self.cubes.get_mut(&key) {
             entry.last_used = stamp;
-            let (cube, memo, was_ready) = entry.snapshot(smoothing, watermark)?;
+            let (cube, memo, was_ready) = entry.snapshot(smoothing)?;
             if was_ready {
                 self.stats.cube_cache_hits += 1;
             } else {
@@ -823,11 +796,21 @@ impl ExplainSession {
         }
         self.stats.cubes_built += 1;
         let mut entry = CacheEntry::new(inc, stamp);
-        let (cube, memo, _) = entry.snapshot(smoothing, watermark)?;
+        let (cube, memo, _) = entry.snapshot(smoothing)?;
         self.cubes.insert(key.clone(), entry);
         self.enforce_budget(Some(&key));
         Ok((key, cube, memo, false))
     }
+}
+
+/// The time axis of `relation` under `query`: how many distinct
+/// timestamps it has, and the last one.
+fn time_axis(relation: &Relation, query: &AggQuery) -> (usize, Option<AttrValue>) {
+    let dict = relation
+        .dim_column(query.time_attr())
+        .expect("the time attribute is a dimension, checked at registration")
+        .dict();
+    (dict.len(), dict.values().last().cloned())
 }
 
 /// Resolves the time range `start..=end` against a cube's `timestamps`:
@@ -861,17 +844,17 @@ fn slice_rows(
 /// cache entry's memo for the slice's rows, so an identical windowed
 /// follow-up re-derives almost nothing too.
 ///
-/// The handle remembers the row watermark it was prepared at. If rows
-/// arrive and a later request moves the memo on before this handle's
-/// pipeline runs, the pipeline detaches to a private memo: it answers over
-/// the rows it saw and never reads or writes an entry of newer rows.
+/// The handle holds the memo of the rows it was prepared over. If rows
+/// arrive and a later request advances the cache entry's memo while this
+/// handle is alive, the advance works on a copy
+/// ([`SegmentMemo::advance`]): this handle's pipeline keeps its warm
+/// entries, answers over the rows it saw and never reads or writes an
+/// entry of newer rows.
 #[derive(Clone, Debug)]
 pub struct PreparedCube {
     cube: Arc<ExplanationCube>,
-    /// The segment memo of the cube (the full horizon's or the slice's)
-    /// and the session's row watermark when the cube was prepared: the
-    /// pipeline uses the memo only while the memo is at that watermark.
-    memo: (Arc<SegmentMemo>, u64),
+    /// The segment memo of the cube (the full horizon's or the slice's).
+    memo: Arc<SegmentMemo>,
     from_cache: bool,
     precompute: Duration,
 }
@@ -1412,7 +1395,8 @@ mod tests {
         s.explain(&base_request()).unwrap();
         s.explain(&base_request().with_smoothing(7)).unwrap();
         let entry = only_entry(&s);
-        let (inc, plain, smoothed) = (&entry.inc, &entry.snapshots[&1], &entry.snapshots[&7]);
+        let snapshot = |w: usize| entry.windows[&w].snapshot.as_ref().unwrap();
+        let (inc, plain, smoothed) = (&entry.inc, snapshot(1), snapshot(7));
         // A cube built on its own owns its store and counts it; the
         // smoothed snapshot owns a store of the same shape.
         let config = CubeConfig::new(["state"]).with_max_order(base_request().max_order());
@@ -1425,7 +1409,7 @@ mod tests {
         assert!(store >= 3 * 8 * 21 * owned.n_candidates(), "{store} bytes");
         assert!(inc.approx_bytes() > store);
         // Each window's segment memo counts beside its snapshot.
-        let memos = entry.memos[&1].bytes() + entry.memos[&7].bytes();
+        let memos = entry.windows[&1].memo_bytes() + entry.windows[&7].memo_bytes();
         assert!(memos > 0);
         assert_eq!(
             s.cache_bytes(),
@@ -1676,8 +1660,8 @@ mod tests {
 
     /// A pipeline prepared before an append answers over the rows it saw,
     /// whether the cube's memo has already moved past them (a later
-    /// request published at the new watermark) or not yet (the append is
-    /// waiting for its next finalization).
+    /// request advanced it and published over the new rows) or not yet
+    /// (the append is waiting for its next finalization).
     #[test]
     fn a_prepared_pipeline_never_crosses_an_append() {
         let late = vec![vec![Datum::Attr(11i64.into()), "CA".into(), 500.0.into()]];
@@ -1688,14 +1672,14 @@ mod tests {
         assert_ne!(cold_before, cold_after);
         for explain_first in [true, false] {
             let mut s = session_over(0..12);
-            // A warm memo at the first watermark.
+            // A warm memo over the first rows.
             s.explain(&request).unwrap();
             let held = s.prepare(&request).unwrap();
             for rows in &tail {
                 s.append_rows(rows.clone()).unwrap();
             }
             if explain_first {
-                // Publishes at the new watermark before `held` runs.
+                // Publishes over the new rows before `held` runs.
                 assert_eq!(canonical(&s.explain(&request).unwrap()), cold_after);
                 assert_eq!(canonical(&held.explain(&request).unwrap()), cold_before);
             } else {
@@ -1705,6 +1689,26 @@ mod tests {
             }
             assert_eq!(canonical(&s.explain(&request).unwrap()), cold_after);
         }
+    }
+
+    /// A pipeline that outlives an advance keeps its warm entries: the
+    /// later request advanced a copy of the memo, so the held pipeline
+    /// prices nothing and derives only its chosen segments' descriptions.
+    #[test]
+    fn a_prepared_pipeline_keeps_its_warm_memo_across_an_advance() {
+        let request = base_request().with_threads(1);
+        let mut s = session_over(0..12);
+        s.explain(&request).unwrap();
+        let held = s.prepare(&request).unwrap();
+        s.append_rows(rows_for(12..13)).unwrap();
+        assert_eq!(s.explain(&request).unwrap().stats.n_points, 13);
+        let answer = held.explain(&request).unwrap();
+        assert_eq!(answer.stats.n_points, 12);
+        assert_eq!(answer.latency.memo.misses, 0);
+        assert_eq!(
+            answer.stats.ca_calls - answer.latency.memo.hits,
+            answer.chosen_k as u64
+        );
     }
 
     /// The memo is counted in `cache_bytes` as the pipeline publishes, and
@@ -1792,7 +1796,7 @@ mod tests {
         s.explain(&first).unwrap();
         s.explain(&second).unwrap();
         let entry = only_entry(&s);
-        let window = &entry.memos[&1];
+        let window = &entry.windows[&1];
         let (rows, slice) = window.slice.as_ref().unwrap();
         assert_eq!(*rows, (8, 20));
         assert!(slice.memo.bytes() > 0);
@@ -1818,7 +1822,7 @@ mod tests {
         assert_ne!(cold_before, cold_after);
         for explain_first in [true, false] {
             let mut s = session_over(0..12);
-            // A warm slice memo at the first watermark.
+            // A warm slice memo over the first rows.
             s.explain(&request).unwrap();
             let held = s.prepare(&request).unwrap();
             for rows in &tail {

@@ -7,7 +7,8 @@ use tsexplain_diff::{DiffMetric, ScoreContext, TopExplEngine, TopExplStrategy};
 use tsexplain_parallel::ParallelCtx;
 
 use crate::cost::CostMatrix;
-use crate::memo::{cell, CostKey, DeriveKey, SegmentMemo, Tables};
+use crate::latency::{LatencyBreakdown, MemoCounters, ParallelTimings};
+use crate::memo::{cell, CostKey, DeriveKey, SegmentMemo};
 use crate::ndcg::ExplainedSegment;
 use crate::scheme::Segmentation;
 use crate::variance::{object_centroid_distance, object_pair_distance, VarianceMetric};
@@ -18,41 +19,8 @@ use crate::variance::{object_centroid_distance, object_pair_distance, VarianceMe
 /// region fans out never depends on scheduling.
 const PAR_MIN_ITEMS: usize = 32;
 
-/// Time accumulators for the two segment-side pipeline stages the paper's
-/// latency breakdown separates (Fig. 15): the Cascading Analysts module (b)
-/// and the distance/variance module (c).
-///
-/// Every worker charges its own top-m derivations to `cascading` and its
-/// distance scans to `segmentation`, and the context sums the workers. At
-/// one thread both are wall-clock; at N threads they are the same work
-/// summed over the workers, so the split between the two modules means the
-/// same at any thread count (and their sum can exceed the elapsed time).
-/// Solver time — a strategy's solve or cut proposal and the sketch's DP —
-/// is charged to `segmentation` on the caller's thread, through
-/// [`SegmentationContext::timed_solve`], and so is a cost matrix's memo
-/// bookkeeping: its lookup pass, its fill and the publish of what was
-/// priced.
-///
-/// The `par_*` fields are the wall-clock of the regions that fanned out
-/// across more than one worker, charged to the stage that owns the region:
-/// the unit-object region to `par_cascading`, cost-matrix and sweep regions
-/// to `par_segmentation`. They are zero when nothing fanned out, and they
-/// are not part of the stage times.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StageTimers {
-    /// Top-m derivations (module b), summed over workers.
-    pub cascading: Duration,
-    /// Distances and variances (module c), summed over workers, plus
-    /// solver time and the cost matrix's memo bookkeeping.
-    pub segmentation: Duration,
-    /// Wall-clock of the unit-object regions that fanned out.
-    pub par_cascading: Duration,
-    /// Wall-clock of the cost-matrix and sweep regions that fanned out.
-    pub par_segmentation: Duration,
-}
-
 /// The stage clock, and the crate's only wall-clock read. Its readings
-/// feed [`StageTimers`] alone, which no answer or golden observes.
+/// feed the [`LatencyBreakdown`] alone, which no golden observes.
 #[expect(
     clippy::disallowed_methods,
     reason = "stage timings are reported beside the answer and stripped before goldens compare"
@@ -63,6 +31,13 @@ fn stage_clock() -> Instant {
 
 /// One worker's share of every fan-out region: a private top-m engine,
 /// kept from region to region, and the stage time that worker spent.
+///
+/// Each worker charges its own top-m derivations to `cascading` and its
+/// distance scans to `segmentation`; the context sums the slots into
+/// [`LatencyBreakdown::cascading`] and [`LatencyBreakdown::segmentation`].
+/// Work on the caller's thread outside a region (a solve through
+/// [`SegmentationContext::timed_solve`], a cost matrix's memo
+/// bookkeeping) is charged to slot 0's `segmentation`.
 struct Slot<'a> {
     engine: TopExplEngine<'a>,
     cascading: Duration,
@@ -176,7 +151,8 @@ fn region<'a, T: Send>(
 ///
 /// Every batch of work — the unit objects, a cost matrix's missing cells,
 /// a sweep's unique segments, one segment's miss — runs through one
-/// fan-out region over the context's worker slots (see [`StageTimers`]).
+/// fan-out region over the context's worker slots, whose stage times
+/// [`SegmentationContext::latency`] reports.
 ///
 /// Unit lists and segment costs are read from and published to a
 /// [`SegmentMemo`]: the cube's, attached with
@@ -204,9 +180,6 @@ pub struct SegmentationContext<'a> {
     /// proposal sweep, the sketch band vs. the main DP, the final
     /// per-segment description) and, on a cube's memo, across requests.
     memo: Arc<SegmentMemo>,
-    /// The row watermark of the context's cube; the memo is read and
-    /// written only while it is at this watermark.
-    watermark: u64,
     memo_hits: u64,
     memo_misses: u64,
     /// Derivations *avoided* by memo hits. Added back into
@@ -245,7 +218,6 @@ impl<'a> SegmentationContext<'a> {
             par_cascading: Duration::ZERO,
             par_segmentation: Duration::ZERO,
             memo: Arc::default(),
-            watermark: 0,
             memo_hits: 0,
             memo_misses: 0,
             hit_calls: 0,
@@ -261,15 +233,13 @@ impl<'a> SegmentationContext<'a> {
         self
     }
 
-    /// Shares `memo`, the memo of the context's cube, whose rows are at
-    /// `watermark` (builder style). Entries are pure, so this changes how
-    /// much is derived, never a cost, a list or `ca_calls`. When the memo
-    /// has moved to another watermark (rows arrived and a later request
-    /// re-finalized the cube), the context detaches to a private memo
-    /// instead.
-    pub fn with_memo(mut self, memo: Arc<SegmentMemo>, watermark: u64) -> Self {
+    /// Shares `memo`, the memo of the context's cube (builder style).
+    /// Entries are pure, so this changes how much is derived, never a
+    /// cost, a list or `ca_calls`. The handle keeps the memo of the rows
+    /// the cube was finalized from: a later [`SegmentMemo::advance`] of a
+    /// shared memo moves a copy.
+    pub fn with_memo(mut self, memo: Arc<SegmentMemo>) -> Self {
         self.memo = memo;
-        self.watermark = watermark;
         self
     }
 
@@ -308,19 +278,6 @@ impl<'a> SegmentationContext<'a> {
         }
     }
 
-    /// Runs `f` on the memo tables at the context's watermark. A memo that
-    /// has moved on is left for a fresh private one, so the context never
-    /// reads or writes an entry computed from other rows.
-    fn with_tables<R>(&mut self, f: impl FnOnce(&mut Tables) -> R) -> R {
-        match self.memo.at(self.watermark, f) {
-            Ok(out) => out,
-            Err(f) => {
-                self.memo = Arc::new(SegmentMemo::detached(self.watermark));
-                self.memo.locked(f)
-            }
-        }
-    }
-
     /// The memo key of the context's segment costs.
     fn cost_key(&self) -> CostKey {
         CostKey {
@@ -349,19 +306,28 @@ impl<'a> SegmentationContext<'a> {
         self.diff_metric
     }
 
-    /// Accumulated stage timings: the slots' stage clocks summed, plus the
-    /// wall-clock of the regions that fanned out.
-    pub fn timers(&self) -> StageTimers {
-        let mut timers = StageTimers {
-            par_cascading: self.par_cascading,
-            par_segmentation: self.par_segmentation,
-            ..StageTimers::default()
+    /// The answer's latency block so far: the slots' stage clocks summed,
+    /// the wall-clock of the regions that fanned out, the thread count and
+    /// the memo counters. Precompute is the cube's, so it is left at zero
+    /// for the caller to fill.
+    pub fn latency(&self) -> LatencyBreakdown {
+        let mut latency = LatencyBreakdown {
+            parallel: ParallelTimings {
+                threads: self.parallel.threads(),
+                cascading: self.par_cascading,
+                segmentation: self.par_segmentation,
+            },
+            memo: MemoCounters {
+                hits: self.memo_hits,
+                misses: self.memo_misses,
+            },
+            ..LatencyBreakdown::default()
         };
         for slot in &self.slots {
-            timers.cascading += slot.cascading;
-            timers.segmentation += slot.segmentation;
+            latency.cascading += slot.cascading;
+            latency.segmentation += slot.segmentation;
         }
-        timers
+        latency
     }
 
     /// Runs `solve` on the caller's thread and charges its wall-clock to
@@ -428,7 +394,7 @@ impl<'a> SegmentationContext<'a> {
         }
         let count = self.n_points().saturating_sub(1);
         let key = self.derive;
-        let known = self.with_tables(|tables| tables.units(&key));
+        let known = self.memo.locked(|tables| tables.units(&key));
         let have = known.as_ref().map_or(0, |units| units.len().min(count));
         self.memo_hits += have as u64;
         self.hit_calls += have as u64;
@@ -452,7 +418,7 @@ impl<'a> SegmentationContext<'a> {
         tops.extend(known.iter().flat_map(|units| units[..have].iter().cloned()));
         tops.extend(fresh);
         let tops = Arc::new(tops);
-        self.with_tables(|tables| tables.put_units(key, &tops));
+        self.memo.locked(|tables| tables.put_units(key, &tops));
         self.object_tops = Some(tops);
     }
 
@@ -480,7 +446,7 @@ impl<'a> SegmentationContext<'a> {
         }
         let key = self.cost_key();
         let start = stage_clock();
-        self.with_tables(|tables| {
+        self.memo.locked(|tables| {
             tables.put_costs(key, segs.iter().copied().zip(costs.iter().copied()))
         });
         self.slots[0].segmentation += start.elapsed();
@@ -521,7 +487,7 @@ impl<'a> SegmentationContext<'a> {
         let mut missing: Vec<(usize, usize)> = Vec::new();
         let mut hits = 0;
         let key = self.cost_key();
-        self.with_tables(|tables| {
+        self.memo.locked(|tables| {
             let known = tables.costs(&key);
             for pi in 0..n_pos {
                 for pj in pi + 1..n_pos {
@@ -570,7 +536,7 @@ impl<'a> SegmentationContext<'a> {
         }
         self.ensure_objects();
         let key = self.cost_key();
-        if let Some(cost) = self.with_tables(|tables| tables.cost(&key, seg)) {
+        if let Some(cost) = self.memo.locked(|tables| tables.cost(&key, seg)) {
             self.record_hits(1);
             return cost;
         }
@@ -624,7 +590,7 @@ impl<'a> SegmentationContext<'a> {
         let key = self.cost_key();
         let mut costs = vec![0.0; unique.len()];
         let mut pending: Vec<usize> = Vec::new();
-        self.with_tables(|tables| {
+        self.memo.locked(|tables| {
             let known = tables.costs(&key);
             for (i, &(a, b)) in unique.iter().enumerate() {
                 match known.and_then(|costs| costs.get(&cell(a, b))) {
@@ -988,19 +954,19 @@ mod tests {
     fn a_memo_served_cost_matrix_charges_its_memo_pass() {
         let cube = wide_cube();
         let positions: Vec<usize> = (0..cube.n_points()).collect();
-        let memo = Arc::new(SegmentMemo::default());
-        memo.advance(&cube, 1, 0);
-        let mut first = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo), 1);
+        let mut memo = Arc::new(SegmentMemo::default());
+        SegmentMemo::advance(&mut memo, &cube, 0);
+        let mut first = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo));
         let _ = first.compute_costs(&positions, None);
         // Every cell is in the memo: nothing is priced or derived, and the
         // lookup pass and the fill are still on the segmentation clock.
-        let mut served = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo), 1);
+        let mut served = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo));
         let _ = served.compute_costs(&positions, None);
         assert_eq!(served.memo_misses(), 0);
         assert_eq!(served.ca_derivations(), 0);
-        let timers = served.timers();
-        assert!(timers.segmentation.as_nanos() > 0);
-        assert_eq!(timers.cascading, Duration::ZERO);
+        let latency = served.latency();
+        assert!(latency.segmentation.as_nanos() > 0);
+        assert_eq!(latency.cascading, Duration::ZERO);
     }
 
     fn assert_same_costs(a: &CostMatrix, b: &CostMatrix) {
@@ -1013,18 +979,18 @@ mod tests {
     }
 
     #[test]
-    fn a_shared_memo_serves_later_contexts_at_its_watermark_only() {
+    fn a_shared_memo_serves_later_contexts() {
         let cube = wide_cube();
         let positions: Vec<usize> = (0..cube.n_points()).collect();
-        let memo = Arc::new(SegmentMemo::default());
-        memo.advance(&cube, 1, 0);
-        let mut first = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo), 1);
+        let mut memo = Arc::new(SegmentMemo::default());
+        SegmentMemo::advance(&mut memo, &cube, 0);
+        let mut first = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo));
         let reference = first.compute_costs(&positions, None);
         assert!(memo.bytes() > 0);
 
         // A later context derives nothing the first one priced, and counts
         // what a cold context counts.
-        let mut second = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo), 1);
+        let mut second = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo));
         assert_same_costs(&second.compute_costs(&positions, None), &reference);
         assert_eq!(second.ca_calls(), first.ca_calls());
         assert_eq!(second.ca_derivations(), 0);
@@ -1042,17 +1008,9 @@ mod tests {
             TopExplStrategy::Exact,
             VarianceMetric::Tse,
         )
-        .with_memo(Arc::clone(&memo), 1);
+        .with_memo(Arc::clone(&memo));
         let _ = other_m.compute_costs(&positions, None);
         assert_eq!(other_m.memo_hits(), 0);
-
-        // A context over rows at another watermark detaches: it reads
-        // nothing from the memo and publishes nothing to it.
-        let entries = memo.entries();
-        let mut stale = context(&cube, VarianceMetric::Tse).with_memo(Arc::clone(&memo), 2);
-        assert_same_costs(&stale.compute_costs(&positions, None), &reference);
-        assert_eq!(stale.ca_derivations(), first.ca_derivations());
-        assert_eq!(memo.entries(), entries);
     }
 
     /// The wide fixture's rows for `t` in `range`, as a relation.
@@ -1083,11 +1041,11 @@ mod tests {
             IncrementalCube::from_relation(&wide_rows(0..30), &AggQuery::sum("d", "v"), &config)
                 .unwrap();
         let before = inc.snapshot().unwrap();
-        let memo = Arc::new(SegmentMemo::default());
-        memo.advance(&before, 1, 0);
+        let mut memo = Arc::new(SegmentMemo::default());
+        SegmentMemo::advance(&mut memo, &before, 0);
         let all = |cube: &ExplanationCube| (0..cube.n_points()).collect::<Vec<_>>();
         let _ = context(&before, VarianceMetric::Tse)
-            .with_memo(Arc::clone(&memo), 1)
+            .with_memo(Arc::clone(&memo))
             .compute_costs(&all(&before), None);
 
         // A late report on day 29, then day 30: rows 29 and 30 change.
@@ -1099,8 +1057,11 @@ mod tests {
         ])
         .unwrap();
         let after = inc.snapshot().unwrap();
-        memo.advance(&after, 2, 29);
-        let mut warm = context(&after, VarianceMetric::Tse).with_memo(Arc::clone(&memo), 2);
+        // No one else holds the memo, so it advances in place.
+        let unshared = Arc::as_ptr(&memo);
+        SegmentMemo::advance(&mut memo, &after, 29);
+        assert_eq!(Arc::as_ptr(&memo), unshared, "an unshared memo was copied");
+        let mut warm = context(&after, VarianceMetric::Tse).with_memo(Arc::clone(&memo));
         let mut cold = context(&after, VarianceMetric::Tse);
         let warm_costs = warm.compute_costs(&all(&after), None);
         assert_same_costs(&warm_costs, &cold.compute_costs(&all(&after), None));
@@ -1113,8 +1074,57 @@ mod tests {
         inc.append_batch(&[(31.into(), vec![attr("TX")], 5.0)])
             .unwrap();
         let reshaped = inc.snapshot().unwrap();
-        memo.advance(&reshaped, 3, usize::MAX);
+        SegmentMemo::advance(&mut memo, &reshaped, usize::MAX);
         assert_eq!(memo.entries(), 0);
+    }
+
+    #[test]
+    fn advancing_a_shared_memo_moves_a_copy() {
+        use tsexplain_cube::IncrementalCube;
+        let config = CubeConfig::new(["state"]);
+        let mut inc =
+            IncrementalCube::from_relation(&wide_rows(0..30), &AggQuery::sum("d", "v"), &config)
+                .unwrap();
+        let before = inc.snapshot().unwrap();
+        let positions: Vec<usize> = (0..before.n_points()).collect();
+        let mut memo = Arc::new(SegmentMemo::default());
+        SegmentMemo::advance(&mut memo, &before, 0);
+        // A context over the first rows holds the memo and fills it.
+        let mut held = context(&before, VarianceMetric::Tse).with_memo(Arc::clone(&memo));
+        let reference = held.compute_costs(&positions, None);
+        let work = (held.ca_derivations(), held.memo_misses());
+
+        // Rows 29 and 30 change; the memo advances while `held` reads it.
+        let attr = |s: &str| tsexplain_relation::AttrValue::from(s);
+        inc.append_batch(&[
+            (29.into(), vec![attr("CA")], 1.0),
+            (30.into(), vec![attr("NY")], 60.0),
+            (30.into(), vec![attr("CA")], 160.0),
+        ])
+        .unwrap();
+        SegmentMemo::advance(&mut memo, &inc.snapshot().unwrap(), 29);
+        assert!(
+            !Arc::ptr_eq(&memo, &held.memo),
+            "a shared memo advanced in place"
+        );
+
+        // The holder keeps every entry of its rows: it derives nothing.
+        assert_same_costs(&held.compute_costs(&positions, None), &reference);
+        assert_eq!((held.ca_derivations(), held.memo_misses()), work);
+
+        // What a second holder publishes afterwards stays with the old rows.
+        let advanced = memo.entries();
+        let mut second = SegmentationContext::new(
+            &before,
+            DiffMetric::AbsoluteChange,
+            1,
+            TopExplStrategy::Exact,
+            VarianceMetric::Tse,
+        )
+        .with_memo(Arc::clone(&held.memo));
+        let _ = second.compute_costs(&positions, None);
+        assert!(second.memo_misses() > 0);
+        assert_eq!(memo.entries(), advanced);
     }
 
     #[test]
@@ -1125,18 +1135,16 @@ mod tests {
             let mut ctx =
                 context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::new(threads));
             let _ = ctx.compute_costs(&positions, None);
-            let timers = ctx.timers();
+            let latency = ctx.latency();
+            assert_eq!(latency.parallel.threads, threads);
             // Every worker charges its derivations and its distances.
-            assert!(timers.cascading.as_nanos() > 0, "t={threads}");
-            assert!(timers.segmentation.as_nanos() > 0, "t={threads}");
+            assert!(latency.cascading.as_nanos() > 0, "t={threads}");
+            assert!(latency.segmentation.as_nanos() > 0, "t={threads}");
             // 39 objects and 741 cells: both regions fan out above 1 thread.
             let fanned = threads > 1;
-            assert_eq!(timers.par_cascading.as_nanos() > 0, fanned, "t={threads}");
-            assert_eq!(
-                timers.par_segmentation.as_nanos() > 0,
-                fanned,
-                "t={threads}"
-            );
+            let parallel = latency.parallel;
+            assert_eq!(parallel.cascading.as_nanos() > 0, fanned, "t={threads}");
+            assert_eq!(parallel.segmentation.as_nanos() > 0, fanned, "t={threads}");
         }
     }
 }

@@ -22,7 +22,7 @@ pub struct ParallelTimings {
 }
 
 /// Segment memo instrumentation: how the segment memo of the request's
-/// cube served its [`tsexplain_segment::SegmentationContext`]. The memo is
+/// cube served its [`crate::SegmentationContext`]. The memo is
 /// kept per cached cube, for every request over it, and survives tail
 /// appends for the entries whose rows did not change (a time-range
 /// request reads the memo of its slice's rows). Like the parallel
@@ -61,9 +61,11 @@ pub struct MemoCounters {
 /// change with the thread count, and [`LatencyBreakdown::total`] can
 /// exceed the elapsed time.
 ///
-/// It is the one record of where an answer's engine time went: the
-/// server's `/metrics` and flight recorder read this block, not a clock of
-/// their own.
+/// It is the one record of where an answer's engine time went:
+/// [`crate::SegmentationContext::latency`] fills it from the segment
+/// layer's stage clocks, the caller adds the precompute, and the server's
+/// `/metrics` and flight recorder read this block, not a clock of their
+/// own.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LatencyBreakdown {
     /// Module (a): cube construction (group-bys, candidate enumeration,

@@ -12,6 +12,9 @@
 //!   (Eq. 9), `allpair` (Eq. 10) and their squared `S*` variants.
 //! * [`SegmentationContext`] — object top-explanation caching, segment
 //!   cost computation (`|P| · var(P)`), and objective scoring.
+//! * [`LatencyBreakdown`] — the answer's one record of where its engine
+//!   time went (paper Fig. 15), with the parallel regions' wall-clock
+//!   ([`ParallelTimings`]) and the memo's work counts ([`MemoCounters`]).
 //! * [`SegmentMemo`] — unit lists and segment costs shared by every
 //!   request over one cube, kept across tail appends for the entries whose
 //!   rows did not change.
@@ -37,6 +40,7 @@ mod cost;
 mod dp;
 mod elbow;
 mod error;
+mod latency;
 mod memo;
 mod ndcg;
 mod scheme;
@@ -45,11 +49,12 @@ mod serde_impls;
 mod sketch;
 mod variance;
 
-pub use context::{SegmentationContext, StageTimers};
+pub use context::SegmentationContext;
 pub use cost::CostMatrix;
 pub use dp::{k_segmentation, k_segmentation_with, DpResult};
 pub use elbow::elbow_k;
 pub use error::SegmentError;
+pub use latency::{LatencyBreakdown, MemoCounters, ParallelTimings};
 pub use memo::SegmentMemo;
 pub use ndcg::{ndcg, ExplainedSegment};
 pub use scheme::Segmentation;

@@ -9,11 +9,13 @@
 //! append for every entry whose rows the append did not touch:
 //! [`SegmentMemo::advance`] drops the others.
 //!
-//! The memo is valid at one row watermark, an opaque version the owner
-//! assigns to the rows the cube was finalized from. A
-//! [`crate::SegmentationContext`] reads and publishes only while the
-//! memo's watermark equals its own, so a request over older rows never
-//! mixes its entries with those of newer rows.
+//! The memo follows its owner's rows by ownership, not by a version: an
+//! advance works on the memo in place while its owner holds the only
+//! handle, and on a copy while another holder (a request prepared over
+//! the older rows) still reads it. So a [`crate::SegmentationContext`]
+//! reads and publishes only the entries of the rows its cube was
+//! finalized from, and a request over older rows never mixes its entries
+//! with those of newer rows.
 //!
 //! The lock is a leaf: it is held for a lookup pass or one publish, never
 //! while pricing and never while taking another lock. A poisoned lock is
@@ -72,9 +74,8 @@ pub struct SegmentMemo {
     bytes: AtomicUsize,
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct Tables {
-    watermark: u64,
     /// The shape every entry was derived under; `None` until the memo is
     /// first advanced (a private memo never is).
     shape: Option<CubeShape>,
@@ -136,13 +137,6 @@ impl Tables {
 }
 
 impl SegmentMemo {
-    /// An empty private memo at `watermark`.
-    pub(crate) fn detached(watermark: u64) -> Self {
-        let memo = SegmentMemo::default();
-        memo.lock().watermark = watermark;
-        memo
-    }
-
     /// Approximate bytes the memo holds: its entries and its shape's
     /// selectable ids (the shape's explanation list is its cube's).
     /// Published after every change, so it can be read while requests
@@ -163,19 +157,27 @@ impl SegmentMemo {
         units + costs
     }
 
-    /// Moves the memo to `watermark`, the rows `cube` was finalized from,
-    /// keeping exactly the entries those rows leave unchanged. With the
-    /// shape the entries were derived under, an entry survives when it
-    /// reads no row from `first_changed` on (`usize::MAX` when no row
-    /// changed). A changed shape (new candidates, pruning or selectability)
-    /// drops every entry, and so does a memo that has no shape yet: a new
-    /// memo starts serving a cube once advanced to it.
+    /// Moves `memo` to the rows `cube` was finalized from, keeping exactly
+    /// the entries those rows leave unchanged. With the shape the entries
+    /// were derived under, an entry survives when it reads no row from
+    /// `first_changed` on (`usize::MAX` when no row changed). A changed
+    /// shape (new candidates, pruning or selectability) drops every entry,
+    /// and so does a memo that has no shape yet: a new memo starts serving
+    /// a cube once advanced to it.
+    ///
+    /// Copy-on-write: the memo is advanced in place while `memo` is its
+    /// only handle, and a copy is advanced while another handle is alive,
+    /// which keeps reading and publishing the entries of the older rows.
     #[expect(
         clippy::disallowed_methods,
         reason = "each entry is kept or dropped on its own rows, so the visiting order cannot matter"
     )]
-    pub fn advance(&self, cube: &ExplanationCube, watermark: u64, first_changed: usize) {
-        let mut tables = self.lock();
+    pub fn advance(memo: &mut Arc<SegmentMemo>, cube: &ExplanationCube, first_changed: usize) {
+        let memo = Arc::make_mut(memo);
+        let tables = memo
+            .tables
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         let shape = cube.shape();
         if tables.shape.as_ref() == Some(&shape) {
             // Unit x reads rows x and x + 1.
@@ -199,25 +201,11 @@ impl SegmentMemo {
             tables.costs.clear();
             tables.shape = Some(shape);
         }
-        tables.watermark = watermark;
         tables.bytes = tables.count_bytes();
-        self.bytes.store(tables.bytes, Ordering::Relaxed);
+        *memo.bytes.get_mut() = tables.bytes;
     }
 
-    /// Runs `f` on the tables if the memo is at `watermark`; otherwise
-    /// hands `f` back untouched.
-    pub(crate) fn at<R, F: FnOnce(&mut Tables) -> R>(&self, watermark: u64, f: F) -> Result<R, F> {
-        let mut tables = self.lock();
-        if tables.watermark != watermark {
-            return Err(f);
-        }
-        let out = f(&mut tables);
-        self.bytes.store(tables.bytes, Ordering::Relaxed);
-        Ok(out)
-    }
-
-    /// Runs `f` on the tables at whatever watermark the memo is (for a
-    /// private memo, which never moves).
+    /// Runs `f` on the tables.
     pub(crate) fn locked<R>(&self, f: impl FnOnce(&mut Tables) -> R) -> R {
         let mut tables = self.lock();
         let out = f(&mut tables);
@@ -227,6 +215,17 @@ impl SegmentMemo {
 
     fn lock(&self) -> MutexGuard<'_, Tables> {
         self.tables.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for SegmentMemo {
+    /// A copy of the tables, taken under the lock.
+    fn clone(&self) -> Self {
+        let tables = self.lock().clone();
+        SegmentMemo {
+            bytes: AtomicUsize::new(tables.bytes),
+            tables: Mutex::new(tables),
+        }
     }
 }
 

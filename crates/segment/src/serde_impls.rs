@@ -6,6 +6,7 @@
 
 use serde::{record, Deserialize, Error, Serialize, Value};
 
+use crate::latency::{LatencyBreakdown, MemoCounters, ParallelTimings};
 use crate::scheme::Segmentation;
 use crate::segmenter::KSelection;
 use crate::sketch::SketchConfig;
@@ -79,6 +80,23 @@ record!(SketchConfig {
     max_len_fraction,
     max_len_cap,
     size_factor,
+});
+
+// Members decode in the listed order, so the first bad one names the error.
+record!(ParallelTimings {
+    threads,
+    cascading,
+    segmentation,
+});
+record!(MemoCounters { hits, misses });
+// Results predating the parallel layer / the memo carry no such blocks;
+// defaults keep old payloads decodable.
+record!(LatencyBreakdown {
+    precompute,
+    cascading,
+    segmentation,
+    parallel = ParallelTimings::default(),
+    memo = MemoCounters::default(),
 });
 
 #[cfg(test)]

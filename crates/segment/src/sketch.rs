@@ -198,12 +198,12 @@ mod tests {
         let first = select_sketch(&mut ctx, &SketchConfig::default());
         assert!(first.len() < 400, "sketch should prune: {}", first.len());
         let work = (ctx.ca_derivations(), ctx.memo_misses());
-        let clock = ctx.timers().segmentation;
+        let clock = ctx.latency().segmentation;
         let second = select_sketch(&mut ctx, &SketchConfig::default());
         assert_eq!(second, first);
         // Every cost is served from the memo: nothing is derived or priced…
         assert_eq!((ctx.ca_derivations(), ctx.memo_misses()), work);
         // …yet the DP runs again, and on the segmentation clock.
-        assert!(ctx.timers().segmentation > clock);
+        assert!(ctx.latency().segmentation > clock);
     }
 }
