@@ -30,7 +30,7 @@ use tsexplain_segment::{
     SegmenterOutcome,
 };
 
-use crate::bottom_up::bottom_up;
+use crate::bottom_up::{cuts_after_merges, merge_order};
 use crate::fluss::{corrected_arc_curve, fluss_cuts_from_cac};
 use crate::matrix_profile::matrix_profile_index;
 use crate::nnsegment::{nnsegment_cuts_from_scores, nnsegment_scores};
@@ -38,6 +38,11 @@ use crate::nnsegment::{nnsegment_cuts_from_scores, nnsegment_scores};
 /// Bottom-Up piecewise-linear segmentation (Keogh et al., paper ref. 21)
 /// behind the [`Segmenter`] boundary — the strongest shape baseline in the
 /// paper's experiments.
+///
+/// The greedy merge order is computed once per call, down to one segment
+/// for auto K and down to `k` for a fixed K, and every `k` the sweep
+/// explores reads its cuts from it: the same cuts as [`crate::bottom_up`]
+/// per `k`, from one merge pass instead of one per `k`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BottomUpSegmenter;
 
@@ -52,7 +57,15 @@ impl Segmenter for BottomUpSegmenter {
         _positions: &[usize],
         k: KSelection,
     ) -> Result<SegmenterOutcome, SegmentError> {
-        shape_segmenter_outcome(ctx, k, bottom_up)
+        let down_to = match k {
+            KSelection::Fixed(k) => k,
+            KSelection::Auto { .. } => 1,
+        };
+        let mut order: Option<Vec<usize>> = None;
+        shape_segmenter_outcome(ctx, k, move |series, k| {
+            let order = order.get_or_insert_with(|| merge_order(series, down_to));
+            cuts_after_merges(series.len(), order, k)
+        })
     }
 }
 
@@ -202,6 +215,68 @@ mod tests {
         assert_eq!(outcome.segmentation.cuts(), direct.as_slice());
         assert_eq!(outcome.chosen_k, 3);
         assert_eq!(BottomUpSegmenter.name(), "bottom_up");
+    }
+
+    /// A cube whose aggregate is `series` plus one: NY carries the series
+    /// and CA a constant one.
+    fn cube_of(series: &[f64]) -> ExplanationCube {
+        let schema = Schema::new(vec![
+            Field::dimension("t"),
+            Field::dimension("state"),
+            Field::measure("v"),
+        ])
+        .unwrap();
+        let mut b = Relation::builder(schema);
+        for (t, &v) in series.iter().enumerate() {
+            for (s, v) in [("NY", v), ("CA", 1.0)] {
+                b.push_row(vec![
+                    Datum::Attr((t as i64).into()),
+                    Datum::from(s),
+                    Datum::from(v),
+                ])
+                .unwrap();
+            }
+        }
+        ExplanationCube::build(
+            &b.finish(),
+            &AggQuery::sum("t", "v"),
+            &CubeConfig::new(["state"]),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn one_merge_order_proposes_what_per_k_calls_propose() {
+        // The fixture, and plateaus whose merges tie often.
+        let plateaus: Vec<f64> = (0..48)
+            .map(|t| [0.0, 0.0, 1.0, 1.0, 1.0, 3.0][t % 6] * (t / 12) as f64)
+            .collect();
+        let bits = |curve: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            curve.iter().map(|&(k, c)| (k, c.to_bits())).collect()
+        };
+        for cube in [cube(), cube_of(&plateaus)] {
+            let n = cube.n_points();
+            for k in [
+                KSelection::Auto { max_k: 20 },
+                KSelection::Fixed(1),
+                KSelection::Fixed(4),
+                KSelection::Fixed(n),
+            ] {
+                let got = BottomUpSegmenter
+                    .segment(&mut context(&cube), &all_positions(&cube), k)
+                    .unwrap();
+                let per_k =
+                    shape_segmenter_outcome(&mut context(&cube), k, crate::bottom_up).unwrap();
+                assert_eq!(got.segmentation, per_k.segmentation, "n={n} {k:?}");
+                assert_eq!(got.chosen_k, per_k.chosen_k, "n={n} {k:?}");
+                assert_eq!(
+                    bits(&got.k_variance_curve),
+                    bits(&per_k.k_variance_curve),
+                    "n={n} {k:?}"
+                );
+                assert_eq!(got.total_variance.to_bits(), per_k.total_variance.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -559,8 +559,10 @@ impl ExplainSession {
         }
         // Surface malformed rows now, independent of cache state: arity,
         // a dimension value in every dimension slot (not just the time
-        // attribute), and measure evaluability. A row rejected here must
-        // never reach the tail — it would poison every later request.
+        // attribute), a number in every measure slot (not just those the
+        // query reads; `RelationBuilder::push_row` also takes an integer
+        // attribute there), and measure evaluability. A row rejected here
+        // must never reach the tail — the next rebuild would fail on it.
         for row in &rows {
             if row.len() != self.schema.len() {
                 return Err(RelationError::ArityMismatch {
@@ -569,15 +571,21 @@ impl ExplainSession {
                 }
                 .into());
             }
-            for (idx, field) in self.schema.fields().iter().enumerate() {
-                if field.column_type() == ColumnType::Dimension && matches!(row[idx], Datum::Num(_))
-                {
-                    return Err(RelationError::TypeMismatch {
-                        field: field.name().to_string(),
-                        expected: "dimension",
+            for (field, datum) in self.schema.fields().iter().zip(row) {
+                let expected = match (field.column_type(), datum) {
+                    (ColumnType::Dimension, Datum::Num(_)) => "dimension",
+                    (ColumnType::Measure, Datum::Attr(value))
+                        if !matches!(value, AttrValue::Int(_)) =>
+                    {
+                        "measure"
                     }
-                    .into());
+                    _ => continue,
+                };
+                return Err(RelationError::TypeMismatch {
+                    field: field.name().to_string(),
+                    expected,
                 }
+                .into());
             }
             self.query.measure().eval_row(&self.schema, row)?;
         }
@@ -1709,6 +1717,87 @@ mod tests {
             answer.stats.ca_calls - answer.latency.memo.hits,
             answer.chosen_k as u64
         );
+    }
+
+    /// A pipeline that outlives an advance keeps its sketch: the held copy
+    /// of the memo still holds the positions, so the held explain reads
+    /// them and publishes nothing, while the advanced memo drops them.
+    #[test]
+    fn a_prepared_pipeline_keeps_its_sketch_across_an_append() {
+        // L = 2 and |S| = 6 on 12 points: the sketch prunes.
+        let sketching = tsexplain_segment::SketchConfig {
+            max_len_fraction: 0.2,
+            max_len_cap: 4,
+            size_factor: 1.0,
+        };
+        let request = base_request()
+            .with_threads(1)
+            .with_optimizations(Optimizations {
+                sketching: Some(sketching),
+                ..Optimizations::none()
+            });
+        let mut s = session_over(0..12);
+        let cold = s.explain(&request).unwrap();
+        assert!(cold.stats.candidate_positions < 12);
+        let held = s.prepare(&request).unwrap();
+        let entries = held.memo.entries();
+        s.append_rows(rows_for(12..13)).unwrap();
+        assert_eq!(s.explain(&request).unwrap().stats.n_points, 13);
+        let answer = held.explain(&request).unwrap();
+        assert_eq!(canonical(&answer), canonical(&cold));
+        assert_eq!(answer.latency.memo.misses, 0);
+        // A sketch solved again would have been published again.
+        assert_eq!(held.memo.entries(), entries);
+    }
+
+    /// A tail row is checked in every measure slot, not only in the ones
+    /// the query reads: a string there is rejected before it reaches the
+    /// tail, so a later rebuild keeps every accepted row.
+    #[test]
+    fn an_unread_measure_slot_is_checked_before_the_tail() {
+        let schema = Schema::new(vec![
+            Field::dimension("t"),
+            Field::dimension("state"),
+            Field::measure("v"),
+            Field::measure("w"),
+        ])
+        .unwrap();
+        let row = |t: i64, state: &str, w: Datum| -> Vec<Datum> {
+            vec![Datum::Attr(t.into()), state.into(), (t as f64).into(), w]
+        };
+        let session_of = |rows: &[Vec<Datum>]| {
+            let mut b = Relation::builder(schema.clone());
+            for row in rows {
+                b.push_row(row.clone()).unwrap();
+            }
+            ExplainSession::new(b.finish(), AggQuery::sum("t", "v")).unwrap()
+        };
+        let mut accepted: Vec<Vec<Datum>> = (0..5).map(|t| row(t, "NY", 1.0.into())).collect();
+        let mut s = session_of(&accepted);
+
+        let err = s.append_rows(vec![row(5, "NY", "x".into())]).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                TsExplainError::Relation(RelationError::TypeMismatch { field, expected: "measure" })
+                    if field == "w"
+            ),
+            "{err:?}"
+        );
+        assert_eq!(s.total_rows(), 5);
+
+        // An integer attribute is a measure the builder coerces.
+        let int = row(5, "NY", Datum::Attr(AttrValue::Int(2)));
+        s.append_rows(vec![int.clone()]).unwrap();
+        accepted.push(int);
+        // Restated history rebuilds from every accepted row.
+        let restated = row(2, "CA", 3.0.into());
+        s.append_rows(vec![restated.clone()]).unwrap();
+        accepted.push(restated);
+        let cold = session_of(&accepted);
+        assert_eq!(s.total_rows(), cold.total_rows());
+        assert_eq!(s.total_rows(), 7);
+        assert_eq!(s.n_points(), cold.n_points());
     }
 
     /// The memo is counted in `cache_bytes` as the pipeline publishes, and

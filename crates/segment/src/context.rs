@@ -8,7 +8,7 @@ use tsexplain_parallel::ParallelCtx;
 
 use crate::cost::CostMatrix;
 use crate::latency::{LatencyBreakdown, MemoCounters, ParallelTimings};
-use crate::memo::{cell, CostKey, DeriveKey, SegmentMemo};
+use crate::memo::{cell, CostKey, DeriveKey, SegmentMemo, SketchKey};
 use crate::ndcg::ExplainedSegment;
 use crate::scheme::Segmentation;
 use crate::variance::{object_centroid_distance, object_pair_distance, VarianceMetric};
@@ -154,8 +154,8 @@ fn region<'a, T: Send>(
 /// fan-out region over the context's worker slots, whose stage times
 /// [`SegmentationContext::latency`] reports.
 ///
-/// Unit lists and segment costs are read from and published to a
-/// [`SegmentMemo`]: the cube's, attached with
+/// Unit lists, segment costs and sketch positions are read from and
+/// published to a [`SegmentMemo`]: the cube's, attached with
 /// [`SegmentationContext::with_memo`], or else a private one. Lookups run
 /// in the single-threaded collect step before a region and publishing
 /// after it, one memo lock hold each.
@@ -174,11 +174,12 @@ pub struct SegmentationContext<'a> {
     object_tops: Option<Arc<Vec<ExplainedSegment>>>,
     par_cascading: Duration,
     par_segmentation: Duration,
-    /// Unit lists and segment costs, pure functions of their keys and of
-    /// the cube rows they read, so every repeat is a lookup instead of a
-    /// fresh derivation and distance scan: within one request (the auto-K
-    /// proposal sweep, the sketch band vs. the main DP, the final
-    /// per-segment description) and, on a cube's memo, across requests.
+    /// Unit lists, segment costs and sketches, pure functions of their
+    /// keys and of the cube rows they read, so every repeat is a lookup
+    /// instead of a fresh derivation, distance scan or sketch solve: within
+    /// one request (the auto-K proposal sweep, the sketch band vs. the main
+    /// DP, the final per-segment description) and, on a cube's memo, across
+    /// requests.
     memo: Arc<SegmentMemo>,
     memo_hits: u64,
     memo_misses: u64,
@@ -284,6 +285,43 @@ impl<'a> SegmentationContext<'a> {
             derive: self.derive,
             variance: self.metric,
         }
+    }
+
+    /// The memo key of a sketch over the context's series with band
+    /// `max_len` and size `size`.
+    fn sketch_key(&self, max_len: usize, size: usize) -> SketchKey {
+        SketchKey {
+            costs: self.cost_key(),
+            n: self.n_points(),
+            max_len,
+            size,
+        }
+    }
+
+    /// The sketch positions the memo holds for band `max_len` and size
+    /// `size`, or `None`. A served sketch counts what pricing its band
+    /// from the memo counts: the unit lists, then one hit per cell that
+    /// spans two objects or more (`Σ_{d=2}^{min(L, n−1)} (n − d)`), so
+    /// `ca_calls` stays what a cold run reports.
+    pub(crate) fn memo_sketch(&mut self, max_len: usize, size: usize) -> Option<Vec<usize>> {
+        let key = self.sketch_key(max_len, size);
+        let positions = self.memo.locked(|tables| tables.sketch(&key))?;
+        self.ensure_objects();
+        let n = self.n_points();
+        let cells: usize = (2..=max_len.min(n - 1)).map(|d| n - d).sum();
+        self.record_hits(cells as u64);
+        Some(positions.to_vec())
+    }
+
+    /// Publishes the sketch positions solved for band `max_len` and size
+    /// `size`, unless the context is cancelled: a cancelled band leaves a
+    /// partial cost matrix, and the sketch solved over it is discarded.
+    pub(crate) fn publish_sketch(&mut self, max_len: usize, size: usize, positions: &[usize]) {
+        if self.is_cancelled() {
+            return;
+        }
+        let key = self.sketch_key(max_len, size);
+        self.memo.locked(|tables| tables.put_sketch(key, positions));
     }
 
     /// The underlying cube.

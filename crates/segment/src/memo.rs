@@ -1,13 +1,17 @@
-//! The segment memo: unit-object top-m lists and segment costs, kept for
-//! every request that prices one cube.
+//! The segment memo: unit-object top-m lists, segment costs and sketch
+//! positions, kept for every request that prices one cube.
 //!
 //! An entry is a pure function of its key and of the cube rows it reads.
 //! A unit list `(x, x + 1)` reads rows `x` and `x + 1`; a cost of `(a, b)`
-//! reads rows `a..=b` (its unit objects plus its centroid). Beyond those
-//! rows both read the cube's [`CubeShape`] and the knobs in their key. So
-//! one memo can serve many requests over one cube, and it survives a tail
-//! append for every entry whose rows the append did not touch:
-//! [`SegmentMemo::advance`] drops the others.
+//! reads rows `a..=b` (its unit objects plus its centroid). A sketch (the
+//! O2 candidate positions of [`crate::select_sketch`]) is keyed by its
+//! costs' key, the series length `n` and the sketch's band `L` and size
+//! `|S|`, the only way its two knobs reach it; it reads every cost of the
+//! band, so every row. Beyond those rows all three read the cube's
+//! [`CubeShape`] and the knobs in their key. So one memo can serve many
+//! requests over one cube, and it survives a tail append for every entry
+//! whose rows the append did not touch: [`SegmentMemo::advance`] drops
+//! the others, and every sketch once any row of the cube changed.
 //!
 //! The memo follows its owner's rows by ownership, not by a version: an
 //! advance works on the memo in place while its owner holds the only
@@ -22,7 +26,7 @@
 //! recovered, since every entry is inserted whole.
 
 use std::collections::HashMap;
-use std::mem::size_of;
+use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -48,9 +52,25 @@ pub(crate) struct CostKey {
     pub(crate) variance: VarianceMetric,
 }
 
+/// What shapes a sketch: the key of the costs its band reads, the series
+/// length and the band `L` and size `|S|` its knobs resolve to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct SketchKey {
+    pub(crate) costs: CostKey,
+    pub(crate) n: usize,
+    pub(crate) max_len: usize,
+    pub(crate) size: usize,
+}
+
 /// Bytes charged per cost entry: its key, its value and the hash map's
 /// per-entry bookkeeping.
 const COST_ENTRY_BYTES: usize = size_of::<(u32, u32)>() + size_of::<f64>() + 8;
+
+/// Bytes a sketch holds: its key, its handle and the hash map's per-entry
+/// bookkeeping, plus its positions.
+fn sketch_bytes(positions: &[usize]) -> usize {
+    size_of::<SketchKey>() + size_of::<Arc<[usize]>>() + 8 + size_of_val(positions)
+}
 
 /// Bytes a unit-object list holds.
 fn units_bytes(units: &[ExplainedSegment]) -> usize {
@@ -82,6 +102,7 @@ pub(crate) struct Tables {
     /// Per derivation key, the unit lists `0..len`.
     units: HashMap<DeriveKey, Arc<Vec<ExplainedSegment>>>,
     costs: HashMap<CostKey, HashMap<(u32, u32), f64>>,
+    sketches: HashMap<SketchKey, Arc<[usize]>>,
     bytes: usize,
 }
 
@@ -125,6 +146,27 @@ impl Tables {
         self.bytes += (table.len() - before) * COST_ENTRY_BYTES;
     }
 
+    /// The sketch positions known for `key`.
+    pub(crate) fn sketch(&self, key: &SketchKey) -> Option<Arc<[usize]>> {
+        self.sketches.get(key).cloned()
+    }
+
+    /// Publishes the sketch positions of `key`.
+    pub(crate) fn put_sketch(&mut self, key: SketchKey, positions: &[usize]) {
+        if let Some(known) = self.sketches.insert(key, positions.into()) {
+            self.bytes -= sketch_bytes(&known);
+        }
+        self.bytes += sketch_bytes(positions);
+    }
+
+    /// Drops every segment cost, keeping the unit lists and sketches: what
+    /// a sketch must be served without.
+    #[cfg(test)]
+    pub(crate) fn forget_costs(&mut self) {
+        self.costs.clear();
+        self.bytes = self.count_bytes();
+    }
+
     #[expect(
         clippy::disallowed_methods,
         reason = "a byte count summed over the tables is order-insensitive"
@@ -132,7 +174,11 @@ impl Tables {
     fn count_bytes(&self) -> usize {
         let units: usize = self.units.values().map(|u| units_bytes(u)).sum();
         let costs: usize = self.costs.values().map(HashMap::len).sum();
-        units + costs * COST_ENTRY_BYTES + self.shape.as_ref().map_or(0, CubeShape::approx_bytes)
+        let sketches: usize = self.sketches.values().map(|s| sketch_bytes(s)).sum();
+        units
+            + costs * COST_ENTRY_BYTES
+            + sketches
+            + self.shape.as_ref().map_or(0, CubeShape::approx_bytes)
     }
 }
 
@@ -145,7 +191,7 @@ impl SegmentMemo {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Unit-object lists plus segment costs held.
+    /// Unit-object lists, segment costs and sketches held.
     #[expect(
         clippy::disallowed_methods,
         reason = "an entry count summed over the tables is order-insensitive"
@@ -154,16 +200,18 @@ impl SegmentMemo {
         let tables = self.lock();
         let units: usize = tables.units.values().map(|u| u.len()).sum();
         let costs: usize = tables.costs.values().map(HashMap::len).sum();
-        units + costs
+        units + costs + tables.sketches.len()
     }
 
     /// Moves `memo` to the rows `cube` was finalized from, keeping exactly
     /// the entries those rows leave unchanged. With the shape the entries
     /// were derived under, an entry survives when it reads no row from
-    /// `first_changed` on (`usize::MAX` when no row changed). A changed
-    /// shape (new candidates, pruning or selectability) drops every entry,
-    /// and so does a memo that has no shape yet: a new memo starts serving
-    /// a cube once advanced to it.
+    /// `first_changed` on (`usize::MAX` when no row changed); a sketch
+    /// reads every row, so any changed row of `cube` drops every sketch,
+    /// since any cost of its band can move its optimum. A changed shape
+    /// (new candidates, pruning or selectability) drops every entry, and
+    /// so does a memo that has no shape yet: a new memo starts serving a
+    /// cube once advanced to it.
     ///
     /// Copy-on-write: the memo is advanced in place while `memo` is its
     /// only handle, and a copy is advanced while another handle is alive,
@@ -196,9 +244,13 @@ impl SegmentMemo {
                 costs.retain(|&(_, b), _| (b as usize) < first_changed);
                 !costs.is_empty()
             });
+            if first_changed < cube.n_points() {
+                tables.sketches.clear();
+            }
         } else {
             tables.units.clear();
             tables.costs.clear();
+            tables.sketches.clear();
             tables.shape = Some(shape);
         }
         tables.bytes = tables.count_bytes();

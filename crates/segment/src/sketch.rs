@@ -49,9 +49,15 @@ impl SketchConfig {
 /// the sketch cannot prune anything (`|S| ≥ n − 1`, short series), all
 /// positions are returned and phase II degenerates to the exact pipeline.
 ///
-/// The DP is charged to the context's segmentation clock
-/// ([`SegmentationContext::timed_solve`]); its costs come from the memo
-/// when they are known, but the DP runs on every call.
+/// The positions are kept in the context's [`crate::SegmentMemo`], keyed
+/// by `L`, `|S|`, `n` and the costs' key, so a call over a memo that holds
+/// them reads them: it prices no band and runs no DP, yet counts the
+/// band's cells as memo hits, so `ca_calls` is what a cold run reports.
+/// Otherwise the band is priced (from the memo where it can be), the DP
+/// runs on the context's segmentation clock
+/// ([`SegmentationContext::timed_solve`]) and the positions are
+/// published, unless the context was cancelled. The DP is sequential over
+/// bit-identical costs, so the positions are the same at any thread count.
 pub fn select_sketch(ctx: &mut SegmentationContext<'_>, config: &SketchConfig) -> Vec<usize> {
     let n = ctx.n_points();
     debug_assert!(n >= 2);
@@ -59,6 +65,9 @@ pub fn select_sketch(ctx: &mut SegmentationContext<'_>, config: &SketchConfig) -
     let s = config.sketch_size(n);
     if s + 1 >= n || n <= l {
         return (0..n).collect();
+    }
+    if let Some(served) = ctx.memo_sketch(l, s) {
+        return served;
     }
 
     let positions: Vec<usize> = (0..n).collect();
@@ -68,23 +77,29 @@ pub fn select_sketch(ctx: &mut SegmentationContext<'_>, config: &SketchConfig) -
         let k_use = dp.feasible_k_max().min(s);
         (k_use >= 2).then(|| dp.cuts(k_use).expect("feasible k"))
     });
-    let Some(cuts) = cuts else {
-        return (0..n).collect();
+    let out = match cuts {
+        None => positions,
+        Some(cuts) => {
+            let mut out = Vec::with_capacity(cuts.len() + 2);
+            out.push(0);
+            out.extend(cuts); // position index == point index here
+            out.push(n - 1);
+            out
+        }
     };
-
-    let mut out = Vec::with_capacity(cuts.len() + 2);
-    out.push(0);
-    out.extend(cuts); // position index == point index here
-    out.push(n - 1);
+    ctx.publish_sketch(l, s, &out);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::{SegmentMemo, Tables};
     use crate::variance::VarianceMetric;
+    use std::sync::Arc;
     use tsexplain_cube::{CubeConfig, ExplanationCube};
     use tsexplain_diff::{DiffMetric, TopExplStrategy};
+    use tsexplain_parallel::{CancelToken, ParallelCtx};
     use tsexplain_relation::{AggQuery, Datum, Field, Relation, Schema};
 
     /// A 60-point series where NY drives the first half and CA the second.
@@ -190,20 +205,106 @@ mod tests {
         assert!(sketch.iter().all(|&p| p < 60));
     }
 
+    /// The band `L` of the default sketch on 400 points (`|S|` = 60).
+    const BAND_400: usize = 20;
+
     #[test]
-    fn a_memo_served_sketch_still_charges_its_dp() {
+    fn a_memo_served_sketch_is_read_not_re_solved() {
         // n = 400: L = 20 and |S| = 60, so the sketch prunes.
         let cube = cube_of(400);
+        let config = SketchConfig::default();
+        assert_eq!(config.max_len(400), BAND_400);
         let mut ctx = context(&cube);
-        let first = select_sketch(&mut ctx, &SketchConfig::default());
+        let first = select_sketch(&mut ctx, &config);
         assert!(first.len() < 400, "sketch should prune: {}", first.len());
         let work = (ctx.ca_derivations(), ctx.memo_misses());
         let clock = ctx.latency().segmentation;
-        let second = select_sketch(&mut ctx, &SketchConfig::default());
+        let second = select_sketch(&mut ctx, &config);
         assert_eq!(second, first);
-        // Every cost is served from the memo: nothing is derived or priced…
+        // Nothing is derived or priced, and no DP runs on the clock…
         assert_eq!((ctx.ca_derivations(), ctx.memo_misses()), work);
-        // …yet the DP runs again, and on the segmentation clock.
-        assert!(ctx.latency().segmentation > clock);
+        assert_eq!(ctx.latency().segmentation, clock);
+        // …yet the counts are a cold context's that priced the band for
+        // each call, as the sketch did before it was kept.
+        let all: Vec<usize> = (0..400).collect();
+        let mut cold = context(&cube);
+        for _ in 0..2 {
+            let _ = cold.compute_costs(&all, Some(BAND_400));
+        }
+        assert_eq!(ctx.ca_calls(), cold.ca_calls());
+        assert_eq!(ctx.memo_hits(), cold.memo_hits());
+    }
+
+    /// A memo over `cube`, advanced to it, that holds the default sketch
+    /// but none of the costs its band read; and the sketch.
+    fn memo_with_only_a_sketch(cube: &ExplanationCube) -> (Arc<SegmentMemo>, Vec<usize>) {
+        let mut memo = Arc::new(SegmentMemo::default());
+        SegmentMemo::advance(&mut memo, cube, 0);
+        let mut ctx = context(cube).with_memo(Arc::clone(&memo));
+        let positions = select_sketch(&mut ctx, &SketchConfig::default());
+        memo.locked(Tables::forget_costs);
+        (memo, positions)
+    }
+
+    #[test]
+    fn a_served_sketch_prices_no_band() {
+        let cube = cube_of(400);
+        let (memo, positions) = memo_with_only_a_sketch(&cube);
+        let mut cold = context(&cube);
+        assert_eq!(
+            select_sketch(&mut cold, &SketchConfig::default()),
+            positions
+        );
+        let mut served = context(&cube).with_memo(memo);
+        assert_eq!(
+            select_sketch(&mut served, &SketchConfig::default()),
+            positions
+        );
+        // The band's costs are gone, so any pricing would derive and miss.
+        assert_eq!(served.ca_derivations(), 0);
+        assert_eq!(served.memo_misses(), 0);
+        assert_eq!(served.ca_calls(), cold.ca_calls());
+    }
+
+    #[test]
+    fn only_a_changed_row_drops_a_sketch() {
+        let cube = cube_of(400);
+        let (mut memo, positions) = memo_with_only_a_sketch(&cube);
+        // Whether a new context reads the sketch: a solved one re-prices
+        // its band.
+        let served = |memo: &Arc<SegmentMemo>| {
+            let mut ctx = context(&cube).with_memo(Arc::clone(memo));
+            assert_eq!(select_sketch(&mut ctx, &SketchConfig::default()), positions);
+            ctx.memo_misses() == 0
+        };
+        SegmentMemo::advance(&mut memo, &cube, usize::MAX);
+        assert!(served(&memo), "no row changed, yet the sketch was dropped");
+        SegmentMemo::advance(&mut memo, &cube, 399);
+        assert!(
+            !served(&memo),
+            "the last row changed, yet the sketch was kept"
+        );
+    }
+
+    #[test]
+    fn a_cancelled_sketch_is_not_published() {
+        let cube = cube_of(400);
+        let reference = select_sketch(&mut context(&cube), &SketchConfig::default());
+        let mut memo = Arc::new(SegmentMemo::default());
+        SegmentMemo::advance(&mut memo, &cube, 0);
+        // 399 unit objects, then the token trips inside the band.
+        let token = CancelToken::after_polls(1_000);
+        let mut cancelled = context(&cube)
+            .with_memo(Arc::clone(&memo))
+            .with_parallel(ParallelCtx::sequential().with_cancel(token));
+        let _ = select_sketch(&mut cancelled, &SketchConfig::default());
+        assert!(cancelled.is_cancelled());
+        // A later context solves the sketch over the whole band.
+        let mut later = context(&cube).with_memo(memo);
+        assert_eq!(
+            select_sketch(&mut later, &SketchConfig::default()),
+            reference
+        );
+        assert!(later.memo_misses() > 0);
     }
 }

@@ -10,11 +10,13 @@
 //! work the session's segment memos leave to a covid explain after a
 //! one-day append and to a repeated half-horizon window: a change that
 //! quietly reintroduces redundant γ scans fails here, loudly, on any
-//! machine.
+//! machine. A warm covid follow-up that reads its sketch from the memo
+//! must answer byte for byte what a cold session answers.
 
+use serde::Value;
 use tsexplain::{
-    AggQuery, AttrValue, Datum, ExplainRequest, ExplainResult, ExplainSession, Optimizations,
-    Relation, SegmenterSpec, STRATEGIES,
+    AggQuery, AttrValue, Datum, DiffMetric, ExplainRequest, ExplainResult, ExplainSession,
+    Optimizations, Relation, SegmenterSpec, STRATEGIES,
 };
 use tsexplain_datagen::{covid, liquor};
 use tsexplain_relation::Column;
@@ -222,4 +224,76 @@ fn a_repeated_half_horizon_window_derives_only_its_descriptions() {
     );
     assert_eq!(derivations(&warm), warm.chosen_k as u64);
     assert_eq!(warm.latency.memo.misses, 0);
+}
+
+/// An answer's canonical form: latency and cache provenance stripped,
+/// `ca_calls` kept.
+fn canonical(result: &ExplainResult) -> String {
+    let mut value = serde_json::to_value(result);
+    if let Value::Object(map) = &mut value {
+        map.remove("latency");
+        if let Some(Value::Object(stats)) = map.get_mut("stats") {
+            stats.remove("cube_from_cache");
+        }
+    }
+    serde_json::to_string(&value).unwrap()
+}
+
+/// serve-mixed's five shared-tenant follow-ups on covid total (the
+/// default request, a fixed K, m = 1 under relative change, O2 alone and
+/// the recent half of the horizon) and `/compare`'s DP row, each asked a
+/// second time on a warm session, where the sketch is read from the memo
+/// instead of solved: every answer is a cold session's, byte for byte,
+/// `ca_calls` included.
+#[test]
+fn a_warm_follow_up_reads_its_sketch_and_answers_what_a_cold_session_does() {
+    let workload = covid::generate(1).total_workload();
+    let mut days: Vec<AttrValue> = workload
+        .relation
+        .dim_column(workload.query.time_attr())
+        .unwrap()
+        .dict()
+        .values()
+        .to_vec();
+    days.sort();
+    let base = ExplainRequest::new(workload.explain_by.clone());
+    let follow_ups = [
+        base.clone(),
+        base.clone().with_fixed_k(3),
+        base.clone()
+            .with_top_m(1)
+            .with_diff_metric(DiffMetric::RelativeChange),
+        base.clone().with_optimizations(Optimizations::o2()),
+        base.clone()
+            .with_time_range(days[days.len() / 2].clone(), days[days.len() - 1].clone()),
+    ];
+    let dp_row = base.clone().with_segmenter(SegmenterSpec::Dp);
+    // `/compare` answers each row from one prepared cube.
+    let compare =
+        |session: &mut ExplainSession| session.prepare(&dp_row).unwrap().explain(&dp_row).unwrap();
+    let fresh = || ExplainSession::new(workload.relation.clone(), workload.query.clone()).unwrap();
+
+    let mut warm = fresh();
+    for request in &follow_ups {
+        warm.explain(request).unwrap();
+    }
+    compare(&mut warm);
+
+    let mut asked = Vec::new();
+    for request in &follow_ups {
+        asked.push((
+            warm.explain(request).unwrap(),
+            fresh().explain(request).unwrap(),
+        ));
+    }
+    asked.push((compare(&mut warm), compare(&mut fresh())));
+    // The default sketch (L = 17, |S| = 60) prunes covid total's 345
+    // points to its 59 cuts and the two ends.
+    assert_eq!(asked[0].1.stats.n_points, 345);
+    assert_eq!(asked[0].1.stats.candidate_positions, 61);
+    for (i, (served, cold)) in asked.iter().enumerate() {
+        assert_eq!(canonical(served), canonical(cold), "ask {i}");
+        assert_eq!(served.stats.ca_calls, cold.stats.ca_calls, "ask {i}");
+        assert_eq!(served.latency.memo.misses, 0, "ask {i}");
+    }
 }
