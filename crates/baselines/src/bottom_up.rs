@@ -78,8 +78,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// The greedy loop run once per K, merging until `k` segments remain:
-    /// what [`bottom_up`] computed before it read its cuts from one merge
-    /// order.
+    /// the reference that one merge order must reproduce for every K.
     fn reference(series: &[f64], k: usize) -> Vec<usize> {
         let n = series.len();
         let k = k.clamp(1, n - 1);

@@ -1721,7 +1721,7 @@ mod tests {
 
     /// A pipeline that outlives an advance keeps its sketch: the held copy
     /// of the memo still holds the positions, so the held explain reads
-    /// them and publishes nothing, while the advanced memo drops them.
+    /// them and publishes nothing.
     #[test]
     fn a_prepared_pipeline_keeps_its_sketch_across_an_append() {
         // L = 2 and |S| = 6 on 12 points: the sketch prunes.

@@ -224,8 +224,8 @@ mod tests {
         // Nothing is derived or priced, and no DP runs on the clock…
         assert_eq!((ctx.ca_derivations(), ctx.memo_misses()), work);
         assert_eq!(ctx.latency().segmentation, clock);
-        // …yet the counts are a cold context's that priced the band for
-        // each call, as the sketch did before it was kept.
+        // …yet the counts are those of a cold context that priced the
+        // band on each call.
         let all: Vec<usize> = (0..400).collect();
         let mut cold = context(&cube);
         for _ in 0..2 {
