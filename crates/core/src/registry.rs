@@ -39,7 +39,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use tsexplain_relation::{AggQuery, Datum, Relation};
-use tsexplain_store::{DataStore, LockRank, Ranked, Recovery};
+use tsexplain_store::{
+    DataStore, LockRank, Ranked, Recovery, StoreError, TenantCheckpoint, WalFrame,
+};
 
 use crate::error::TsExplainError;
 use crate::request::ExplainRequest;
@@ -158,8 +160,10 @@ pub struct SessionRegistry {
     /// Serializes checkpoint cycles (rotate → export → truncate). Two
     /// interleaved cycles could let the older cycle's export overwrite a
     /// newer tenant snapshot while the newer cycle's truncation deletes
-    /// the only log copy of the rows in between.
-    checkpoint_gate: Mutex<()>,
+    /// the only log copy of the rows in between. The gate holds, per
+    /// tenant, the row count its last written snapshot holds: empty after
+    /// a failed cycle and at boot, so the next cycle writes every tenant.
+    checkpoint_gate: Mutex<HashMap<u64, usize>>,
 }
 
 impl Default for SessionRegistry {
@@ -183,7 +187,7 @@ impl SessionRegistry {
             clock: Arc::new(AtomicU64::new(0)),
             memory_budget: budget,
             store: None,
-            checkpoint_gate: Mutex::new(()),
+            checkpoint_gate: Mutex::new(HashMap::new()),
         }
     }
 
@@ -207,7 +211,7 @@ impl SessionRegistry {
             clock: Arc::new(AtomicU64::new(0)),
             memory_budget: budget,
             store: Some(Arc::clone(&store)),
-            checkpoint_gate: Mutex::new(()),
+            checkpoint_gate: Mutex::new(HashMap::new()),
         };
         let mut notes = recovery.notes;
         for tenant in recovery.tenants {
@@ -304,8 +308,7 @@ impl SessionRegistry {
                 ));
             };
             self.map_write().insert(id, Arc::clone(&handle));
-            let logged =
-                store.log_register(id, guard.schema(), guard.query(), &guard.export_rows());
+            let logged = guard.log_register(store, id);
             drop(guard);
             if let Err(e) = logged {
                 // Not durable ⇒ not registered: unpublish and fail.
@@ -410,7 +413,9 @@ impl SessionRegistry {
     /// global memory budget. With a durable store attached, the batch is
     /// WAL-logged (and fsynced) after the session accepts it and before
     /// this returns — the log is appended under the session lock so WAL
-    /// order matches application order and `seq` stays exact.
+    /// order matches application order and `seq` stays exact. The record
+    /// is written from the rows before the session takes them, so the
+    /// batch is never copied; a batch the session rejects is not logged.
     pub fn append_rows(&self, id: DatasetId, rows: Vec<Vec<Datum>>) -> Result<(), RegistryError> {
         let handle = self.session(id)?;
         {
@@ -420,9 +425,10 @@ impl SessionRegistry {
             match &self.store {
                 Some(store) => {
                     let seq = session.total_rows() as u64;
-                    let batch = rows.clone();
+                    let record = WalFrame::rows(id.0, seq, &rows)
+                        .map_err(|e| TsExplainError::Storage(e.to_string()))?;
                     session.append_rows(rows)?;
-                    if let Err(e) = store.log_rows(id.0, seq, &batch) {
+                    if let Err(e) = store.log(record) {
                         // Un-apply the batch: if it stayed resident while
                         // the client got an error, every later acked batch
                         // would be logged with a seq replay sees as a gap
@@ -482,20 +488,8 @@ impl SessionRegistry {
         out
     }
 
-    /// Checkpoints the durable store once enough log has accumulated: one
-    /// cycle of rotate → export → truncate. The WAL is rotated FIRST and
-    /// the tenant states are exported AFTER — every record already in the
-    /// pre-rotation segments is then visible to the exports (each encoded
-    /// in place under its session's lock, which any in-flight mutation
-    /// holds while it logs; the lock is released before the CRC and the
-    /// file write), and a record logged concurrently with the export lands
-    /// in the fresh segment, which survives the truncation. The seq
-    /// watermark makes snapshot/WAL-suffix overlap idempotent on replay,
-    /// so no acked mutation can fall between a deleted log segment and a
-    /// snapshot that predates it. Tenants whose lock is poisoned are
-    /// skipped — they are already unrecoverable in-process (see
-    /// [`RegistryError::Poisoned`]) and a checkpoint is the point their
-    /// durable state is garbage-collected too. Checkpoint I/O errors are
+    /// Checkpoints the durable store once enough log has accumulated (see
+    /// [`SessionRegistry::checkpoint`]). Checkpoint I/O errors are
     /// reported and retried at the next trigger; the WAL keeps the data
     /// safe in the meantime.
     fn maybe_checkpoint(&self) {
@@ -504,46 +498,67 @@ impl SessionRegistry {
             return;
         }
         // One cycle at a time; a trigger while one runs is redundant.
-        let Ok(_gate) = LockRank::CheckpointGate.try_lock(&self.checkpoint_gate) else {
+        let Ok(mut snapshot_rows) = LockRank::CheckpointGate.try_lock(&self.checkpoint_gate) else {
             return;
         };
         if !store.wants_checkpoint() {
             return;
         }
-        let rotation = match store.rotate_wal() {
-            Ok(r) => r,
-            Err(e) => {
-                tsexplain_obs::log::warn(
-                    "store",
-                    "checkpoint rotation failed (will retry)",
-                    &[("error", serde::Value::String(e.to_string()))],
-                );
-                return;
-            }
-        };
+        if let Err(e) = self.checkpoint(store, &mut snapshot_rows) {
+            tsexplain_obs::log::warn(
+                "store",
+                "checkpoint failed (will retry)",
+                &[("error", serde::Value::String(e.to_string()))],
+            );
+        }
+    }
+
+    /// One checkpoint cycle: rotate → export → truncate. The WAL is
+    /// rotated FIRST and the tenant states are exported AFTER — every
+    /// record already in the pre-rotation segments is then visible to the
+    /// exports (each encoded in place under its session's lock, which any
+    /// in-flight mutation holds while it logs; the lock is released before
+    /// the CRC and the file write), and a record logged concurrently with
+    /// the export lands in the fresh segment, which survives the
+    /// truncation. The seq watermark makes snapshot/WAL-suffix overlap
+    /// idempotent on replay, so no acked mutation can fall between a
+    /// deleted log segment and a snapshot that predates it.
+    ///
+    /// A tenant that still holds the row count of its last written
+    /// snapshot (`snapshot_rows`) keeps that file: its rows only grow, so
+    /// the file already covers every record of it below the rotation. A
+    /// failed cycle leaves `snapshot_rows` empty.
+    /// Tenants whose lock is poisoned are skipped — they are already
+    /// unrecoverable in-process (see [`RegistryError::Poisoned`]) and a
+    /// checkpoint is the point their durable state is garbage-collected
+    /// too.
+    fn checkpoint(
+        &self,
+        store: &DataStore,
+        snapshot_rows: &mut HashMap<u64, usize>,
+    ) -> Result<(), StoreError> {
+        // Put back only by a cycle that completes: after a failed one,
+        // what is on disk is unknown, and the next cycle writes every
+        // tenant.
+        let last = std::mem::take(snapshot_rows);
+        let rotation = store.rotate_wal()?;
         let mut tenants = Vec::new();
+        let mut counts = HashMap::new();
         for (id, handle) in self.handles() {
             let Ok(session) = LockRank::Session.lock(&handle) else {
                 continue;
             };
-            tenants.push(session.checkpoint(id));
+            let rows = session.total_rows();
+            tenants.push(if last.get(&id) == Some(&rows) {
+                TenantCheckpoint::kept(id)
+            } else {
+                session.checkpoint(id)?
+            });
+            counts.insert(id, rows);
         }
-        let next_id = self.next_id.load(Ordering::Relaxed);
-        let count = tenants.len();
-        let written = tenants
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .and_then(|tenants| store.checkpoint(next_id, tenants, rotation));
-        if let Err(e) = written {
-            tsexplain_obs::log::warn(
-                "store",
-                "checkpoint failed (will retry)",
-                &[
-                    ("error", serde::Value::String(e.to_string())),
-                    ("tenants", serde::Value::Number(count as f64)),
-                ],
-            );
-        }
+        store.checkpoint(self.next_id.load(Ordering::Relaxed), tenants, rotation)?;
+        *snapshot_rows = counts;
+        Ok(())
     }
 
     /// A stable snapshot of `(id, handle)` pairs, map lock released.
@@ -927,6 +942,102 @@ mod tests {
         assert_eq!(after.aggregate, expected.aggregate);
         assert_eq!(after.total_variance, expected.total_variance);
         assert_eq!(after.k_variance_curve, expected.k_variance_curve);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One checkpoint cycle, as `maybe_checkpoint` runs it once the WAL
+    /// asks for one.
+    fn checkpoint_now(registry: &SessionRegistry) -> Result<(), StoreError> {
+        let mut snapshot_rows = LockRank::CheckpointGate
+            .lock(&registry.checkpoint_gate)
+            .unwrap();
+        registry.checkpoint(registry.store().unwrap(), &mut snapshot_rows)
+    }
+
+    fn snapshot_path(dir: &std::path::Path, id: DatasetId) -> std::path::PathBuf {
+        dir.join("tenants").join(format!("t{id}.snap"))
+    }
+
+    /// A snapshot file's bytes and inode: a rewrite renames a new file in.
+    fn snapshot_file(dir: &std::path::Path, id: DatasetId) -> (Vec<u8>, u64) {
+        use std::os::unix::fs::MetadataExt as _;
+        let path = snapshot_path(dir, id);
+        (
+            std::fs::read(&path).unwrap(),
+            std::fs::metadata(&path).unwrap().ino(),
+        )
+    }
+
+    #[test]
+    fn a_checkpoint_keeps_the_snapshot_of_an_unchanged_tenant() {
+        let dir = temp_dir("keep");
+        let registry = durable_registry(&dir, DEFAULT_REGISTRY_BUDGET);
+        let untouched = registry
+            .register(relation(0..12), AggQuery::sum("t", "v"))
+            .unwrap();
+        let appended = registry
+            .register(relation(0..12), AggQuery::sum("t", "v"))
+            .unwrap();
+        checkpoint_now(&registry).unwrap();
+        let store = registry.store().unwrap();
+        assert_eq!(store.metrics().snapshots, 2);
+        let kept = snapshot_file(&dir, untouched);
+        let before = snapshot_file(&dir, appended);
+        registry.append_rows(appended, rows_for(12..14)).unwrap();
+        checkpoint_now(&registry).unwrap();
+        // Only the tenant that changed is written again.
+        assert_eq!(store.metrics().snapshots, 3);
+        assert_eq!(snapshot_file(&dir, untouched), kept);
+        let after = snapshot_file(&dir, appended);
+        assert_ne!(after.0, before.0);
+        // A third cycle with nothing changed writes nothing.
+        checkpoint_now(&registry).unwrap();
+        assert_eq!(store.metrics().snapshots, 3);
+        assert_eq!(snapshot_file(&dir, appended), after);
+        let expected = registry.explain(untouched, &request()).unwrap();
+        drop(registry);
+        let rebooted = durable_registry(&dir, DEFAULT_REGISTRY_BUDGET);
+        assert_eq!(rebooted.ids(), vec![untouched, appended]);
+        let replayed = rebooted.explain(untouched, &request()).unwrap();
+        assert_eq!(replayed.segmentation, expected.segmentation);
+        assert_eq!(replayed.aggregate, expected.aggregate);
+        assert_eq!(rebooted.dataset_stats(appended).unwrap().n_points, 14);
+        // A recovered registry knows no snapshot's count: its first
+        // checkpoint writes every tenant.
+        checkpoint_now(&rebooted).unwrap();
+        assert_eq!(rebooted.store().unwrap().metrics().snapshots, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn after_a_failed_checkpoint_the_next_rewrites_every_tenant() {
+        let dir = temp_dir("failed-checkpoint");
+        let registry = durable_registry(&dir, DEFAULT_REGISTRY_BUDGET);
+        let a = registry
+            .register(relation(0..12), AggQuery::sum("t", "v"))
+            .unwrap();
+        let b = registry
+            .register(relation(0..12), AggQuery::sum("t", "v"))
+            .unwrap();
+        checkpoint_now(&registry).unwrap();
+        let store = registry.store().unwrap();
+        assert_eq!(store.metrics().snapshots, 2);
+        // A directory where B's temporary file goes fails B's write.
+        registry.append_rows(b, rows_for(12..14)).unwrap();
+        let blocker = snapshot_path(&dir, b).with_extension("tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(checkpoint_now(&registry).is_err());
+        std::fs::remove_dir(&blocker).unwrap();
+        let written = store.metrics().snapshots;
+        // Neither tenant changed since, yet both are written again.
+        checkpoint_now(&registry).unwrap();
+        assert_eq!(store.metrics().snapshots, written + 2);
+        checkpoint_now(&registry).unwrap();
+        assert_eq!(store.metrics().snapshots, written + 2);
+        drop(registry);
+        let rebooted = durable_registry(&dir, DEFAULT_REGISTRY_BUDGET);
+        assert_eq!(rebooted.dataset_stats(a).unwrap().n_points, 12);
+        assert_eq!(rebooted.dataset_stats(b).unwrap().n_points, 14);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

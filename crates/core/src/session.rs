@@ -53,7 +53,7 @@ use tsexplain_relation::{
     AggQuery, AttrValue, Column, ColumnType, Datum, Relation, RelationError, Schema,
 };
 use tsexplain_segment::SegmentMemo;
-use tsexplain_store::{StoreError, TenantCheckpoint};
+use tsexplain_store::{DataStore, StoreError, TenantCheckpoint};
 
 use crate::error::TsExplainError;
 use crate::pipeline::explain_cube_request;
@@ -426,11 +426,18 @@ impl ExplainSession {
     }
 
     /// Every raw row the session holds, in ingestion order (schema order
-    /// per row) — what a durable registration logs.
+    /// per row).
     pub(crate) fn export_rows(&self) -> Vec<Vec<Datum>> {
         let mut rows = relation_rows(&self.base);
         rows.extend(self.tail.iter().cloned());
         rows
+    }
+
+    /// Durably logs tenant `id`'s registration to `store`: the query, the
+    /// schema and every row, written in place from the base relation's
+    /// columns and the tail, with no row copied.
+    pub(crate) fn log_register(&self, store: &DataStore, id: u64) -> Result<(), StoreError> {
+        store.log_register(id, &self.query, &self.base, &self.tail)
     }
 
     /// Tenant `id`'s checkpoint snapshot: the query, the schema and every

@@ -34,6 +34,7 @@ mod relation;
 mod schema;
 mod serde_impls;
 mod value;
+mod wire;
 
 pub use agg::{AggFn, AggState};
 pub use builder::{Datum, RelationBuilder};
@@ -45,5 +46,5 @@ pub use predicate::{Conjunction, Predicate};
 pub use query::{AggQuery, AggregatedTimeSeries, MeasureExpr};
 pub use relation::Relation;
 pub use schema::{ColumnType, Field, Schema};
-pub use serde_impls::{decode_wire_row, encode_wire_row};
 pub use value::AttrValue;
+pub use wire::{decode_wire_row, encode_wire_row, write_wire_row, write_wire_rows, WireRows};

@@ -14,52 +14,9 @@
 use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::agg::AggFn;
-use crate::builder::Datum;
 use crate::query::{AggQuery, MeasureExpr};
 use crate::schema::{ColumnType, Field, Schema};
 use crate::value::AttrValue;
-
-/// Encodes one raw row as a heterogeneous JSON array in schema order
-/// (`["2020-03-01", "NY", 17.0]`) — the row format shared by the HTTP wire
-/// protocol and the durable WAL/snapshot layer.
-pub fn encode_wire_row(row: &[Datum]) -> Value {
-    Value::Array(
-        row.iter()
-            .map(|d| match d {
-                Datum::Attr(v) => v.serialize(),
-                Datum::Num(x) => x.serialize(),
-            })
-            .collect(),
-    )
-}
-
-/// Decodes one wire row *schema-aware*: strings and integers in dimension
-/// slots become attribute values, numbers in measure slots become `f64`s.
-/// Any value in the wrong slot is rejected with the offending field named.
-pub fn decode_wire_row(schema: &Schema, row: &Value) -> Result<Vec<Datum>, Error> {
-    let cells = row
-        .as_array()
-        .ok_or_else(|| Error::new(format!("expected an array, got {}", row.type_name())))?;
-    if cells.len() != schema.len() {
-        return Err(Error::new(format!(
-            "expected {} values (schema order), got {}",
-            schema.len(),
-            cells.len()
-        )));
-    }
-    cells
-        .iter()
-        .zip(schema.fields())
-        .map(|(cell, field)| match field.column_type() {
-            ColumnType::Dimension => AttrValue::deserialize(cell)
-                .map(Datum::Attr)
-                .map_err(|e| Error::new(format!("dimension {:?}: {e}", field.name()))),
-            ColumnType::Measure => f64::deserialize(cell)
-                .map(Datum::Num)
-                .map_err(|e| Error::new(format!("measure {:?}: {e}", field.name()))),
-        })
-        .collect()
-}
 
 impl Serialize for AttrValue {
     fn serialize(&self) -> Value {

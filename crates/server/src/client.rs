@@ -411,8 +411,7 @@ fn retry_after_hint(response: &Response) -> Option<Duration> {
 fn finish(response: Response) -> Result<Value, ClientError> {
     let text = String::from_utf8(response.body)
         .map_err(|_| ClientError::Decode("non-UTF-8 body".into()))?;
-    let value: Value =
-        serde_json::from_str(&text).map_err(|e| ClientError::Decode(e.to_string()))?;
+    let value = serde_json::parse(&text).map_err(|e| ClientError::Decode(e.to_string()))?;
     if (200..300).contains(&response.status) {
         Ok(value)
     } else {

@@ -41,8 +41,8 @@ use crate::error::ApiError;
 use crate::http::{Request, Response};
 use crate::server::ServerShared;
 use crate::wire::{
-    decode_rows, stats_body, AppendAck, AppendRowsBody, CompareBody, CompareResponse,
-    DatasetCreated, RegisterDataset, StrategyComparison,
+    body_text, decode_wire_rows, read_append_body, read_register_body, stats_body, AppendAck,
+    CompareBody, CompareResponse, DatasetCreated, StrategyComparison,
 };
 
 /// What the flight recorder keeps of a request beside its response: the
@@ -125,10 +125,8 @@ fn parse_id(raw: &str) -> Result<DatasetId, ApiError> {
         .map_err(|_| ApiError::bad_request(format!("dataset id {raw:?} is not an integer")))
 }
 
-fn parse_body<T: Deserialize>(body: &[u8]) -> Result<T, ApiError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| ApiError::bad_request("request body is not UTF-8"))?;
-    serde_json::from_str(text).map_err(|e| ApiError::bad_request(e.to_string()))
+pub(crate) fn parse_body<T: Deserialize>(body: &[u8]) -> Result<T, ApiError> {
+    serde_json::from_str(body_text(body)?).map_err(|e| ApiError::bad_request(e.to_string()))
 }
 
 fn json_ok<T: Serialize + ?Sized>(status: u16, payload: &T) -> Response {
@@ -141,8 +139,8 @@ fn json_ok<T: Serialize + ?Sized>(status: u16, payload: &T) -> Response {
 }
 
 fn register(shared: &ServerShared, body: &[u8]) -> Result<Response, ApiError> {
-    let spec: RegisterDataset = parse_body(body)?;
-    let rows = decode_rows(&spec.schema, &spec.rows)?;
+    let spec = read_register_body(body)?;
+    let rows = decode_wire_rows(&spec.schema, &spec.rows)?;
     let n_rows = rows.len();
     let mut builder = Relation::builder(spec.schema);
     for row in rows {
@@ -169,8 +167,11 @@ fn register(shared: &ServerShared, body: &[u8]) -> Result<Response, ApiError> {
     ))
 }
 
+/// The order of failures is a malformed body (400), then an unknown
+/// dataset (404), then a bad row (400 naming it): the body is read whole
+/// before the tenant is looked up, and its rows are typed after.
 fn append(shared: &ServerShared, id: DatasetId, body: &[u8]) -> Result<Response, ApiError> {
-    let spec: AppendRowsBody = parse_body(body)?;
+    let wire_rows = read_append_body(body)?;
     // Row decoding needs the tenant's schema.
     let schema = {
         let handle = shared.registry.session(id).map_err(ApiError::from)?;
@@ -179,7 +180,7 @@ fn append(shared: &ServerShared, id: DatasetId, body: &[u8]) -> Result<Response,
             .map_err(|_| ApiError::internal(format!("dataset {id} is poisoned")))?;
         session.schema().clone()
     };
-    let rows = decode_rows(&schema, &spec.rows)?;
+    let rows = decode_wire_rows(&schema, &wire_rows)?;
     let appended = rows.len();
     shared
         .registry

@@ -12,6 +12,13 @@
 //! measure slots become `f64`s. A fractional number in a dimension slot —
 //! or any value in the wrong slot — is rejected row-by-row with the
 //! offending row index in the message.
+//!
+//! The server reads the two bodies that carry rows, registration and
+//! append, with [`read_register_body`] and [`read_append_body`]: a pull
+//! reader walks the request bytes and keeps each row as cells
+//! ([`WireRows`]), so no row is held in a `Value`. They answer every body
+//! as [`RegisterDataset`] and [`AppendRowsBody`] (the client half's types)
+//! plus [`decode_rows`] would: the same rows, or the same error text.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -21,8 +28,9 @@
 )]
 
 use serde::{record, Deserialize, Error, Serialize, Value};
+use serde_json::{Kind, Reader};
 use tsexplain::{AggQuery, DatasetSnapshot, Datum, ExplainRequest, ExplainResult, Schema};
-use tsexplain_relation::{decode_wire_row, encode_wire_row};
+use tsexplain_relation::{decode_wire_row, encode_wire_row, WireRows};
 
 use crate::error::ApiError;
 
@@ -186,9 +194,108 @@ pub fn decode_rows(schema: &Schema, rows: &[Value]) -> Result<Vec<Vec<Datum>>, A
         .collect()
 }
 
+/// Decodes rows read by [`read_append_body`] or [`read_register_body`]
+/// onto `schema`, as [`decode_rows`] decodes their trees.
+pub fn decode_wire_rows(schema: &Schema, rows: &WireRows) -> Result<Vec<Vec<Datum>>, ApiError> {
+    rows.decode(schema)
+        .map_err(|(i, e)| ApiError::bad_request(format!("row {i}: {e}")))
+}
+
 /// Encodes raw [`Datum`] rows as wire rows (the client half).
 pub fn encode_rows(rows: &[Vec<Datum>]) -> Vec<Value> {
     rows.iter().map(|row| encode_wire_row(row)).collect()
+}
+
+/// A request body as text; a body that is not UTF-8 is a 400.
+pub(crate) fn body_text(body: &[u8]) -> Result<&str, ApiError> {
+    std::str::from_utf8(body).map_err(|_| ApiError::bad_request("request body is not UTF-8"))
+}
+
+/// Walks the document at `reader` as an object, handing `member` each key
+/// with the reader at its value, then requires the end of the text. A
+/// document that is not an object is read past whole: all its members are
+/// missing. A key met twice is handed over twice, so a member that keeps
+/// what it reads keeps the last occurrence, as a parsed tree does.
+fn read_members<'a>(
+    reader: &mut Reader<'a>,
+    mut member: impl FnMut(&str, &mut Reader<'a>) -> Result<(), Error>,
+) -> Result<(), Error> {
+    if reader.peek()? == Kind::Object {
+        let mut more = reader.begin_object()?;
+        while more {
+            let key = reader.key()?;
+            member(&key, reader)?;
+            more = reader.next_member()?;
+        }
+    } else {
+        reader.value()?;
+    }
+    reader.end()
+}
+
+/// Reads a `POST /datasets/{id}/rows` body ([`AppendRowsBody`]) into its
+/// rows' cells. Unknown members are skipped; a malformed body, or one
+/// without a `rows` array, is a 400.
+pub fn read_append_body(body: &[u8]) -> Result<WireRows<'_>, ApiError> {
+    let mut rows = None;
+    read_members(&mut Reader::new(body_text(body)?), |key, reader| {
+        if key == "rows" {
+            rows = Some(WireRows::read(reader)?);
+        } else {
+            reader.value()?;
+        }
+        Ok(())
+    })
+    .and_then(|()| match rows {
+        Some(rows) => rows.map_err(|e| e.contextualize("rows")),
+        None => Err(Error::new("missing field `rows`")),
+    })
+    .map_err(|e| ApiError::bad_request(e.to_string()))
+}
+
+/// A `POST /datasets` body as the server reads it: [`RegisterDataset`]
+/// with its rows kept as cells.
+#[derive(Debug)]
+pub struct RegisterBody<'a> {
+    /// The relation's schema.
+    pub schema: Schema,
+    /// The "what happened" aggregation query.
+    pub query: AggQuery,
+    /// Initial rows (none when the body has no `rows`).
+    pub rows: WireRows<'a>,
+}
+
+/// Reads a `POST /datasets` body ([`RegisterDataset`]). The schema and
+/// the query are read as trees and decoded by their own `Deserialize`;
+/// the rows are kept as cells, since the body may place them before the
+/// schema.
+pub fn read_register_body(body: &[u8]) -> Result<RegisterBody<'_>, ApiError> {
+    let mut members = std::collections::BTreeMap::new();
+    let mut rows = None;
+    read_members(&mut Reader::new(body_text(body)?), |key, reader| {
+        match key {
+            "rows" => rows = Some(WireRows::read(reader)?),
+            "schema" | "query" => {
+                members.insert(key.to_string(), reader.value()?);
+            }
+            _ => {
+                reader.value()?;
+            }
+        }
+        Ok(())
+    })
+    .and_then(|()| {
+        let members = Value::Object(members);
+        Ok(RegisterBody {
+            schema: members.field("schema")?,
+            query: members.field("query")?,
+            rows: match rows {
+                Some(rows) => rows.map_err(|e| e.contextualize("rows"))?,
+                None => WireRows::default(),
+            },
+        })
+    })
+    .map_err(|e| ApiError::bad_request(e.to_string()))
 }
 
 #[cfg(test)]
@@ -297,6 +404,232 @@ mod tests {
                 .to_string(),
             "in field `rows`: expected array, got null"
         );
+    }
+
+    /// Valid cells for a dimension slot and for a measure slot.
+    const DIMENSIONS: [&str; 7] = ["0", "-3", "17", r#""NY""#, r#""d\"1""#, r#""é""#, r#""""#];
+    const MEASURES: [&str; 7] = [
+        "0",
+        "1.5",
+        "-0.0",
+        "2.5e-3",
+        "9007199254740993",
+        "-1e300",
+        "17",
+    ];
+    /// Cells that are wrong in some slot, or everywhere; the pick one past
+    /// the end is an array nested past the 128-deep cap.
+    const CELLS: [&str; 12] = [
+        "1.5",
+        "1e19",
+        "-1e19",
+        r#""x""#,
+        "null",
+        "true",
+        "false",
+        "[]",
+        "[1,[2]]",
+        "{}",
+        r#"{"a":[null]}"#,
+        "9223372036854775807",
+    ];
+    /// Values that are not arrays, for a row or for `rows`.
+    const NOT_ARRAYS: [&str; 5] = ["null", "1", r#""r""#, "{}", "true"];
+    const SEPARATORS: [&str; 4] = ["", " ", "\n\t", "\r\n  "];
+    /// What a syntax error is made of: inserted at a drawn offset.
+    const JUNK: [&[u8]; 10] = [
+        b",", b"]", b"}", b"x", b"\"", b"[", b":", b"\\", b"\x01", b"\xff",
+    ];
+
+    /// A drawn row: its kind, three cell picks and one more pick.
+    type RowPick = (u8, Vec<usize>, usize);
+    /// A drawn member: its kind, its rows and one more pick.
+    type MemberPick = (u8, Vec<RowPick>, usize);
+
+    fn cell(pick: usize) -> String {
+        match CELLS.get(pick % (CELLS.len() + 1)) {
+            Some(cell) => (*cell).to_string(),
+            None => format!("{}{}", "[".repeat(130), "]".repeat(130)),
+        }
+    }
+
+    /// A row: valid (kinds 0–3), valid but for one drawn cell (4–5), two
+    /// to four drawn cells (6), or not an array (7).
+    fn row_text((kind, picks, extra): &RowPick, sep: &str) -> String {
+        let valid = [
+            DIMENSIONS[picks[0] % 7].to_string(),
+            DIMENSIONS[picks[1] % 7].to_string(),
+            MEASURES[picks[2] % 7].to_string(),
+        ];
+        let cells: Vec<String> = match kind {
+            0..=3 => valid.to_vec(),
+            4 | 5 => {
+                let mut cells = valid.to_vec();
+                cells[extra % 3] = cell(picks[extra % 3]);
+                cells
+            }
+            6 => picks
+                .iter()
+                .chain(picks)
+                .take(2 + extra % 3)
+                .map(|&p| cell(p))
+                .collect(),
+            _ => return NOT_ARRAYS[extra % NOT_ARRAYS.len()].to_string(),
+        };
+        format!("[{sep}{}{sep}]", cells.join(&format!(",{sep}")))
+    }
+
+    fn rows_text(rows: &[RowPick], sep: &str) -> String {
+        let rows: Vec<String> = rows.iter().map(|r| row_text(r, sep)).collect();
+        format!("[{sep}{}{sep}]", rows.join(&format!(",{sep}")))
+    }
+
+    const SCHEMA: &str = r#"[{"name":"t","kind":"dimension"},{"name":"state","kind":"dimension"},{"name":"v","kind":"measure"}]"#;
+    const QUERY: &str = r#"{"time_attr":"t","agg":"sum","measure":{"op":"column","column":"v"}}"#;
+
+    /// A member: `rows` (kinds 0–3), `rows` under an escaped key (4),
+    /// `rows` that is not an array (5), an unknown member (6), a key that
+    /// differs in case (7), or a schema (8) or query (9), usually valid.
+    fn member_text((kind, rows, extra): &MemberPick, sep: &str) -> String {
+        let (key, value) = match kind {
+            0..=3 => ("\"rows\"", rows_text(rows, sep)),
+            4 => (r#""r\u006fws""#, rows_text(rows, sep)),
+            5 => ("\"rows\"", NOT_ARRAYS[extra % NOT_ARRAYS.len()].to_string()),
+            6 => ("\"extra\"", cell(*extra)),
+            7 => ("\"Rows\"", rows_text(rows, sep)),
+            8 => (
+                "\"schema\"",
+                match extra % 4 {
+                    0 => r#"[{"name":"t"}]"#.to_string(),
+                    1 => "null".to_string(),
+                    _ => SCHEMA.to_string(),
+                },
+            ),
+            _ => (
+                "\"query\"",
+                match extra % 4 {
+                    0 => r#"{"time_attr":"t","agg":"median"}"#.to_string(),
+                    _ => QUERY.to_string(),
+                },
+            ),
+        };
+        format!("{sep}{key}{sep}:{sep}{value}{sep}")
+    }
+
+    /// A body: not an object (shape 0) or an object of the drawn members,
+    /// a register body's led by a valid schema and query;
+    /// then, for corruption 0 or 1 of 0–7, cut or given a junk byte at a
+    /// drawn offset.
+    fn body(
+        register: bool,
+        (shape, members, sep, corruption, offset, junk): &(
+            u8,
+            Vec<MemberPick>,
+            usize,
+            u8,
+            usize,
+            usize,
+        ),
+    ) -> Vec<u8> {
+        let sep = SEPARATORS[sep % SEPARATORS.len()];
+        let mut parts: Vec<String> = members.iter().map(|m| member_text(m, sep)).collect();
+        if register && *shape >= 1 {
+            parts.insert(0, format!(r#""query":{QUERY}"#));
+            parts.insert(0, format!(r#""schema":{SCHEMA}"#));
+        }
+        let mut bytes = match shape {
+            0 => NOT_ARRAYS[offset % NOT_ARRAYS.len()].to_string(),
+            _ => format!("{sep}{{{}}}{sep}", parts.join(",")),
+        }
+        .into_bytes();
+        match corruption {
+            0 => bytes.truncate(offset % (bytes.len() + 1)),
+            1 => {
+                let at = offset % (bytes.len() + 1);
+                bytes.splice(at..at, JUNK[junk % JUNK.len()].iter().copied());
+            }
+            _ => {}
+        }
+        bytes
+    }
+
+    /// What the tree path answers: the body parsed into its record, then
+    /// its rows decoded (`Datum`s by `Debug`, so `-0.0` is told from `0`).
+    fn tree_append(body: &[u8]) -> Result<String, ApiError> {
+        let spec: AppendRowsBody = crate::router::parse_body(body)?;
+        Ok(format!("{:?}", decode_rows(&schema(), &spec.rows)?))
+    }
+
+    fn reader_append(body: &[u8]) -> Result<String, ApiError> {
+        let rows = read_append_body(body)?;
+        Ok(format!("{:?}", decode_wire_rows(&schema(), &rows)?))
+    }
+
+    fn tree_register(body: &[u8]) -> Result<String, ApiError> {
+        let spec: RegisterDataset = crate::router::parse_body(body)?;
+        let rows = decode_rows(&spec.schema, &spec.rows)?;
+        Ok(format!(
+            "{:?} {} {rows:?}",
+            spec.schema.fields(),
+            serde_json::to_string(&spec.query).unwrap()
+        ))
+    }
+
+    fn reader_register(body: &[u8]) -> Result<String, ApiError> {
+        let spec = read_register_body(body)?;
+        let rows = decode_wire_rows(&spec.schema, &spec.rows)?;
+        Ok(format!(
+            "{:?} {} {rows:?}",
+            spec.schema.fields(),
+            serde_json::to_string(&spec.query).unwrap()
+        ))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// Through the reader every append and register body decodes to
+        /// the rows the parsed tree decodes to, or fails with the same
+        /// status, kind and message: valid bodies, and bodies malformed in
+        /// syntax (cut, junk, nesting past the cap, bytes that are not
+        /// UTF-8), in kind, in arity, in a dimension's number, or in their
+        /// members (missing, `null`, repeated, escaped, unknown).
+        #[test]
+        fn the_reader_answers_every_body_as_the_tree_does(
+            drawn in (
+                0u8..8,
+                proptest::collection::vec(
+                    (
+                        0u8..10,
+                        proptest::collection::vec(
+                            (0u8..8, proptest::collection::vec(0usize..64, 3), 0usize..64),
+                            0..4,
+                        ),
+                        0usize..64,
+                    ),
+                    1..4,
+                ),
+                0usize..4,
+                0u8..8,
+                0usize..100_000,
+                0usize..64,
+            ),
+        ) {
+            let append = body(false, &drawn);
+            proptest::prop_assert_eq!(
+                reader_append(&append),
+                tree_append(&append),
+                "{}",
+                String::from_utf8_lossy(&append)
+            );
+            let register = body(true, &drawn);
+            proptest::prop_assert_eq!(
+                reader_register(&register),
+                tree_register(&register),
+                "{}",
+                String::from_utf8_lossy(&register)
+            );
+        }
     }
 
     #[test]

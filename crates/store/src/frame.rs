@@ -14,12 +14,21 @@ use crate::error::StoreError;
 /// Frame header size: length + checksum.
 pub const HEADER: usize = 8;
 
-/// Appends one frame around `payload` to `out`.
+/// Appends one frame around `payload` to `out`: the reference the
+/// in-place writers' frames are checked against.
+#[cfg(test)]
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), StoreError> {
     let at = out.len();
     out.extend_from_slice(&[0; HEADER]);
     out.extend_from_slice(payload);
     seal_frame(&mut out[at..])
+}
+
+/// A frame to be built in place as text: the [`HEADER`] bytes as NULs,
+/// so the writer's functions can append the payload to a `String`, and
+/// [`seal_frame`] fills them in.
+pub fn frame_text() -> String {
+    "\0".repeat(HEADER)
 }
 
 /// Fills in the header of a frame built in place: `frame` is [`HEADER`]

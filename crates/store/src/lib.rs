@@ -33,4 +33,4 @@ pub use error::StoreError;
 pub use rank::{LockRank, Ranked};
 pub use snapshot::TenantCheckpoint;
 pub use store::{DataStore, RecoveredTenant, Recovery, StoreDurations, StoreMetrics};
-pub use wal::WalRecord;
+pub use wal::{WalFrame, WalRecord};

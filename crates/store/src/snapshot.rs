@@ -4,9 +4,9 @@
 //! A snapshot file is one CRC frame whose payload is the JSON document
 //! `{"id":…,"query":…,"rows":[…],"schema":…}`, byte for byte what the
 //! vendored `serde_json` writer makes of that object: keys in sorted
-//! order, rows as the wire arrays `encode_wire_row` builds, and every
-//! number and string spelled by that writer's own `write_number` and
-//! `write_string`. Recovery reads it back with the same parser as ever.
+//! order, rows as the wire arrays `encode_wire_row` builds, written by the
+//! relation crate's `write_wire_rows` and `write_wire_row`, as the WAL's
+//! records are. Recovery reads it back with the same parser as ever.
 //!
 //! The writer builds no `Value` for a row and copies no row: it reads a
 //! [`Relation`]'s columns and the appended tail in place, so a caller can
@@ -15,19 +15,21 @@
 
 use std::time::Duration;
 
-use serde_json::{write_number, write_string};
-use tsexplain_relation::{AggQuery, AttrValue, Column, Datum, Relation};
+use serde_json::write_number;
+use tsexplain_relation::{write_wire_row, write_wire_rows, AggQuery, Datum, Relation};
 
 use crate::error::StoreError;
-use crate::frame::{seal_frame, HEADER};
+use crate::frame::{frame_text, seal_frame};
 use crate::store::clock;
 
-/// One tenant's encoded snapshot, handed to [`crate::DataStore::checkpoint`].
+/// One tenant's entry in a checkpoint, handed to
+/// [`crate::DataStore::checkpoint`]: its encoded snapshot, or word that its
+/// last written snapshot still holds every row.
 pub struct TenantCheckpoint {
     id: u64,
-    /// The frame: [`HEADER`] bytes still to be filled in, then the JSON
-    /// payload.
-    frame: Vec<u8>,
+    /// The frame: header bytes still to be filled in, then the JSON
+    /// payload; `None` keeps the tenant's snapshot file as it is.
+    frame: Option<Vec<u8>>,
     /// How long the encode took: the checkpoint histogram counts it with
     /// the write.
     pub(crate) encode_time: Duration,
@@ -49,29 +51,31 @@ impl TenantCheckpoint {
         let encode_err = |e: serde::Error| StoreError::Encode(e.to_string());
         let query = serde_json::to_string(query).map_err(encode_err)?;
         let schema = serde_json::to_string(base.schema()).map_err(encode_err)?;
-        // The header's bytes start as NULs, so the whole frame is a
-        // `String` the writer's functions can append to.
-        let mut doc = "\0".repeat(HEADER);
+        let mut doc = frame_text();
         doc.push_str("{\"id\":");
         write_number(id as f64, &mut doc);
         doc.push_str(",\"query\":");
         doc.push_str(&query);
-        doc.push_str(",\"rows\":[");
-        write_relation_rows(base, &mut doc);
-        for (i, row) in tail.iter().enumerate() {
-            if i > 0 || base.n_rows() > 0 {
-                doc.push(',');
-            }
-            write_row(row, &mut doc);
-        }
-        doc.push_str("],\"schema\":");
+        doc.push_str(",\"rows\":");
+        write_rows(base, tail, &mut doc);
+        doc.push_str(",\"schema\":");
         doc.push_str(&schema);
         doc.push('}');
         Ok(TenantCheckpoint {
             id,
-            frame: doc.into_bytes(),
+            frame: Some(doc.into_bytes()),
             encode_time: started.elapsed(),
         })
+    }
+
+    /// Tenant `id`, unchanged since its last written snapshot: the
+    /// checkpoint neither rewrites that file nor deletes it as stale.
+    pub fn kept(id: u64) -> TenantCheckpoint {
+        TenantCheckpoint {
+            id,
+            frame: None,
+            encode_time: Duration::ZERO,
+        }
     }
 
     /// The tenant id.
@@ -80,96 +84,28 @@ impl TenantCheckpoint {
     }
 
     /// Fills in the frame header (length and CRC) and returns the whole
-    /// frame, ready to write.
-    pub(crate) fn seal(&mut self) -> Result<&[u8], StoreError> {
-        seal_frame(&mut self.frame)?;
-        Ok(&self.frame)
+    /// frame, ready to write; `None` for a kept tenant.
+    pub(crate) fn seal(&mut self) -> Result<Option<&[u8]>, StoreError> {
+        let Some(frame) = &mut self.frame else {
+            return Ok(None);
+        };
+        seal_frame(frame)?;
+        Ok(Some(frame))
     }
 }
 
-/// A column as the writer reads it: a dimension's codes beside its
-/// dictionary values, each encoded once, or a measure's values.
-enum ColumnText<'a> {
-    Dimension {
-        codes: &'a [u32],
-        /// The encoded dictionary values, back to back.
-        text: String,
-        /// Where value `code` ends in `text` (it starts where `code - 1`
-        /// ends).
-        ends: Vec<usize>,
-    },
-    Measure(&'a [f64]),
-}
-
-/// Writes `base`'s rows, comma-separated, as wire arrays.
-fn write_relation_rows(base: &Relation, out: &mut String) {
-    let columns: Vec<ColumnText<'_>> = (0..base.schema().len())
-        .map(|idx| match base.column(idx) {
-            Column::Dimension(col) => {
-                let mut text = String::new();
-                let ends = col
-                    .dict()
-                    .values()
-                    .iter()
-                    .map(|value| {
-                        write_attr(value, &mut text);
-                        text.len()
-                    })
-                    .collect();
-                ColumnText::Dimension {
-                    codes: col.codes(),
-                    text,
-                    ends,
-                }
-            }
-            Column::Measure(values) => ColumnText::Measure(values),
-        })
-        .collect();
-    for row in 0..base.n_rows() {
-        if row > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (i, column) in columns.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match column {
-                ColumnText::Dimension { codes, text, ends } => {
-                    let code = codes[row] as usize;
-                    let start = if code == 0 { 0 } else { ends[code - 1] };
-                    out.push_str(&text[start..ends[code]]);
-                }
-                ColumnText::Measure(values) => write_number(values[row], out),
-            }
-        }
-        out.push(']');
-    }
-}
-
-/// Writes one raw row as the wire array `encode_wire_row` builds.
-fn write_row(row: &[Datum], out: &mut String) {
+/// Writes `[…]`: `base`'s rows as wire arrays, read from its columns,
+/// then `tail`'s.
+pub(crate) fn write_rows(base: &Relation, tail: &[Vec<Datum>], out: &mut String) {
     out.push('[');
-    for (i, datum) in row.iter().enumerate() {
-        if i > 0 {
+    write_wire_rows(base, out);
+    for (i, row) in tail.iter().enumerate() {
+        if i > 0 || base.n_rows() > 0 {
             out.push(',');
         }
-        match datum {
-            Datum::Attr(value) => write_attr(value, out),
-            Datum::Num(x) => write_number(*x, out),
-        }
+        write_wire_row(row, out);
     }
     out.push(']');
-}
-
-/// An attribute as its `Serialize` writes it: an integer as a JSON
-/// number (through `f64`, as the data model holds it), a string as a
-/// JSON string.
-fn write_attr(value: &AttrValue, out: &mut String) {
-    match value {
-        AttrValue::Int(i) => write_number(*i as f64, out),
-        AttrValue::Str(s) => write_string(s, out),
-    }
 }
 
 #[cfg(test)]
@@ -179,10 +115,11 @@ mod tests {
 
     use proptest::prelude::*;
     use serde::{Serialize, Value};
-    use tsexplain_relation::{encode_wire_row, Field, Schema};
+    use tsexplain_relation::{encode_wire_row, AttrValue, Field, Schema};
 
     use super::*;
-    use crate::frame::append_frame;
+    use crate::frame::{append_frame, HEADER};
+    use crate::wal::{WalFrame, WalRecord};
     use crate::DataStore;
 
     /// The encoding the writer replaced, kept as its reference: a `Value`
@@ -234,6 +171,7 @@ mod tests {
     ) -> Vec<u8> {
         encoded(id, schema, query, rows, split)
             .seal()
+            .unwrap()
             .unwrap()
             .to_vec()
     }
@@ -359,6 +297,105 @@ mod tests {
             prop_assert!(recovery.tenants[0].from_snapshot);
             prop_assert_eq!(&recovery.tenants[0].rows, &rows);
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// `record`'s `Value` tree (the encoding [`WalFrame`] replaced),
+    /// written and framed.
+    fn wal_tree_frame(record: &WalRecord) -> Vec<u8> {
+        let mut framed = Vec::new();
+        append_frame(
+            &mut framed,
+            serde_json::to_string(record).unwrap().as_bytes(),
+        )
+        .unwrap();
+        framed
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The WAL's `Register` and `Rows` frames are byte-identical to
+        /// their records' `Value` trees, written and framed: a
+        /// registration's rows read from a relation's columns, from the
+        /// tail, or both, and batches of every size, empty ones included,
+        /// over every escape, non-ASCII text, integer attributes and
+        /// integral, fractional, `-0.0` and ≥ 2^53 measures.
+        #[test]
+        fn the_wal_writer_matches_the_value_tree(
+            kinds in proptest::collection::vec(0u8..2, 1..5),
+            raw in proptest::collection::vec(
+                proptest::collection::vec(
+                    (
+                        0u8..2,
+                        -INT_BOUND..=INT_BOUND,
+                        proptest::collection::vec(0..CHARS.chars().count(), 0..10),
+                        0..MEASURES.len() + 4,
+                        -1e6f64..1e6,
+                    ),
+                    4,
+                ),
+                0..40,
+            ),
+            split in 0usize..48,
+            id in 1u64..u64::MAX,
+            seq in 0u64..u64::MAX,
+        ) {
+            let schema = Schema::new(
+                kinds
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| match k {
+                        0 => Field::dimension(format!("c\u{7}{i}")),
+                        _ => Field::measure(format!("é{i}")),
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            let query = AggQuery::sum("c\u{7}0", "é1");
+            let rows: Vec<Vec<Datum>> = raw
+                .iter()
+                .map(|cells| kinds.iter().zip(cells).map(|(&k, c)| cell_as(k == 1, c)).collect())
+                .collect();
+            let split = split.min(rows.len());
+            let mut builder = Relation::builder(schema.clone());
+            for row in &rows[..split] {
+                builder.push_row(row.clone()).unwrap();
+            }
+            let wire: Vec<Value> = rows.iter().map(|r| encode_wire_row(r)).collect();
+            let register = WalFrame::register(id, &query, &builder.finish(), &rows[split..]).unwrap();
+            let expected = wal_tree_frame(&WalRecord::Register {
+                id,
+                schema,
+                query,
+                rows: wire.clone(),
+            });
+            prop_assert!(
+                register.bytes() == expected,
+                "split {}: {:?}",
+                split,
+                String::from_utf8_lossy(&expected[HEADER..])
+            );
+            let batch = WalFrame::rows(id, seq, &rows[split..]).unwrap();
+            let expected = wal_tree_frame(&WalRecord::Rows {
+                id,
+                seq,
+                rows: wire[split..].to_vec(),
+            });
+            prop_assert!(
+                batch.bytes() == expected,
+                "{:?}",
+                String::from_utf8_lossy(&expected[HEADER..])
+            );
+        }
+    }
+
+    #[test]
+    fn a_remove_record_matches_the_value_tree() {
+        for id in [1, 42, (1 << 53) + 1, u64::MAX] {
+            assert!(
+                WalFrame::remove(id).unwrap().bytes() == wal_tree_frame(&WalRecord::Remove { id })
+            );
         }
     }
 

@@ -49,13 +49,13 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use tsexplain_obs::Histogram;
-use tsexplain_relation::{decode_wire_row, encode_wire_row, AggQuery, Datum, Schema};
+use tsexplain_relation::{decode_wire_row, AggQuery, Datum, Relation, Schema};
 
 use crate::error::StoreError;
-use crate::frame::{append_frame, read_all, FrameEnd};
+use crate::frame::{read_all, FrameEnd};
 use crate::rank::LockRank;
 use crate::snapshot::TenantCheckpoint;
-use crate::wal::WalRecord;
+use crate::wal::{WalFrame, WalRecord};
 
 /// Rotate the active WAL segment once it exceeds this many bytes.
 const SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
@@ -174,7 +174,7 @@ impl DataStore {
         // Last checkpoint's id watermark.
         let meta_path = root.join("meta.json");
         match fs::read_to_string(&meta_path) {
-            Ok(text) => match serde_json::from_str::<Value>(&text) {
+            Ok(text) => match serde_json::parse(&text) {
                 Ok(v) => match v.field::<u64>("next_id") {
                     Ok(n) => recovery.next_id = n,
                     Err(e) => recovery.notes.push(format!("meta.json ignored: {e}")),
@@ -296,37 +296,33 @@ impl DataStore {
         self.appends_since_checkpoint.load(Ordering::Relaxed) >= CHECKPOINT_INTERVAL
     }
 
-    /// Durably logs a tenant registration.
+    /// Durably logs a tenant registration: `query`, `base`'s schema and
+    /// every row, `base`'s written from its columns and then `tail`'s, as
+    /// [`WalFrame::register`] writes them (no row is copied).
     pub fn log_register(
         &self,
         id: u64,
-        schema: &Schema,
         query: &AggQuery,
-        rows: &[Vec<Datum>],
+        base: &Relation,
+        tail: &[Vec<Datum>],
     ) -> Result<(), StoreError> {
-        self.append(&WalRecord::Register {
-            id,
-            schema: schema.clone(),
-            query: query.clone(),
-            rows: rows.iter().map(|r| encode_wire_row(r)).collect(),
-        })
+        self.log(WalFrame::register(id, query, base, tail)?)
     }
 
-    /// Durably logs an appended row batch. `seq` is the tenant's total
-    /// row count *before* the batch.
+    /// Durably logs an appended row batch, written from the rows as
+    /// [`WalFrame::rows`] writes it. `seq` is the tenant's total row count
+    /// *before* the batch. A caller that must hand the rows on before the
+    /// record is logged encodes the record first and logs it with
+    /// [`DataStore::log`].
     pub fn log_rows(&self, id: u64, seq: u64, rows: &[Vec<Datum>]) -> Result<(), StoreError> {
-        self.append(&WalRecord::Rows {
-            id,
-            seq,
-            rows: rows.iter().map(|r| encode_wire_row(r)).collect(),
-        })
+        self.log(WalFrame::rows(id, seq, rows)?)
     }
 
     /// Durably logs a tenant deletion, then removes its snapshot file.
     /// The tombstone lands first so a crash between the two steps still
     /// deletes the tenant on replay.
     pub fn log_remove(&self, id: u64) -> Result<(), StoreError> {
-        self.append(&WalRecord::Remove { id })?;
+        self.log(WalFrame::remove(id)?)?;
         let _ = fs::remove_file(self.tenant_path(id));
         Ok(())
     }
@@ -349,7 +345,9 @@ impl DataStore {
         Ok(fresh)
     }
 
-    /// Writes every tenant's encoded snapshot to `tenants/`, persists the
+    /// Writes every tenant's encoded snapshot to `tenants/` (a
+    /// [`TenantCheckpoint::kept`] tenant keeps its file, and only the
+    /// files written count as `snapshots`), persists the
     /// id watermark, then deletes the WAL segments below `rotation` — a
     /// value obtained from [`DataStore::rotate_wal`] *before* the tenant
     /// states were encoded (see there for why that order is the
@@ -369,8 +367,11 @@ impl DataStore {
         let encoded: Duration = tenants.iter().map(|t| t.encode_time).sum();
         let live: Vec<u64> = tenants.iter().map(TenantCheckpoint::id).collect();
         for mut t in tenants {
-            write_atomic(&self.tenant_path(t.id()), t.seal()?)?;
-            self.snapshots.fetch_add(1, Ordering::Relaxed);
+            let path = self.tenant_path(t.id());
+            if let Some(frame) = t.seal()? {
+                write_atomic(&path, frame)?;
+                self.snapshots.fetch_add(1, Ordering::Relaxed);
+            }
         }
         // Snapshot files for tenants that no longer exist are stale.
         for path in sorted_files(&self.root.join("tenants"), ".snap")? {
@@ -413,12 +414,10 @@ impl DataStore {
         }
     }
 
-    fn append(&self, record: &WalRecord) -> Result<(), StoreError> {
-        let payload =
-            serde_json::to_string(record).map_err(|e| StoreError::Encode(e.to_string()))?;
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        append_frame(&mut framed, payload.as_bytes())?;
-
+    /// Durably appends one encoded record to the current WAL segment:
+    /// written and fsynced before this returns.
+    pub fn log(&self, record: WalFrame) -> Result<(), StoreError> {
+        let framed = record.bytes();
         let mut wal = LockRank::StoreWal
             .lock(&self.wal)
             .unwrap_or_else(PoisonError::into_inner);
@@ -427,7 +426,7 @@ impl DataStore {
         }
         let path = segment_path(&self.root, wal.seg_index);
         wal.file
-            .write_all(&framed)
+            .write_all(framed)
             .map_err(|e| StoreError::io("append", &path, e))?;
         let fsync_started = clock();
         #[expect(
@@ -573,7 +572,7 @@ fn load_tenant_snapshot(path: &Path) -> Result<RecoveredTenant, String> {
         return Err("torn or corrupt frame".into());
     }
     let text = std::str::from_utf8(frames[0]).map_err(|e| e.to_string())?;
-    let value: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let value = serde_json::parse(text).map_err(|e| e.to_string())?;
     let id: u64 = value.field("id").map_err(|e| e.to_string())?;
     let schema: Schema = value.field("schema").map_err(|e| e.to_string())?;
     let query: AggQuery = value.field("query").map_err(|e| e.to_string())?;

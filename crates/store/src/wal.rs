@@ -6,13 +6,25 @@
 //! schema-ordered wire arrays — so a WAL is readable with the same
 //! vocabulary as the API traffic that produced it.
 //!
+//! Records are written as text and read through the tree. [`WalFrame`]
+//! writes each record straight from its rows into its frame, with the
+//! relation crate's `write_wire_row` and `write_wire_rows`: byte for byte
+//! what the vendored `serde_json` writer makes of the record's `Value`
+//! tree (keys in sorted order), with no tree built. Replay parses a
+//! record into that tree and decodes it as a [`WalRecord`].
+//!
 //! `Rows.seq` is the tenant's total row count *before* the batch. It is
 //! what makes snapshot + suffix replay idempotent: a replayer holding
 //! `n` rows skips records entirely below its watermark and applies only
 //! the unseen tail of an overlapping batch.
 
-use serde::{Deserialize, Error, Serialize, Value};
-use tsexplain_relation::{AggQuery, Schema};
+use serde::{Deserialize, Error, Value};
+use serde_json::write_number;
+use tsexplain_relation::{write_wire_row, AggQuery, Datum, Relation, Schema};
+
+use crate::error::StoreError;
+use crate::frame::{frame_text, seal_frame};
+use crate::snapshot::write_rows;
 
 /// One durable event in a tenant's life.
 #[derive(Debug)]
@@ -45,35 +57,6 @@ pub enum WalRecord {
     },
 }
 
-impl Serialize for WalRecord {
-    fn serialize(&self) -> Value {
-        match self {
-            WalRecord::Register {
-                id,
-                schema,
-                query,
-                rows,
-            } => Value::object([
-                ("kind", Value::String("register".into())),
-                ("id", id.serialize()),
-                ("schema", schema.serialize()),
-                ("query", query.serialize()),
-                ("rows", rows.serialize()),
-            ]),
-            WalRecord::Rows { id, seq, rows } => Value::object([
-                ("kind", Value::String("rows".into())),
-                ("id", id.serialize()),
-                ("seq", seq.serialize()),
-                ("rows", rows.serialize()),
-            ]),
-            WalRecord::Remove { id } => Value::object([
-                ("kind", Value::String("remove".into())),
-                ("id", id.serialize()),
-            ]),
-        }
-    }
-}
-
 impl Deserialize for WalRecord {
     fn deserialize(value: &Value) -> Result<Self, Error> {
         match value.get("kind").and_then(Value::as_str) {
@@ -98,10 +81,119 @@ impl Deserialize for WalRecord {
     }
 }
 
+/// One WAL record, written as text and framed: what
+/// [`crate::DataStore::log`] appends. The payload is the record's JSON
+/// document (module docs), written without a tree.
+#[derive(Debug)]
+pub struct WalFrame {
+    frame: Vec<u8>,
+}
+
+impl WalFrame {
+    /// A `Register` record for tenant `id`: `query`, `base`'s schema and
+    /// every row in ingestion order, `base`'s read from its columns, then
+    /// `tail`.
+    pub fn register(
+        id: u64,
+        query: &AggQuery,
+        base: &Relation,
+        tail: &[Vec<Datum>],
+    ) -> Result<WalFrame, StoreError> {
+        let encode_err = |e: Error| StoreError::Encode(e.to_string());
+        let query = serde_json::to_string(query).map_err(encode_err)?;
+        let schema = serde_json::to_string(base.schema()).map_err(encode_err)?;
+        let mut doc = record_start(id, "register");
+        doc.push_str(",\"query\":");
+        doc.push_str(&query);
+        doc.push_str(",\"rows\":");
+        write_rows(base, tail, &mut doc);
+        doc.push_str(",\"schema\":");
+        doc.push_str(&schema);
+        WalFrame::sealed(doc)
+    }
+
+    /// A `Rows` record: tenant `id`'s batch `rows`, `seq` rows after its
+    /// first.
+    pub fn rows(id: u64, seq: u64, rows: &[Vec<Datum>]) -> Result<WalFrame, StoreError> {
+        let mut doc = record_start(id, "rows");
+        doc.push_str(",\"rows\":[");
+        for (i, row) in rows.iter().enumerate() {
+            if i > 0 {
+                doc.push(',');
+            }
+            write_wire_row(row, &mut doc);
+        }
+        doc.push_str("],\"seq\":");
+        write_number(seq as f64, &mut doc);
+        WalFrame::sealed(doc)
+    }
+
+    /// A `Remove` record for tenant `id`.
+    pub fn remove(id: u64) -> Result<WalFrame, StoreError> {
+        WalFrame::sealed(record_start(id, "remove"))
+    }
+
+    /// Closes the document and fills in the frame header.
+    fn sealed(mut doc: String) -> Result<WalFrame, StoreError> {
+        doc.push('}');
+        let mut frame = doc.into_bytes();
+        seal_frame(&mut frame)?;
+        Ok(WalFrame { frame })
+    }
+
+    /// The whole frame, header included.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.frame
+    }
+}
+
+/// A frame under construction up to its record's first two members,
+/// `id` and `kind`, which sort first in every record.
+fn record_start(id: u64, kind: &str) -> String {
+    let mut doc = frame_text();
+    doc.push_str("{\"id\":");
+    write_number(id as f64, &mut doc);
+    doc.push_str(",\"kind\":\"");
+    doc.push_str(kind);
+    doc.push('"');
+    doc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsexplain_relation::{AggQuery, Field, Schema};
+    use serde::Serialize;
+    use tsexplain_relation::Field;
+
+    /// The tree encoding [`WalFrame`] replaced, kept as its reference.
+    impl Serialize for WalRecord {
+        fn serialize(&self) -> Value {
+            match self {
+                WalRecord::Register {
+                    id,
+                    schema,
+                    query,
+                    rows,
+                } => Value::object([
+                    ("kind", Value::String("register".into())),
+                    ("id", id.serialize()),
+                    ("schema", schema.serialize()),
+                    ("query", query.serialize()),
+                    ("rows", rows.serialize()),
+                ]),
+                WalRecord::Rows { id, seq, rows } => Value::object([
+                    ("kind", Value::String("rows".into())),
+                    ("id", id.serialize()),
+                    ("seq", seq.serialize()),
+                    ("rows", rows.serialize()),
+                ]),
+                WalRecord::Remove { id } => Value::object([
+                    ("kind", Value::String("remove".into())),
+                    ("id", id.serialize()),
+                ]),
+            }
+        }
+    }
 
     #[test]
     fn records_roundtrip() {

@@ -51,11 +51,16 @@ fn rows(from: usize, n: usize) -> Vec<Vec<Datum>> {
         .collect()
 }
 
+/// A relation with the fixture's schema and no rows: the base a
+/// registration or a snapshot passes when every row is in its tail.
+fn empty_base() -> Relation {
+    Relation::builder(schema()).finish()
+}
+
 /// Tenant `id`'s snapshot holding `rows`, all of them as the tail of an
 /// empty base relation.
 fn checkpoint_of(id: u64, rows: &[Vec<Datum>]) -> TenantCheckpoint {
-    let base = Relation::builder(schema()).finish();
-    TenantCheckpoint::encode(id, &query(), &base, rows).unwrap()
+    TenantCheckpoint::encode(id, &query(), &empty_base(), rows).unwrap()
 }
 
 /// The single live WAL segment of a store that was opened once.
@@ -78,7 +83,7 @@ fn seed_store(tag: &str, batches: usize) -> PathBuf {
     let (store, recovery) = DataStore::open(&dir).unwrap();
     assert!(recovery.tenants.is_empty());
     store
-        .log_register(1, &schema(), &query(), &rows(0, 3))
+        .log_register(1, &query(), &empty_base(), &rows(0, 3))
         .unwrap();
     for b in 0..batches {
         store
@@ -213,7 +218,7 @@ fn records_logged_after_rotation_survive_checkpoint_truncation() {
     let dir = temp_dir("rotation-race");
     let (store, _) = DataStore::open(&dir).unwrap();
     store
-        .log_register(1, &schema(), &query(), &rows(0, 3))
+        .log_register(1, &query(), &empty_base(), &rows(0, 3))
         .unwrap();
     // Export taken as of 3 rows — i.e. BEFORE the concurrent batch below.
     let exported = checkpoint_of(1, &rows(0, 3));
@@ -240,10 +245,10 @@ fn tombstone_survives_reboot() {
     let dir = temp_dir("tombstone");
     let (store, _) = DataStore::open(&dir).unwrap();
     store
-        .log_register(1, &schema(), &query(), &rows(0, 3))
+        .log_register(1, &query(), &empty_base(), &rows(0, 3))
         .unwrap();
     store
-        .log_register(2, &schema(), &query(), &rows(0, 2))
+        .log_register(2, &query(), &empty_base(), &rows(0, 2))
         .unwrap();
     store.log_remove(1).unwrap();
     drop(store);

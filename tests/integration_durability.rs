@@ -466,3 +466,74 @@ fn a_registry_triggered_checkpoint_survives_a_sigkill() {
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A tenant nothing is appended to keeps the snapshot file the first
+/// checkpoint wrote: the second checkpoint writes only the tenant that
+/// changed, and after a SIGKILL the untouched tenant recovers from that
+/// file with byte-identical answers.
+#[test]
+fn an_untouched_tenant_keeps_its_snapshot_through_a_second_checkpoint_and_a_sigkill() {
+    use std::os::unix::fs::MetadataExt as _;
+    let quiet = dataset();
+    let busy = SyntheticDataset::generate(SyntheticConfig {
+        n_points: 200,
+        seed: 11,
+        ..SyntheticConfig::default()
+    });
+    let dir = temp_dir("untouched-sigkill");
+    let (server, addr) = spawn_server(&dir);
+    let mut client = Client::new(addr);
+    let untouched = client
+        .register(&quiet.schema(), &quiet.query(), &quiet.rows_between(0, 60))
+        .unwrap()
+        .dataset_id;
+    let appended = client
+        .register(&busy.schema(), &busy.query(), &busy.rows_between(0, 10))
+        .unwrap()
+        .dataset_id;
+    let snapshot = dir.join("tenants").join(format!("t{untouched}.snap"));
+    let snapshots =
+        |client: &mut Client| read_counter(&client.metrics().unwrap(), "store", "snapshots");
+    // Two registrations, then one WAL record per append: the 254th append
+    // is the 256th record and trips the first checkpoint, the 510th the
+    // second.
+    let mut first = None;
+    for (i, row) in busy.rows_between(10, 200).into_iter().enumerate() {
+        client.append_rows(appended, &[row]).unwrap();
+        if i + 1 == 254 {
+            assert_eq!(
+                snapshots(&mut client),
+                2.0,
+                "the first checkpoint writes both"
+            );
+            let meta = std::fs::metadata(&snapshot).unwrap();
+            first = Some((std::fs::read(&snapshot).unwrap(), meta.ino()));
+        }
+    }
+    assert_eq!(snapshots(&mut client), 3.0, "the second writes one");
+    let meta = std::fs::metadata(&snapshot).unwrap();
+    assert!(
+        first == Some((std::fs::read(&snapshot).unwrap(), meta.ino())),
+        "the untouched tenant's snapshot was rewritten"
+    );
+    let requests = [base_request(), base_request().with_fixed_k(3)];
+    let before: Vec<Value> = requests
+        .iter()
+        .map(|r| canonical(&client.explain_value(untouched, r).unwrap()))
+        .collect();
+    drop(client);
+
+    drop(server);
+
+    let (server, addr) = spawn_server(&dir);
+    let mut client = Client::new(addr);
+    for (request, expected) in requests.iter().zip(&before) {
+        let after = canonical(&client.explain_value(untouched, request).unwrap());
+        assert_eq!(&after, expected, "post-reboot answer diverged");
+    }
+    let stats = client.stats(appended).unwrap();
+    assert_eq!(stats.get("n_points").and_then(Value::as_f64), Some(200.0));
+    drop(client);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -672,6 +672,60 @@ fn a_deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
     handle.shutdown();
 }
 
+/// The append route reads its body without a tree, and keeps the same
+/// limits and the same order of failures: a `rows` array nested 100,000
+/// deep is a 400 and the tenant keeps taking appends; a malformed body is
+/// a 400 even for an unknown dataset; a well-formed body with a bad row is
+/// a 404 for an unknown dataset and a 400 naming the row for a known one.
+#[test]
+fn the_append_route_keeps_the_body_limits_and_the_order_of_failures() {
+    let mut handle = Server::bind(ServerConfig::default()).unwrap();
+    let data = dataset();
+    let mut client = Client::new(handle.local_addr());
+    let created = client
+        .register(&data.schema(), &data.query(), &data.rows_between(0, 30))
+        .unwrap();
+    let known = format!("/datasets/{}/rows", created.dataset_id);
+    let unknown = format!("/datasets/{}/rows", created.dataset_id + 1000);
+    let error_of = |response: &tsexplain_server::http::Response| -> (u16, String, String) {
+        let error = serde_json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
+        let text = |key: &str| error.get(key).and_then(Value::as_str).unwrap().to_string();
+        (response.status, text("kind"), text("message"))
+    };
+
+    let deep = format!(
+        r#"{{"rows":{}{}}}"#,
+        "[".repeat(100_000),
+        "]".repeat(100_000)
+    );
+    let response = client.raw("POST", &known, Some(&deep), &[]).unwrap();
+    let (status, kind, message) = error_of(&response);
+    assert_eq!((status, kind.as_str()), (400, "bad_request"));
+    assert!(message.contains("recursion limit exceeded"), "{message}");
+    let ack = client
+        .append_rows(created.dataset_id, &data.rows_between(30, 31))
+        .unwrap();
+    assert_eq!(ack.n_points, 31);
+
+    let malformed = r#"{"rows":[[1,"#;
+    let response = client.raw("POST", &unknown, Some(malformed), &[]).unwrap();
+    let (status, kind, message) = error_of(&response);
+    assert_eq!((status, kind.as_str()), (400, "bad_request"), "{message}");
+    assert!(message.contains("unexpected end of input"), "{message}");
+
+    let bad_row = r#"{"rows":[[]]}"#;
+    let response = client.raw("POST", &unknown, Some(bad_row), &[]).unwrap();
+    assert_eq!(error_of(&response).0, 404);
+    let response = client.raw("POST", &known, Some(bad_row), &[]).unwrap();
+    let (status, kind, message) = error_of(&response);
+    assert_eq!((status, kind.as_str()), (400, "bad_request"));
+    assert!(message.starts_with("row 0: expected "), "{message}");
+    let stats = client.stats(created.dataset_id).unwrap();
+    assert_eq!(stats.get("n_points").and_then(Value::as_f64), Some(31.0));
+    drop(client);
+    handle.shutdown();
+}
+
 /// Without request bounds these bodies break the server: a 2^40 `top_m`
 /// sizes an (ε+1)·(m+1) allocation that aborts the process, a zero
 /// guess-and-verify guess panics under the tenant lock (a 500 on every
