@@ -162,7 +162,7 @@ fn write_attr(value: &AttrValue, out: &mut String) {
 }
 
 /// One cell of a wire row before a schema gives it meaning.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 enum Cell<'a> {
     Str(Cow<'a, str>),
     Num(f64),
