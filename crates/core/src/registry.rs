@@ -39,9 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use tsexplain_relation::{AggQuery, Datum, Relation};
-use tsexplain_store::{
-    DataStore, LockRank, Ranked, Recovery, StoreError, TenantCheckpoint, WalFrame,
-};
+use tsexplain_store::{DataStore, LockRank, Ranked, Recovery, StoreError, TenantCheckpoint};
 
 use crate::error::TsExplainError;
 use crate::request::ExplainRequest;
@@ -413,33 +411,33 @@ impl SessionRegistry {
     /// global memory budget. With a durable store attached, the batch is
     /// WAL-logged (and fsynced) after the session accepts it and before
     /// this returns — the log is appended under the session lock so WAL
-    /// order matches application order and `seq` stays exact. The record
-    /// is written from the rows before the session takes them, so the
-    /// batch is never copied; a batch the session rejects is not logged.
+    /// order matches application order and `seq` stays exact. The session
+    /// validates the batch and takes it, and the record is written from
+    /// the session's columns, so the batch is never copied; a batch the
+    /// session rejects is not logged, and one that is not logged is rolled
+    /// back.
     pub fn append_rows(&self, id: DatasetId, rows: Vec<Vec<Datum>>) -> Result<(), RegistryError> {
         let handle = self.session(id)?;
         {
             let mut session = LockRank::Session
                 .lock(&handle)
                 .map_err(|_| RegistryError::Poisoned(id))?;
-            match &self.store {
-                Some(store) => {
-                    let seq = session.total_rows() as u64;
-                    let record = WalFrame::rows(id.0, seq, &rows)
-                        .map_err(|e| TsExplainError::Storage(e.to_string()))?;
-                    session.append_rows(rows)?;
-                    if let Err(e) = store.log(record) {
-                        // Un-apply the batch: if it stayed resident while
-                        // the client got an error, every later acked batch
-                        // would be logged with a seq replay sees as a gap
-                        // and skips — one transient WAL failure would
-                        // silently forfeit the tenant's durability until
-                        // the next checkpoint.
-                        session.rollback_rows_to(seq as usize);
-                        return Err(TsExplainError::Storage(e.to_string()).into());
-                    }
+            let seq = session.total_rows();
+            session.append_rows(rows)?;
+            if let Some(store) = &self.store {
+                let logged = session
+                    .rows_record(id.0, seq)
+                    .and_then(|record| store.log(record));
+                if let Err(e) = logged {
+                    // Un-apply the batch: if it stayed resident while
+                    // the client got an error, every later acked batch
+                    // would be logged with a seq replay sees as a gap
+                    // and skips — one transient WAL failure would
+                    // silently forfeit the tenant's durability until
+                    // the next checkpoint.
+                    session.rollback_rows_to(seq);
+                    return Err(TsExplainError::Storage(e.to_string()).into());
                 }
-                None => session.append_rows(rows)?,
             }
         }
         self.enforce_global_budget();
@@ -561,16 +559,21 @@ impl SessionRegistry {
         Ok(())
     }
 
-    /// A stable snapshot of `(id, handle)` pairs, map lock released.
+    /// A stable snapshot of `(id, handle)` pairs in ascending id order,
+    /// map lock released: a checkpoint locks, encodes and writes the
+    /// tenants in this order.
     #[expect(
         clippy::disallowed_methods,
-        reason = "every consumer sums, exports or picks a minimum, none depends on the order"
+        reason = "the pairs are sorted by id before they are returned"
     )]
     fn handles(&self) -> Vec<(u64, Arc<Mutex<ExplainSession>>)> {
-        self.map_read()
+        let mut handles: Vec<_> = self
+            .map_read()
             .iter()
             .map(|(&id, h)| (id, Arc::clone(h)))
-            .collect()
+            .collect();
+        handles.sort_unstable_by_key(|&(id, _)| id);
+        handles
     }
 
     /// Evicts globally least-recently-used cubes (one at a time, locking
@@ -1039,6 +1042,165 @@ mod tests {
         assert_eq!(rebooted.dataset_stats(a).unwrap().n_points, 12);
         assert_eq!(rebooted.dataset_stats(b).unwrap().n_points, 14);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Tenant `id`'s row count, read under its session lock.
+    fn total_rows(registry: &SessionRegistry, id: DatasetId) -> usize {
+        let handle = registry.session(id).unwrap();
+        let session = LockRank::Session.lock(&handle).unwrap();
+        session.total_rows()
+    }
+
+    /// Every WAL segment's bytes, in segment order.
+    fn wal_bytes(dir: &std::path::Path) -> Vec<u8> {
+        let mut segments: Vec<_> = std::fs::read_dir(dir.join("wal"))
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        segments.sort();
+        segments
+            .iter()
+            .flat_map(|path| std::fs::read(path).unwrap())
+            .collect()
+    }
+
+    /// A batch with a bad row is rejected before any WAL record is
+    /// written. A batch that restates history folds the tail into the
+    /// base, and its `Rows` record, written from the rebuilt base's last
+    /// rows, spells the batch as the rows themselves would; a reboot
+    /// replays it to the same answers.
+    #[test]
+    fn a_rejected_batch_is_never_logged_and_a_restated_one_logs_its_rows() {
+        let dir = temp_dir("restated");
+        let registry = durable_registry(&dir, DEFAULT_REGISTRY_BUDGET);
+        let id = registry
+            .register(relation(0..12), AggQuery::sum("t", "v"))
+            .unwrap();
+        let store = registry.store().unwrap();
+        let appends = store.metrics().wal_appends;
+        let mut bad = rows_for(12..14);
+        bad.push(vec![Datum::Attr(14i64.into()), "NY".into(), "x".into()]);
+        assert!(registry.append_rows(id, bad).is_err());
+        assert_eq!(store.metrics().wal_appends, appends);
+        assert_eq!(total_rows(&registry, id), 24);
+
+        registry.append_rows(id, rows_for(12..14)).unwrap();
+        let restated = vec![
+            vec![Datum::Attr(3i64.into()), "N\"Y".into(), 7.5.into()],
+            vec![
+                Datum::Attr(13i64.into()),
+                "CA".into(),
+                Datum::Attr(2i64.into()),
+            ],
+        ];
+        registry.append_rows(id, restated.clone()).unwrap();
+        assert_eq!(store.metrics().wal_appends, appends + 2);
+        assert_eq!(
+            registry.dataset_stats(id).unwrap().stats.rebuilds,
+            1,
+            "the batch restated history"
+        );
+        let batch = serde::Value::Array(
+            restated
+                .iter()
+                .map(|row| tsexplain_relation::encode_wire_row(row))
+                .collect(),
+        );
+        let record = format!(
+            "{{\"id\":{id},\"kind\":\"rows\",\"rows\":{},\"seq\":28}}",
+            serde_json::to_string(&batch).unwrap()
+        );
+        assert!(
+            wal_bytes(&dir).ends_with(record.as_bytes()),
+            "the WAL ends with {record}"
+        );
+        let expected = registry.explain(id, &request()).unwrap();
+        drop(registry);
+        let rebooted = durable_registry(&dir, DEFAULT_REGISTRY_BUDGET);
+        assert_eq!(total_rows(&rebooted, id), 30);
+        let replayed = rebooted.explain(id, &request()).unwrap();
+        assert_eq!(replayed.segmentation, expected.segmentation);
+        assert_eq!(replayed.aggregate, expected.aggregate);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch whose WAL append fails is rolled back: the row count and
+    /// the answers are what they were, and the tenant takes the next
+    /// batch once the log can append again.
+    #[test]
+    fn a_failed_wal_append_leaves_the_row_count_where_it_was() {
+        let dir = temp_dir("failed-log");
+        let registry = durable_registry(&dir, DEFAULT_REGISTRY_BUDGET);
+        // A registration past the WAL's 8 MiB segment size, so the next
+        // append opens a new segment first; a directory at its path fails
+        // that open.
+        let wide = ["x", "y"].map(|c| c.repeat(1 << 20));
+        let mut rows = Relation::builder(schema());
+        for t in 0..12i64 {
+            for state in &wide {
+                let v = (t * t) as f64 + state.len() as f64;
+                rows.push_row(vec![Datum::Attr(t.into()), state.as_str().into(), v.into()])
+                    .unwrap();
+            }
+        }
+        let id = registry
+            .register(rows.finish(), AggQuery::sum("t", "v"))
+            .unwrap();
+        let expected = registry.explain(id, &request()).unwrap();
+        let segment = std::fs::read_dir(dir.join("wal"))
+            .unwrap()
+            .filter_map(|entry| {
+                let name = entry.unwrap().file_name().into_string().unwrap();
+                name.strip_suffix(".wal")?.parse::<u64>().ok()
+            })
+            .max()
+            .unwrap();
+        let blocker = dir.join("wal").join(format!("{:06}.wal", segment + 1));
+        std::fs::create_dir(&blocker).unwrap();
+        let batch: Vec<Vec<Datum>> = (12..14i64)
+            .map(|t| vec![Datum::Attr(t.into()), wide[0].as_str().into(), 1.0.into()])
+            .collect();
+        let err = registry.append_rows(id, batch.clone()).unwrap_err();
+        assert!(
+            matches!(err, RegistryError::Session(TsExplainError::Storage(_))),
+            "{err}"
+        );
+        assert_eq!(total_rows(&registry, id), 24);
+        assert_eq!(registry.dataset_stats(id).unwrap().stats.rows_appended, 0);
+        let after = registry.explain(id, &request()).unwrap();
+        assert_eq!(after.segmentation, expected.segmentation);
+        assert_eq!(after.aggregate, expected.aggregate);
+        std::fs::remove_dir(&blocker).unwrap();
+        registry.append_rows(id, batch).unwrap();
+        assert_eq!(total_rows(&registry, id), 26);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint visits tenants in ascending id order, whatever order
+    /// they were registered and removed in.
+    #[test]
+    fn handles_come_back_in_ascending_id_order() {
+        let registry = SessionRegistry::new();
+        let ids: Vec<DatasetId> = (0..12)
+            .map(|_| {
+                registry
+                    .register(relation(0..3), AggQuery::sum("t", "v"))
+                    .unwrap()
+            })
+            .collect();
+        for i in [7, 2, 11, 4, 0] {
+            assert!(registry.remove(ids[i]).unwrap());
+        }
+        for _ in 0..3 {
+            registry
+                .register(relation(0..3), AggQuery::sum("t", "v"))
+                .unwrap();
+        }
+        let listed: Vec<u64> = registry.handles().iter().map(|&(id, _)| id).collect();
+        let mut ascending = listed.clone();
+        ascending.sort_unstable();
+        assert_eq!(listed.len(), 10);
+        assert_eq!(listed, ascending);
     }
 
     #[test]

@@ -50,10 +50,10 @@ use tsexplain_cube::{
     IncrementalCube,
 };
 use tsexplain_relation::{
-    AggQuery, AttrValue, Column, ColumnType, Datum, Relation, RelationError, Schema,
+    AggQuery, AttrValue, ColumnView, Columnar, Datum, Relation, RelationBuilder, Schema,
 };
 use tsexplain_segment::SegmentMemo;
-use tsexplain_store::{DataStore, StoreError, TenantCheckpoint};
+use tsexplain_store::{DataStore, StoreError, TenantCheckpoint, WalFrame};
 
 use crate::error::TsExplainError;
 use crate::pipeline::explain_cube_request;
@@ -269,8 +269,10 @@ pub struct ExplainSession {
     query: AggQuery,
     /// The relation as of construction (or the last forced rebuild).
     base: Relation,
-    /// Rows appended since `base` was materialized, in arrival order.
-    tail: Vec<Vec<Datum>>,
+    /// Rows appended since `base` was materialized, in arrival order, each
+    /// dimension cell interned into its column: the builder of the next
+    /// base.
+    tail: RelationBuilder,
     cubes: HashMap<CubeCacheKey, CacheEntry>,
     /// Distinct timestamps across `base` + `tail`.
     n_points: usize,
@@ -305,10 +307,10 @@ impl ExplainSession {
         validate_measure(&schema, query.measure())?;
         let (n_points, last_time) = time_axis(&relation, &query);
         Ok(ExplainSession {
+            tail: Relation::builder(schema.clone()),
             schema,
             query,
             base: relation,
-            tail: Vec::new(),
             cubes: HashMap::new(),
             n_points,
             last_time,
@@ -422,27 +424,28 @@ impl ExplainSession {
     /// Total raw rows the session holds (base + tail) — the row watermark
     /// the durable store sequences WAL batches and checkpoints by.
     pub fn total_rows(&self) -> usize {
-        self.base.n_rows() + self.tail.len()
-    }
-
-    /// Every raw row the session holds, in ingestion order (schema order
-    /// per row).
-    pub(crate) fn export_rows(&self) -> Vec<Vec<Datum>> {
-        let mut rows = relation_rows(&self.base);
-        rows.extend(self.tail.iter().cloned());
-        rows
+        self.base.n_rows() + self.tail.n_rows()
     }
 
     /// Durably logs tenant `id`'s registration to `store`: the query, the
     /// schema and every row, written in place from the base relation's
-    /// columns and the tail, with no row copied.
+    /// columns. A registration is logged before any append, so the tail is
+    /// empty.
     pub(crate) fn log_register(&self, store: &DataStore, id: u64) -> Result<(), StoreError> {
-        store.log_register(id, &self.query, &self.base, &self.tail)
+        debug_assert_eq!(self.tail.n_rows(), 0, "a registration is logged first");
+        store.log_register(id, &self.query, &self.base)
+    }
+
+    /// Tenant `id`'s WAL record of the rows from row `seq` on — the batch
+    /// the last [`ExplainSession::append_rows`] took — written in place
+    /// from the base relation's and the tail's columns.
+    pub(crate) fn rows_record(&self, id: u64, seq: usize) -> Result<WalFrame, StoreError> {
+        WalFrame::rows_since(id, seq, &self.base, &self.tail)
     }
 
     /// Tenant `id`'s checkpoint snapshot: the query, the schema and every
     /// row in ingestion order, encoded in place from the base relation's
-    /// columns and the tail, with no row copied.
+    /// columns and the tail's, with no row copied.
     pub(crate) fn checkpoint(&self, id: u64) -> Result<TenantCheckpoint, StoreError> {
         TenantCheckpoint::encode(id, &self.query, &self.base, &self.tail)
     }
@@ -559,98 +562,54 @@ impl ExplainSession {
     /// Appends raw rows (schema order). New timestamps must not precede
     /// the session's horizon — tail data extends every cached cube in
     /// `O(new rows)`; restated history forces a transparent full rebuild
-    /// (all cached cubes are dropped).
+    /// (all cached cubes are dropped). A batch with a malformed row is
+    /// rejected whole, before any row is taken.
     pub fn append_rows(&mut self, rows: Vec<Vec<Datum>>) -> Result<(), TsExplainError> {
         if rows.is_empty() {
             return Ok(());
         }
-        // Surface malformed rows now, independent of cache state: arity,
-        // a dimension value in every dimension slot (not just the time
-        // attribute), a number in every measure slot (not just those the
-        // query reads; `RelationBuilder::push_row` also takes an integer
-        // attribute there), and measure evaluability. A row rejected here
-        // must never reach the tail — the next rebuild would fail on it.
-        for row in &rows {
-            if row.len() != self.schema.len() {
-                return Err(RelationError::ArityMismatch {
-                    expected: self.schema.len(),
-                    got: row.len(),
-                }
-                .into());
-            }
-            for (field, datum) in self.schema.fields().iter().zip(row) {
-                let expected = match (field.column_type(), datum) {
-                    (ColumnType::Dimension, Datum::Num(_)) => "dimension",
-                    (ColumnType::Measure, Datum::Attr(value))
-                        if !matches!(value, AttrValue::Int(_)) =>
-                    {
-                        "measure"
-                    }
-                    _ => continue,
-                };
-                return Err(RelationError::TypeMismatch {
-                    field: field.name().to_string(),
-                    expected,
-                }
-                .into());
-            }
-            self.query.measure().eval_row(&self.schema, row)?;
-        }
-        self.stats.rows_appended += rows.len() as u64;
+        // Every row is checked before the first is taken: arity, a
+        // dimension value in every dimension slot (not just the time
+        // attribute) and a number in every measure slot (not just those
+        // the query reads), so the next rebuild keeps every accepted row.
+        let first = self.tail.n_rows();
+        self.tail.extend_rows(rows)?;
+        self.stats.rows_appended += (self.tail.n_rows() - first) as u64;
 
-        if self.is_tail_ordered(&rows)? {
-            // Fast path: extend every cached cube at its tail. Encode for
-            // every entry *before* mutating any, so a failure cannot leave
-            // the cache entries mutually inconsistent.
-            let encodings: Vec<(CubeCacheKey, Vec<AppendRow>)> = self
-                .cubes
-                .iter()
-                .map(|(key, entry)| {
-                    let encoded = encode_rows(
-                        &self.schema,
-                        &self.query,
-                        &entry.inc.config().explain_by,
-                        &rows,
-                    )?;
-                    Ok((key.clone(), encoded))
-                })
-                .collect::<Result<_, TsExplainError>>()?;
-            let mut all_applied = true;
-            let first_touched = self.first_touched_row(&rows)?;
-            for (key, encoded) in encodings {
-                let entry = self.cubes.get_mut(&key).expect("key taken from the map");
-                entry.touch(first_touched);
-                if entry.inc.append_batch(&encoded).is_err() {
-                    // The session's ordering check and the cube's should
-                    // agree; if they ever diverge, fall back to a rebuild
-                    // (which drops every entry, including any already
-                    // extended) rather than panicking mid-append.
-                    all_applied = false;
-                    break;
-                }
-                entry.recount_bytes();
-            }
-            if !all_applied {
-                self.stats.rebuilds += 1;
-                self.tail.extend(rows);
-                return self.rebuild_base();
-            }
-            for row in &rows {
-                let time = self.row_time(row)?;
-                if self.last_time.as_ref().is_none_or(|last| time > *last) {
-                    self.n_points += 1;
-                    self.last_time = Some(time);
-                }
-            }
-            self.tail.extend(rows);
-            self.enforce_budget(None);
-            Ok(())
-        } else {
+        if !self.is_tail_ordered(first) {
             // Restated or out-of-order history: rebuild from scratch.
             self.stats.rebuilds += 1;
-            self.tail.extend(rows);
-            self.rebuild_base()
+            self.rebuild_base();
+            return Ok(());
         }
+        // Fast path: extend every cached cube at its tail.
+        let encodings: Vec<(CubeCacheKey, Vec<AppendRow>)> = self
+            .cubes
+            .iter()
+            .map(|(key, entry)| {
+                let encoded = self.encode_tail(&entry.inc.config().explain_by, first);
+                (key.clone(), encoded)
+            })
+            .collect();
+        let first_touched = self.first_touched_row(first);
+        for (key, encoded) in encodings {
+            let entry = self.cubes.get_mut(&key).expect("key taken from the map");
+            entry.touch(first_touched);
+            if entry.inc.append_batch(&encoded).is_err() {
+                // The session's ordering check and the cube's should
+                // agree; if they ever diverge, fall back to a rebuild
+                // (which drops every entry, including any already
+                // extended) rather than panicking mid-append.
+                self.stats.rebuilds += 1;
+                self.rebuild_base();
+                return Ok(());
+            }
+            entry.recount_bytes();
+        }
+        let (n_points, newest) = self.extended_time_axis(first);
+        (self.n_points, self.last_time) = (n_points, newest.cloned());
+        self.enforce_budget(None);
+        Ok(())
     }
 
     /// Rewinds the session to its first `n_rows` ingested rows — the
@@ -661,91 +620,127 @@ impl ExplainSession {
     /// `seq` that replay sees as a gap and skips. Drops every cached cube
     /// and the §8 warm start; the next request per key rebuilds.
     pub(crate) fn rollback_rows_to(&mut self, n_rows: usize) {
-        let mut rows = self.export_rows();
-        let removed = rows.len().saturating_sub(n_rows) as u64;
-        rows.truncate(n_rows);
+        let removed = self.total_rows().saturating_sub(n_rows) as u64;
         self.stats.rows_appended = self.stats.rows_appended.saturating_sub(removed);
-        self.reset_rows(rows)
-            .expect("rows were previously accepted by this schema");
+        self.reset_rows(n_rows.min(self.total_rows()));
     }
 
-    /// Whether `rows` only touch the session's tail: every timestamp at or
-    /// after the horizon, and previously-unseen timestamps arriving in
-    /// non-decreasing order (the contract of incremental cube appends).
-    fn is_tail_ordered(&self, rows: &[Vec<Datum>]) -> Result<bool, TsExplainError> {
-        let mut newest = self.last_time.clone();
-        let horizon = self.last_time.clone();
-        for row in rows {
-            let time = self.row_time(row)?;
-            if let Some(h) = &horizon {
-                if time < *h {
-                    return Ok(false);
-                }
+    /// The tail's dimension column `name`: per-row codes and the distinct
+    /// values they index.
+    fn tail_dimension(&self, name: &str) -> (&[u32], &[AttrValue]) {
+        let idx = self.schema.dimension_index(name).expect(
+            "the time attribute and a cube's attributes are dimensions, \
+             checked at registration and with the cube's request",
+        );
+        match self.tail.view(idx) {
+            ColumnView::Dimension { codes, values } => (codes, values),
+            ColumnView::Measure(_) => unreachable!("a dimension's index"),
+        }
+    }
+
+    /// The tail's timestamps from row `first` on, in ingestion order, a run
+    /// of rows on one timestamp read once: each row's code is compared
+    /// with the previous row's, and the value is neither hashed nor cloned.
+    fn tail_times(&self, first: usize) -> impl Iterator<Item = &AttrValue> {
+        let (codes, values) = self.tail_dimension(self.query.time_attr());
+        let mut previous = None;
+        codes[first..]
+            .iter()
+            .filter(move |&&code| previous.replace(code) != Some(code))
+            .map(move |&code| &values[code as usize])
+    }
+
+    /// Whether the tail's rows from `first` on only touch the session's
+    /// tail: every timestamp at or after the horizon, and
+    /// previously-unseen timestamps arriving in non-decreasing order (the
+    /// contract of incremental cube appends).
+    fn is_tail_ordered(&self, first: usize) -> bool {
+        let horizon = self.last_time.as_ref();
+        let mut newest = horizon;
+        for time in self.tail_times(first) {
+            if horizon.is_some_and(|h| time < h) {
+                return false;
             }
-            if let Some(n) = &newest {
-                // `time` is new iff it exceeds the horizon; new timestamps
-                // must not interleave backwards.
-                if time < *n && horizon.as_ref().is_none_or(|h| time > *h) {
-                    return Ok(false);
-                }
+            // `time` is new iff it exceeds the horizon; new timestamps
+            // must not interleave backwards.
+            if newest.is_some_and(|n| time < n) && horizon.is_none_or(|h| time > h) {
+                return false;
             }
-            if newest.as_ref().is_none_or(|n| time > *n) {
+            if newest.is_none_or(|n| time > n) {
                 newest = Some(time);
             }
         }
-        Ok(true)
+        true
     }
 
-    /// The lowest row (point index) tail-ordered `rows` touch: the horizon
-    /// point if a row reports on it, else the first new point.
-    fn first_touched_row(&self, rows: &[Vec<Datum>]) -> Result<usize, TsExplainError> {
-        let time = self.schema.index_of(self.query.time_attr())?;
-        let on_horizon = |row: &Vec<Datum>| match (&row[time], &self.last_time) {
-            (Datum::Attr(t), Some(horizon)) => t == horizon,
-            _ => false,
-        };
-        Ok(if rows.iter().any(on_horizon) {
+    /// The lowest row (point index) the tail-ordered tail rows from
+    /// `first` on touch: the horizon point if a row reports on it, else
+    /// the first new point.
+    fn first_touched_row(&self, first: usize) -> usize {
+        let on_horizon = |time: &AttrValue| self.last_time.as_ref() == Some(time);
+        if self.tail_times(first).any(on_horizon) {
             self.n_points - 1
         } else {
             self.n_points
-        })
+        }
     }
 
-    fn row_time(&self, row: &[Datum]) -> Result<AttrValue, TsExplainError> {
-        let idx = self.schema.index_of(self.query.time_attr())?;
-        match &row[idx] {
-            Datum::Attr(v) => Ok(v.clone()),
-            Datum::Num(_) => Err(RelationError::TypeMismatch {
-                field: self.query.time_attr().to_string(),
-                expected: "dimension",
+    /// The point count and the newest timestamp once the tail-ordered tail
+    /// rows from `first` on are counted in.
+    fn extended_time_axis(&self, first: usize) -> (usize, Option<&AttrValue>) {
+        let mut n_points = self.n_points;
+        let mut newest = self.last_time.as_ref();
+        for time in self.tail_times(first) {
+            if newest.is_none_or(|n| time > n) {
+                n_points += 1;
+                newest = Some(time);
             }
-            .into()),
         }
+        (n_points, newest)
     }
 
     /// Re-materializes `base` from all rows seen so far (see
     /// [`ExplainSession::reset_rows`]).
-    fn rebuild_base(&mut self) -> Result<(), TsExplainError> {
-        let mut rows = relation_rows(&self.base);
-        rows.append(&mut self.tail);
-        self.reset_rows(rows)
+    fn rebuild_base(&mut self) {
+        self.reset_rows(self.total_rows());
     }
 
-    /// Makes `rows` the session's base with an empty tail and drops every
-    /// cached cube and the §8 warm start, whose rows and cut points belong
-    /// to the old time axis. The only path that pays the full O(total
-    /// rows) cost.
-    fn reset_rows(&mut self, rows: Vec<Vec<Datum>>) -> Result<(), TsExplainError> {
+    /// Makes the first `n_rows` rows (`base`'s, then the tail's) the
+    /// session's base with an empty tail and drops every cached cube and
+    /// the §8 warm start, whose rows and cut points belong to the old time
+    /// axis. The only path that pays the full O(total rows) cost.
+    fn reset_rows(&mut self, n_rows: usize) {
+        let from_base = n_rows.min(self.base.n_rows());
         let mut builder = Relation::builder(self.schema.clone());
-        for row in rows {
-            builder.push_row(row)?;
-        }
+        builder.extend_from(&self.base, 0..from_base);
+        builder.extend_from(&self.tail, 0..n_rows - from_base);
         self.base = builder.finish();
-        self.tail.clear();
+        self.tail = Relation::builder(self.schema.clone());
         self.cubes.clear();
         self.warm = None;
         (self.n_points, self.last_time) = time_axis(&self.base, &self.query);
-        Ok(())
+    }
+
+    /// The tail's rows from `first` on as `(time, explain-by values,
+    /// measure)` triples for one cube configuration, in ingestion order.
+    fn encode_tail(&self, explain_by: &[String], first: usize) -> Vec<AppendRow> {
+        let time = self.tail_dimension(self.query.time_attr());
+        let attrs: Vec<_> = explain_by.iter().map(|a| self.tail_dimension(a)).collect();
+        let measures = self
+            .query
+            .measure()
+            .eval_rows(&self.tail, first..self.tail.n_rows())
+            .expect("the measure's columns are measures, checked at registration");
+        let value = |(codes, values): (&[u32], &[AttrValue]), row: usize| {
+            values[codes[row] as usize].clone()
+        };
+        (first..)
+            .zip(measures)
+            .map(|(row, measure)| {
+                let attrs = attrs.iter().map(|&a| value(a, row)).collect();
+                (value(time, row), attrs, measure)
+            })
+            .collect()
     }
 
     /// Returns the cache key of `request`'s cube, the cube over the full
@@ -779,25 +774,25 @@ impl ExplainSession {
         // (streaming cold start) is materialized first so the seed scan is
         // columnar.
         if self.base.is_empty() {
-            if self.tail.is_empty() {
+            if self.tail.n_rows() == 0 {
                 return Err(TsExplainError::Cube(CubeError::EmptyInput));
             }
-            self.rebuild_base()?;
+            self.rebuild_base();
             // A rebuild drops cached cubes, but on this path the cache was
             // already missing this key; other keys are rebuilt on demand.
         }
         let par = request.parallel_ctx();
         let mut inc =
             IncrementalCube::from_relation_with(&self.base, &self.query, &cube_config, &par)?;
-        if !self.tail.is_empty() {
-            let encoded = encode_rows(&self.schema, &self.query, request.explain_by(), &self.tail)?;
+        if self.tail.n_rows() > 0 {
+            let encoded = self.encode_tail(request.explain_by(), 0);
             if let Err(e) = inc.append_batch(&encoded) {
                 match e {
                     CubeError::RestatedTimestamp(_) => {
                         // Tail rows predate the base horizon (possible
                         // after out-of-order appends): fold them in.
                         self.stats.rebuilds += 1;
-                        self.rebuild_base()?;
+                        self.rebuild_base();
                         inc = IncrementalCube::from_relation_with(
                             &self.base,
                             &self.query,
@@ -936,62 +931,6 @@ fn validate_measure(
     }
 }
 
-/// Extracts `(time, explain-by values, measure)` triples from raw rows for
-/// one cube configuration.
-fn encode_rows(
-    schema: &Schema,
-    query: &AggQuery,
-    explain_by: &[String],
-    rows: &[Vec<Datum>],
-) -> Result<Vec<AppendRow>, TsExplainError> {
-    let time_idx = schema.index_of(query.time_attr())?;
-    let attr_idx: Vec<usize> = explain_by
-        .iter()
-        .map(|a| schema.index_of(a))
-        .collect::<Result<_, _>>()?;
-    let attr_value = |row: &[Datum], idx: usize, name: &str| match &row[idx] {
-        Datum::Attr(v) => Ok(v.clone()),
-        Datum::Num(_) => Err(TsExplainError::Relation(RelationError::TypeMismatch {
-            field: name.to_string(),
-            expected: "dimension",
-        })),
-    };
-    rows.iter()
-        .map(|row| {
-            let time = attr_value(row, time_idx, query.time_attr())?;
-            let attrs = attr_idx
-                .iter()
-                .zip(explain_by)
-                .map(|(&idx, name)| attr_value(row, idx, name))
-                .collect::<Result<Vec<_>, _>>()?;
-            let measure = query.measure().eval_row(schema, row)?;
-            Ok((time, attrs, measure))
-        })
-        .collect()
-}
-
-/// Reconstructs raw rows (schema order) from a materialized relation — the
-/// slow-path input to [`ExplainSession::rebuild_base`].
-fn relation_rows(rel: &Relation) -> Vec<Vec<Datum>> {
-    let schema = rel.schema();
-    let mut rows = vec![Vec::with_capacity(schema.len()); rel.n_rows()];
-    for idx in 0..schema.len() {
-        match rel.column(idx) {
-            Column::Dimension(col) => {
-                for (row, &code) in col.codes().iter().enumerate() {
-                    rows[row].push(Datum::Attr(col.dict().value(code).clone()));
-                }
-            }
-            Column::Measure(values) => {
-                for (row, &v) in values.iter().enumerate() {
-                    rows[row].push(Datum::Num(v));
-                }
-            }
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -999,6 +938,7 @@ mod tests {
     use crate::segmenter::SegmenterSpec;
     use tsexplain_diff::DiffMetric;
     use tsexplain_relation::Field;
+    use tsexplain_relation::RelationError;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -1671,6 +1611,51 @@ mod tests {
             s.append_rows(rows.clone()).unwrap();
         }
         s
+    }
+
+    /// After appends — a late row on the horizon, new days, a state first
+    /// seen in the tail, a restated row that folds the tail into the base,
+    /// then more new days — a session answers byte for byte what it
+    /// answered before, after `invalidate` (a cold build that encodes the
+    /// tail's rows in ingestion order) and after a rollback to its own
+    /// watermark (the tail folded into the base); rolled back to an
+    /// earlier watermark, it answers what a session that never took the
+    /// later batches answers.
+    #[test]
+    fn appended_rows_answer_alike_after_invalidate_and_rollback() {
+        let late = vec![vec![Datum::Attr(11i64.into()), "CA".into(), 500.0.into()]];
+        let mut new_state = rows_for(12..15);
+        new_state.push(vec![Datum::Attr(14i64.into()), "TX".into(), 40.0.into()]);
+        let restated = vec![vec![Datum::Attr(3i64.into()), "NY".into(), 7.0.into()]];
+        let batches = [late, new_state, restated, rows_for(15..18)];
+        let request = base_request();
+        for taken in 1..=batches.len() {
+            let mut s = appended_session(&batches[..taken]);
+            let answer = canonical(&s.explain(&request).unwrap());
+            s.invalidate();
+            let invalidated = canonical(&s.explain(&request).unwrap());
+            assert_eq!(invalidated, answer, "{taken} batches, invalidated");
+            s.rollback_rows_to(s.total_rows());
+            let rolled_back = canonical(&s.explain(&request).unwrap());
+            assert_eq!(rolled_back, answer, "{taken} batches, rolled back");
+        }
+        for kept in 0..batches.len() {
+            let expected = appended_session(&batches[..kept]);
+            let mut s = appended_session(&batches);
+            s.explain(&request).unwrap();
+            s.rollback_rows_to(expected.total_rows());
+            assert_eq!(s.total_rows(), expected.total_rows());
+            assert_eq!(s.n_points(), expected.n_points());
+            assert_eq!(
+                canonical(&s.explain(&request).unwrap()),
+                canonical(
+                    &appended_session(&batches[..kept])
+                        .explain(&request)
+                        .unwrap()
+                ),
+                "rolled back to {kept} batches"
+            );
+        }
     }
 
     /// A pipeline prepared before an append answers over the rows it saw,

@@ -1,4 +1,5 @@
 use crate::dict::Dictionary;
+use crate::schema::Schema;
 use crate::value::AttrValue;
 
 /// A dictionary-encoded dimension column: per-row codes into a sorted
@@ -17,6 +18,12 @@ impl DimColumn {
             .iter()
             .map(|v| dict.code_of(v).expect("value came from the same set"))
             .collect();
+        DimColumn { dict, codes }
+    }
+
+    /// A column from its dictionary and codes into it.
+    pub(crate) fn from_parts(dict: Dictionary, codes: Vec<u32>) -> Self {
+        debug_assert!(codes.iter().all(|&c| (c as usize) < dict.len()));
         DimColumn { dict, codes }
     }
 
@@ -82,6 +89,37 @@ impl Column {
             Column::Measure(m) => Column::Measure(keep.iter().map(|&r| m[r]).collect()),
         }
     }
+}
+
+/// One column's rows, read in place.
+#[derive(Clone, Copy, Debug)]
+pub enum ColumnView<'a> {
+    /// A dimension: per-row codes into `values`, its distinct values
+    /// (sorted in a [`crate::Relation`], in first-seen order in a
+    /// [`crate::RelationBuilder`]).
+    Dimension {
+        /// Per-row codes.
+        codes: &'a [u32],
+        /// The values the codes index.
+        values: &'a [AttrValue],
+    },
+    /// A measure's per-row values.
+    Measure(&'a [f64]),
+}
+
+/// Rows stored column by column, read in place: a finished
+/// [`crate::Relation`]'s or a [`crate::RelationBuilder`]'s. The wire
+/// writer ([`crate::write_wire_rows`]), measure evaluation and
+/// [`crate::RelationBuilder::extend_from`] read either.
+pub trait Columnar {
+    /// The schema the columns follow.
+    fn schema(&self) -> &Schema;
+
+    /// Number of rows.
+    fn n_rows(&self) -> usize;
+
+    /// The column at schema position `idx`.
+    fn view(&self, idx: usize) -> ColumnView<'_>;
 }
 
 #[cfg(test)]

@@ -31,6 +31,13 @@ impl Dictionary {
         }
     }
 
+    /// A dictionary from sorted distinct `values` and their index.
+    pub(crate) fn from_sorted(values: Vec<AttrValue>, index: HashMap<AttrValue, u32>) -> Self {
+        debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
+        debug_assert_eq!(index.len(), values.len());
+        Dictionary { values, index }
+    }
+
     /// Builds a dictionary whose codes follow the *given* order instead of
     /// the sorted order — used by incrementally grown cubes, where codes of
     /// values first seen after construction are assigned append-order.
@@ -76,6 +83,16 @@ impl Dictionary {
     /// All values in sorted (code) order.
     pub fn values(&self) -> &[AttrValue] {
         &self.values
+    }
+
+    /// Whether the values are sorted and distinct and the index maps each
+    /// to its code, and nothing else.
+    pub(crate) fn is_consistent(&self) -> bool {
+        self.values.windows(2).all(|w| w[0] < w[1])
+            && self.index.len() == self.values.len()
+            && (0..)
+                .zip(&self.values)
+                .all(|(code, v)| self.index.get(v) == Some(&code))
     }
 }
 

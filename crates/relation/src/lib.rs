@@ -38,7 +38,7 @@ mod wire;
 
 pub use agg::{AggFn, AggState};
 pub use builder::{Datum, RelationBuilder};
-pub use column::{Column, DimColumn};
+pub use column::{Column, ColumnView, Columnar, DimColumn};
 pub use csv::csv_to_relation;
 pub use dict::Dictionary;
 pub use error::RelationError;

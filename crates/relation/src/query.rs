@@ -1,6 +1,8 @@
 use std::fmt;
+use std::ops::Range;
 
 use crate::agg::{AggFn, AggState};
+use crate::column::{ColumnView, Columnar};
 use crate::error::RelationError;
 use crate::relation::Relation;
 use crate::value::AttrValue;
@@ -71,21 +73,43 @@ impl MeasureExpr {
 
     /// Evaluates the expression over every row of `rel`.
     pub fn eval(&self, rel: &Relation) -> Result<Vec<f64>, RelationError> {
+        self.eval_rows(rel, 0..rel.n_rows())
+    }
+
+    /// Evaluates the expression over rows `rows` of `source` (a relation
+    /// or a builder), read from its measure columns in place.
+    pub fn eval_rows(
+        &self,
+        source: &impl Columnar,
+        rows: Range<usize>,
+    ) -> Result<Vec<f64>, RelationError> {
         match self {
-            MeasureExpr::Column(name) => Ok(rel.measure(name)?.to_vec()),
+            MeasureExpr::Column(name) => Ok(measure_rows(source, name, rows)?.to_vec()),
             MeasureExpr::Product(a, b) => {
-                let xa = rel.measure(a)?;
-                let xb = rel.measure(b)?;
+                let xa = measure_rows(source, a, rows.clone())?;
+                let xb = measure_rows(source, b, rows)?;
                 Ok(xa.iter().zip(xb).map(|(x, y)| x * y).collect())
             }
             MeasureExpr::Scaled(inner, factor) => {
-                let mut v = inner.eval(rel)?;
+                let mut v = inner.eval_rows(source, rows)?;
                 for x in &mut v {
                     *x *= factor;
                 }
                 Ok(v)
             }
         }
+    }
+}
+
+/// Rows `rows` of `source`'s measure column `name`.
+fn measure_rows<'a>(
+    source: &'a impl Columnar,
+    name: &str,
+    rows: Range<usize>,
+) -> Result<&'a [f64], RelationError> {
+    match source.view(source.schema().measure_index(name)?) {
+        ColumnView::Measure(values) => Ok(&values[rows]),
+        ColumnView::Dimension { .. } => unreachable!("schema says measure"),
     }
 }
 

@@ -1,5 +1,5 @@
 use crate::builder::RelationBuilder;
-use crate::column::{Column, DimColumn};
+use crate::column::{Column, ColumnView, Columnar, DimColumn};
 use crate::error::RelationError;
 use crate::predicate::Conjunction;
 use crate::schema::{ColumnType, Schema};
@@ -102,7 +102,10 @@ impl Relation {
         Relation::from_parts(self.schema.clone(), columns, keep.len())
     }
 
-    /// Verifies internal invariants; used by tests and debug assertions.
+    /// Verifies internal invariants; used by tests and debug assertions:
+    /// every column has the schema's type and `n_rows` rows, and every
+    /// dimension's dictionary holds its distinct values sorted, indexes
+    /// each at its code, and is indexed by the column's codes.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.schema.len() != self.columns.len() {
             return Err("schema/column arity mismatch".into());
@@ -120,8 +123,38 @@ impl Relation {
             if !ok {
                 return Err(format!("column {i} type mismatch"));
             }
+            if let Column::Dimension(d) = col {
+                if !d.dict().is_consistent() {
+                    return Err(format!(
+                        "column {i}'s dictionary is not sorted, distinct and indexed"
+                    ));
+                }
+                if d.codes().iter().any(|&c| c as usize >= d.dict().len()) {
+                    return Err(format!("column {i} has a code outside its dictionary"));
+                }
+            }
         }
         Ok(())
+    }
+}
+
+impl Columnar for Relation {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn n_rows(&self) -> usize {
+        self.rows
+    }
+
+    fn view(&self, idx: usize) -> ColumnView<'_> {
+        match &self.columns[idx] {
+            Column::Dimension(d) => ColumnView::Dimension {
+                codes: d.codes(),
+                values: d.dict().values(),
+            },
+            Column::Measure(m) => ColumnView::Measure(m),
+        }
     }
 }
 

@@ -5,8 +5,10 @@
 //!
 //! * as a tree: [`encode_wire_row`] builds a row's [`Value`] and
 //!   [`decode_wire_row`] maps one onto a schema;
-//! * as text: [`write_wire_row`] and [`write_wire_rows`] write the bytes
-//!   the vendored `serde_json` writer makes of those trees, and
+//! * as text: [`write_wire_row`] (one [`Datum`] row) and
+//!   [`write_wire_rows`] (a row range of a relation's or a builder's
+//!   columns) write the bytes the vendored `serde_json` writer makes of
+//!   those trees, and
 //!   [`WireRows::read`] reads a `rows` array off a [`Reader`] into cells
 //!   that [`WireRows::decode`] maps onto a schema by the tree decoder's
 //!   own rules and messages.
@@ -16,13 +18,13 @@
 //! any value in the wrong slot is rejected with the offending field named.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use serde::{Deserialize, Error, Serialize, Value};
 use serde_json::{write_number, write_string, Kind, Reader};
 
 use crate::builder::Datum;
-use crate::column::Column;
-use crate::relation::Relation;
+use crate::column::{ColumnView, Columnar};
 use crate::schema::{ColumnType, Field, Schema};
 use crate::value::AttrValue;
 
@@ -92,58 +94,58 @@ pub fn write_wire_row(row: &[Datum], out: &mut String) {
     out.push(']');
 }
 
-/// Writes `relation`'s rows, comma-separated, as the text of their wire
-/// arrays, read from its columns in place: each dictionary value is
-/// spelled once, and no row is materialized.
-pub fn write_wire_rows(relation: &Relation, out: &mut String) {
+/// Writes rows `rows` of `source` (a relation's or a builder's),
+/// comma-separated, as the text of their wire arrays, read from its
+/// columns in place: each distinct value the rows use is spelled once,
+/// and no row is materialized.
+pub fn write_wire_rows(source: &impl Columnar, rows: Range<usize>, out: &mut String) {
     /// A column as the writer reads it.
     enum ColumnText<'a> {
         Dimension {
             codes: &'a [u32],
-            /// The spelled dictionary values, back to back.
+            values: &'a [AttrValue],
+            /// The values spelled so far, back to back.
             text: String,
-            /// Where value `code` ends in `text` (it starts where
-            /// `code - 1` ends).
-            ends: Vec<usize>,
+            /// Where value `code` is spelled in `text`, once it is.
+            spans: Vec<Option<(usize, usize)>>,
         },
         Measure(&'a [f64]),
     }
-    let columns: Vec<ColumnText<'_>> = (0..relation.schema().len())
-        .map(|idx| match relation.column(idx) {
-            Column::Dimension(col) => {
-                let mut text = String::new();
-                let ends = col
-                    .dict()
-                    .values()
-                    .iter()
-                    .map(|value| {
-                        write_attr(value, &mut text);
-                        text.len()
-                    })
-                    .collect();
-                ColumnText::Dimension {
-                    codes: col.codes(),
-                    text,
-                    ends,
-                }
-            }
-            Column::Measure(values) => ColumnText::Measure(values),
+    let mut columns: Vec<ColumnText<'_>> = (0..source.schema().len())
+        .map(|idx| match source.view(idx) {
+            ColumnView::Dimension { codes, values } => ColumnText::Dimension {
+                codes,
+                values,
+                text: String::new(),
+                spans: vec![None; values.len()],
+            },
+            ColumnView::Measure(values) => ColumnText::Measure(values),
         })
         .collect();
-    for row in 0..relation.n_rows() {
-        if row > 0 {
+    let first = rows.start;
+    for row in rows {
+        if row > first {
             out.push(',');
         }
         out.push('[');
-        for (i, column) in columns.iter().enumerate() {
+        for (i, column) in columns.iter_mut().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             match column {
-                ColumnText::Dimension { codes, text, ends } => {
+                ColumnText::Dimension {
+                    codes,
+                    values,
+                    text,
+                    spans,
+                } => {
                     let code = codes[row] as usize;
-                    let start = if code == 0 { 0 } else { ends[code - 1] };
-                    out.push_str(&text[start..ends[code]]);
+                    let (start, end) = *spans[code].get_or_insert_with(|| {
+                        let start = text.len();
+                        write_attr(&values[code], text);
+                        (start, text.len())
+                    });
+                    out.push_str(&text[start..end]);
                 }
                 ColumnText::Measure(values) => write_number(values[row], out),
             }
@@ -279,6 +281,7 @@ fn cell_datum(field: &Field, cell: &Cell<'_>) -> Result<Datum, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::Relation;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -366,10 +369,23 @@ mod tests {
             assert_eq!(text, serde_json::to_string(&encode_wire_row(row)).unwrap());
             builder.push_row(row.clone()).unwrap();
         }
-        let mut text = String::from("[");
-        write_wire_rows(&builder.finish(), &mut text);
-        text.push(']');
         let trees: Vec<Value> = rows.iter().map(|r| encode_wire_row(r)).collect();
+        let spelled = |source: &dyn Fn(&mut String)| {
+            let mut text = String::from("[");
+            source(&mut text);
+            text.push(']');
+            text
+        };
+        // From the builder's columns, then from the relation's, whole and
+        // by every row range.
+        let text = spelled(&|out| write_wire_rows(&builder, 0..rows.len(), out));
         assert_eq!(text, serde_json::to_string(&trees).unwrap());
+        let relation = builder.finish();
+        for lo in 0..=rows.len() {
+            for hi in lo..=rows.len() {
+                let text = spelled(&|out| write_wire_rows(&relation, lo..hi, out));
+                assert_eq!(text, serde_json::to_string(&trees[lo..hi]).unwrap());
+            }
+        }
     }
 }

@@ -5,18 +5,21 @@
 //! `{"id":…,"query":…,"rows":[…],"schema":…}`, byte for byte what the
 //! vendored `serde_json` writer makes of that object: keys in sorted
 //! order, rows as the wire arrays `encode_wire_row` builds, written by the
-//! relation crate's `write_wire_rows` and `write_wire_row`, as the WAL's
-//! records are. Recovery reads it back with the same parser as ever.
+//! relation crate's `write_wire_rows`, as the WAL's records are. Recovery
+//! reads it back with the same parser as ever.
 //!
-//! The writer builds no `Value` for a row and copies no row: it reads a
-//! [`Relation`]'s columns and the appended tail in place, so a caller can
-//! encode under the lock that guards them and release it before the
-//! frame is sealed and written ([`crate::DataStore::checkpoint`]).
+//! The writer builds no `Value` for a row and copies no row: it reads the
+//! columns of a [`Relation`] and of the [`RelationBuilder`] holding the
+//! rows appended since in place, each distinct value spelled once, so a
+//! caller can encode under the lock that guards them and release it
+//! before the frame is sealed and written
+//! ([`crate::DataStore::checkpoint`]).
 
+use std::ops::Range;
 use std::time::Duration;
 
 use serde_json::write_number;
-use tsexplain_relation::{write_wire_row, write_wire_rows, AggQuery, Datum, Relation};
+use tsexplain_relation::{write_wire_rows, AggQuery, Relation, RelationBuilder};
 
 use crate::error::StoreError;
 use crate::frame::{frame_text, seal_frame};
@@ -37,15 +40,15 @@ pub struct TenantCheckpoint {
 
 impl TenantCheckpoint {
     /// Encodes tenant `id`'s full state: its schema (`base`'s), `query`,
-    /// and every row in ingestion order, `base`'s rows read from its
-    /// columns first, then `tail`. The snapshot's row watermark is
-    /// implicitly the number of rows written. Only the schema and query
+    /// and every row in ingestion order, `base`'s rows first, then
+    /// `tail`'s, each read from its columns. The snapshot's row watermark
+    /// is implicitly the number of rows written. Only the schema and query
     /// pass through `serde`; the rows are written directly.
     pub fn encode(
         id: u64,
         query: &AggQuery,
         base: &Relation,
-        tail: &[Vec<Datum>],
+        tail: &RelationBuilder,
     ) -> Result<TenantCheckpoint, StoreError> {
         let started = clock();
         let encode_err = |e: serde::Error| StoreError::Encode(e.to_string());
@@ -57,7 +60,7 @@ impl TenantCheckpoint {
         doc.push_str(",\"query\":");
         doc.push_str(&query);
         doc.push_str(",\"rows\":");
-        write_rows(base, tail, &mut doc);
+        write_rows(base, tail, 0..base.n_rows() + tail.n_rows(), &mut doc);
         doc.push_str(",\"schema\":");
         doc.push_str(&schema);
         doc.push('}');
@@ -94,17 +97,25 @@ impl TenantCheckpoint {
     }
 }
 
-/// Writes `[…]`: `base`'s rows as wire arrays, read from its columns,
-/// then `tail`'s.
-pub(crate) fn write_rows(base: &Relation, tail: &[Vec<Datum>], out: &mut String) {
+/// Writes `[…]`: rows `rows` of `base`'s rows followed by `tail`'s, as
+/// wire arrays read from their columns.
+pub(crate) fn write_rows(
+    base: &Relation,
+    tail: &RelationBuilder,
+    rows: Range<usize>,
+    out: &mut String,
+) {
+    let split = base.n_rows();
+    let in_base = rows.start.min(split)..rows.end.min(split);
+    let in_tail = rows.start.max(split) - split..rows.end.max(split) - split;
     out.push('[');
-    write_wire_rows(base, out);
-    for (i, row) in tail.iter().enumerate() {
-        if i > 0 || base.n_rows() > 0 {
+    if !in_base.is_empty() {
+        write_wire_rows(base, in_base, out);
+        if !in_tail.is_empty() {
             out.push(',');
         }
-        write_wire_row(row, out);
     }
+    write_wire_rows(tail, in_tail, out);
     out.push(']');
 }
 
@@ -115,7 +126,7 @@ mod tests {
 
     use proptest::prelude::*;
     use serde::{Serialize, Value};
-    use tsexplain_relation::{encode_wire_row, AttrValue, Field, Schema};
+    use tsexplain_relation::{encode_wire_row, AttrValue, ColumnType, Datum, Field, Schema};
 
     use super::*;
     use crate::frame::{append_frame, HEADER};
@@ -145,6 +156,28 @@ mod tests {
         framed
     }
 
+    /// `rows` pushed into a builder over `schema`.
+    fn builder_of(schema: &Schema, rows: &[Vec<Datum>]) -> RelationBuilder {
+        let mut builder = Relation::builder(schema.clone());
+        for row in rows {
+            builder.push_row(row.clone()).unwrap();
+        }
+        builder
+    }
+
+    /// `rows[..split]` as a relation over `schema` and `rows[split..]` as
+    /// the tail, in a builder.
+    fn base_and_tail(
+        schema: &Schema,
+        rows: &[Vec<Datum>],
+        split: usize,
+    ) -> (Relation, RelationBuilder) {
+        (
+            builder_of(schema, &rows[..split]).finish(),
+            builder_of(schema, &rows[split..]),
+        )
+    }
+
     /// `rows[..split]` as a relation over `schema`, `rows[split..]` as the
     /// tail, encoded.
     fn encoded(
@@ -154,11 +187,8 @@ mod tests {
         rows: &[Vec<Datum>],
         split: usize,
     ) -> TenantCheckpoint {
-        let mut builder = Relation::builder(schema.clone());
-        for row in &rows[..split] {
-            builder.push_row(row.clone()).unwrap();
-        }
-        TenantCheckpoint::encode(id, query, &builder.finish(), &rows[split..]).unwrap()
+        let (base, tail) = base_and_tail(schema, rows, split);
+        TenantCheckpoint::encode(id, query, &base, &tail).unwrap()
     }
 
     /// [`encoded`], sealed in memory.
@@ -215,22 +245,44 @@ mod tests {
     /// Integer attributes the wire's `f64` holds exactly.
     const INT_BOUND: i64 = (1 << 53) - 1;
 
-    /// One drawn cell: read as a dimension (an integer or a string) or as
-    /// a measure (a listed value or a random one), by its column's kind.
+    /// Values drawn again and again, so columns repeat them: strings that
+    /// need escapes among them.
+    const REPEATED: [&str; 4] = ["N\"Y", "CA", "a\\b\n", "é😀"];
+
+    /// One drawn cell: read as a dimension (an integer, a string, or one
+    /// of a few repeated values) or as a measure (a listed value, a random
+    /// one or an integer attribute), by its column's kind.
     type Cell = (u8, i64, Vec<usize>, usize, f64);
 
     fn cell_as(is_measure: bool, cell: &Cell) -> Datum {
         let (attr_kind, int, picks, measure, random) = cell;
-        if is_measure {
-            Datum::Num(MEASURES.get(*measure).copied().unwrap_or(*random))
-        } else if *attr_kind == 0 {
-            Datum::Attr(AttrValue::Int(*int))
-        } else {
-            let chars: Vec<char> = CHARS.chars().collect();
-            Datum::Attr(AttrValue::from(
-                picks.iter().map(|&i| chars[i]).collect::<String>(),
-            ))
+        match (is_measure, attr_kind) {
+            (true, 3) => Datum::Attr(AttrValue::Int(*int)),
+            (true, _) => Datum::Num(MEASURES.get(*measure).copied().unwrap_or(*random)),
+            (false, 0) => Datum::Attr(AttrValue::Int(*int)),
+            (false, 1) => {
+                let chars: Vec<char> = CHARS.chars().collect();
+                Datum::Attr(AttrValue::from(
+                    picks.iter().map(|&i| chars[i]).collect::<String>(),
+                ))
+            }
+            (false, 2) => Datum::Attr(AttrValue::Int(int.rem_euclid(3))),
+            (false, _) => Datum::Attr(REPEATED[*measure % REPEATED.len()].into()),
         }
+    }
+
+    /// `row` as recovery reads it back: an integer attribute in a measure
+    /// slot is a number there.
+    fn as_recovered(schema: &Schema, row: &[Datum]) -> Vec<Datum> {
+        schema
+            .fields()
+            .iter()
+            .zip(row)
+            .map(|(field, datum)| match (field.column_type(), datum) {
+                (ColumnType::Measure, Datum::Attr(AttrValue::Int(i))) => Datum::Num(*i as f64),
+                _ => datum.clone(),
+            })
+            .collect()
     }
 
     proptest! {
@@ -238,15 +290,16 @@ mod tests {
 
         /// The frame a checkpoint writes is byte-identical to the `Value`
         /// tree encoding, for rows read from a relation's columns, from the
-        /// tail, or both (an empty tail and a tenant with no rows
-        /// included), and recovery reads it back to the same rows.
+        /// tail builder's, or both (an empty tail and a tenant with no rows
+        /// included), over repeated values, strings that need escapes and
+        /// integer measures, and recovery reads it back to the same rows.
         #[test]
         fn the_snapshot_writer_matches_the_value_tree_and_recovers(
             kinds in proptest::collection::vec(0u8..2, 1..5),
             raw in proptest::collection::vec(
                 proptest::collection::vec(
                     (
-                        0u8..2,
+                        0u8..4,
                         -INT_BOUND..=INT_BOUND,
                         proptest::collection::vec(0..CHARS.chars().count(), 0..10),
                         0..MEASURES.len() + 4,
@@ -295,7 +348,9 @@ mod tests {
             let (_store, recovery) = DataStore::open(&dir).unwrap();
             prop_assert_eq!(recovery.tenants.len(), 1);
             prop_assert!(recovery.tenants[0].from_snapshot);
-            prop_assert_eq!(&recovery.tenants[0].rows, &rows);
+            let recovered: Vec<Vec<Datum>> =
+                rows.iter().map(|row| as_recovered(&schema, row)).collect();
+            prop_assert_eq!(&recovery.tenants[0].rows, &recovered);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -317,17 +372,20 @@ mod tests {
 
         /// The WAL's `Register` and `Rows` frames are byte-identical to
         /// their records' `Value` trees, written and framed: a
-        /// registration's rows read from a relation's columns, from the
-        /// tail, or both, and batches of every size, empty ones included,
-        /// over every escape, non-ASCII text, integer attributes and
-        /// integral, fractional, `-0.0` and ≥ 2^53 measures.
+        /// registration's rows read from a relation's columns, batches of
+        /// every size written from `Datum` rows, empty ones included, and
+        /// `Rows` records for every row range of a relation's rows followed
+        /// by a tail builder's, over every escape, non-ASCII text, integer
+        /// attributes, repeated values, and integral, fractional, `-0.0`,
+        /// ≥ 2^53 and integer-attribute measures. Where a range is the
+        /// tail's, the two row writers make the same bytes.
         #[test]
         fn the_wal_writer_matches_the_value_tree(
             kinds in proptest::collection::vec(0u8..2, 1..5),
             raw in proptest::collection::vec(
                 proptest::collection::vec(
                     (
-                        0u8..2,
+                        0u8..4,
                         -INT_BOUND..=INT_BOUND,
                         proptest::collection::vec(0..CHARS.chars().count(), 0..10),
                         0..MEASURES.len() + 4,
@@ -358,22 +416,18 @@ mod tests {
                 .map(|cells| kinds.iter().zip(cells).map(|(&k, c)| cell_as(k == 1, c)).collect())
                 .collect();
             let split = split.min(rows.len());
-            let mut builder = Relation::builder(schema.clone());
-            for row in &rows[..split] {
-                builder.push_row(row.clone()).unwrap();
-            }
             let wire: Vec<Value> = rows.iter().map(|r| encode_wire_row(r)).collect();
-            let register = WalFrame::register(id, &query, &builder.finish(), &rows[split..]).unwrap();
+            let relation = builder_of(&schema, &rows).finish();
+            let register = WalFrame::register(id, &query, &relation).unwrap();
             let expected = wal_tree_frame(&WalRecord::Register {
                 id,
-                schema,
+                schema: schema.clone(),
                 query,
                 rows: wire.clone(),
             });
             prop_assert!(
                 register.bytes() == expected,
-                "split {}: {:?}",
-                split,
+                "{:?}",
                 String::from_utf8_lossy(&expected[HEADER..])
             );
             let batch = WalFrame::rows(id, seq, &rows[split..]).unwrap();
@@ -387,6 +441,25 @@ mod tests {
                 "{:?}",
                 String::from_utf8_lossy(&expected[HEADER..])
             );
+            let (base, tail) = base_and_tail(&schema, &rows, split);
+            for from in 0..=rows.len() {
+                let since = WalFrame::rows_since(id, from, &base, &tail).unwrap();
+                let expected = wal_tree_frame(&WalRecord::Rows {
+                    id,
+                    seq: from as u64,
+                    rows: wire[from..].to_vec(),
+                });
+                prop_assert!(
+                    since.bytes() == expected,
+                    "split {}, from {}: {:?}",
+                    split,
+                    from,
+                    String::from_utf8_lossy(&expected[HEADER..])
+                );
+            }
+            let tail_since = WalFrame::rows_since(id, split, &base, &tail).unwrap();
+            let tail_rows = WalFrame::rows(id, split as u64, &rows[split..]).unwrap();
+            prop_assert!(tail_since.bytes() == tail_rows.bytes(), "split {}", split);
         }
     }
 
@@ -420,6 +493,8 @@ mod tests {
         ];
         // A tenant with no rows.
         assert!(sealed(1, &schema, &query, &[], 0) == value_tree_frame(1, &schema, &query, &[]));
+        // Repeated rows, so the two sides' writers each reuse a spelling.
+        let rows: Vec<Vec<Datum>> = rows.iter().chain(&rows).cloned().collect();
         let expected = value_tree_frame(u64::MAX, &schema, &query, &rows);
         for split in 0..=rows.len() {
             assert!(

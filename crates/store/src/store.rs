@@ -297,22 +297,21 @@ impl DataStore {
     }
 
     /// Durably logs a tenant registration: `query`, `base`'s schema and
-    /// every row, `base`'s written from its columns and then `tail`'s, as
-    /// [`WalFrame::register`] writes them (no row is copied).
+    /// its rows, written from its columns as [`WalFrame::register`] writes
+    /// them (no row is copied).
     pub fn log_register(
         &self,
         id: u64,
         query: &AggQuery,
         base: &Relation,
-        tail: &[Vec<Datum>],
     ) -> Result<(), StoreError> {
-        self.log(WalFrame::register(id, query, base, tail)?)
+        self.log(WalFrame::register(id, query, base)?)
     }
 
     /// Durably logs an appended row batch, written from the rows as
     /// [`WalFrame::rows`] writes it. `seq` is the tenant's total row count
-    /// *before* the batch. A caller that must hand the rows on before the
-    /// record is logged encodes the record first and logs it with
+    /// *before* the batch. A caller that keeps its rows in columns writes
+    /// the record from them ([`WalFrame::rows_since`]) and logs it with
     /// [`DataStore::log`].
     pub fn log_rows(&self, id: u64, seq: u64, rows: &[Vec<Datum>]) -> Result<(), StoreError> {
         self.log(WalFrame::rows(id, seq, rows)?)

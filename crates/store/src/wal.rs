@@ -8,10 +8,12 @@
 //!
 //! Records are written as text and read through the tree. [`WalFrame`]
 //! writes each record straight from its rows into its frame, with the
-//! relation crate's `write_wire_row` and `write_wire_rows`: byte for byte
-//! what the vendored `serde_json` writer makes of the record's `Value`
-//! tree (keys in sorted order), with no tree built. Replay parses a
-//! record into that tree and decodes it as a [`WalRecord`].
+//! relation crate's `write_wire_rows` (rows read from a relation's or a
+//! builder's columns, each distinct value spelled once) or, for a batch
+//! handed over as [`Datum`] rows, `write_wire_row`: byte for byte what the
+//! vendored `serde_json` writer makes of the record's `Value` tree (keys
+//! in sorted order), with no tree built. Replay parses a record into that
+//! tree and decodes it as a [`WalRecord`].
 //!
 //! `Rows.seq` is the tenant's total row count *before* the batch. It is
 //! what makes snapshot + suffix replay idempotent: a replayer holding
@@ -20,7 +22,9 @@
 
 use serde::{Deserialize, Error, Value};
 use serde_json::write_number;
-use tsexplain_relation::{write_wire_row, AggQuery, Datum, Relation, Schema};
+use tsexplain_relation::{
+    write_wire_row, write_wire_rows, AggQuery, Datum, Relation, RelationBuilder, Schema,
+};
 
 use crate::error::StoreError;
 use crate::frame::{frame_text, seal_frame};
@@ -91,23 +95,17 @@ pub struct WalFrame {
 
 impl WalFrame {
     /// A `Register` record for tenant `id`: `query`, `base`'s schema and
-    /// every row in ingestion order, `base`'s read from its columns, then
-    /// `tail`.
-    pub fn register(
-        id: u64,
-        query: &AggQuery,
-        base: &Relation,
-        tail: &[Vec<Datum>],
-    ) -> Result<WalFrame, StoreError> {
+    /// its rows, read from its columns.
+    pub fn register(id: u64, query: &AggQuery, base: &Relation) -> Result<WalFrame, StoreError> {
         let encode_err = |e: Error| StoreError::Encode(e.to_string());
         let query = serde_json::to_string(query).map_err(encode_err)?;
         let schema = serde_json::to_string(base.schema()).map_err(encode_err)?;
         let mut doc = record_start(id, "register");
         doc.push_str(",\"query\":");
         doc.push_str(&query);
-        doc.push_str(",\"rows\":");
-        write_rows(base, tail, &mut doc);
-        doc.push_str(",\"schema\":");
+        doc.push_str(",\"rows\":[");
+        write_wire_rows(base, 0..base.n_rows(), &mut doc);
+        doc.push_str("],\"schema\":");
         doc.push_str(&schema);
         WalFrame::sealed(doc)
     }
@@ -124,6 +122,24 @@ impl WalFrame {
             write_wire_row(row, &mut doc);
         }
         doc.push_str("],\"seq\":");
+        write_number(seq as f64, &mut doc);
+        WalFrame::sealed(doc)
+    }
+
+    /// A `Rows` record: tenant `id`'s rows from row `seq` on, of `base`'s
+    /// rows followed by `tail`'s, read from their columns. After a batch
+    /// that restated history the session has folded its tail into a new
+    /// `base`, so the batch is `base`'s last rows.
+    pub fn rows_since(
+        id: u64,
+        seq: usize,
+        base: &Relation,
+        tail: &RelationBuilder,
+    ) -> Result<WalFrame, StoreError> {
+        let mut doc = record_start(id, "rows");
+        doc.push_str(",\"rows\":");
+        write_rows(base, tail, seq..base.n_rows() + tail.n_rows(), &mut doc);
+        doc.push_str(",\"seq\":");
         write_number(seq as f64, &mut doc);
         WalFrame::sealed(doc)
     }

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use tsexplain_relation::{AggQuery, AttrValue, Datum, Field, Relation, Schema};
+use tsexplain_relation::{AggQuery, AttrValue, Datum, Field, Relation, RelationBuilder, Schema};
 use tsexplain_store::{DataStore, TenantCheckpoint};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -51,16 +51,26 @@ fn rows(from: usize, n: usize) -> Vec<Vec<Datum>> {
         .collect()
 }
 
-/// A relation with the fixture's schema and no rows: the base a
-/// registration or a snapshot passes when every row is in its tail.
-fn empty_base() -> Relation {
-    Relation::builder(schema()).finish()
+/// `rows` pushed into a builder with the fixture's schema: the tail a
+/// snapshot writes after its base relation's rows.
+fn builder_of(rows: &[Vec<Datum>]) -> RelationBuilder {
+    let mut builder = Relation::builder(schema());
+    for row in rows {
+        builder.push_row(row.clone()).unwrap();
+    }
+    builder
+}
+
+/// `rows` as a relation with the fixture's schema: what a registration
+/// logs.
+fn relation_of(rows: &[Vec<Datum>]) -> Relation {
+    builder_of(rows).finish()
 }
 
 /// Tenant `id`'s snapshot holding `rows`, all of them as the tail of an
 /// empty base relation.
 fn checkpoint_of(id: u64, rows: &[Vec<Datum>]) -> TenantCheckpoint {
-    TenantCheckpoint::encode(id, &query(), &empty_base(), rows).unwrap()
+    TenantCheckpoint::encode(id, &query(), &relation_of(&[]), &builder_of(rows)).unwrap()
 }
 
 /// The single live WAL segment of a store that was opened once.
@@ -83,7 +93,7 @@ fn seed_store(tag: &str, batches: usize) -> PathBuf {
     let (store, recovery) = DataStore::open(&dir).unwrap();
     assert!(recovery.tenants.is_empty());
     store
-        .log_register(1, &query(), &empty_base(), &rows(0, 3))
+        .log_register(1, &query(), &relation_of(&rows(0, 3)))
         .unwrap();
     for b in 0..batches {
         store
@@ -218,7 +228,7 @@ fn records_logged_after_rotation_survive_checkpoint_truncation() {
     let dir = temp_dir("rotation-race");
     let (store, _) = DataStore::open(&dir).unwrap();
     store
-        .log_register(1, &query(), &empty_base(), &rows(0, 3))
+        .log_register(1, &query(), &relation_of(&rows(0, 3)))
         .unwrap();
     // Export taken as of 3 rows — i.e. BEFORE the concurrent batch below.
     let exported = checkpoint_of(1, &rows(0, 3));
@@ -245,10 +255,10 @@ fn tombstone_survives_reboot() {
     let dir = temp_dir("tombstone");
     let (store, _) = DataStore::open(&dir).unwrap();
     store
-        .log_register(1, &query(), &empty_base(), &rows(0, 3))
+        .log_register(1, &query(), &relation_of(&rows(0, 3)))
         .unwrap();
     store
-        .log_register(2, &query(), &empty_base(), &rows(0, 2))
+        .log_register(2, &query(), &relation_of(&rows(0, 2)))
         .unwrap();
     store.log_remove(1).unwrap();
     drop(store);
