@@ -2,13 +2,12 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 
-use crate::column::{ColumnView, Columnar, DimColumn};
+use crate::column::{Column, ColumnView, Columnar, DimColumn};
 use crate::dict::Dictionary;
 use crate::error::RelationError;
 use crate::relation::Relation;
 use crate::schema::{ColumnType, Schema};
 use crate::value::AttrValue;
-use crate::Column;
 
 /// A single row value handed to [`RelationBuilder::push_row`].
 ///
@@ -302,10 +301,6 @@ impl RelationBuilder {
 impl Columnar for RelationBuilder {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn n_rows(&self) -> usize {
-        self.rows
     }
 
     /// A dimension's values are in first-seen order, not sorted.

@@ -115,9 +115,6 @@ pub trait Columnar {
     /// The schema the columns follow.
     fn schema(&self) -> &Schema;
 
-    /// Number of rows.
-    fn n_rows(&self) -> usize;
-
     /// The column at schema position `idx`.
     fn view(&self, idx: usize) -> ColumnView<'_>;
 }

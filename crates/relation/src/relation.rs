@@ -143,10 +143,6 @@ impl Columnar for Relation {
         &self.schema
     }
 
-    fn n_rows(&self) -> usize {
-        self.rows
-    }
-
     fn view(&self, idx: usize) -> ColumnView<'_> {
         match &self.columns[idx] {
             Column::Dimension(d) => ColumnView::Dimension {
